@@ -1,13 +1,15 @@
 """Experiment configuration: flat key-value text format with presets.
 
 The file format is line-oriented ``key = value`` with a version header line
-``optomo-config v1``; ``#`` starts a comment.  Writing a config produces a
+``optomo-config v1``; ``#`` at the start of a line or after whitespace starts
+a comment that runs to the end of the line.  Writing a config produces a
 canonical form that round-trips losslessly through the parser.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -20,6 +22,7 @@ PRESETS = ("fig2_top", "fig2_bottom", "fig2_bottom_scaled")
 
 _OPERATIONS = ("displacement", "identity", "kraus")
 _ROUTES = ("auto", "gaussian", "fock", "finite")
+_COMMENT = re.compile(r"(^|\s)#.*$")
 _REFERENCES = "auto-or-pair"
 
 
@@ -127,6 +130,15 @@ class ExperimentConfig:
         return "gaussian" if self.operation in ("displacement", "identity") else "fock"
 
 
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected one of 1/true/yes/0/false/no, got {text!r}")
+
+
 _FIELD_PARSERS = {
     "operation": str,
     "z": complex,
@@ -144,14 +156,14 @@ _FIELD_PARSERS = {
     "grid_spacing": float,
     "ridge": float,
     "out_prefix": str,
-    "dump_samples": lambda s: s.lower() in ("1", "true", "yes"),
+    "dump_samples": _parse_bool,
 }
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key-value format; raises ConfigError on any problem."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [_COMMENT.sub("", ln).strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("optomo-config"):
         raise ConfigError("missing 'optomo-config v<N>' header line")
     try:

@@ -71,44 +71,3 @@ def smeared_pair_table(
         prod = psi[a] * psi[a + delta]
         rows[a] = fftconvolve(prod, kern, mode="same") if kern.size > 1 else prod
     return rows
-
-
-def smeared_density(
-    rho: np.ndarray, phi: float, x: np.ndarray, dx: float, sigma: float
-) -> np.ndarray:
-    """Exact eta-smeared quadrature density of a single-mode density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    out = np.zeros(x.size)
-    for delta in range(d):
-        g = smeared_pair_table(d, delta, x, dx, sigma)
-        for a in range(d - delta):
-            if delta == 0:
-                out += rho[a, a].real * g[a]
-            else:
-                # rho_ab e^{i(a-b)phi} + c.c. with b = a + delta
-                out += 2.0 * np.real(
-                    rho[a, a + delta] * np.exp(-1j * delta * phi)
-                ) * g[a]
-    return out
-
-
-def coherent_state(alpha: complex, dim_cut: int) -> np.ndarray:
-    """Fock amplitudes of |alpha>, truncated."""
-    n = np.arange(dim_cut)
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    amps = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * log_fact) \
-        if alpha != 0 else np.eye(dim_cut, 1).ravel().astype(complex)
-    return amps
-
-
-def thermal_state(nbar: float, dim_cut: int) -> np.ndarray:
-    """Diagonal of a thermal density matrix with mean photon number nbar."""
-    if nbar < 0:
-        raise ValueError("nbar must be nonnegative")
-    if nbar == 0:
-        p = np.zeros(dim_cut)
-        p[0] = 1.0
-        return p
-    r = nbar / (nbar + 1.0)
-    return (1.0 - r) * r ** np.arange(dim_cut)

@@ -47,6 +47,7 @@ from optomo.sampling import (
     QuadratureBlock,
     displaced_twinbeam_gaussian,
     draw_heralds,
+    fock_tables,
     sample_finite,
     sample_fock_general,
     sample_quadratures,
@@ -162,8 +163,11 @@ def _gaussian_block(cfg, state, block_id) -> QuadratureBlock:
     return QuadratureBlock(block_id, phi1, phi2, x1, x2)
 
 
-def _fock_block(cfg, branches, weights, p_occ, block_id) -> QuadratureBlock:
-    """Mixture sampling over pure bipartite branches (K_n psi) with heralding."""
+def _fock_block(cfg, tables, weights, p_occ, block_id) -> QuadratureBlock:
+    """Mixture sampling over pure bipartite branches (K_n psi) with heralding.
+
+    ``tables`` holds the per-run sampler tables of each branch.
+    """
     rng = substream(cfg.master_seed, block_id)
     n = cfg.samples_per_block
     herald = draw_heralds(p_occ, n, rng)
@@ -173,17 +177,17 @@ def _fock_block(cfg, branches, weights, p_occ, block_id) -> QuadratureBlock:
     x1 = np.zeros(n)
     x2 = np.zeros(n)
     if nh:
-        if len(branches) == 1:
+        if len(tables) == 1:
             branch_idx = np.zeros(nh, dtype=int)
         else:
             w = np.asarray(weights) / np.sum(weights)
-            branch_idx = rng.choice(len(branches), size=nh, p=w)
+            branch_idx = rng.choice(len(tables), size=nh, p=w)
         hpos = np.flatnonzero(herald)
-        for bi, phi_out in enumerate(branches):
+        for bi, tab in enumerate(tables):
             sel = hpos[branch_idx == bi]
             if sel.size == 0:
                 continue
-            p1, p2, s1, s2 = sample_fock_general(phi_out, cfg.eta, sel.size, rng)
+            p1, p2, s1, s2 = sample_fock_general(tab, cfg.eta, sel.size, rng)
             phi1[sel], phi2[sel], x1[sel], x2[sel] = p1, p2, s1, s2
     return QuadratureBlock(block_id, phi1, phi2, x1, x2, herald)
 
@@ -296,7 +300,8 @@ def run_simulate(
                 state = displaced_twinbeam_gaussian(0.0, cfg.nbar)
             make_block = lambda b: _gaussian_block(cfg, state, b)
         else:
-            make_block = lambda b: _fock_block(cfg, [phi_norm], [1.0], p_occ, b)
+            tables = [fock_tables(phi_norm)]
+            make_block = lambda b: _fock_block(cfg, tables, [1.0], p_occ, b)
 
         def accumulate_one(blk):
             return estimation.accumulate_pure([blk], beam.psi, i0, j0,
@@ -308,7 +313,8 @@ def run_simulate(
                                             extra_deficit=beam.deficit)
         estimate = estimation.phase_fix(estimate)
     else:
-        make_block = lambda b: _fock_block(cfg, branches, weights, p_occ, b)
+        tables = [fock_tables(b) for b in branches]
+        make_block = lambda b: _fock_block(cfg, tables, weights, p_occ, b)
 
         def accumulate_one(blk):
             return estimation.accumulate_choi([blk], beam.psi, evaluator, window)

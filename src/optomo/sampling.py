@@ -4,8 +4,11 @@ Three sampling paths share one RNG contract:
 
 * exact Gaussian sampling of joint quadratures for Gaussian scenarios
   (the displaced twin-beam experiment),
-* grid inverse-CDF sampling over truncated Fock-basis wavefunction sums for
-  arbitrary pure bipartite outputs (and mixtures of them for Kraus maps),
+* exact Fock-basis sampling of arbitrary pure bipartite outputs (and
+  mixtures of them for Kraus maps): x1 by bisection on a cumulative
+  mode-1 marginal table built once per state (``fock_tables``), x2 from
+  the exact conditional given x1; each grid node's mass sits on the cell
+  centred on it, so draws carry no half-cell shift,
 * exact-distribution outcome sampling for finite-dimensional quorums.
 
 Quadrature units follow X_phi = (a^dag e^{i phi} + a e^{-i phi})/2 (vacuum
@@ -185,37 +188,65 @@ def sample_quadratures(
     return phi1, phi2, x1, x2
 
 
-def _inverse_cdf_draw(pdf_rows: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Draw one value per row from tabulated densities by inverse CDF."""
-    cdf = np.cumsum(pdf_rows, axis=1)
-    total = cdf[:, -1:]
-    target = u[:, None] * total
-    idx = np.minimum((cdf < target).sum(axis=1), x.size - 1)
-    rows = np.arange(pdf_rows.shape[0])
-    hi = cdf[rows, idx]
-    lo = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
-    frac = np.where(hi > lo, (target.ravel() - lo) / (hi - lo), 0.5)
-    dx = x[1] - x[0]
-    left = x[idx] - dx
-    return left + frac * dx
+def _inverse_cdf(cdf_at, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One draw per row by inverting a cumulative table over the grid ``x``.
+
+    ``cdf_at(k)`` returns, for every row r, the mass of nodes 0..k[r] of that
+    row.  Node k carries its mass on the cell [x_k - dx/2, x_k + dx/2], so
+    the midpoint rule is inverted without a shift; within the cell the CDF
+    is linear.  The node is found by bisection, ceil(log2(len(x) + 1))
+    calls of ``cdf_at``.
+    """
+    lo = np.full(u.size, -1)
+    hi = np.full(u.size, x.size - 1)
+    c_lo = np.zeros(u.size)
+    c_hi = cdf_at(hi)
+    target = u * c_hi
+    active = hi - lo > 1
+    while active.any():
+        mid = np.where(active, (lo + hi) // 2, hi)
+        c_mid = cdf_at(mid)
+        below = active & (c_mid < target)
+        above = active & ~below
+        lo = np.where(below, mid, lo)
+        c_lo = np.where(below, c_mid, c_lo)
+        hi = np.where(above, mid, hi)
+        c_hi = np.where(above, c_mid, c_hi)
+        active = hi - lo > 1
+    frac = (target - c_lo) / np.maximum(c_hi - c_lo, np.finfo(float).tiny)
+    return x[hi] + (frac - 0.5) * (x[1] - x[0])
 
 
-def sample_fock_general(
+@dataclass(frozen=True)
+class FockTables:
+    """Per-state tables of the Fock-route sampler, built once per run.
+
+    ``x`` is the sampling grid cropped to the support of the wavefunctions,
+    ``psi`` holds Psi_a(x) for a < d (shape (d, G)), and ``marginal`` is the
+    cumulative mode-1 marginal: column delta of its complex form is
+    H_delta(k) = w_delta sum_a rho1[a, a+delta] sum_{j<=k} Psi_a Psi_{a+delta}
+    at x_j (w_0 = 1, otherwise 2), stored as [Re H | Im H], shape (G, 2d).
+    The cumulative marginal at x_k for phase phi1 is
+    Re sum_delta H_delta(k) e^{-i delta phi1}.
+    """
+
+    phi_out: np.ndarray
+    x: np.ndarray
+    psi: np.ndarray
+    marginal: np.ndarray
+
+
+def fock_tables(
     phi_out: np.ndarray,
-    eta: float,
-    n: int,
-    stream: np.random.Generator,
     n_points: int = FOCK_GRID_POINTS,
-    batch: int = 256,
     deficit_bound: float = TRUNCATION_BOUND,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Joint quadrature samples for an arbitrary pure bipartite output.
+) -> FockTables:
+    """Sampler tables for the normalised pure bipartite output ``phi_out``.
 
-    ``phi_out`` is the normalised output matrix in the Fock basis.  Per
-    sample: x1 is drawn from the exact phase-dependent marginal on a grid of
-    ``n_points`` over [-6 sigma_max, 6 sigma_max] by inverse CDF, x2 from the
-    exact conditional given x1, then both receive efficiency noise.  Draw
-    order per batch: phi1, phi2, u1, u2, noise1, noise2.
+    The grid is ``n_points`` nodes over [-6 sigma_max, 6 sigma_max] with
+    sigma_max^2 = (2d + 1)/4, cropped to the nodes where the envelope
+    sum_a Psi_a(x)^2 exceeds 1e-40 of its peak.  Raises TruncationError if
+    the norm of ``phi_out`` differs from 1 by more than ``deficit_bound``.
     """
     phi_out = np.asarray(phi_out, dtype=complex)
     d = phi_out.shape[0]
@@ -225,58 +256,84 @@ def sample_fock_general(
             f"output-state truncation deficit {abs(norm2 - 1.0):.3e} above "
             f"bound {deficit_bound:.0e}"
         )
-    sig2 = noise_sigma2(eta)
     sigma_max = np.sqrt((2.0 * d + 1.0) / 4.0)
     x = np.linspace(-6.0 * sigma_max, 6.0 * sigma_max, n_points)
-    psi_tab = quadrature_wavefunctions(d, x)  # (d, G)
-    # real pair-product table for the mode-1 marginal quadratic form
-    pair_rows = []
-    pair_index = []
-    for a in range(d):
-        for b in range(a, d):
-            pair_rows.append(psi_tab[a] * psi_tab[b])
-            pair_index.append((a, b))
-    pair_tab = np.array(pair_rows)  # (P, G)
+    psi = quadrature_wavefunctions(d, x)
+    envelope = np.sum(psi * psi, axis=0)
+    keep = np.flatnonzero(envelope > 1e-40 * envelope.max())
+    crop = slice(keep[0], keep[-1] + 1)
+    # contiguous, so the per-batch GEMMs do not copy it
+    x, psi = x[crop], np.ascontiguousarray(psi[:, crop])
     rho1 = phi_out @ phi_out.conj().T  # reduced state of mode 1
+    density = np.empty((x.size, d), dtype=complex)
+    for delta in range(d):
+        w = 1.0 if delta == 0 else 2.0
+        r = w * np.diagonal(rho1, delta)
+        density[:, delta] = r @ (psi[: d - delta] * psi[delta:])
+    cum = np.cumsum(density, axis=0)
+    marginal = np.concatenate([cum.real, cum.imag], axis=1)
+    return FockTables(phi_out=phi_out, x=x, psi=psi, marginal=marginal)
 
+
+def _fock_draw(tables: FockTables, p1, p2, u1, u2):
+    """Noise-free (x1, x2) for one batch of phases and uniforms."""
+    d = tables.phi_out.shape[0]
+    orders = np.arange(d)
+    rot1 = np.exp(1j * np.outer(p1, orders))  # e^{i a phi1}, (s, d)
+    trig1 = np.concatenate([rot1.real, rot1.imag], axis=1)
+    xs1 = _inverse_cdf(
+        lambda k: np.einsum("ij,ij->i", tables.marginal[k], trig1), tables.x, u1
+    )
+    # conditional amplitude over mode-2 index m at the drawn x1
+    psi_at = quadrature_wavefunctions(d, xs1).T  # (s, d)
+    c = ((psi_at * rot1) @ tables.phi_out) * np.exp(1j * np.outer(p2, orders))
+    pdf2 = c.real @ tables.psi
+    im = c.imag @ tables.psi
+    pdf2 *= pdf2
+    im *= im
+    pdf2 += im
+    cdf2 = np.cumsum(pdf2, axis=1, out=pdf2)
+    rows = np.arange(u2.size)
+    xs2 = _inverse_cdf(lambda k: cdf2[rows, k], tables.x, u2)
+    return xs1, xs2
+
+
+def sample_fock_general(
+    tables: FockTables,
+    eta: float,
+    n: int,
+    stream: np.random.Generator,
+    batch: int = 256,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Joint quadrature samples (phi1, phi2, x1, x2) for a pure bipartite output.
+
+    Per sample, x1 is drawn from the exact phase-dependent marginal by
+    bisection on the cumulative table of ``tables``, x2 from the exact
+    conditional |sum_m c_m e^{i m phi2} Psi_m(x2)|^2 given x1, with Psi_a(x1)
+    evaluated at the drawn point.  Both then receive efficiency noise.  Draw
+    order per batch of ``batch`` samples: phi1, phi2, u1, u2, noise1, noise2.
+    """
+    sig2 = noise_sigma2(eta)
     phi1 = np.empty(n)
     phi2 = np.empty(n)
     x1 = np.empty(n)
     x2 = np.empty(n)
-    done = 0
-    while done < n:
-        s = min(batch, n - done)
+    for lo in range(0, n, batch):
+        s = min(batch, n - lo)
         p1 = stream.uniform(0.0, 2.0 * np.pi, s)
         p2 = stream.uniform(0.0, 2.0 * np.pi, s)
         u1 = stream.random(s)
         u2 = stream.random(s)
         g1 = stream.standard_normal(s)
         g2 = stream.standard_normal(s)
-        # marginal p(x1 | phi1) = sum_ab rho1_ab e^{i(a-b) phi1} Psi_a Psi_b
-        coeff = np.empty((s, len(pair_index)))
-        for p, (a, b) in enumerate(pair_index):
-            if a == b:
-                coeff[:, p] = rho1[a, a].real
-            else:
-                coeff[:, p] = 2.0 * np.real(rho1[a, b] * np.exp(1j * (a - b) * p1))
-        pdf1 = np.maximum(coeff @ pair_tab, 0.0)
-        xs1 = _inverse_cdf_draw(pdf1, x, u1)
-        # conditional amplitude over mode-2 index m at the sampled x1
-        psi_at = np.empty((s, d))
-        for a in range(d):
-            psi_at[:, a] = np.interp(xs1, x, psi_tab[a])
-        amp = (psi_at * np.exp(1j * np.arange(d) * p1[:, None])) @ phi_out  # (s, d)
-        amp2 = (amp * np.exp(1j * np.arange(d) * p2[:, None])) @ psi_tab.astype(complex)
-        pdf2 = np.abs(amp2) ** 2
-        xs2 = _inverse_cdf_draw(pdf2, x, u2)
+        xs1, xs2 = _fock_draw(tables, p1, p2, u1, u2)
         if sig2 > 0.0:
-            xs1 = xs1 + np.sqrt(sig2) * g1
-            xs2 = xs2 + np.sqrt(sig2) * g2
-        phi1[done:done + s] = p1
-        phi2[done:done + s] = p2
-        x1[done:done + s] = xs1
-        x2[done:done + s] = xs2
-        done += s
+            xs1 += np.sqrt(sig2) * g1
+            xs2 += np.sqrt(sig2) * g2
+        phi1[lo:lo + s] = p1
+        phi2[lo:lo + s] = p2
+        x1[lo:lo + s] = xs1
+        x2[lo:lo + s] = xs2
     return phi1, phi2, x1, x2
 
 

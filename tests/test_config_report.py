@@ -47,6 +47,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="version"):
             parse_config("optomo-config v9\n")
 
+    def test_trailing_comments(self):
+        # the example config of the README, comments included
+        cfg = parse_config(
+            "optomo-config v1\n"
+            "operation = displacement     # displacement | identity | kraus\n"
+            "z = 1+0j\nnbar = 5.0\neta = 0.9   # detector efficiency\n"
+            "blocks = 150\nsamples_per_block = 10000\nn_max = 7\n"
+            "master_seed = 20260809\nout_prefix = fig2_top\n"
+        )
+        assert cfg.operation == "displacement"
+        assert cfg.eta == 0.9
+        assert cfg == load_preset("fig2_top")
+
+    def test_dump_samples_values(self):
+        for text, value in (("true", True), ("Yes", True), ("1", True),
+                            ("false", False), ("no", False), ("0", False)):
+            cfg = parse_config(f"optomo-config v1\ndump_samples = {text}\n")
+            assert cfg.dump_samples is value
+        for bad in ("ture", "on", ""):
+            with pytest.raises(ConfigError, match="dump_samples"):
+                parse_config(f"optomo-config v1\ndump_samples = {bad}\n")
+
     def test_eta_out_of_domain(self):
         with pytest.raises(ConfigError, match="eta"):
             ExperimentConfig(eta=0.5).validate()

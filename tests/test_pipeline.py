@@ -1,0 +1,52 @@
+"""End-to-end checks of the Fock route through ``run_simulate``."""
+
+from dataclasses import replace
+
+import numpy as np
+
+from optomo.config import ExperimentConfig
+from optomo.estimation import align_to_truth
+from optomo.pipeline import displacement_theory, run_simulate
+
+
+def _two_kraus_file(path, dim_cut):
+    # phase-damping-like map on the 0/1 Fock subspace
+    ks = np.zeros((2, dim_cut, dim_cut), dtype=complex)
+    ks[0, :2, :2] = np.sqrt(0.5) * np.eye(2)
+    ks[1, :2, :2] = np.sqrt(0.5) * np.diag([1.0, -1.0])
+    np.save(path, ks)
+    return str(path)
+
+
+class TestFockRoute:
+    def test_thread_count_invariance_choi(self, tmp_path):
+        # the per-run sampler tables are shared by all workers
+        cfg = ExperimentConfig(
+            operation="kraus", kraus_file=_two_kraus_file(tmp_path / "k.npy", 12),
+            nbar=1.0, eta=0.95, dim_cut=12, n_max=1, blocks=6,
+            samples_per_block=200, master_seed=31, out_prefix="inv",
+        )
+        run_simulate(cfg, threads=1, out_dir=tmp_path / "a")
+        run_simulate(cfg, threads=3, out_dir=tmp_path / "b")
+        a = (tmp_path / "a" / "inv.result.txt").read_bytes()
+        b = (tmp_path / "b" / "inv.result.txt").read_bytes()
+        assert a == b
+
+    def test_agrees_with_gaussian_route(self, tmp_path):
+        # one displacement config on both samplers; each entry, aligned onto
+        # the closed form, within 4 combined standard errors
+        cfg = ExperimentConfig(
+            operation="displacement", z=0.5 + 0.0j, nbar=1.0, eta=0.9,
+            n_max=3, blocks=20, samples_per_block=1000, master_seed=77,
+        )
+        truth = displacement_theory(cfg.z, cfg.n_max)
+        aligned = {}
+        errors = {}
+        for route in ("gaussian", "fock"):
+            est = run_simulate(replace(cfg, route=route, out_prefix=route),
+                               out_dir=tmp_path).estimate
+            aligned[route] = align_to_truth(est, truth)
+            errors[route] = est.std_errors
+        combined = np.sqrt(errors["gaussian"] ** 2 + errors["fock"] ** 2)
+        assert np.all(np.abs(aligned["gaussian"] - aligned["fock"])
+                      <= 4.0 * combined)

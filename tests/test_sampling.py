@@ -8,6 +8,7 @@ from optomo.sampling import (
     GaussianState,
     displaced_twinbeam_gaussian,
     draw_heralds,
+    fock_tables,
     joint_outcome_table,
     sample_finite,
     sample_fock_general,
@@ -125,7 +126,7 @@ class TestSampleFockGeneral:
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[0, 0] = 1.0
         rng = substream(2, 0)
-        p1, p2, x1, x2 = sample_fock_general(phi_out, 1.0, 10**5, rng)
+        p1, p2, x1, x2 = sample_fock_general(fock_tables(phi_out), 1.0, 10**5, rng)
         st = displaced_twinbeam_gaussian(0.0, 0.0)
         rng2 = substream(2, 1)
         _, _, y1, y2 = sample_quadratures(st, 1.0, 10**5, rng2)
@@ -137,7 +138,8 @@ class TestSampleFockGeneral:
         # marginal of vec(I/sqrt 2) is a 50/50 mix of |0> and |1>:
         # var = (1/4 + 3/4) / 2 = 1/2 per mode
         phi_out = np.eye(2, dtype=complex) / np.sqrt(2)
-        _, _, x1, x2 = sample_fock_general(phi_out, 1.0, 10**5, substream(2, 2))
+        _, _, x1, x2 = sample_fock_general(fock_tables(phi_out),
+                                           1.0, 10**5, substream(2, 2))
         assert abs(np.var(x1) - 0.5) < 0.01
         assert abs(np.var(x2) - 0.5) < 0.01
 
@@ -145,20 +147,60 @@ class TestSampleFockGeneral:
         # |1> (x) vacuum: x1 density 4 x^2 sqrt(2/pi) e^{-2x^2}, var 3/4
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[1, 0] = 1.0
-        _, _, x1, x2 = sample_fock_general(phi_out, 1.0, 10**5, substream(2, 3))
+        _, _, x1, x2 = sample_fock_general(fock_tables(phi_out),
+                                           1.0, 10**5, substream(2, 3))
         assert abs(np.var(x1) - 0.75) < 0.01
         assert abs(np.var(x2) - 0.25) < 0.01
 
     def test_eta_noise_added(self):
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[0, 0] = 1.0
-        _, _, x1, _ = sample_fock_general(phi_out, 0.7, 10**5, substream(2, 4))
+        _, _, x1, _ = sample_fock_general(fock_tables(phi_out),
+                                          0.7, 10**5, substream(2, 4))
         assert abs(np.var(x1) - 1.0 / 2.8) < 0.01
 
     def test_truncation_deficit_rejected(self):
         bad = np.eye(2, dtype=complex)  # norm sqrt(2), deficit huge
         with pytest.raises(TruncationError):
-            sample_fock_general(bad, 1.0, 10, substream(2, 5))
+            sample_fock_general(fock_tables(bad), 1.0, 10, substream(2, 5))
+
+    def test_coarse_grid_vacuum_mean_unbiased(self):
+        # 256 nodes at d = 2 give cells of width 0.053: a sampler that puts
+        # each cell's mass beside its node instead of around it shifts the
+        # mean by half a cell, about 17 standard errors at this size
+        phi_out = np.zeros((2, 2), dtype=complex)
+        phi_out[0, 0] = 1.0
+        n = 10**5
+        tables = fock_tables(phi_out, n_points=256)
+        _, _, x1, x2 = sample_fock_general(tables, 1.0, n, substream(2, 6))
+        tol = 4.0 * 0.5 / np.sqrt(n)
+        assert abs(np.mean(x1)) < tol
+        assert abs(np.mean(x2)) < tol
+
+    def test_twin_beam_moments_at_fig2_dimensions(self):
+        # normalised twin beam truncated at d = 48 (nbar = 5): the x1 variance
+        # and the phase-weighted correlation E[x1 x2 cos(phi1 + phi2)] against
+        # Fock sums of the same truncated state.  Both quadratures have zero
+        # mean, so the variance is E[x1^2].
+        from optomo.maps import twin_beam
+
+        nbar, d, n = 5.0, 48, 5 * 10**4
+        c = twin_beam(nbar, d).diagonal
+        c = c / np.linalg.norm(c)
+        k = np.arange(d)
+        var_fock = float(np.sum(c**2 * (2 * k + 1)) / 4.0)
+        corr_fock = float(np.sum(k[1:] * c[1:] * c[:-1]) / 4.0)
+        # 4 sigma bounds from the Gaussian moments of the untruncated beam:
+        # var(x^2) = 2 v^2, var(x1 x2 cos) = (v^2 + c12^2) / 2
+        v = (2.0 * nbar + 1.0) / 4.0
+        c12 = np.sqrt(nbar * (nbar + 1.0)) / 2.0
+        tol_var = 4.0 * np.sqrt(2.0 * v**2 / n)
+        tol_corr = 4.0 * np.sqrt((v**2 + c12**2) / (2.0 * n))
+        phi_out = np.diag(c).astype(complex)
+        p1, p2, x1, x2 = sample_fock_general(fock_tables(phi_out), 1.0, n,
+                                             substream(2, 7))
+        assert abs(np.mean(x1**2) - var_fock) < tol_var
+        assert abs(np.mean(x1 * x2 * np.cos(p1 + p2)) - corr_fock) < tol_corr
 
 
 class TestSampleFinite:
