@@ -33,13 +33,11 @@ from optomo.maps import (
     twin_beam,
 )
 from optomo.quorum import (
-    EstimatorCoefficients,
     FiniteQuorum,
     GridSpec,
     HomodyneKernel,
     build_finite_quorum,
     build_homodyne_kernel,
-    estimator_coefficients,
     expand_in_quorum,
 )
 
@@ -48,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChoiMatrix",
     "DisplacementOp",
-    "EstimatorCoefficients",
     "FiniteQuorum",
     "GridSpec",
     "HomodyneKernel",
@@ -62,7 +59,6 @@ __all__ = [
     "choi_normalize",
     "choi_to_kraus",
     "displacement_matrix",
-    "estimator_coefficients",
     "expand_in_quorum",
     "hs_inner",
     "hs_norm",

@@ -23,7 +23,7 @@ PRESETS = ("fig2_top", "fig2_bottom", "fig2_bottom_scaled")
 _OPERATIONS = ("displacement", "identity", "kraus")
 _ROUTES = ("auto", "gaussian", "fock", "finite")
 _COMMENT = re.compile(r"(^|\s)#.*$")
-_REFERENCES = "auto-or-pair"
+FINITE_ROUTE_MAX_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class ExperimentConfig:
     kraus_file: str = ""
     nbar: float = 5.0
     eta: float = 0.9
-    dim_cut: int = 0          # 0 means auto: max(16, ceil(8 (nbar+1)))
+    dim_cut: int = 0          # 0 means auto, see resolved_dim_cut
     n_max: int = 7
     blocks: int = 150
     samples_per_block: int = 10_000
@@ -68,6 +68,7 @@ class ExperimentConfig:
             raise ConfigError("counts must be positive")
         if self.route not in _ROUTES:
             raise ConfigError(f"unknown route {self.route!r}; pick one of {_ROUTES}")
+        finite = self.resolved_route() == "finite"
         if self.route == "gaussian" and self.operation == "kraus":
             raise ConfigError(
                 "route = gaussian covers the Gaussian operations "
@@ -84,13 +85,23 @@ class ExperimentConfig:
                 raise ConfigError("reference indices must lie inside the window")
         if self.grid_spacing <= 0:
             raise ConfigError("grid_spacing must be positive")
+        if self.dump_samples and finite:
+            raise ConfigError(
+                "dump_samples writes quadrature records; route = finite has "
+                "none to write"
+            )
         dim = self.resolved_dim_cut()
+        if finite and dim > FINITE_ROUTE_MAX_DIM:
+            raise ConfigError(
+                f"route = finite is limited to dim_cut <= "
+                f"{FINITE_ROUTE_MAX_DIM}, got {dim}"
+            )
         if dim <= self.n_max:
             raise ConfigError(
                 f"dim_cut = {dim} must exceed the reconstruction window "
                 f"n_max = {self.n_max}"
             )
-        if self.nbar > 0 and self.resolved_route() != "finite":
+        if self.nbar > 0 and not finite:
             # the finite route renormalises the truncated entangler, so the
             # deficit gate applies to the radiation-mode routes only
             lam2 = self.nbar / (self.nbar + 1.0)
@@ -109,8 +120,15 @@ class ExperimentConfig:
             )
 
     def resolved_dim_cut(self) -> int:
+        """Fock cutoff of the run: ``dim_cut``, else a per-route default.
+
+        The radiation-mode routes default to max(16, ceil(8 (nbar + 1)));
+        the finite route defaults to the window dimension n_max + 1.
+        """
         if self.dim_cut > 0:
             return self.dim_cut
+        if self.resolved_route() == "finite":
+            return self.n_max + 1
         return max(16, int(np.ceil(8.0 * (self.nbar + 1.0))))
 
     def resolved_half_width(self) -> float:

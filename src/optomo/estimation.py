@@ -9,6 +9,12 @@ tomographically from the same data.  Choi-matrix entries come from the
 averaged over the unheralded output (trace-normalised by the occurrence
 estimate).
 
+Both measurement backends, HomodyneKernel (pattern functions on quadrature
+records) and FiniteQuorum (dual frame on finite-quorum outcomes), expose the
+same interface: ``max_index`` and ``dyad_estimates(a, b, pairs)``, where
+(a, b) is a block's ``heralded_mode(m)``.  The estimator chain is written
+once against it.
+
 Error bars follow the block structure of the data: per-block means, standard
 error = std across block means / sqrt(blocks).  kappa uncertainty is reported
 separately and not folded into the per-entry bars.
@@ -27,37 +33,9 @@ import numpy as np
 
 from optomo.bipartite import inverse
 from optomo.errors import ReferenceTooSmallError
-from optomo.quorum import FiniteQuorum, HomodyneKernel
+from optomo.quorum import FiniteQuorum
 
 REFERENCE_SIGMA_FACTOR = 2.0
-
-
-# ---------------------------------------------------------------------------
-# evaluators: per-sample dyad estimates for either measurement backend
-
-
-class HomodyneEvaluator:
-    """Adapts a HomodyneKernel to the estimation chain."""
-
-    def __init__(self, kernel: HomodyneKernel):
-        self.kernel = kernel
-        self.max_pair_index = kernel.max_index
-
-    def estimates(self, mode_data, pairs) -> np.ndarray:
-        x, phi = mode_data
-        return self.kernel.dyad_estimates(x, phi, pairs)
-
-
-class FiniteEvaluator:
-    """Adapts a FiniteQuorum to the estimation chain."""
-
-    def __init__(self, quorum: FiniteQuorum):
-        self.quorum = quorum
-        self.max_pair_index = quorum.dim - 1
-
-    def estimates(self, mode_data, pairs) -> np.ndarray:
-        obs, out = mode_data
-        return self.quorum.dyad_estimates(obs, out, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +101,12 @@ class BlockAccumulator:
         ts = sum(b.n_trials for b in self._ordered())
         return hs, ts
 
+    def occurrence(self) -> tuple[float, float]:
+        """Herald frequency p_hat and its binomial standard error."""
+        n_her, n_trials = self.herald_counts()
+        p_hat = n_her / n_trials
+        return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / n_trials))
+
 
 # ---------------------------------------------------------------------------
 # results
@@ -184,21 +168,6 @@ def select_reference(magnitudes: np.ndarray | None) -> tuple[int, int]:
     return flat // mags.shape[1], flat % mags.shape[1]
 
 
-def pilot_magnitudes(blocks, evaluator, window: int) -> np.ndarray:
-    """Reference-free pilot table of |phi_ij|^2 from diagonal projector dyads."""
-    pairs = [(i, i) for i in range(window + 1)]
-    total = np.zeros((window + 1, window + 1))
-    count = 0
-    for blk in blocks:
-        e1 = evaluator.estimates(blk.heralded_mode(1), pairs)
-        e2 = evaluator.estimates(blk.heralded_mode(2), pairs)
-        total += np.real(e1.T @ e2)
-        count += e1.shape[0]
-    if count == 0:
-        return np.zeros((window + 1, window + 1))
-    return np.sqrt(np.clip(total / count, 0.0, None))
-
-
 def phase_fix(estimate: MatrixEstimate) -> MatrixEstimate:
     """Rotate by the unit phase making the largest-magnitude entry real positive."""
     vals = estimate.values
@@ -233,7 +202,7 @@ def align_to_truth(estimate: MatrixEstimate, truth: np.ndarray) -> np.ndarray:
 # estimation chains
 
 
-def _mode2_combination(psi: np.ndarray, window: int, j0: int, k_max: int):
+def _mode2_combination(psi: np.ndarray, window: int, k_max: int):
     """Coefficient matrix C[k, j] = (psi^{-1})_{kj} truncated at k_max rows.
 
     The mode-2 estimator of |j0><psi^{-1*}(j)| is sum_k C[k, j] times the dyad
@@ -248,40 +217,43 @@ def _mode2_combination(psi: np.ndarray, window: int, j0: int, k_max: int):
     return kept, deficit
 
 
+def _accumulate(blocks, shape, deficit, sums) -> BlockAccumulator:
+    """One accumulator entry per block; ``sums(blk)`` gives the estimator
+    and denominator sums over the block's heralded samples."""
+    acc = BlockAccumulator(target_shape=shape, mode2_deficit=deficit)
+    for blk in blocks:
+        n_her = int(blk.herald.sum())
+        est, den = sums(blk) if n_her else (np.zeros(shape, complex), 0.0)
+        acc.add_block(blk.block_id, est, den, n_her, blk.herald.size)
+    return acc
+
+
 def accumulate_pure(
     blocks,
     psi: np.ndarray,
     i0: int,
     j0: int,
-    evaluator,
+    backend,
     window: int,
 ) -> BlockAccumulator:
-    """Accumulate per-block sums of the pure-operation entry estimators."""
-    k_max = min(evaluator.max_pair_index, np.asarray(psi).shape[0] - 1)
-    coef, deficit = _mode2_combination(psi, window, j0, k_max)
+    """Accumulate per-block sums of the pure-operation entry estimators.
+
+    ``backend`` is a HomodyneKernel or a FiniteQuorum.  Entry (i, j) sums
+    the per-sample product of the mode-1 estimate of |i0><i| and the mode-2
+    estimate of |j0><psi^{-1*}(j)|; the reference denominator sums the
+    product of the |i0><i0| and |j0><j0| estimates.
+    """
+    k_max = min(backend.max_index, np.asarray(psi).shape[0] - 1)
+    coef, deficit = _mode2_combination(psi, window, k_max)
     pairs1 = [(i0, i) for i in range(window + 1)]
     pairs2 = [(j0, k) for k in range(k_max + 1)]
-    den1 = pairs1.index((i0, i0)) if (i0, i0) in pairs1 else None
-    acc = BlockAccumulator(target_shape=(window + 1, window + 1),
-                           mode2_deficit=deficit)
-    for blk in blocks:
-        n_trials = blk.herald.size
-        n_her = int(blk.herald.sum())
-        if n_her == 0:
-            acc.add_block(blk.block_id, np.zeros(acc.target_shape, complex),
-                          0.0, 0, n_trials)
-            continue
-        e1 = evaluator.estimates(blk.heralded_mode(1), pairs1)  # (S, w+1)
-        e2raw = evaluator.estimates(blk.heralded_mode(2), pairs2)  # (S, k_max+1)
-        e2 = e2raw @ coef  # (S, w+1)
-        est_sum = e1.T @ e2
-        d1 = e1[:, den1] if den1 is not None else evaluator.estimates(
-            blk.heralded_mode(1), [(i0, i0)])[:, 0]
-        d2 = e2raw[:, j0] if j0 <= k_max else evaluator.estimates(
-            blk.heralded_mode(2), [(j0, j0)])[:, 0]
-        den_sum = complex(np.sum(d1 * d2))
-        acc.add_block(blk.block_id, est_sum, den_sum, n_her, n_trials)
-    return acc
+
+    def sums(blk):
+        e1 = backend.dyad_estimates(*blk.heralded_mode(1), pairs1)  # (S, w+1)
+        e2raw = backend.dyad_estimates(*blk.heralded_mode(2), pairs2)  # (S, k_max+1)
+        return e1.T @ (e2raw @ coef), complex(np.sum(e1[:, i0] * e2raw[:, j0]))
+
+    return _accumulate(blocks, (window + 1, window + 1), deficit, sums)
 
 
 def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
@@ -290,11 +262,9 @@ def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
     Raises ReferenceTooSmallError when the denominator estimate is within
     twice its own standard error of zero.
     """
-    n_her, n_trials = acc.herald_counts()
-    if n_her == 0:
+    p_hat, p_stderr = acc.occurrence()
+    if p_hat == 0.0:
         raise ReferenceTooSmallError("no heralded samples")
-    p_hat = n_her / n_trials
-    p_stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n_trials))
     dmeans = np.real(acc.den_block_means())
     nb = dmeans.size
     den = float(np.mean(dmeans))
@@ -312,25 +282,6 @@ def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
         denominator=den, denominator_stderr=den_stderr,
         i0=i0, j0=j0,
     )
-
-
-def estimate_pure_matrix(
-    blocks,
-    psi: np.ndarray,
-    i0: int,
-    j0: int,
-    evaluator,
-    window: int,
-    extra_deficit: float = 0.0,
-) -> MatrixEstimate:
-    """Full pure-operation reconstruction with block-statistics error bars.
-
-    Entry (i, j) = kappa times the grand mean over blocks of the per-sample
-    product of the mode-1 estimate of |i0><i| and the mode-2 estimate of
-    |j0><psi^{-1*}(j)|.  Std error = |kappa| std(block means)/sqrt(blocks).
-    """
-    acc = accumulate_pure(blocks, psi, i0, j0, evaluator, window)
-    return finalize_pure(acc, i0, j0, extra_deficit)
 
 
 def finalize_pure(
@@ -363,7 +314,7 @@ def finalize_pure(
 def accumulate_choi(
     blocks,
     psi: np.ndarray,
-    evaluator,
+    backend,
     window: int,
 ) -> BlockAccumulator:
     """Accumulate the 4-index Choi entry estimators <<i,j|R(I)|l,k>>.
@@ -371,51 +322,42 @@ def accumulate_choi(
     Per sample the entry estimator factorises into the mode-1 dyad |l><i| and
     the mode-2 dyad combination |psi^{-1*}(k)><psi^{-1*}(j)|; entries are
     stored as a (w+1)^2 x (w+1)^2 matrix with composite row (i, j) and
-    column (l, k).
+    column (l, k).  ``backend`` is a HomodyneKernel or a FiniteQuorum.
     """
     w1 = window + 1
-    k_max = min(evaluator.max_pair_index, np.asarray(psi).shape[0] - 1)
+    k_max = min(backend.max_index, np.asarray(psi).shape[0] - 1)
     if k_max < window:
         raise ValueError(
-            f"evaluator supports dyad indices up to {k_max}, below window {window}"
+            f"backend supports dyad indices up to {k_max}, below window {window}"
         )
-    psi_inv = inverse(np.asarray(psi, dtype=complex))
-    cols = psi_inv[: k_max + 1, : w1]  # rows truncated at the evaluator window
-    total = np.sum(np.abs(psi_inv[:, :w1]) ** 2)
-    deficit = float(1.0 - np.sum(np.abs(cols) ** 2) / total) if total > 0 else 0.0
+    cols, deficit = _mode2_combination(psi, window, k_max)
     pairs1 = [(l, i) for l in range(w1) for i in range(w1)]
     pairs2 = [(a, b) for a in range(k_max + 1) for b in range(k_max + 1)]
     # mode-2 combination: est(j, k) = sum_ab conj(psi_inv[a, k]) psi_inv[b, j] dyad(a, b)
     comb = np.einsum("ak,bj->abjk", cols.conj(), cols).reshape(len(pairs2), w1 * w1)
-    acc = BlockAccumulator(target_shape=(w1 * w1, w1 * w1), mode2_deficit=deficit)
-    for blk in blocks:
-        n_trials = blk.herald.size
-        n_her = int(blk.herald.sum())
-        if n_her == 0:
-            acc.add_block(blk.block_id, np.zeros(acc.target_shape, complex),
-                          0.0, 0, n_trials)
-            continue
-        e1 = evaluator.estimates(blk.heralded_mode(1), pairs1)  # (S, w1^2)
-        e2 = evaluator.estimates(blk.heralded_mode(2), pairs2) @ comb  # (S, w1^2)
+
+    def sums(blk):
+        e1 = backend.dyad_estimates(*blk.heralded_mode(1), pairs1)  # (S, w1^2)
+        e2 = backend.dyad_estimates(*blk.heralded_mode(2), pairs2) @ comb
         a1 = e1.reshape(-1, w1, w1)  # [s, l, i]  (mode-1 dyad |l><i|)
         a2 = e2.reshape(-1, w1, w1)  # [s, j, k]
         est = np.einsum("sli,sjk->ijlk", a1, a2).reshape(w1 * w1, w1 * w1)
-        acc.add_block(blk.block_id, est, 0.0, n_her, n_trials)
-    return acc
+        return est, 0.0
+
+    return _accumulate(blocks, (w1 * w1, w1 * w1), deficit, sums)
 
 
 def finalize_choi(
-    acc: BlockAccumulator,
-    p_hat: float,
-    p_hat_stderr: float = 0.0,
-    extra_deficit: float = 0.0,
+    acc: BlockAccumulator, extra_deficit: float = 0.0
 ) -> MatrixEstimate:
     """Reduce Choi accumulation; scales by the occurrence estimate and hermitises.
 
     The ensemble averages of the 4-index estimators refer to the unnormalised
     output R(psi) (trace = occurrence probability); sample means over heralded
-    data are therefore multiplied by p_hat before inversion to R(I).
+    data are therefore multiplied by the herald frequency p_hat before
+    inversion to R(I).
     """
+    p_hat, p_hat_stderr = acc.occurrence()
     means = acc.block_means()
     nb = means.shape[0]
     if nb == 0:
@@ -444,24 +386,6 @@ def finalize_choi(
         truncation_deficit=acc.mode2_deficit + extra_deficit,
         hermiticity_defect=defect,
     )
-
-
-def estimate_choi(
-    blocks,
-    psi: np.ndarray,
-    evaluator,
-    window: int,
-    p_hat: float | None = None,
-) -> MatrixEstimate:
-    """Choi-matrix reconstruction on the index window (composite-index matrix)."""
-    acc = accumulate_choi(blocks, psi, evaluator, window)
-    if p_hat is None:
-        n_her, n_trials = acc.herald_counts()
-        p_hat = n_her / n_trials if n_trials else 0.0
-        p_std = float(np.sqrt(p_hat * (1 - p_hat) / n_trials)) if n_trials else 0.0
-    else:
-        p_std = 0.0
-    return finalize_choi(acc, p_hat, p_std)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,3 @@ def twin_beam(nbar: float, dim_cut: int, deficit_bound: float = DEFICIT_WARN_BOU
         deficit=deficit,
     )
 
-
-def default_dim_cut(nbar: float) -> int:
-    """Truncation policy: max(16, ceil(8 (nbar + 1)))."""
-    return max(16, int(np.ceil(8.0 * (nbar + 1.0))))

@@ -1,11 +1,14 @@
 """Orchestration: simulate -> estimate pipelines, verification suites, plot data.
 
-The simulate pipeline builds the entangler, operation, and measurement
-backend from a config, samples measurement records block by block (each block
-on its own RNG substream), accumulates the estimator sums, and writes the
-result document plus plot-data files.  Worker count only affects wall-clock:
-block substreams and the ordered reduction make outputs byte-identical for
-any --threads value.
+The simulate pipeline is one path for every route (gaussian, fock, finite).
+It builds the entangler, operation, and measurement backend from a config,
+samples measurement records block by block (each block on its own RNG
+substream), accumulates the estimator sums, and writes the result document
+plus plot-data files.  Values that depend only on the run (the homodyne
+kernel or finite quorum, the Fock sampler tables, the joint outcome table)
+are built once, after the dry-run return, and shared read-only by all
+workers.  Worker count only affects wall-clock: block substreams and the
+ordered reduction make outputs byte-identical for any --threads value.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from optomo.bipartite import phase_align
 from optomo.config import ExperimentConfig, config_hash, load_preset
 from optomo.errors import ConfigError, VerificationFailure
 from optomo.estimation import (
-    FiniteEvaluator,
-    HomodyneEvaluator,
     MatrixEstimate,
     exact_choi_estimate,
     exact_pure_estimate,
@@ -48,13 +49,12 @@ from optomo.sampling import (
     displaced_twinbeam_gaussian,
     draw_heralds,
     fock_tables,
+    joint_outcome_table,
     sample_finite,
     sample_fock_general,
     sample_quadratures,
     substream,
 )
-
-FINITE_ROUTE_MAX_DIM = 12
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,8 @@ def _fock_block(cfg, tables, weights, p_occ, block_id) -> QuadratureBlock:
     return QuadratureBlock(block_id, phi1, phi2, x1, x2, herald)
 
 
-def _finite_block(cfg, r_out, quorum, p_occ, block_id) -> FiniteOutcomeBlock:
+def _finite_block(cfg, table, p_occ, block_id) -> FiniteOutcomeBlock:
+    """Heralded outcomes drawn from the per-run joint outcome ``table``."""
     rng = substream(cfg.master_seed, block_id)
     n = cfg.samples_per_block
     herald = draw_heralds(p_occ, n, rng)
@@ -202,7 +203,7 @@ def _finite_block(cfg, r_out, quorum, p_occ, block_id) -> FiniteOutcomeBlock:
     out1 = np.zeros(n, dtype=int)
     out2 = np.zeros(n, dtype=int)
     if nh:
-        o1, o2, u1, u2 = sample_finite(r_out, quorum, nh, rng)
+        o1, o2, u1, u2 = sample_finite(table, nh, rng)
         hpos = np.flatnonzero(herald)
         obs1[hpos], obs2[hpos], out1[hpos], out2[hpos] = o1, o2, u1, u2
     return FiniteOutcomeBlock(block_id, obs1, obs2, out1, out2, herald)
@@ -237,46 +238,60 @@ def run_simulate(
     dry_run: bool = False,
     out_dir=".",
 ) -> SimResult:
-    """Full simulate -> estimate -> report pipeline; returns the estimate and paths."""
+    """Full simulate -> estimate -> report pipeline; returns the estimate and paths.
+
+    Every route runs the same chain.  The routes differ only in the
+    entangler (the finite route renormalises the truncated twin beam, so it
+    carries no truncation deficit), in the measurement backend (homodyne
+    kernel or finite quorum) and in how a block is sampled.  Backends and
+    sampler tables are built once per run, after the dry-run return.
+    """
     cfg.validate()
     t0 = time.perf_counter()
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     route = cfg.resolved_route()
     window = cfg.n_max
-
-    if route == "finite":
-        return _run_simulate_finite(cfg, threads, dry_run, out_dir, t0)
-
     dim_cut = cfg.resolved_dim_cut()
-    beam = twin_beam(cfg.nbar, dim_cut)
+    if route == "finite":
+        beam = twin_beam(cfg.nbar, dim_cut, deficit_bound=1.0)
+        psi = beam.psi / np.linalg.norm(beam.psi)
+        deficit = 0.0
+    else:
+        beam = twin_beam(cfg.nbar, dim_cut)
+        psi, deficit = beam.psi, beam.deficit
     op = build_operation(cfg, dim_cut)
     theory = theory_matrix(cfg, window)
     kind = "pure" if isinstance(op, PureOperation) else "choi"
 
+    i0 = j0 = 0
     if kind == "pure":
-        phi_norm, p_occ = apply_pure(op, beam.psi)
+        phi_norm, p_occ = apply_pure(op, psi)
+        branches, weights = [phi_norm], [1.0]
         ref = cfg.resolved_reference()
         if ref is None:
             ref = select_reference(np.abs(phi_norm[: window + 1, : window + 1]))
         i0, j0 = ref
+    elif route == "finite":
+        r_out = apply_kraus_bipartite(op, psi)
+        p_occ = float(np.trace(r_out).real)
+        r_out = r_out / p_occ
     else:
         branches = []
         weights = []
         for k in op.kraus:
-            out = k @ beam.psi
+            out = k @ psi
             w = float(np.sum(np.abs(out) ** 2))
             if w > 0:
                 branches.append(out / np.sqrt(w))
                 weights.append(w)
         p_occ = float(sum(weights))
-        i0 = j0 = 0
 
     if dry_run:
         lines = [f"config_hash = {config_hash(cfg)}", f"route = {route}",
                  f"dim_cut = {dim_cut}", f"estimate_kind = {kind}",
                  f"p_occurrence = {p_occ:.9g}", f"i0 = {i0}", f"j0 = {j0}",
-                 f"truncation_deficit = {beam.deficit:.3e}"]
+                 f"truncation_deficit = {deficit:.3e}"]
         if theory is not None:
             for n in range(window + 1):
                 lines.append(f"theory A_{n}{n} = {theory[n, n]:.9g}")
@@ -284,111 +299,45 @@ def run_simulate(
                          wall_seconds=time.perf_counter() - t0,
                          dry_report=lines)
 
-    grid = GridSpec(cfg.resolved_half_width(), cfg.grid_spacing)
-    kernel = build_homodyne_kernel(
-        dim_cut, cfg.eta, grid, max_index=window, ridge=cfg.ridge,
-        cache_dir=out_dir / "kernel-cache",
-    )
-    evaluator = HomodyneEvaluator(kernel)
-    block_ids = list(range(cfg.blocks))
-
-    if kind == "pure":
+    if route == "finite":
+        backend = build_finite_quorum(dim_cut)
+        if kind == "pure":
+            r_out = np.outer(phi_norm.reshape(-1), phi_norm.reshape(-1).conj())
+        table = joint_outcome_table(r_out, backend)
+        make_block = lambda b: _finite_block(cfg, table, p_occ, b)
+    else:
+        grid = GridSpec(cfg.resolved_half_width(), cfg.grid_spacing)
+        backend = build_homodyne_kernel(
+            dim_cut, cfg.eta, grid, max_index=window, ridge=cfg.ridge,
+            cache_dir=out_dir / "kernel-cache",
+        )
         if route == "gaussian":
-            if cfg.operation == "displacement":
-                state = displaced_twinbeam_gaussian(cfg.z, cfg.nbar)
-            else:  # identity
-                state = displaced_twinbeam_gaussian(0.0, cfg.nbar)
+            z = cfg.z if cfg.operation == "displacement" else 0.0
+            state = displaced_twinbeam_gaussian(z, cfg.nbar)
             make_block = lambda b: _gaussian_block(cfg, state, b)
         else:
-            tables = [fock_tables(phi_norm)]
-            make_block = lambda b: _fock_block(cfg, tables, [1.0], p_occ, b)
+            tables = [fock_tables(b) for b in branches]
+            make_block = lambda b: _fock_block(cfg, tables, weights, p_occ, b)
 
+    if kind == "pure":
         def accumulate_one(blk):
-            return estimation.accumulate_pure([blk], beam.psi, i0, j0,
-                                              evaluator, window)
-
-        acc, blocks = _map_blocks(make_block, accumulate_one, block_ids,
-                                  threads, keep_blocks=cfg.dump_samples)
-        estimate = estimation.finalize_pure(acc, i0, j0,
-                                            extra_deficit=beam.deficit)
-        estimate = estimation.phase_fix(estimate)
+            return estimation.accumulate_pure([blk], psi, i0, j0, backend,
+                                              window)
     else:
-        tables = [fock_tables(b) for b in branches]
-        make_block = lambda b: _fock_block(cfg, tables, weights, p_occ, b)
-
         def accumulate_one(blk):
-            return estimation.accumulate_choi([blk], beam.psi, evaluator, window)
+            return estimation.accumulate_choi([blk], psi, backend, window)
 
-        acc, blocks = _map_blocks(make_block, accumulate_one, block_ids,
-                                  threads, keep_blocks=cfg.dump_samples)
-        n_her, n_tr = acc.herald_counts()
-        p_hat = n_her / n_tr
-        p_std = float(np.sqrt(p_hat * (1 - p_hat) / n_tr))
-        estimate = estimation.finalize_choi(acc, p_hat, p_std,
-                                            extra_deficit=beam.deficit)
+    acc, blocks = _map_blocks(make_block, accumulate_one,
+                              list(range(cfg.blocks)), threads,
+                              keep_blocks=cfg.dump_samples)
+    if kind == "pure":
+        estimate = estimation.phase_fix(
+            estimation.finalize_pure(acc, i0, j0, extra_deficit=deficit))
+    else:
+        estimate = estimation.finalize_choi(acc, extra_deficit=deficit)
 
     paths = _write_outputs(cfg, estimate, kind, theory, out_dir,
                            blocks if cfg.dump_samples else None)
-    return SimResult(estimate=estimate, kind=kind, theory=theory, paths=paths,
-                     wall_seconds=time.perf_counter() - t0)
-
-
-def _run_simulate_finite(cfg, threads, dry_run, out_dir, t0) -> SimResult:
-    d = cfg.resolved_dim_cut() if cfg.dim_cut > 0 else cfg.n_max + 1
-    if d > FINITE_ROUTE_MAX_DIM:
-        raise ConfigError(
-            f"finite route limited to dim <= {FINITE_ROUTE_MAX_DIM}, got {d}"
-        )
-    window = min(cfg.n_max, d - 1)
-    beam = twin_beam(cfg.nbar, d, deficit_bound=1.0)
-    psi = beam.psi / np.linalg.norm(beam.psi)
-    op = build_operation(cfg, d)
-    quorum = build_finite_quorum(d)
-    evaluator = FiniteEvaluator(quorum)
-    kind = "pure" if isinstance(op, PureOperation) else "choi"
-    theory = theory_matrix(cfg, window)
-
-    if kind == "pure":
-        phi_norm, p_occ = apply_pure(op, psi)
-        r_out = np.outer(phi_norm.reshape(-1), phi_norm.reshape(-1).conj())
-        ref = cfg.resolved_reference()
-        if ref is None:
-            ref = select_reference(np.abs(phi_norm[: window + 1, : window + 1]))
-        i0, j0 = ref
-    else:
-        r_out = apply_kraus_bipartite(op, psi)
-        p_occ = float(np.trace(r_out).real)
-        r_out = r_out / p_occ
-        i0 = j0 = 0
-
-    if dry_run:
-        lines = [f"config_hash = {config_hash(cfg)}", "route = finite",
-                 f"dim = {d}", f"estimate_kind = {kind}",
-                 f"p_occurrence = {p_occ:.9g}", f"i0 = {i0}", f"j0 = {j0}"]
-        return SimResult(estimate=None, kind=kind, theory=theory, paths=[],
-                         wall_seconds=time.perf_counter() - t0,
-                         dry_report=lines)
-
-    block_ids = list(range(cfg.blocks))
-    make_block = lambda b: _finite_block(cfg, r_out, quorum, p_occ, b)
-    if kind == "pure":
-        def accumulate_one(blk):
-            return estimation.accumulate_pure([blk], psi, i0, j0, evaluator,
-                                              window)
-
-        acc, blocks = _map_blocks(make_block, accumulate_one, block_ids, threads)
-        estimate = estimation.phase_fix(estimation.finalize_pure(acc, i0, j0))
-    else:
-        def accumulate_one(blk):
-            return estimation.accumulate_choi([blk], psi, evaluator, window)
-
-        acc, blocks = _map_blocks(make_block, accumulate_one, block_ids, threads)
-        n_her, n_tr = acc.herald_counts()
-        p_hat = n_her / n_tr
-        p_std = float(np.sqrt(p_hat * (1 - p_hat) / n_tr))
-        estimate = estimation.finalize_choi(acc, p_hat, p_std)
-
-    paths = _write_outputs(cfg, estimate, kind, theory, out_dir, None)
     return SimResult(estimate=estimate, kind=kind, theory=theory, paths=paths,
                      wall_seconds=time.perf_counter() - t0)
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from optomo.bipartite import inverse
 from optomo.errors import IllConditionedKernelError
 from optomo.fock import noise_sigma2, smeared_pair_table
 
@@ -62,6 +61,11 @@ class FiniteQuorum:
 
     def __len__(self) -> int:
         return len(self.observables)
+
+    @property
+    def max_index(self) -> int:
+        """Largest dyad index |a><b| the quorum estimates (as HomodyneKernel)."""
+        return self.dim - 1
 
     def dyad_estimates(self, obs_idx, out_idx, pairs) -> np.ndarray:
         """Per-sample unbiased estimates of dyads |a><b|.
@@ -156,11 +160,6 @@ class GridSpec:
     def points(self) -> np.ndarray:
         return np.arange(-self.half_width, self.half_width + self.spacing / 2,
                          self.spacing)
-
-
-def default_grid(nbar: float, spacing: float = DEFAULT_SPACING) -> GridSpec:
-    """Default kernel grid, x in [-6(1+nbar), 6(1+nbar)]."""
-    return GridSpec(half_width=6.0 * (1.0 + nbar), spacing=spacing)
 
 
 @dataclass(frozen=True)
@@ -343,59 +342,3 @@ def build_homodyne_kernel(
         pathlib.Path(cache_dir).mkdir(parents=True, exist_ok=True)
         kernel.save(pathlib.Path(cache_dir) / f"kernel-{kernel.cache_key()}.npz")
     return kernel
-
-
-# ---------------------------------------------------------------------------
-# estimator coefficients (Kraus-free reconstruction chain)
-
-
-@dataclass(frozen=True)
-class EstimatorCoefficients:
-    """Factorised estimator data for one target matrix entry (i, j).
-
-    Encodes the two-mode observable |i0><i| (x) |j0><psi^{-1*}(j)|: the first
-    factor is the dyad |i0><i| on mode 1; the second is a finite linear
-    combination sum_k psi_inv[k, j] |j0><k| on mode 2.  ``mode2_coefficients``
-    holds that combination (index k), truncated at the kernel window, with the
-    dropped squared-norm fraction in ``truncation_deficit``.
-    """
-
-    i: int
-    j: int
-    i0: int
-    j0: int
-    mode2_coefficients: np.ndarray
-    truncation_deficit: float
-
-    def a(self, k: int, l: int, quorum: FiniteQuorum) -> complex:
-        """Finite-quorum c-number a_ij(kl) multiplying O(k) (x) O(l)."""
-        first = np.conj(quorum.duals[k][self.i0, self.i])
-        second = sum(
-            c * np.conj(quorum.duals[l][self.j0, b])
-            for b, c in enumerate(self.mode2_coefficients)
-        )
-        return complex(first * second)
-
-
-def estimator_coefficients(
-    i: int, j: int, i0: int, j0: int, psi: np.ndarray, k_max: int | None = None
-) -> EstimatorCoefficients:
-    """Coefficients of the estimator for entry (i, j) given entangler psi.
-
-    For a maximally entangled psi = I/sqrt(d) the mode-2 combination is the
-    single term sqrt(d) |j0><j|; for a diagonal twin-beam it is
-    (1/psi_jj) |j0><j|.  Propagates the non-invertible-entangler error.
-    """
-    psi_inv = inverse(np.asarray(psi, dtype=complex))
-    col = psi_inv[:, j]
-    total = float(np.sum(np.abs(col) ** 2))
-    if k_max is not None and k_max + 1 < col.size:
-        kept = col[: k_max + 1]
-        deficit = 1.0 - float(np.sum(np.abs(kept) ** 2)) / total
-        col = kept
-    else:
-        deficit = 0.0
-    return EstimatorCoefficients(
-        i=i, j=j, i0=i0, j0=j0, mode2_coefficients=col,
-        truncation_deficit=deficit,
-    )

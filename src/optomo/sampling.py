@@ -9,7 +9,9 @@ Three sampling paths share one RNG contract:
   mode-1 marginal table built once per state (``fock_tables``), x2 from
   the exact conditional given x1; each grid node's mass sits on the cell
   centred on it, so draws carry no half-cell shift,
-* exact-distribution outcome sampling for finite-dimensional quorums.
+* exact-distribution outcome sampling for finite-dimensional quorums, by
+  inverse CDF on the joint outcome table (``joint_outcome_table``), which
+  is also built once per run.
 
 Quadrature units follow X_phi = (a^dag e^{i phi} + a e^{-i phi})/2 (vacuum
 variance 1/4); detector efficiency adds independent Gaussian noise of
@@ -371,13 +373,14 @@ def joint_outcome_table(r_out: np.ndarray, quorum: FiniteQuorum) -> np.ndarray:
 
 
 def sample_finite(
-    r_out: np.ndarray,
-    quorum: FiniteQuorum,
+    table: np.ndarray,
     n: int,
     stream: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Joint finite-quorum outcomes (obs1, obs2, out1, out2) from the exact table."""
-    table = joint_outcome_table(r_out, quorum)
+    """Joint finite-quorum outcomes (obs1, obs2, out1, out2).
+
+    ``table`` is the per-run ``joint_outcome_table``; one uniform per sample.
+    """
     flat = table.reshape(-1)
     cdf = np.cumsum(flat)
     draws = np.searchsorted(cdf, stream.random(n) * cdf[-1], side="right")

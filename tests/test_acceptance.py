@@ -14,11 +14,11 @@ import pytest
 from optomo.bipartite import phase_align, vec
 from optomo.config import load_preset
 from optomo.estimation import (
-    FiniteEvaluator,
+    accumulate_pure,
     align_to_truth,
-    estimate_pure_matrix,
     exact_choi_estimate,
     exact_pure_estimate,
+    finalize_pure,
 )
 from optomo.maps import (
     KrausMap,
@@ -206,7 +206,7 @@ class TestCriterion7Heralding:
         n_trials = 10**5
         blocks = make_finite_blocks(r_out, quorum, 50, n_trials // 50,
                                     seed=707, p_occ=p)
-        est = estimate_pure_matrix(blocks, psi, 0, 0, FiniteEvaluator(quorum), 1)
+        est = finalize_pure(accumulate_pure(blocks, psi, 0, 0, quorum, 1), 0, 0)
         sigma_bin = np.sqrt(0.5 * 0.5 / n_trials)
         herald_dev = abs(est.kappa.p_hat - 0.5)
         herald_ok = herald_dev <= 4.0 * sigma_bin

@@ -67,6 +67,19 @@ class TestSimulate:
         assert len(dump) == 1 + 6 * 400
         assert dump[0] == "# block_id, phi1, phi2, x1, x2, herald"
 
+    def test_dump_samples_finite_route_exit_2(self, tmp_path, capsys):
+        # the finite route has no quadrature records to dump
+        cfg = tmp_path / "dump.cfg"
+        cfg.write_text(
+            "optomo-config v1\noperation = identity\nroute = finite\n"
+            "nbar = 1.0\nn_max = 2\nblocks = 2\nsamples_per_block = 100\n"
+            "out_prefix = dmp\ndump_samples = true\n"
+        )
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "dump_samples" in capsys.readouterr().err
+        assert not (tmp_path / "dmp.result.txt").exists()
+
     def test_preset_dry_run(self, tmp_path, capsys):
         code = main(["simulate", "--config", "fig2_top", "--dry-run",
                      "--out-dir", str(tmp_path)])

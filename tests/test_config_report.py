@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,28 @@ class TestConfig:
         assert cfg.resolved_dim_cut() == 48
         assert cfg.resolved_half_width() == 36.0
         assert cfg.resolved_route() == "gaussian"
+
+    def test_resolved_dim_cut_policy(self):
+        assert ExperimentConfig(nbar=5.0).resolved_dim_cut() == 48
+        assert ExperimentConfig(nbar=0.0).resolved_dim_cut() == 16
+
+    def test_finite_route_dim_cut_policy(self):
+        cfg = ExperimentConfig(operation="identity", route="finite", n_max=3)
+        assert cfg.resolved_dim_cut() == 4
+        assert replace(cfg, dim_cut=6).resolved_dim_cut() == 6
+
+    def test_finite_route_dim_limit(self):
+        cfg = ExperimentConfig(operation="identity", route="finite",
+                               nbar=1.0, dim_cut=13, n_max=3)
+        with pytest.raises(ConfigError, match="dim_cut <= 12"):
+            cfg.validate()
+        replace(cfg, dim_cut=12).validate()
+
+    def test_finite_route_rejects_dump_samples(self):
+        cfg = ExperimentConfig(operation="identity", route="finite",
+                               nbar=1.0, n_max=3, dump_samples=True)
+        with pytest.raises(ConfigError, match="dump_samples.*route = finite"):
+            cfg.validate()
 
     def test_gaussian_route_rejects_kraus(self):
         with pytest.raises(ConfigError, match="gaussian"):

@@ -2,31 +2,36 @@ import numpy as np
 import pytest
 
 from optomo.bipartite import phase_align, vec
-from optomo.errors import ReferenceTooSmallError
+from optomo.errors import NonInvertibleEntanglerError, ReferenceTooSmallError
 from optomo.estimation import (
     BlockAccumulator,
-    FiniteEvaluator,
-    HomodyneEvaluator,
     MatrixEstimate,
+    _mode2_combination,
+    accumulate_choi,
     accumulate_pure,
     align_to_truth,
-    estimate_choi,
-    estimate_pure_matrix,
     exact_finite_joint,
     exact_pure_estimate,
+    finalize_choi,
     finalize_pure,
     phase_fix,
-    pilot_magnitudes,
     select_reference,
 )
 from optomo.maps import KrausMap, PureOperation, apply_pure, displacement_matrix, twin_beam
 from optomo.quorum import GridSpec, build_finite_quorum, build_homodyne_kernel
-from optomo.sampling import FiniteOutcomeBlock, QuadratureBlock, sample_finite, substream
+from optomo.sampling import (
+    FiniteOutcomeBlock,
+    QuadratureBlock,
+    joint_outcome_table,
+    sample_finite,
+    substream,
+)
 
 from oracles import depolarizing_choi, random_contraction
 
 
 def make_finite_blocks(r_out, quorum, n_blocks, per_block, seed, p_occ=1.0):
+    table = joint_outcome_table(r_out, quorum)
     blocks = []
     for b in range(n_blocks):
         rng = substream(seed, b)
@@ -38,11 +43,43 @@ def make_finite_blocks(r_out, quorum, n_blocks, per_block, seed, p_occ=1.0):
         out1 = np.zeros(per_block, dtype=int)
         out2 = np.zeros(per_block, dtype=int)
         if nh:
-            o1, o2, u1, u2 = sample_finite(r_out, quorum, nh, rng)
+            o1, o2, u1, u2 = sample_finite(table, nh, rng)
             pos = np.flatnonzero(herald)
             obs1[pos], obs2[pos], out1[pos], out2[pos] = o1, o2, u1, u2
         blocks.append(FiniteOutcomeBlock(b, obs1, obs2, out1, out2, herald))
     return blocks
+
+
+class TestMode2Combination:
+    def test_maximally_entangled_single_term(self):
+        d = 4
+        psi = np.eye(d) / np.sqrt(d)
+        coef, deficit = _mode2_combination(psi, d - 1, d - 1)
+        for j in range(d):
+            expect = np.zeros(d)
+            expect[j] = np.sqrt(d)
+            assert np.allclose(coef[:, j], expect, atol=1e-12)
+        assert deficit == 0.0
+
+    def test_twin_beam_diagonal_coefficient(self):
+        beam = twin_beam(3.0, 16, deficit_bound=1.0)
+        coef, _ = _mode2_combination(beam.psi, 5, 15)
+        for j in range(6):
+            assert abs(coef[j, j] - 2.0 * (4.0 / 3.0) ** (j / 2.0)) < 1e-10
+            off = np.delete(coef[:, j], j)
+            assert np.max(np.abs(off)) < 1e-14
+
+    def test_truncation_deficit_reported(self, rng):
+        psi = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        psi = psi / np.linalg.norm(psi)
+        coef, deficit = _mode2_combination(psi, 0, 2)
+        assert 0.0 < deficit < 1.0
+        assert coef[:, 0].size == 3
+
+    def test_singular_entangler_propagates(self):
+        psi = np.diag([1.0, 0.0])
+        with pytest.raises(NonInvertibleEntanglerError):
+            _mode2_combination(psi, 0, 1)
 
 
 class TestBlockAccumulator:
@@ -124,7 +161,7 @@ class TestSampledPure:
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
         r_out = np.outer(vec(phi), vec(phi).conj())
         blocks = make_finite_blocks(r_out, q, 25, 800, seed=11)
-        est = estimate_pure_matrix(blocks, psi, 0, 0, FiniteEvaluator(q), 1)
+        est = finalize_pure(accumulate_pure(blocks, psi, 0, 0, q, 1), 0, 0)
         aligned = align_to_truth(est, np.eye(2))
         dev = np.abs(aligned - np.eye(2))
         assert np.all(dev <= 4 * est.std_errors)
@@ -136,10 +173,9 @@ class TestSampledPure:
         phi, _ = apply_pure(PureOperation(np.eye(2)), psi)
         r_out = np.outer(vec(phi), vec(phi).conj())
         blocks = make_finite_blocks(r_out, q, 8, 200, seed=13)
-        ev = FiniteEvaluator(q)
-        one_pass = accumulate_pure(blocks, psi, 0, 0, ev, 1)
-        first = accumulate_pure(blocks[:3], psi, 0, 0, ev, 1)
-        second = accumulate_pure(blocks[3:], psi, 0, 0, ev, 1)
+        one_pass = accumulate_pure(blocks, psi, 0, 0, q, 1)
+        first = accumulate_pure(blocks[:3], psi, 0, 0, q, 1)
+        second = accumulate_pure(blocks[3:], psi, 0, 0, q, 1)
         merged = first.merge(second)
         est_a = finalize_pure(one_pass, 0, 0)
         est_b = finalize_pure(merged, 0, 0)
@@ -154,7 +190,7 @@ class TestSampledPure:
         r_out = np.outer(vec(phi), vec(phi).conj())
         blocks = make_finite_blocks(r_out, q, 10, 300, seed=17)
         with pytest.raises(ReferenceTooSmallError, match="choose different"):
-            estimate_pure_matrix(blocks, psi, 0, 1, FiniteEvaluator(q), 1)
+            finalize_pure(accumulate_pure(blocks, psi, 0, 1, q, 1), 0, 1)
 
     def test_heralded_contraction(self):
         # A = diag(1, 0.5): p = (1 + 0.25)/2 = 0.625 on I/sqrt(2)
@@ -164,7 +200,7 @@ class TestSampledPure:
         phi, p = apply_pure(PureOperation(a), psi)
         r_out = np.outer(vec(phi), vec(phi).conj())
         blocks = make_finite_blocks(r_out, q, 30, 600, seed=19, p_occ=p)
-        est = estimate_pure_matrix(blocks, psi, 0, 0, FiniteEvaluator(q), 1)
+        est = finalize_pure(accumulate_pure(blocks, psi, 0, 0, q, 1), 0, 0)
         assert abs(est.kappa.p_hat - 0.625) < 4 * est.kappa.p_hat_stderr
         aligned = align_to_truth(est, a)
         assert np.all(np.abs(aligned - a) <= 4 * est.std_errors)
@@ -185,7 +221,7 @@ class TestErrorBarCalibration:
         for run in range(100):
             blocks = make_finite_blocks(r_out, q, 20, 400, seed=1000 + run,
                                         p_occ=p)
-            est = estimate_pure_matrix(blocks, psi, 0, 0, FiniteEvaluator(q), 1)
+            est = finalize_pure(accumulate_pure(blocks, psi, 0, 0, q, 1), 0, 0)
             dev = np.abs(est.values - truth)
             hits += int(np.sum(dev <= est.std_errors))
             total += dev.size
@@ -197,7 +233,6 @@ class TestErrorBarCalibration:
         # larger in the high columns (reported per entry, asserted on average)
         beam = twin_beam(3.0, 24, deficit_bound=1.0)
         kernel = build_homodyne_kernel(24, 0.9, GridSpec(24.0), max_index=5)
-        ev = HomodyneEvaluator(kernel)
         from optomo.sampling import displaced_twinbeam_gaussian, sample_quadratures
 
         state = displaced_twinbeam_gaussian(1.0, 3.0)
@@ -206,7 +241,8 @@ class TestErrorBarCalibration:
             rng = substream(77, b)
             phi1, phi2, x1, x2 = sample_quadratures(state, 0.9, 3000, rng)
             blocks.append(QuadratureBlock(b, phi1, phi2, x1, x2))
-        est = estimate_pure_matrix(blocks, beam.psi, 0, 0, ev, 5)
+        est = finalize_pure(accumulate_pure(blocks, beam.psi, 0, 0, kernel, 5),
+                            0, 0)
         assert est.std_errors[:, 4:].mean() > est.std_errors[:, :2].mean()
 
 
@@ -225,7 +261,7 @@ class TestChoiEstimation:
         r_psi = apply_kraus_bipartite(KrausMap(ks), psi)
         blocks = make_finite_blocks(r_psi / np.trace(r_psi).real, q, 40, 2500,
                                     seed=23)
-        est = estimate_choi(blocks, psi, FiniteEvaluator(q), 1)
+        est = finalize_choi(accumulate_choi(blocks, psi, q, 1))
         truth = depolarizing_choi(0.5)
         dev = np.abs(est.values - truth)
         assert np.all(dev <= 3.5 * est.std_errors + 1e-12)
@@ -279,16 +315,6 @@ class TestReferenceAndPhase:
     def test_select_reference_zero_pilot_warns(self):
         with pytest.warns(UserWarning, match="all zero"):
             assert select_reference(np.zeros((2, 2))) == (0, 0)
-
-    def test_pilot_magnitudes(self):
-        q = build_finite_quorum(2)
-        psi = np.eye(2) / np.sqrt(2)
-        phi, _ = apply_pure(PureOperation(np.eye(2)), psi)
-        r_out = np.outer(vec(phi), vec(phi).conj())
-        blocks = make_finite_blocks(r_out, q, 10, 1000, seed=29)
-        mags = pilot_magnitudes(blocks, FiniteEvaluator(q), 1)
-        assert abs(mags[0, 0] - abs(phi[0, 0])) < 0.1
-        assert mags[0, 1] < mags[0, 0]
 
     def _estimate(self, values):
         values = np.asarray(values, dtype=complex)

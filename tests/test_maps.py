@@ -11,7 +11,6 @@ from optomo.maps import (
     apply_pure,
     choi_normalize,
     choi_to_kraus,
-    default_dim_cut,
     displacement_matrix,
     kraus_to_choi,
     map_from_choi,
@@ -305,7 +304,3 @@ class TestTwinBeam:
     def test_deficit_warning(self):
         with pytest.warns(UserWarning, match="deficit"):
             twin_beam(5.0, 8)
-
-    def test_default_dim_cut_policy(self):
-        assert default_dim_cut(5.0) == 48
-        assert default_dim_cut(0.0) == 16

@@ -1,4 +1,4 @@
-"""End-to-end checks of the Fock route through ``run_simulate``."""
+"""End-to-end checks of the Fock and finite routes through ``run_simulate``."""
 
 from dataclasses import replace
 
@@ -50,3 +50,18 @@ class TestFockRoute:
         combined = np.sqrt(errors["gaussian"] ** 2 + errors["fock"] ** 2)
         assert np.all(np.abs(aligned["gaussian"] - aligned["fock"])
                       <= 4.0 * combined)
+
+
+class TestFiniteRoute:
+    def test_thread_count_invariance_choi(self, tmp_path):
+        # the per-run joint outcome table is shared by all workers
+        cfg = ExperimentConfig(
+            operation="kraus", kraus_file=_two_kraus_file(tmp_path / "k.npy", 3),
+            route="finite", nbar=1.0, eta=0.9, dim_cut=3, n_max=2, blocks=6,
+            samples_per_block=500, master_seed=31, out_prefix="inv",
+        )
+        run_simulate(cfg, threads=1, out_dir=tmp_path / "a")
+        run_simulate(cfg, threads=3, out_dir=tmp_path / "b")
+        a = (tmp_path / "a" / "inv.result.txt").read_bytes()
+        b = (tmp_path / "b" / "inv.result.txt").read_bytes()
+        assert a == b

@@ -3,7 +3,6 @@ import pytest
 
 from optomo.errors import (
     IllConditionedKernelError,
-    NonInvertibleEntanglerError,
     UnphysicalDeconvolutionError,
 )
 from optomo.fock import noise_sigma2
@@ -12,7 +11,6 @@ from optomo.quorum import (
     GridSpec,
     build_finite_quorum,
     build_homodyne_kernel,
-    estimator_coefficients,
     expand_in_quorum,
     load_homodyne_kernel,
 )
@@ -78,55 +76,6 @@ class TestFiniteQuorum:
                 got += q.weights[k] * born[m] * est
         want = np.array([rho[b, a] for (a, b) in pairs])
         assert np.max(np.abs(got - want)) < 1e-12
-
-
-class TestEstimatorCoefficients:
-    def test_maximally_entangled_single_term(self):
-        d = 4
-        psi = np.eye(d) / np.sqrt(d)
-        for j in range(d):
-            c = estimator_coefficients(0, j, 0, 0, psi)
-            expect = np.zeros(d)
-            expect[j] = np.sqrt(d)
-            assert np.allclose(c.mode2_coefficients, expect, atol=1e-12)
-            assert c.truncation_deficit == 0.0
-
-    def test_twin_beam_diagonal_coefficient(self):
-        beam = twin_beam(3.0, 16, deficit_bound=1.0)
-        for j in range(6):
-            c = estimator_coefficients(0, j, 0, 0, beam.psi)
-            assert abs(c.mode2_coefficients[j] - 2.0 * (4.0 / 3.0) ** (j / 2.0)) < 1e-10
-            off = np.delete(c.mode2_coefficients, j)
-            assert np.max(np.abs(off)) < 1e-14
-
-    def test_a_coefficient_factorisation(self, rng):
-        # a_ij(kl) = <i|Q^dag(k)|i0> <psi^{-1*}(j)|Q^dag(l)|j0> entrywise
-        d = 3
-        q = build_finite_quorum(d)
-        psi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        psi = psi / np.linalg.norm(psi)
-        psi_inv = np.linalg.inv(psi)
-        i, j, i0, j0 = 1, 2, 0, 0
-        c = estimator_coefficients(i, j, i0, j0, psi)
-        for k in range(len(q)):
-            for l in range(len(q)):
-                first = np.conj(q.duals[k][i0, i])
-                second = sum(
-                    psi_inv[b, j] * np.conj(q.duals[l][j0, b]) for b in range(d)
-                )
-                assert abs(c.a(k, l, q) - first * second) < 1e-12
-
-    def test_truncation_deficit_reported(self, rng):
-        psi = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        psi = psi / np.linalg.norm(psi)
-        c = estimator_coefficients(0, 0, 0, 0, psi, k_max=2)
-        assert 0.0 < c.truncation_deficit < 1.0
-        assert c.mode2_coefficients.size == 3
-
-    def test_singular_entangler_propagates(self):
-        psi = np.diag([1.0, 0.0])
-        with pytest.raises(NonInvertibleEntanglerError):
-            estimator_coefficients(0, 0, 0, 0, psi)
 
 
 class TestGridSpec:

@@ -208,7 +208,8 @@ class TestSampleFinite:
         q = build_finite_quorum(2)
         v = vec(np.eye(2) / np.sqrt(2))
         r = np.outer(v, v.conj())
-        obs1, obs2, out1, out2 = sample_finite(r, q, 20_000, substream(3, 0))
+        table = joint_outcome_table(r, q)
+        obs1, obs2, out1, out2 = sample_finite(table, 20_000, substream(3, 0))
         zz = (obs1 == 3) & (obs2 == 3)  # observable 3 is sigma_z
         assert zz.sum() > 500
         assert np.all(out1[zz] == out2[zz])
@@ -219,7 +220,8 @@ class TestSampleFinite:
         q = build_finite_quorum(2)
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0  # |00><00| with (0,0) = Fock-like ground pair
-        obs1, obs2, out1, out2 = sample_finite(rho, q, 5_000, substream(3, 1))
+        table = joint_outcome_table(rho, q)
+        obs1, obs2, out1, out2 = sample_finite(table, 5_000, substream(3, 1))
         zz = (obs1 == 3) & (obs2 == 3)
         # sigma_z eigenvalues sorted ascending: index 1 is the +1 outcome |0>
         assert np.all(out1[zz] == 1) and np.all(out2[zz] == 1)
