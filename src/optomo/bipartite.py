@@ -75,16 +75,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def conj(m) -> np.ndarray:
-    """Entrywise complex conjugate (same fixed basis)."""
-    return np.conj(np.asarray(m, dtype=complex))
-
-
-def transpose(m) -> np.ndarray:
-    """Matrix transpose (same fixed basis)."""
-    return np.asarray(m, dtype=complex).T.copy()
-
-
 def rcond_estimate(m) -> float:
     """Reciprocal 2-norm condition number, smin/smax (0 for the zero matrix)."""
     s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
@@ -93,11 +83,11 @@ def rcond_estimate(m) -> float:
     return float(s[-1] / s[0])
 
 
-def inverse(m, rcond_min: float = RCOND_MIN) -> np.ndarray:
+def inverse(m) -> np.ndarray:
     """Matrix inverse via pivoted LU, refusing near-singular input.
 
     Raises NonInvertibleEntanglerError when the reciprocal condition estimate
-    falls below ``rcond_min``.  For well-conditioned input the residual
+    falls below ``RCOND_MIN``.  For well-conditioned input the residual
     ``M^-1 M - I`` is below ~1e-10 * dim in max-entry norm; near the refusal
     threshold the residual degrades with the condition number.
     """
@@ -105,10 +95,10 @@ def inverse(m, rcond_min: float = RCOND_MIN) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("inverse expects a square matrix")
     rc = rcond_estimate(a)
-    if rc < rcond_min:
+    if rc < RCOND_MIN:
         raise NonInvertibleEntanglerError(
             f"non-invertible entangler: reciprocal condition estimate {rc:.3e} "
-            f"< {rcond_min:.0e}"
+            f"< {RCOND_MIN:.0e}"
         )
     return scipy.linalg.inv(a)
 

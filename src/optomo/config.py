@@ -113,7 +113,7 @@ class ExperimentConfig:
                     f"non-invertible, raise dim_cut to >= "
                     f"{int(np.ceil(np.log(1e-2) / np.log(lam2)))}"
                 )
-        if self.nbar == 0 and self.operation != "identity":
+        if self.nbar == 0:
             raise ConfigError(
                 "nbar = 0 gives a rank-one (non-invertible) entangler; "
                 "reconstruction needs nbar > 0"

@@ -19,15 +19,18 @@ Error bars follow the block structure of the data: per-block means, standard
 error = std across block means / sqrt(blocks).  kappa uncertainty is reported
 separately and not folded into the per-entry bars.
 
-Accumulation is per-block with no shared state; merging accumulators of
-disjoint blocks is exact, and the final reduction is taken in block-index
-order so results are independent of worker scheduling.
+Values that depend only on the run, such as the mode-2 coefficient matrix
+``mode2_combination`` (one inversion of psi), are computed once per run and
+passed to the per-block ``accumulate_*`` calls.  Accumulation is per-block
+with no shared state; each call gives a BlockAccumulator of per-block rows,
+the rows of all blocks are merged once per run, and the final reduction is
+taken in block-index order so results are independent of worker scheduling.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,69 +45,66 @@ REFERENCE_SIGMA_FACTOR = 2.0
 # block accumulation
 
 
-@dataclass
-class _BlockSums:
-    est_sum: np.ndarray
-    den_sum: complex
-    n_heralded: int
-    n_trials: int
-
-
-@dataclass
+@dataclass(frozen=True)
 class BlockAccumulator:
-    """Per-block running sums of estimator values, mergeable across blocks."""
+    """Per-block sums of the estimator values, one row per block.
 
-    target_shape: tuple
-    blocks: dict = field(default_factory=dict)
-    mode2_deficit: float = 0.0
+    ``est_sums`` has one estimator-sum matrix per block, ``den_sums`` the
+    real part of the reference-denominator sum; ``n_heralded`` and
+    ``n_trials`` count the heralded samples and the trials.  Rows are kept
+    in block-id order, and a repeated block id is rejected, so every
+    reduction is independent of the order in which blocks were accumulated.
+    """
 
-    def add_block(self, block_id: int, est_sum, den_sum, n_heralded, n_trials):
-        if block_id in self.blocks:
-            raise ValueError(f"block {block_id} already accumulated")
-        est = np.asarray(est_sum, dtype=complex)
-        if est.shape != self.target_shape:
-            raise ValueError("estimator sum shape mismatch")
-        self.blocks[block_id] = _BlockSums(est, complex(den_sum),
-                                           int(n_heralded), int(n_trials))
+    block_ids: np.ndarray
+    est_sums: np.ndarray
+    den_sums: np.ndarray
+    n_heralded: np.ndarray
+    n_trials: np.ndarray
 
-    def merge(self, other: "BlockAccumulator") -> "BlockAccumulator":
-        """Union of disjoint block sets; raises on overlapping block ids."""
-        if self.target_shape != other.target_shape:
-            raise ValueError("cannot merge accumulators with different targets")
-        overlap = set(self.blocks) & set(other.blocks)
-        if overlap:
-            raise ValueError(f"blocks {sorted(overlap)} present in both accumulators")
-        out = BlockAccumulator(
-            self.target_shape,
-            blocks={**self.blocks, **other.blocks},
-            mode2_deficit=max(self.mode2_deficit, other.mode2_deficit),
-        )
-        return out
+    def __post_init__(self):
+        ids = np.asarray(self.block_ids)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        repeated = np.unique(ids[1:][ids[1:] == ids[:-1]])
+        if repeated.size:
+            raise ValueError(f"blocks {repeated.tolist()} accumulated more than once")
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name))[order])
 
-    # -- reductions (always in block-index order for reproducibility) -------
-
-    def _ordered(self):
-        return [self.blocks[b] for b in sorted(self.blocks)]
+    def merge(self, *others: "BlockAccumulator") -> "BlockAccumulator":
+        """All rows of ``self`` and ``others``; raises on a repeated block id."""
+        parts = (self, *others)
+        return BlockAccumulator(*(
+            np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(self)
+        ))
 
     def block_means(self) -> np.ndarray:
         """Per-block means of the estimator values (blocks with data only)."""
-        rows = [b.est_sum / b.n_heralded for b in self._ordered() if b.n_heralded > 0]
-        return np.array(rows)
+        keep = self.n_heralded > 0
+        return self.est_sums[keep] / self.n_heralded[keep, None, None]
 
-    def den_block_means(self) -> np.ndarray:
-        return np.array(
-            [b.den_sum / b.n_heralded for b in self._ordered() if b.n_heralded > 0]
-        )
-
-    def herald_counts(self) -> tuple[int, int]:
-        hs = sum(b.n_heralded for b in self._ordered())
-        ts = sum(b.n_trials for b in self._ordered())
-        return hs, ts
+    def block_stats(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Grand mean of the block means, its standard error and the number
+        of blocks with data; the error is infinite for a single block."""
+        means = self.block_means()
+        nb = means.shape[0]
+        if nb == 0:
+            raise ReferenceTooSmallError("no blocks with heralded samples")
+        grand = means.mean(axis=0)
+        if nb > 1:
+            stderr = np.sqrt(
+                np.sum(np.abs(means - grand) ** 2, axis=0) / (nb * (nb - 1))
+            )
+        else:
+            stderr = np.full(grand.shape, np.inf)
+        return grand, stderr, nb
 
     def occurrence(self) -> tuple[float, float]:
         """Herald frequency p_hat and its binomial standard error."""
-        n_her, n_trials = self.herald_counts()
-        p_hat = n_her / n_trials
+        n_trials = int(self.n_trials.sum())
+        p_hat = int(self.n_heralded.sum()) / n_trials
         return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / n_trials))
 
 
@@ -140,7 +140,6 @@ class MatrixEstimate:
     truncation_deficit: float
     phase_convention: str = "none"
     hermiticity_defect: float | None = None
-    config_hash: str = ""
 
     @property
     def window(self) -> int:
@@ -202,13 +201,20 @@ def align_to_truth(estimate: MatrixEstimate, truth: np.ndarray) -> np.ndarray:
 # estimation chains
 
 
-def _mode2_combination(psi: np.ndarray, window: int, k_max: int):
+def mode2_combination(psi: np.ndarray, window: int, k_max: int):
     """Coefficient matrix C[k, j] = (psi^{-1})_{kj} truncated at k_max rows.
 
     The mode-2 estimator of |j0><psi^{-1*}(j)| is sum_k C[k, j] times the dyad
     estimator of |j0><k|; the dropped squared-norm fraction is returned as the
-    truncation deficit (zero for diagonal entanglers).
+    truncation deficit (zero for diagonal entanglers).  Depends on the run
+    only, so it is computed once per run.  ``k_max`` is the highest dyad index
+    the backend and the entangler both cover; below ``window`` raises
+    ValueError.
     """
+    if k_max < window:
+        raise ValueError(
+            f"backend supports dyad indices up to {k_max}, below window {window}"
+        )
     psi_inv = inverse(np.asarray(psi, dtype=complex))
     cols = psi_inv[:, : window + 1]
     kept = cols[: k_max + 1]
@@ -217,43 +223,42 @@ def _mode2_combination(psi: np.ndarray, window: int, k_max: int):
     return kept, deficit
 
 
-def _accumulate(blocks, shape, deficit, sums) -> BlockAccumulator:
-    """One accumulator entry per block; ``sums(blk)`` gives the estimator
-    and denominator sums over the block's heralded samples."""
-    acc = BlockAccumulator(target_shape=shape, mode2_deficit=deficit)
-    for blk in blocks:
-        n_her = int(blk.herald.sum())
-        est, den = sums(blk) if n_her else (np.zeros(shape, complex), 0.0)
-        acc.add_block(blk.block_id, est, den, n_her, blk.herald.size)
-    return acc
+def _accumulate(blocks, shape, sums) -> BlockAccumulator:
+    """One accumulator row per block; ``sums(blk)`` gives the estimator sum
+    and the real reference-denominator sum over the block's heralded samples."""
+    est = np.zeros((len(blocks),) + shape, dtype=complex)
+    den = np.zeros(len(blocks))
+    n_her = np.array([int(blk.herald.sum()) for blk in blocks])
+    for r, blk in enumerate(blocks):
+        if n_her[r]:
+            est[r], den[r] = sums(blk)
+    return BlockAccumulator(
+        np.array([blk.block_id for blk in blocks]), est, den, n_her,
+        np.array([blk.herald.size for blk in blocks]),
+    )
 
 
-def accumulate_pure(
-    blocks,
-    psi: np.ndarray,
-    i0: int,
-    j0: int,
-    backend,
-    window: int,
-) -> BlockAccumulator:
+def accumulate_pure(blocks, coef: np.ndarray, i0: int, j0: int,
+                    backend) -> BlockAccumulator:
     """Accumulate per-block sums of the pure-operation entry estimators.
 
-    ``backend`` is a HomodyneKernel or a FiniteQuorum.  Entry (i, j) sums
-    the per-sample product of the mode-1 estimate of |i0><i| and the mode-2
-    estimate of |j0><psi^{-1*}(j)|; the reference denominator sums the
-    product of the |i0><i0| and |j0><j0| estimates.
+    ``coef`` is the run's ``mode2_combination`` matrix, shape
+    (k_max + 1, window + 1); ``backend`` is a HomodyneKernel or a
+    FiniteQuorum.  Entry (i, j) sums the per-sample product of the mode-1
+    estimate of |i0><i| and the mode-2 estimate of |j0><psi^{-1*}(j)|; the
+    reference denominator sums the product of the |i0><i0| and |j0><j0|
+    estimates.
     """
-    k_max = min(backend.max_index, np.asarray(psi).shape[0] - 1)
-    coef, deficit = _mode2_combination(psi, window, k_max)
-    pairs1 = [(i0, i) for i in range(window + 1)]
-    pairs2 = [(j0, k) for k in range(k_max + 1)]
+    k1, w1 = coef.shape
+    pairs1 = [(i0, i) for i in range(w1)]
+    pairs2 = [(j0, k) for k in range(k1)]
 
     def sums(blk):
         e1 = backend.dyad_estimates(*blk.heralded_mode(1), pairs1)  # (S, w+1)
         e2raw = backend.dyad_estimates(*blk.heralded_mode(2), pairs2)  # (S, k_max+1)
-        return e1.T @ (e2raw @ coef), complex(np.sum(e1[:, i0] * e2raw[:, j0]))
+        return e1.T @ (e2raw @ coef), np.sum(e1[:, i0] * e2raw[:, j0]).real
 
-    return _accumulate(blocks, (window + 1, window + 1), deficit, sums)
+    return _accumulate(blocks, (w1, w1), sums)
 
 
 def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
@@ -265,7 +270,8 @@ def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
     p_hat, p_stderr = acc.occurrence()
     if p_hat == 0.0:
         raise ReferenceTooSmallError("no heralded samples")
-    dmeans = np.real(acc.den_block_means())
+    keep = acc.n_heralded > 0
+    dmeans = acc.den_sums[keep] / acc.n_heralded[keep]
     nb = dmeans.size
     den = float(np.mean(dmeans))
     den_stderr = float(np.std(dmeans, ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
@@ -284,26 +290,17 @@ def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
     )
 
 
-def finalize_pure(
-    acc: BlockAccumulator, i0: int, j0: int, extra_deficit: float = 0.0
-) -> MatrixEstimate:
-    """Reduce accumulated blocks (in block-index order) to a MatrixEstimate."""
+def finalize_pure(acc: BlockAccumulator, i0: int, j0: int,
+                  deficit: float) -> MatrixEstimate:
+    """Reduce accumulated blocks (in block-index order) to a MatrixEstimate.
+
+    ``deficit`` is the run's total truncation deficit.
+    """
     kap = estimate_kappa(acc, i0, j0)
-    means = acc.block_means()  # (B, w+1, w+1)
-    nb = means.shape[0]
-    if nb == 0:
-        raise ReferenceTooSmallError("no blocks with heralded samples")
-    grand = means.mean(axis=0)
-    if nb > 1:
-        spread = np.sqrt(
-            np.sum(np.abs(means - grand) ** 2, axis=0) / (nb * (nb - 1))
-        )
-    else:
-        spread = np.full_like(np.abs(grand), np.inf)
-    deficit = acc.mode2_deficit + extra_deficit
+    grand, stderr, nb = acc.block_stats()
     return MatrixEstimate(
         values=kap.kappa * grand,
-        std_errors=kap.kappa * spread,
+        std_errors=kap.kappa * stderr,
         kappa=kap,
         i0=i0, j0=j0,
         n_blocks=nb,
@@ -311,30 +308,20 @@ def finalize_pure(
     )
 
 
-def accumulate_choi(
-    blocks,
-    psi: np.ndarray,
-    backend,
-    window: int,
-) -> BlockAccumulator:
+def accumulate_choi(blocks, coef: np.ndarray, backend) -> BlockAccumulator:
     """Accumulate the 4-index Choi entry estimators <<i,j|R(I)|l,k>>.
 
     Per sample the entry estimator factorises into the mode-1 dyad |l><i| and
-    the mode-2 dyad combination |psi^{-1*}(k)><psi^{-1*}(j)|; entries are
-    stored as a (w+1)^2 x (w+1)^2 matrix with composite row (i, j) and
-    column (l, k).  ``backend`` is a HomodyneKernel or a FiniteQuorum.
+    the mode-2 dyad combination |psi^{-1*}(k)><psi^{-1*}(j)| built from the
+    run's ``mode2_combination`` matrix ``coef``; entries are stored as a
+    (w+1)^2 x (w+1)^2 matrix with composite row (i, j) and column (l, k).
+    ``backend`` is a HomodyneKernel or a FiniteQuorum.
     """
-    w1 = window + 1
-    k_max = min(backend.max_index, np.asarray(psi).shape[0] - 1)
-    if k_max < window:
-        raise ValueError(
-            f"backend supports dyad indices up to {k_max}, below window {window}"
-        )
-    cols, deficit = _mode2_combination(psi, window, k_max)
+    k1, w1 = coef.shape
     pairs1 = [(l, i) for l in range(w1) for i in range(w1)]
-    pairs2 = [(a, b) for a in range(k_max + 1) for b in range(k_max + 1)]
+    pairs2 = [(a, b) for a in range(k1) for b in range(k1)]
     # mode-2 combination: est(j, k) = sum_ab conj(psi_inv[a, k]) psi_inv[b, j] dyad(a, b)
-    comb = np.einsum("ak,bj->abjk", cols.conj(), cols).reshape(len(pairs2), w1 * w1)
+    comb = np.einsum("ak,bj->abjk", coef.conj(), coef).reshape(len(pairs2), w1 * w1)
 
     def sums(blk):
         e1 = backend.dyad_estimates(*blk.heralded_mode(1), pairs1)  # (S, w1^2)
@@ -344,32 +331,20 @@ def accumulate_choi(
         est = np.einsum("sli,sjk->ijlk", a1, a2).reshape(w1 * w1, w1 * w1)
         return est, 0.0
 
-    return _accumulate(blocks, (w1 * w1, w1 * w1), deficit, sums)
+    return _accumulate(blocks, (w1 * w1, w1 * w1), sums)
 
 
-def finalize_choi(
-    acc: BlockAccumulator, extra_deficit: float = 0.0
-) -> MatrixEstimate:
+def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
     """Reduce Choi accumulation; scales by the occurrence estimate and hermitises.
 
     The ensemble averages of the 4-index estimators refer to the unnormalised
     output R(psi) (trace = occurrence probability); sample means over heralded
     data are therefore multiplied by the herald frequency p_hat before
-    inversion to R(I).
+    inversion to R(I).  ``deficit`` is the run's total truncation deficit.
     """
     p_hat, p_hat_stderr = acc.occurrence()
-    means = acc.block_means()
-    nb = means.shape[0]
-    if nb == 0:
-        raise ReferenceTooSmallError("no blocks with heralded samples")
-    grand = means.mean(axis=0) * p_hat
-    if nb > 1:
-        spread = p_hat * np.sqrt(
-            np.sum(np.abs(means - means.mean(axis=0)) ** 2, axis=0)
-            / (nb * (nb - 1))
-        )
-    else:
-        spread = np.full_like(np.abs(grand), np.inf)
+    mean, stderr, nb = acc.block_stats()
+    grand, spread = mean * p_hat, p_hat * stderr
     defect = float(np.max(np.abs(grand - grand.conj().T)))
     herm = (grand + grand.conj().T) / 2.0
     sym_err = np.sqrt((spread**2 + spread.T**2) / 2.0)
@@ -383,7 +358,7 @@ def finalize_choi(
         kappa=kap,
         i0=0, j0=0,
         n_blocks=nb,
-        truncation_deficit=acc.mode2_deficit + extra_deficit,
+        truncation_deficit=deficit,
         hermiticity_defect=defect,
     )
 
@@ -409,10 +384,8 @@ def exact_finite_joint(
     table = joint_outcome_table(r_out, quorum)
     L, d = len(quorum), quorum.dim
     out = np.zeros((len(pairs1), len(pairs2)), dtype=complex)
-    a1 = np.array([p[0] for p in pairs1])
-    b1 = np.array([p[1] for p in pairs1])
-    a2 = np.array([p[0] for p in pairs2])
-    b2 = np.array([p[1] for p in pairs2])
+    a1, b1 = np.array(pairs1).T
+    a2, b2 = np.array(pairs2).T
     for k in range(L):
         c1 = quorum.duals.conj()[k, a1, b1] / quorum.weights[k]
         for l in range(L):

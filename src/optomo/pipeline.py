@@ -3,12 +3,15 @@
 The simulate pipeline is one path for every route (gaussian, fock, finite).
 It builds the entangler, operation, and measurement backend from a config,
 samples measurement records block by block (each block on its own RNG
-substream), accumulates the estimator sums, and writes the result document
-plus plot-data files.  Values that depend only on the run (the homodyne
-kernel or finite quorum, the Fock sampler tables, the joint outcome table)
-are built once, after the dry-run return, and shared read-only by all
-workers.  Worker count only affects wall-clock: block substreams and the
-ordered reduction make outputs byte-identical for any --threads value.
+substream, through one heralded-block sampler; the routes differ only in
+how they draw the heralded samples), accumulates the estimator sums, merges
+the blocks once, and writes the result document plus plot-data files.
+Values that depend only on the run (the homodyne kernel or finite quorum,
+the Fock sampler tables, the joint outcome table, the mode-2 estimator
+coefficients) are built once, after the dry-run return, and shared
+read-only by all workers.  Worker count only affects wall-clock: block
+substreams and the ordered reduction make outputs byte-identical for any
+--threads value.
 """
 
 from __future__ import annotations
@@ -131,12 +134,8 @@ def build_operation(cfg: ExperimentConfig, dim_cut: int):
             f"kraus operators of dim {kraus.dim} exceed dim_cut {dim_cut}"
         )
     if kraus.dim < dim_cut:
-        padded = []
-        for k in kraus.kraus:
-            p = np.zeros((dim_cut, dim_cut), dtype=complex)
-            p[: kraus.dim, : kraus.dim] = k
-            padded.append(p)
-        kraus = KrausMap(tuple(padded))
+        pad = ((0, dim_cut - kraus.dim),) * 2
+        kraus = KrausMap(tuple(np.pad(k, pad) for k in kraus.kraus))
     if len(kraus.kraus) == 1:
         return PureOperation(kraus.kraus[0])
     return kraus
@@ -156,62 +155,52 @@ class SimResult:
     dry_report: list = None
 
 
-def _gaussian_block(cfg, state, block_id) -> QuadratureBlock:
-    rng = substream(cfg.master_seed, block_id)
-    n = cfg.samples_per_block
-    phi1, phi2, x1, x2 = sample_quadratures(state, cfg.eta, n, rng)
-    return QuadratureBlock(block_id, phi1, phi2, x1, x2)
+def _heralded_block(cfg, p_occ, block_id, draw, record):
+    """One block of ``record`` on the block's own substream.
 
-
-def _fock_block(cfg, tables, weights, p_occ, block_id) -> QuadratureBlock:
-    """Mixture sampling over pure bipartite branches (K_n psi) with heralding.
-
-    ``tables`` holds the per-run sampler tables of each branch.
+    Heralds are drawn first; ``draw(n_heralded, rng)`` then returns the four
+    columns of the heralded samples, which are scattered into zeroed arrays
+    (non-heralded trials keep zeros: nothing was measured).
     """
     rng = substream(cfg.master_seed, block_id)
-    n = cfg.samples_per_block
-    herald = draw_heralds(p_occ, n, rng)
-    nh = int(herald.sum())
-    phi1 = np.zeros(n)
-    phi2 = np.zeros(n)
-    x1 = np.zeros(n)
-    x2 = np.zeros(n)
-    if nh:
+    herald = draw_heralds(p_occ, cfg.samples_per_block, rng)
+    hpos = np.flatnonzero(herald)
+    columns = []
+    for col in draw(hpos.size, rng):
+        full = np.zeros(herald.size, dtype=col.dtype)
+        full[hpos] = col
+        columns.append(full)
+    return record(block_id, *columns, herald)
+
+
+def _fock_draw(cfg, tables, weights):
+    """The Fock route's draw: a mixture over the pure branches K_n psi.
+
+    Each heralded sample picks a branch with probability proportional to
+    ``weights`` (no draw for a single branch) and is drawn from that
+    branch's per-run sampler ``tables``.
+    """
+    w = np.asarray(weights) / np.sum(weights)
+
+    def draw(n, rng):
         if len(tables) == 1:
-            branch_idx = np.zeros(nh, dtype=int)
+            branch_idx = np.zeros(n, dtype=int)
         else:
-            w = np.asarray(weights) / np.sum(weights)
-            branch_idx = rng.choice(len(tables), size=nh, p=w)
-        hpos = np.flatnonzero(herald)
+            branch_idx = rng.choice(len(tables), size=n, p=w)
+        cols = np.zeros((4, n))
         for bi, tab in enumerate(tables):
-            sel = hpos[branch_idx == bi]
-            if sel.size == 0:
-                continue
-            p1, p2, s1, s2 = sample_fock_general(tab, cfg.eta, sel.size, rng)
-            phi1[sel], phi2[sel], x1[sel], x2[sel] = p1, p2, s1, s2
-    return QuadratureBlock(block_id, phi1, phi2, x1, x2, herald)
+            sel = np.flatnonzero(branch_idx == bi)
+            if sel.size:
+                cols[:, sel] = sample_fock_general(tab, cfg.eta, sel.size, rng)
+        return cols
 
-
-def _finite_block(cfg, table, p_occ, block_id) -> FiniteOutcomeBlock:
-    """Heralded outcomes drawn from the per-run joint outcome ``table``."""
-    rng = substream(cfg.master_seed, block_id)
-    n = cfg.samples_per_block
-    herald = draw_heralds(p_occ, n, rng)
-    nh = int(herald.sum())
-    obs1 = np.zeros(n, dtype=int)
-    obs2 = np.zeros(n, dtype=int)
-    out1 = np.zeros(n, dtype=int)
-    out2 = np.zeros(n, dtype=int)
-    if nh:
-        o1, o2, u1, u2 = sample_finite(table, nh, rng)
-        hpos = np.flatnonzero(herald)
-        obs1[hpos], obs2[hpos], out1[hpos], out2[hpos] = o1, o2, u1, u2
-    return FiniteOutcomeBlock(block_id, obs1, obs2, out1, out2, herald)
+    return draw
 
 
 def _map_blocks(make_block, accumulate_one, block_ids, threads,
                 keep_blocks=False):
-    """Per-block sample + accumulate, merged in a scheduling-independent way.
+    """Per-block sample + accumulate; the block accumulators are merged once,
+    in block order, so the result does not depend on scheduling.
 
     Sampled blocks are dropped after accumulation unless ``keep_blocks`` is
     set (needed only for the raw-sample dump); full-scale runs would
@@ -226,9 +215,7 @@ def _map_blocks(make_block, accumulate_one, block_ids, threads,
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, block_ids))
-    acc = results[0][0]
-    for other, _ in results[1:]:
-        acc = acc.merge(other)
+    acc = results[0][0].merge(*(other for other, _ in results[1:]))
     return acc, [blk for _, blk in results if blk is not None]
 
 
@@ -243,8 +230,9 @@ def run_simulate(
     Every route runs the same chain.  The routes differ only in the
     entangler (the finite route renormalises the truncated twin beam, so it
     carries no truncation deficit), in the measurement backend (homodyne
-    kernel or finite quorum) and in how a block is sampled.  Backends and
-    sampler tables are built once per run, after the dry-run return.
+    kernel or finite quorum) and in how the heralded samples of a block are
+    drawn.  Backends, sampler tables and the mode-2 coefficients are built
+    once per run, after the dry-run return.
     """
     cfg.validate()
     t0 = time.perf_counter()
@@ -304,37 +292,43 @@ def run_simulate(
         if kind == "pure":
             r_out = np.outer(phi_norm.reshape(-1), phi_norm.reshape(-1).conj())
         table = joint_outcome_table(r_out, backend)
-        make_block = lambda b: _finite_block(cfg, table, p_occ, b)
+        record = FiniteOutcomeBlock
+        draw = lambda n, rng: sample_finite(table, n, rng)
     else:
         grid = GridSpec(cfg.resolved_half_width(), cfg.grid_spacing)
         backend = build_homodyne_kernel(
             dim_cut, cfg.eta, grid, max_index=window, ridge=cfg.ridge,
             cache_dir=out_dir / "kernel-cache",
         )
+        record = QuadratureBlock
         if route == "gaussian":
+            # the unitary displacement always occurs: p_occ = 1 draws no heralds
             z = cfg.z if cfg.operation == "displacement" else 0.0
             state = displaced_twinbeam_gaussian(z, cfg.nbar)
-            make_block = lambda b: _gaussian_block(cfg, state, b)
+            p_occ = 1.0
+            draw = lambda n, rng: sample_quadratures(state, cfg.eta, n, rng)
         else:
-            tables = [fock_tables(b) for b in branches]
-            make_block = lambda b: _fock_block(cfg, tables, weights, p_occ, b)
+            draw = _fock_draw(cfg, [fock_tables(b) for b in branches], weights)
+    make_block = lambda b: _heralded_block(cfg, p_occ, b, draw, record)
 
+    coef, coef_deficit = estimation.mode2_combination(
+        psi, window, min(backend.max_index, psi.shape[0] - 1))
     if kind == "pure":
         def accumulate_one(blk):
-            return estimation.accumulate_pure([blk], psi, i0, j0, backend,
-                                              window)
+            return estimation.accumulate_pure([blk], coef, i0, j0, backend)
     else:
         def accumulate_one(blk):
-            return estimation.accumulate_choi([blk], psi, backend, window)
+            return estimation.accumulate_choi([blk], coef, backend)
 
     acc, blocks = _map_blocks(make_block, accumulate_one,
                               list(range(cfg.blocks)), threads,
                               keep_blocks=cfg.dump_samples)
+    total_deficit = coef_deficit + deficit
     if kind == "pure":
         estimate = estimation.phase_fix(
-            estimation.finalize_pure(acc, i0, j0, extra_deficit=deficit))
+            estimation.finalize_pure(acc, i0, j0, total_deficit))
     else:
-        estimate = estimation.finalize_choi(acc, extra_deficit=deficit)
+        estimate = estimation.finalize_choi(acc, total_deficit)
 
     paths = _write_outputs(cfg, estimate, kind, theory, out_dir,
                            blocks if cfg.dump_samples else None)
@@ -343,29 +337,28 @@ def run_simulate(
 
 
 def _write_outputs(cfg, estimate, kind, theory, out_dir, dump_blocks):
-    paths = []
     result_path = out_dir / f"{cfg.out_prefix}.result.txt"
     result_path.write_text(report.render_result(cfg, estimate, kind))
-    paths.append(result_path)
+    paths = [result_path]
     if kind == "pure":
-        if theory is None:
-            theory = np.zeros_like(estimate.values)
-        diag_path = out_dir / f"{cfg.out_prefix}.diagonal.csv"
-        diag_path.write_text(
-            report.render_plotdata_diagonal(estimate.values,
-                                            estimate.std_errors, theory)
-        )
-        paths.append(diag_path)
-        mat_path = out_dir / f"{cfg.out_prefix}.matrix.csv"
-        mat_path.write_text(
-            report.render_plotdata_matrix(estimate.values, estimate.std_errors)
-        )
-        paths.append(mat_path)
+        paths += _write_plotdata(out_dir, cfg.out_prefix, estimate.values,
+                                 estimate.std_errors, theory)
     if dump_blocks is not None:
         dump_path = out_dir / f"{cfg.out_prefix}.samples.csv"
         sampling.write_sample_dump(dump_path, dump_blocks)
         paths.append(dump_path)
     return paths
+
+
+def _write_plotdata(out_dir, prefix, values, std_errors, theory) -> list:
+    """Write the diagonal and matrix plot-data files; no theory gives zeros."""
+    if theory is None:
+        theory = np.zeros_like(values)
+    diag = out_dir / f"{prefix}.diagonal.csv"
+    diag.write_text(report.render_plotdata_diagonal(values, std_errors, theory))
+    mat = out_dir / f"{prefix}.matrix.csv"
+    mat.write_text(report.render_plotdata_matrix(values, std_errors))
+    return [diag, mat]
 
 
 def emit_plotdata(result_path, out_dir=".") -> list:
@@ -385,17 +378,9 @@ def emit_plotdata(result_path, out_dir=".") -> list:
         )
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    window = doc.values.shape[0] - 1
-    theory = theory_matrix(doc.config, window)
-    if theory is None:
-        theory = np.zeros_like(doc.values)
-    prefix = doc.config.out_prefix
-    diag = out_dir / f"{prefix}.diagonal.csv"
-    diag.write_text(report.render_plotdata_diagonal(doc.values, doc.std_errors,
-                                                    theory))
-    mat = out_dir / f"{prefix}.matrix.csv"
-    mat.write_text(report.render_plotdata_matrix(doc.values, doc.std_errors))
-    return [diag, mat]
+    theory = theory_matrix(doc.config, doc.values.shape[0] - 1)
+    return _write_plotdata(out_dir, doc.config.out_prefix, doc.values,
+                           doc.std_errors, theory)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ objects are immutable and shareable across concurrent workers.
 from __future__ import annotations
 
 import hashlib
+import os
 import pathlib
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +36,7 @@ from optomo.fock import noise_sigma2, smeared_pair_table
 KERNEL_CACHE_VERSION = 1
 BIORTHOGONALITY_TOL = 1e-8
 DEFAULT_RIDGE = 1e-10
-DEFAULT_GATE_TOL = 5e-3
+KERNEL_GATE_TOL = 5e-3
 DEFAULT_SPACING = 0.01
 
 
@@ -222,19 +224,29 @@ class HomodyneKernel:
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
     def save(self, path) -> None:
+        """Write the kernel to ``path`` through a temporary file in the same
+        directory, renamed onto ``path``: readers never see a partial file."""
+        path = pathlib.Path(path)
         arrays = {f"table_{d}": t for d, t in self.tables.items()}
         arrays.update({f"recovery_{d}": r for d, r in self.recovery.items()})
-        np.savez_compressed(
-            path,
-            version=KERNEL_CACHE_VERSION,
-            dim_cut=self.dim_cut,
-            eta=self.eta,
-            half_width=self.grid.half_width,
-            spacing=self.grid.spacing,
-            max_index=self.max_index,
-            ridge=self.ridge,
-            **arrays,
-        )
+        tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+        try:
+            with open(tmp, "xb") as fh:
+                np.savez_compressed(
+                    fh,
+                    version=KERNEL_CACHE_VERSION,
+                    dim_cut=self.dim_cut,
+                    eta=self.eta,
+                    half_width=self.grid.half_width,
+                    spacing=self.grid.spacing,
+                    max_index=self.max_index,
+                    ridge=self.ridge,
+                    **arrays,
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def load_homodyne_kernel(path) -> HomodyneKernel:
@@ -243,13 +255,6 @@ def load_homodyne_kernel(path) -> HomodyneKernel:
         if int(z["version"]) != KERNEL_CACHE_VERSION:
             raise ValueError("kernel cache version mismatch")
         grid = GridSpec(float(z["half_width"]), float(z["spacing"]))
-        tables = {}
-        recovery = {}
-        for name in z.files:
-            if name.startswith("table_"):
-                tables[int(name.split("_")[1])] = z[name]
-            elif name.startswith("recovery_"):
-                recovery[int(name.split("_")[1])] = z[name]
         return HomodyneKernel(
             dim_cut=int(z["dim_cut"]),
             eta=float(z["eta"]),
@@ -257,8 +262,10 @@ def load_homodyne_kernel(path) -> HomodyneKernel:
             max_index=int(z["max_index"]),
             ridge=float(z["ridge"]),
             x=grid.points,
-            tables=tables,
-            recovery=recovery,
+            tables={int(n.split("_")[1]): z[n] for n in z.files
+                    if n.startswith("table_")},
+            recovery={int(n.split("_")[1]): z[n] for n in z.files
+                      if n.startswith("recovery_")},
         )
 
 
@@ -268,7 +275,6 @@ def build_homodyne_kernel(
     grid: GridSpec,
     max_index: int | None = None,
     ridge: float = DEFAULT_RIDGE,
-    gate_tol: float = DEFAULT_GATE_TOL,
     cache_dir=None,
 ) -> HomodyneKernel:
     """Build (or load from cache) eta-deconvolving pattern-function kernels.
@@ -281,7 +287,8 @@ def build_homodyne_kernel(
 
     Raises UnphysicalDeconvolutionError for eta <= 0.5 and
     IllConditionedKernelError (naming the diagonal) when the stored rows fail
-    their unbiasedness constraints within the stored window at ``gate_tol``.
+    their unbiasedness constraints within the stored window at
+    ``KERNEL_GATE_TOL``.
     The gate is a tripwire for catastrophic conditioning (defects of order
     one appear as eta approaches 1/2); residual small defects are weighted by
     the state's Fock occupations and are certified operationally by the
@@ -324,10 +331,10 @@ def build_homodyne_kernel(
         f = a_mat.T @ w  # (G, keep)
         recov = a_mat @ f  # (m, keep)
         defect = np.max(np.abs(recov[:keep] - np.eye(keep)))
-        if defect > gate_tol:
+        if defect > KERNEL_GATE_TOL:
             raise IllConditionedKernelError(
                 delta,
-                f"kernel unbiasedness defect {defect:.3e} > {gate_tol:.0e} "
+                f"kernel unbiasedness defect {defect:.3e} > {KERNEL_GATE_TOL:.0e} "
                 f"within window on diagonal delta={delta}; "
                 "reduce dim_cut or raise eta",
             )

@@ -24,7 +24,7 @@ Draw order within a block is fixed and documented per sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from optomo.quorum import FiniteQuorum
 SYMPLECTIC_TOL = 1e-9
 FOCK_GRID_POINTS = 4096
 TRUNCATION_BOUND = 1e-6
+FOCK_BATCH = 256
 
 _OMEGA = np.array(
     [[0.0, 1.0, 0.0, 0.0],
@@ -93,20 +94,17 @@ def displaced_twinbeam_gaussian(z: complex, nbar: float) -> GaussianState:
     return GaussianState(mean=mean, cov=cov)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureBlock:
-    """One block of joint homodyne records."""
+    """One block of joint homodyne records; ``herald`` flags the trials in
+    which the operation occurred."""
 
     block_id: int
     phi1: np.ndarray
     phi2: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
-    herald: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.herald is None:
-            self.herald = np.ones(self.phi1.size, dtype=bool)
+    herald: np.ndarray
 
     def heralded_mode(self, mode: int):
         h = self.herald
@@ -115,20 +113,17 @@ class QuadratureBlock:
         return self.x2[h], self.phi2[h]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteOutcomeBlock:
-    """One block of joint finite-quorum outcomes (observable and eigenvalue indices)."""
+    """One block of joint finite-quorum outcomes (observable and eigenvalue
+    indices); ``herald`` as for QuadratureBlock."""
 
     block_id: int
     obs1: np.ndarray
     obs2: np.ndarray
     out1: np.ndarray
     out2: np.ndarray
-    herald: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.herald is None:
-            self.herald = np.ones(self.obs1.size, dtype=bool)
+    herald: np.ndarray
 
     def heralded_mode(self, mode: int):
         h = self.herald
@@ -241,22 +236,21 @@ class FockTables:
 def fock_tables(
     phi_out: np.ndarray,
     n_points: int = FOCK_GRID_POINTS,
-    deficit_bound: float = TRUNCATION_BOUND,
 ) -> FockTables:
     """Sampler tables for the normalised pure bipartite output ``phi_out``.
 
     The grid is ``n_points`` nodes over [-6 sigma_max, 6 sigma_max] with
     sigma_max^2 = (2d + 1)/4, cropped to the nodes where the envelope
     sum_a Psi_a(x)^2 exceeds 1e-40 of its peak.  Raises TruncationError if
-    the norm of ``phi_out`` differs from 1 by more than ``deficit_bound``.
+    the norm of ``phi_out`` differs from 1 by more than ``TRUNCATION_BOUND``.
     """
     phi_out = np.asarray(phi_out, dtype=complex)
     d = phi_out.shape[0]
     norm2 = float(np.sum(np.abs(phi_out) ** 2))
-    if abs(norm2 - 1.0) > deficit_bound:
+    if abs(norm2 - 1.0) > TRUNCATION_BOUND:
         raise TruncationError(
             f"output-state truncation deficit {abs(norm2 - 1.0):.3e} above "
-            f"bound {deficit_bound:.0e}"
+            f"bound {TRUNCATION_BOUND:.0e}"
         )
     sigma_max = np.sqrt((2.0 * d + 1.0) / 4.0)
     x = np.linspace(-6.0 * sigma_max, 6.0 * sigma_max, n_points)
@@ -305,7 +299,6 @@ def sample_fock_general(
     eta: float,
     n: int,
     stream: np.random.Generator,
-    batch: int = 256,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Joint quadrature samples (phi1, phi2, x1, x2) for a pure bipartite output.
 
@@ -313,15 +306,15 @@ def sample_fock_general(
     bisection on the cumulative table of ``tables``, x2 from the exact
     conditional |sum_m c_m e^{i m phi2} Psi_m(x2)|^2 given x1, with Psi_a(x1)
     evaluated at the drawn point.  Both then receive efficiency noise.  Draw
-    order per batch of ``batch`` samples: phi1, phi2, u1, u2, noise1, noise2.
+    order per batch of ``FOCK_BATCH`` samples: phi1, phi2, u1, u2, noise1, noise2.
     """
     sig2 = noise_sigma2(eta)
     phi1 = np.empty(n)
     phi2 = np.empty(n)
     x1 = np.empty(n)
     x2 = np.empty(n)
-    for lo in range(0, n, batch):
-        s = min(batch, n - lo)
+    for lo in range(0, n, FOCK_BATCH):
+        s = min(FOCK_BATCH, n - lo)
         p1 = stream.uniform(0.0, 2.0 * np.pi, s)
         p2 = stream.uniform(0.0, 2.0 * np.pi, s)
         u1 = stream.random(s)

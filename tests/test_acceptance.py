@@ -19,6 +19,7 @@ from optomo.estimation import (
     exact_choi_estimate,
     exact_pure_estimate,
     finalize_pure,
+    mode2_combination,
 )
 from optomo.maps import (
     KrausMap,
@@ -206,7 +207,9 @@ class TestCriterion7Heralding:
         n_trials = 10**5
         blocks = make_finite_blocks(r_out, quorum, 50, n_trials // 50,
                                     seed=707, p_occ=p)
-        est = finalize_pure(accumulate_pure(blocks, psi, 0, 0, quorum, 1), 0, 0)
+        coef, deficit = mode2_combination(psi, 1, 1)
+        est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, quorum), 0, 0,
+                            deficit)
         sigma_bin = np.sqrt(0.5 * 0.5 / n_trials)
         herald_dev = abs(est.kappa.p_hat - 0.5)
         herald_ok = herald_dev <= 4.0 * sigma_bin

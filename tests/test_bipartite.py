@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optomo.bipartite import (
-    conj,
     hs_inner,
     hs_norm,
     inverse,
     kron,
     partial_trace_2,
     phase_align,
-    transpose,
     unvec,
     vec,
 )
@@ -140,11 +138,6 @@ class TestPartialTrace:
 class TestBasicOps:
     def test_kron_identities(self):
         assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_conj_transpose(self, rng):
-        m = random_complex(rng, (3, 3))
-        assert np.allclose(conj(m), m.conj())
-        assert np.allclose(transpose(m), m.T)
 
     def test_inverse_diagonal(self):
         m = np.diag([0.5, np.sqrt(0.75) * 0.5])

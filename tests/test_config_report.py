@@ -83,8 +83,10 @@ class TestConfig:
             ExperimentConfig(nbar=5.0, dim_cut=10).validate()
 
     def test_nbar_zero_rejected_for_reconstruction(self):
-        with pytest.raises(ConfigError, match="rank-one"):
-            ExperimentConfig(nbar=0.0).validate()
+        # every route inverts psi, the identity operation included
+        for operation in ("displacement", "identity"):
+            with pytest.raises(ConfigError, match="rank-one"):
+                ExperimentConfig(operation=operation, nbar=0.0).validate()
 
     def test_reference_parsing(self):
         cfg = ExperimentConfig(reference="2,3")

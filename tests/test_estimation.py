@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from optomo.bipartite import phase_align, vec
+from optomo.config import ExperimentConfig
 from optomo.errors import NonInvertibleEntanglerError, ReferenceTooSmallError
 from optomo.estimation import (
     BlockAccumulator,
     MatrixEstimate,
-    _mode2_combination,
     accumulate_choi,
     accumulate_pure,
     align_to_truth,
@@ -14,11 +14,13 @@ from optomo.estimation import (
     exact_pure_estimate,
     finalize_choi,
     finalize_pure,
+    mode2_combination,
     phase_fix,
     select_reference,
 )
 from optomo.maps import KrausMap, PureOperation, apply_pure, displacement_matrix, twin_beam
 from optomo.quorum import GridSpec, build_finite_quorum, build_homodyne_kernel
+from optomo.pipeline import _heralded_block
 from optomo.sampling import (
     FiniteOutcomeBlock,
     QuadratureBlock,
@@ -31,30 +33,19 @@ from oracles import depolarizing_choi, random_contraction
 
 
 def make_finite_blocks(r_out, quorum, n_blocks, per_block, seed, p_occ=1.0):
+    """Finite-route blocks through the pipeline's heralded-block sampler."""
     table = joint_outcome_table(r_out, quorum)
-    blocks = []
-    for b in range(n_blocks):
-        rng = substream(seed, b)
-        herald = rng.random(per_block) < p_occ if p_occ < 1.0 else np.ones(
-            per_block, dtype=bool)
-        nh = int(herald.sum())
-        obs1 = np.zeros(per_block, dtype=int)
-        obs2 = np.zeros(per_block, dtype=int)
-        out1 = np.zeros(per_block, dtype=int)
-        out2 = np.zeros(per_block, dtype=int)
-        if nh:
-            o1, o2, u1, u2 = sample_finite(table, nh, rng)
-            pos = np.flatnonzero(herald)
-            obs1[pos], obs2[pos], out1[pos], out2[pos] = o1, o2, u1, u2
-        blocks.append(FiniteOutcomeBlock(b, obs1, obs2, out1, out2, herald))
-    return blocks
+    cfg = ExperimentConfig(samples_per_block=per_block, master_seed=seed)
+    draw = lambda n, rng: sample_finite(table, n, rng)
+    return [_heralded_block(cfg, p_occ, b, draw, FiniteOutcomeBlock)
+            for b in range(n_blocks)]
 
 
 class TestMode2Combination:
     def test_maximally_entangled_single_term(self):
         d = 4
         psi = np.eye(d) / np.sqrt(d)
-        coef, deficit = _mode2_combination(psi, d - 1, d - 1)
+        coef, deficit = mode2_combination(psi, d - 1, d - 1)
         for j in range(d):
             expect = np.zeros(d)
             expect[j] = np.sqrt(d)
@@ -63,7 +54,7 @@ class TestMode2Combination:
 
     def test_twin_beam_diagonal_coefficient(self):
         beam = twin_beam(3.0, 16, deficit_bound=1.0)
-        coef, _ = _mode2_combination(beam.psi, 5, 15)
+        coef, _ = mode2_combination(beam.psi, 5, 15)
         for j in range(6):
             assert abs(coef[j, j] - 2.0 * (4.0 / 3.0) ** (j / 2.0)) < 1e-10
             off = np.delete(coef[:, j], j)
@@ -72,48 +63,46 @@ class TestMode2Combination:
     def test_truncation_deficit_reported(self, rng):
         psi = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         psi = psi / np.linalg.norm(psi)
-        coef, deficit = _mode2_combination(psi, 0, 2)
+        coef, deficit = mode2_combination(psi, 0, 2)
         assert 0.0 < deficit < 1.0
         assert coef[:, 0].size == 3
 
     def test_singular_entangler_propagates(self):
         psi = np.diag([1.0, 0.0])
         with pytest.raises(NonInvertibleEntanglerError):
-            _mode2_combination(psi, 0, 1)
+            mode2_combination(psi, 0, 1)
 
 
 class TestBlockAccumulator:
     def test_merge_disjoint(self):
-        a = BlockAccumulator((2, 2))
-        a.add_block(0, np.ones((2, 2)), 1.0, 10, 10)
-        b = BlockAccumulator((2, 2))
-        b.add_block(1, 2 * np.ones((2, 2)), 2.0, 10, 10)
-        merged = a.merge(b)
-        assert set(merged.blocks) == {0, 1}
-        assert merged.herald_counts() == (20, 20)
+        a = BlockAccumulator([2], 3 * np.ones((1, 2, 2)), [3.0], [10], [10])
+        b = BlockAccumulator([0], np.ones((1, 2, 2)), [1.0], [10], [10])
+        c = BlockAccumulator([1], 2 * np.ones((1, 2, 2)), [2.0], [10], [10])
+        merged = a.merge(b, c)
+        assert merged.block_ids.tolist() == [0, 1, 2]
+        assert merged.den_sums.tolist() == [1.0, 2.0, 3.0]
+        assert merged.est_sums[:, 0, 0].tolist() == [1.0, 2.0, 3.0]
+        assert (merged.n_heralded.sum(), merged.n_trials.sum()) == (30, 30)
 
     def test_merge_overlap_rejected(self):
-        a = BlockAccumulator((2, 2))
-        a.add_block(0, np.ones((2, 2)), 1.0, 10, 10)
-        b = BlockAccumulator((2, 2))
-        b.add_block(0, np.ones((2, 2)), 1.0, 10, 10)
-        with pytest.raises(ValueError, match="present in both"):
+        a = BlockAccumulator([0], np.ones((1, 2, 2)), [1.0], [10], [10])
+        b = BlockAccumulator([0], np.ones((1, 2, 2)), [1.0], [10], [10])
+        with pytest.raises(ValueError, match="more than once"):
             a.merge(b)
 
     def test_duplicate_block_rejected(self):
-        a = BlockAccumulator((2, 2))
-        a.add_block(0, np.ones((2, 2)), 1.0, 10, 10)
-        with pytest.raises(ValueError):
-            a.add_block(0, np.ones((2, 2)), 1.0, 10, 10)
+        with pytest.raises(ValueError, match="more than once"):
+            BlockAccumulator([0, 0], np.ones((2, 2, 2)), [1.0, 1.0],
+                             [10, 10], [10, 10])
 
     def test_block_means_ordered_and_skip_empty(self):
-        a = BlockAccumulator((1, 1))
-        a.add_block(1, np.array([[4.0]]), 0.0, 2, 2)
-        a.add_block(0, np.array([[2.0]]), 0.0, 1, 2)
-        a.add_block(2, np.zeros((1, 1)), 0.0, 0, 2)
+        a = BlockAccumulator([1, 0, 2], [[[4.0]], [[2.0]], [[0.0]]],
+                             [0.0, 0.0, 0.0], [2, 1, 0], [2, 2, 2])
         means = a.block_means()
         assert means.shape[0] == 2
         assert means[0, 0, 0] == 2.0 and means[1, 0, 0] == 2.0
+        grand, stderr, nb = a.block_stats()
+        assert (grand[0, 0], stderr[0, 0], nb) == (2.0, 0.0, 2)
 
 
 class TestExactChain:
@@ -161,7 +150,9 @@ class TestSampledPure:
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
         r_out = np.outer(vec(phi), vec(phi).conj())
         blocks = make_finite_blocks(r_out, q, 25, 800, seed=11)
-        est = finalize_pure(accumulate_pure(blocks, psi, 0, 0, q, 1), 0, 0)
+        coef, deficit = mode2_combination(psi, 1, 1)
+        est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, q), 0, 0,
+                            deficit)
         aligned = align_to_truth(est, np.eye(2))
         dev = np.abs(aligned - np.eye(2))
         assert np.all(dev <= 4 * est.std_errors)
@@ -173,12 +164,13 @@ class TestSampledPure:
         phi, _ = apply_pure(PureOperation(np.eye(2)), psi)
         r_out = np.outer(vec(phi), vec(phi).conj())
         blocks = make_finite_blocks(r_out, q, 8, 200, seed=13)
-        one_pass = accumulate_pure(blocks, psi, 0, 0, q, 1)
-        first = accumulate_pure(blocks[:3], psi, 0, 0, q, 1)
-        second = accumulate_pure(blocks[3:], psi, 0, 0, q, 1)
-        merged = first.merge(second)
-        est_a = finalize_pure(one_pass, 0, 0)
-        est_b = finalize_pure(merged, 0, 0)
+        coef, _ = mode2_combination(psi, 1, 1)
+        one_pass = accumulate_pure(blocks, coef, 0, 0, q)
+        first = accumulate_pure(blocks[:3], coef, 0, 0, q)
+        second = accumulate_pure(blocks[3:], coef, 0, 0, q)
+        merged = second.merge(first)
+        est_a = finalize_pure(one_pass, 0, 0, 0.0)
+        est_b = finalize_pure(merged, 0, 0, 0.0)
         assert np.array_equal(est_a.values, est_b.values)
         assert np.array_equal(est_a.std_errors, est_b.std_errors)
 
@@ -189,8 +181,9 @@ class TestSampledPure:
         phi, _ = apply_pure(PureOperation(np.eye(2)), psi)
         r_out = np.outer(vec(phi), vec(phi).conj())
         blocks = make_finite_blocks(r_out, q, 10, 300, seed=17)
+        coef, deficit = mode2_combination(psi, 1, 1)
         with pytest.raises(ReferenceTooSmallError, match="choose different"):
-            finalize_pure(accumulate_pure(blocks, psi, 0, 1, q, 1), 0, 1)
+            finalize_pure(accumulate_pure(blocks, coef, 0, 1, q), 0, 1, deficit)
 
     def test_heralded_contraction(self):
         # A = diag(1, 0.5): p = (1 + 0.25)/2 = 0.625 on I/sqrt(2)
@@ -200,7 +193,9 @@ class TestSampledPure:
         phi, p = apply_pure(PureOperation(a), psi)
         r_out = np.outer(vec(phi), vec(phi).conj())
         blocks = make_finite_blocks(r_out, q, 30, 600, seed=19, p_occ=p)
-        est = finalize_pure(accumulate_pure(blocks, psi, 0, 0, q, 1), 0, 0)
+        coef, deficit = mode2_combination(psi, 1, 1)
+        est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, q), 0, 0,
+                            deficit)
         assert abs(est.kappa.p_hat - 0.625) < 4 * est.kappa.p_hat_stderr
         aligned = align_to_truth(est, a)
         assert np.all(np.abs(aligned - a) <= 4 * est.std_errors)
@@ -216,12 +211,14 @@ class TestErrorBarCalibration:
         phi, p = apply_pure(PureOperation(a), psi)
         r_out = np.outer(vec(phi), vec(phi).conj())
         truth = a * np.exp(-1j * np.angle(phi[0, 0]))  # chain phase reference
+        coef, deficit = mode2_combination(psi, 1, 1)
         hits = 0
         total = 0
         for run in range(100):
             blocks = make_finite_blocks(r_out, q, 20, 400, seed=1000 + run,
                                         p_occ=p)
-            est = finalize_pure(accumulate_pure(blocks, psi, 0, 0, q, 1), 0, 0)
+            est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, q), 0, 0,
+                                deficit)
             dev = np.abs(est.values - truth)
             hits += int(np.sum(dev <= est.std_errors))
             total += dev.size
@@ -240,9 +237,11 @@ class TestErrorBarCalibration:
         for b in range(15):
             rng = substream(77, b)
             phi1, phi2, x1, x2 = sample_quadratures(state, 0.9, 3000, rng)
-            blocks.append(QuadratureBlock(b, phi1, phi2, x1, x2))
-        est = finalize_pure(accumulate_pure(blocks, beam.psi, 0, 0, kernel, 5),
-                            0, 0)
+            blocks.append(QuadratureBlock(b, phi1, phi2, x1, x2,
+                                          np.ones(3000, dtype=bool)))
+        coef, deficit = mode2_combination(beam.psi, 5, 5)
+        est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, kernel), 0, 0,
+                            deficit)
         assert est.std_errors[:, 4:].mean() > est.std_errors[:, :2].mean()
 
 
@@ -261,7 +260,8 @@ class TestChoiEstimation:
         r_psi = apply_kraus_bipartite(KrausMap(ks), psi)
         blocks = make_finite_blocks(r_psi / np.trace(r_psi).real, q, 40, 2500,
                                     seed=23)
-        est = finalize_choi(accumulate_choi(blocks, psi, q, 1))
+        coef, deficit = mode2_combination(psi, 1, 1)
+        est = finalize_choi(accumulate_choi(blocks, coef, q), deficit)
         truth = depolarizing_choi(0.5)
         dev = np.abs(est.values - truth)
         assert np.all(dev <= 3.5 * est.std_errors + 1e-12)

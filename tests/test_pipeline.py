@@ -3,8 +3,11 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
+from optomo import estimation, pipeline
 from optomo.config import ExperimentConfig
+from optomo.errors import NonInvertibleEntanglerError
 from optomo.estimation import align_to_truth
 from optomo.pipeline import displacement_theory, run_simulate
 
@@ -65,3 +68,41 @@ class TestFiniteRoute:
         a = (tmp_path / "a" / "inv.result.txt").read_bytes()
         b = (tmp_path / "b" / "inv.result.txt").read_bytes()
         assert a == b
+
+
+class TestRunLevelPlan:
+    def _count_calls(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_singular_entangler_fails_before_sampling(self, tmp_path,
+                                                      monkeypatch):
+        # validate() admits it (the finite route has no deficit gate), but
+        # psi has reciprocal condition ~1e-13: the run must stop before any
+        # block is sampled
+        calls = self._count_calls(monkeypatch, pipeline, "sample_finite")
+        cfg = ExperimentConfig(
+            operation="identity", route="finite", nbar=1e-13, dim_cut=3,
+            n_max=1, blocks=4, samples_per_block=100,
+        )
+        cfg.validate()
+        with pytest.raises(NonInvertibleEntanglerError):
+            run_simulate(cfg, out_dir=tmp_path)
+        assert calls == []
+
+    def test_entangler_inverted_once_per_run(self, tmp_path, monkeypatch):
+        calls = self._count_calls(monkeypatch, estimation, "inverse")
+        cfg = ExperimentConfig(
+            operation="kraus", kraus_file=_two_kraus_file(tmp_path / "k.npy", 3),
+            route="finite", nbar=1.0, dim_cut=3, n_max=2, blocks=6,
+            samples_per_block=500, master_seed=31,
+        )
+        run_simulate(cfg, out_dir=tmp_path)
+        assert len(calls) == 1

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,24 @@ class TestHomodyneKernel:
         assert loaded.eta == kernel.eta
         for d in kernel.tables:
             assert np.array_equal(loaded.tables[d], kernel.tables[d])
+
+    def test_interrupted_save_leaves_no_file(self, kernel, tmp_path,
+                                             monkeypatch):
+        # a write that fails half-way must leave nothing a later run could
+        # load (or delete as corrupt) at the cache path
+        def broken_savez(file, **arrays):
+            if isinstance(file, (str, bytes, os.PathLike)):
+                file = open(file, "wb")
+            file.write(b"PK\x03\x04 partial archive")
+            file.flush()
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", broken_savez)
+        target = tmp_path / f"kernel-{kernel.cache_key()}.npz"
+        with pytest.raises(OSError, match="No space"):
+            kernel.save(target)
+        assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_dir_reuse_and_regeneration(self, tmp_path):
         k1 = build_homodyne_kernel(12, 0.95, GridSpec(8.0), max_index=4,
