@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
+from typing import get_type_hints
 
 import numpy as np
 
@@ -157,25 +158,8 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected one of 1/true/yes/0/false/no, got {text!r}")
 
 
-_FIELD_PARSERS = {
-    "operation": str,
-    "z": complex,
-    "kraus_file": str,
-    "nbar": float,
-    "eta": float,
-    "dim_cut": int,
-    "n_max": int,
-    "blocks": int,
-    "samples_per_block": int,
-    "master_seed": int,
-    "reference": str,
-    "route": str,
-    "grid_half_width": float,
-    "grid_spacing": float,
-    "ridge": float,
-    "out_prefix": str,
-    "dump_samples": _parse_bool,
-}
+# each key is parsed by the type of its field (bool by _parse_bool)
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -197,10 +181,11 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = ln.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
+        parse = _parse_bool if _FIELD_TYPES[key] is bool else _FIELD_TYPES[key]
         try:
-            kwargs[key] = _FIELD_PARSERS[key](value)
+            kwargs[key] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
     cfg = ExperimentConfig(**kwargs)
@@ -221,8 +206,8 @@ def _format_value(v) -> str:
 def write_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse_config(write_config(cfg)) == cfg."""
     out = [f"optomo-config v{CONFIG_VERSION}"]
-    for key in _FIELD_PARSERS:
-        out.append(f"{key} = {_format_value(getattr(cfg, key))}")
+    for f in fields(ExperimentConfig):
+        out.append(f"{f.name} = {_format_value(getattr(cfg, f.name))}")
     return "\n".join(out) + "\n"
 
 

@@ -15,6 +15,12 @@ same interface: ``max_index`` and ``dyad_estimates(a, b, pairs)``, where
 (a, b) is a block's ``heralded_mode(m)``.  The estimator chain is written
 once against it.
 
+Pure and Choi entries are one two-mode average over different dyad pairs:
+``_pure_terms`` and ``_choi_terms`` give each kind's pairs and mode-2
+combination, every block is reduced by one kernel, e1.T @ (e2 @ comb), and
+``finalize_choi`` puts Choi sums in the (i, j), (l, k) layout once.  The
+exact path (``exact_*``) runs the same terms over every finite outcome.
+
 Error bars follow the block structure of the data: per-block means, standard
 error = std across block means / sqrt(blocks).  kappa uncertainty is reported
 separately and not folded into the per-entry bars.
@@ -37,6 +43,7 @@ import numpy as np
 from optomo.bipartite import inverse
 from optomo.errors import ReferenceTooSmallError
 from optomo.quorum import FiniteQuorum
+from optomo.sampling import joint_outcome_table
 
 REFERENCE_SIGMA_FACTOR = 2.0
 
@@ -223,15 +230,44 @@ def mode2_combination(psi: np.ndarray, window: int, k_max: int):
     return kept, deficit
 
 
-def _accumulate(blocks, shape, sums) -> BlockAccumulator:
-    """One accumulator row per block; ``sums(blk)`` gives the estimator sum
-    and the real reference-denominator sum over the block's heralded samples."""
-    est = np.zeros((len(blocks),) + shape, dtype=complex)
+def _pure_terms(coef: np.ndarray, i0: int, j0: int):
+    """Terms of A_ij: mode-1 pairs |i0><i|, mode-2 pairs |j0><k| combined by
+    ``coef`` into |j0><psi^{-1*}(j)|, and the denominator columns (i0, j0)."""
+    k1, w1 = coef.shape
+    return [(i0, i) for i in range(w1)], [(j0, k) for k in range(k1)], coef, (i0, j0)
+
+
+def _choi_terms(coef: np.ndarray):
+    """Terms of <<i,j|R(I)|l,k>>: mode-1 pairs |l><i|, mode-2 pairs |a><b|
+    combined into |psi^{-1*}(k)><psi^{-1*}(j)|; sums come out laid out
+    (l, i), (j, k), and there is no denominator."""
+    k1, w1 = coef.shape
+    pairs1 = [(l, i) for l in range(w1) for i in range(w1)]
+    pairs2 = [(a, b) for a in range(k1) for b in range(k1)]
+    # est(j, k) = sum_ab conj(coef[a, k]) coef[b, j] dyad(a, b)
+    comb = np.einsum("ak,bj->abjk", coef.conj(), coef).reshape(k1 * k1, w1 * w1)
+    return pairs1, pairs2, comb, None
+
+
+def _choi_layout(m: np.ndarray) -> np.ndarray:
+    """Reorder Choi sums from (l, i), (j, k) to the (i, j), (l, k) of R(I)."""
+    w1 = round(np.sqrt(m.shape[0]))
+    return m.reshape((w1,) * 4).transpose(1, 2, 0, 3).reshape(m.shape)
+
+
+def _accumulate(blocks, backend, terms) -> BlockAccumulator:
+    """One accumulator row per block: e1.T @ (e2 @ comb) with e1, e2 the dyad
+    estimates of the heralded samples of each mode, and the denominator."""
+    pairs1, pairs2, comb, den_cols = terms
+    est = np.zeros((len(blocks), len(pairs1), comb.shape[1]), dtype=complex)
     den = np.zeros(len(blocks))
     n_her = np.array([int(blk.herald.sum()) for blk in blocks])
-    for r, blk in enumerate(blocks):
-        if n_her[r]:
-            est[r], den[r] = sums(blk)
+    for r in np.flatnonzero(n_her):
+        e1 = backend.dyad_estimates(*blocks[r].heralded_mode(1), pairs1)
+        e2 = backend.dyad_estimates(*blocks[r].heralded_mode(2), pairs2)
+        est[r] = e1.T @ (e2 @ comb)
+        if den_cols is not None:
+            den[r] = np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
     return BlockAccumulator(
         np.array([blk.block_id for blk in blocks]), est, den, n_her,
         np.array([blk.herald.size for blk in blocks]),
@@ -244,21 +280,9 @@ def accumulate_pure(blocks, coef: np.ndarray, i0: int, j0: int,
 
     ``coef`` is the run's ``mode2_combination`` matrix, shape
     (k_max + 1, window + 1); ``backend`` is a HomodyneKernel or a
-    FiniteQuorum.  Entry (i, j) sums the per-sample product of the mode-1
-    estimate of |i0><i| and the mode-2 estimate of |j0><psi^{-1*}(j)|; the
-    reference denominator sums the product of the |i0><i0| and |j0><j0|
-    estimates.
+    FiniteQuorum.  The terms are ``_pure_terms``.
     """
-    k1, w1 = coef.shape
-    pairs1 = [(i0, i) for i in range(w1)]
-    pairs2 = [(j0, k) for k in range(k1)]
-
-    def sums(blk):
-        e1 = backend.dyad_estimates(*blk.heralded_mode(1), pairs1)  # (S, w+1)
-        e2raw = backend.dyad_estimates(*blk.heralded_mode(2), pairs2)  # (S, k_max+1)
-        return e1.T @ (e2raw @ coef), np.sum(e1[:, i0] * e2raw[:, j0]).real
-
-    return _accumulate(blocks, (w1, w1), sums)
+    return _accumulate(blocks, backend, _pure_terms(coef, i0, j0))
 
 
 def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
@@ -309,29 +333,13 @@ def finalize_pure(acc: BlockAccumulator, i0: int, j0: int,
 
 
 def accumulate_choi(blocks, coef: np.ndarray, backend) -> BlockAccumulator:
-    """Accumulate the 4-index Choi entry estimators <<i,j|R(I)|l,k>>.
+    """Accumulate per-block sums of the Choi entry estimators.
 
-    Per sample the entry estimator factorises into the mode-1 dyad |l><i| and
-    the mode-2 dyad combination |psi^{-1*}(k)><psi^{-1*}(j)| built from the
-    run's ``mode2_combination`` matrix ``coef``; entries are stored as a
-    (w+1)^2 x (w+1)^2 matrix with composite row (i, j) and column (l, k).
-    ``backend`` is a HomodyneKernel or a FiniteQuorum.
+    ``coef`` is the run's ``mode2_combination`` matrix and ``backend`` a
+    HomodyneKernel or a FiniteQuorum.  The terms are ``_choi_terms``; the
+    sums stay in their (l, i), (j, k) layout until ``finalize_choi``.
     """
-    k1, w1 = coef.shape
-    pairs1 = [(l, i) for l in range(w1) for i in range(w1)]
-    pairs2 = [(a, b) for a in range(k1) for b in range(k1)]
-    # mode-2 combination: est(j, k) = sum_ab conj(psi_inv[a, k]) psi_inv[b, j] dyad(a, b)
-    comb = np.einsum("ak,bj->abjk", coef.conj(), coef).reshape(len(pairs2), w1 * w1)
-
-    def sums(blk):
-        e1 = backend.dyad_estimates(*blk.heralded_mode(1), pairs1)  # (S, w1^2)
-        e2 = backend.dyad_estimates(*blk.heralded_mode(2), pairs2) @ comb
-        a1 = e1.reshape(-1, w1, w1)  # [s, l, i]  (mode-1 dyad |l><i|)
-        a2 = e2.reshape(-1, w1, w1)  # [s, j, k]
-        est = np.einsum("sli,sjk->ijlk", a1, a2).reshape(w1 * w1, w1 * w1)
-        return est, 0.0
-
-    return _accumulate(blocks, (w1 * w1, w1 * w1), sums)
+    return _accumulate(blocks, backend, _choi_terms(coef))
 
 
 def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
@@ -340,11 +348,13 @@ def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
     The ensemble averages of the 4-index estimators refer to the unnormalised
     output R(psi) (trace = occurrence probability); sample means over heralded
     data are therefore multiplied by the herald frequency p_hat before
-    inversion to R(I).  ``deficit`` is the run's total truncation deficit.
+    inversion to R(I).  The block means and their errors are put in the
+    (i, j), (l, k) layout here, once.  ``deficit`` is the run's total
+    truncation deficit.
     """
     p_hat, p_hat_stderr = acc.occurrence()
     mean, stderr, nb = acc.block_stats()
-    grand, spread = mean * p_hat, p_hat * stderr
+    grand, spread = _choi_layout(mean) * p_hat, p_hat * _choi_layout(stderr)
     defect = float(np.max(np.abs(grand - grand.conj().T)))
     herm = (grand + grand.conj().T) / 2.0
     sym_err = np.sqrt((spread**2 + spread.T**2) / 2.0)
@@ -367,77 +377,38 @@ def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
 # exact (no-sampling) expectations for the finite quorum
 
 
-def exact_finite_joint(
-    r_out: np.ndarray,
-    quorum: FiniteQuorum,
-    pairs1,
-    pairs2,
-) -> np.ndarray:
-    """Brute-force expectation of the joint dyad estimators over all outcomes.
+def exact_finite_joint(r_out: np.ndarray, quorum: FiniteQuorum,
+                       pairs1, pairs2) -> np.ndarray:
+    """Exact E[est1_p est2_q] of the joint dyad estimators, e1.T @ T @ e2.
 
-    Enumerates every (observable pair, eigenvalue pair) with its exact
-    probability on the normalised state and sums the product estimator.
-    Returns E[est1_p est2_q], shape (len(pairs1), len(pairs2)).
+    e1 and e2 are ``quorum.dyad_estimates`` at every outcome (k, m) of one
+    mode and T the joint outcome probabilities on the normalised state.
     """
-    from optomo.sampling import joint_outcome_table
-
     table = joint_outcome_table(r_out, quorum)
-    L, d = len(quorum), quorum.dim
-    out = np.zeros((len(pairs1), len(pairs2)), dtype=complex)
-    a1, b1 = np.array(pairs1).T
-    a2, b2 = np.array(pairs2).T
-    for k in range(L):
-        c1 = quorum.duals.conj()[k, a1, b1] / quorum.weights[k]
-        for l in range(L):
-            c2 = quorum.duals.conj()[l, a2, b2] / quorum.weights[l]
-            for m1 in range(d):
-                for m2 in range(d):
-                    pr = table[k, l, m1, m2]
-                    if pr == 0.0:
-                        continue
-                    lam = quorum.eigenvalues[k, m1] * quorum.eigenvalues[l, m2]
-                    out += pr * lam * np.outer(c1, c2)
-    return out
+    n_obs, _, d, _ = table.shape
+    t = table.transpose(0, 2, 1, 3).reshape(n_obs * d, n_obs * d)
+    obs, out = np.divmod(np.arange(n_obs * d), d)
+    e1 = quorum.dyad_estimates(obs, out, pairs1)
+    return e1.T @ t @ quorum.dyad_estimates(obs, out, pairs2)
 
 
-def exact_pure_estimate(
-    phi_norm: np.ndarray,
-    p: float,
-    psi: np.ndarray,
-    i0: int,
-    j0: int,
-    quorum: FiniteQuorum,
-) -> np.ndarray:
-    """Expectation of the full pure-operation chain under the exact outcome law.
-
-    Equals the true A up to the unmeasurable global phase when phi_norm is the
-    normalised output of apply_pure.
-    """
-    d = quorum.dim
+def exact_pure_estimate(phi_norm: np.ndarray, p: float, psi: np.ndarray,
+                        i0: int, j0: int, quorum: FiniteQuorum) -> np.ndarray:
+    """The pure chain's ``_pure_terms`` under the exact outcome law: the true
+    A up to the global phase when phi_norm is apply_pure's normalised output."""
+    coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
+    pairs1, pairs2, comb, den_cols = _pure_terms(coef, i0, j0)
     r_out = np.outer(phi_norm.reshape(-1), phi_norm.reshape(-1).conj())
-    psi_inv = inverse(np.asarray(psi, dtype=complex))
-    pairs1 = [(i0, i) for i in range(d)]
-    pairs2 = [(j0, k) for k in range(d)]
-    joint = exact_finite_joint(r_out, quorum, pairs1, pairs2)  # (i, k)
-    mean = joint @ psi_inv
-    den = exact_finite_joint(r_out, quorum, [(i0, i0)], [(j0, j0)])[0, 0].real
-    kappa = np.sqrt(p / den)
-    return kappa * mean
+    joint = exact_finite_joint(r_out, quorum, pairs1, pairs2)
+    return np.sqrt(p / joint[den_cols].real) * (joint @ comb)
 
 
-def exact_choi_estimate(
-    r_psi: np.ndarray,
-    psi: np.ndarray,
-    quorum: FiniteQuorum,
-) -> np.ndarray:
-    """Expectation of the Choi chain under the exact outcome law (times trace)."""
-    d = quorum.dim
-    p = float(np.trace(r_psi).real)
-    psi_inv = inverse(np.asarray(psi, dtype=complex))
-    pairs = [(a, b) for a in range(d) for b in range(d)]
-    joint = exact_finite_joint(r_psi, quorum, pairs, pairs)
-    comb = np.einsum("ak,bj->abjk", psi_inv.conj(), psi_inv).reshape(d * d, d * d)
-    e2 = joint @ comb  # columns now (j, k)
-    a1 = e2.reshape(d, d, d, d)  # [l, i, j, k]  (mode-1 dyad (a,b) = (l,i))
-    r_est = p * np.einsum("lijk->ijlk", a1).reshape(d * d, d * d)
+def exact_choi_estimate(r_psi: np.ndarray, psi: np.ndarray,
+                        quorum: FiniteQuorum) -> np.ndarray:
+    """The Choi chain's ``_choi_terms`` and ``_choi_layout`` under the exact
+    outcome law, times the trace of r_psi, hermitised."""
+    coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
+    pairs1, pairs2, comb, _ = _choi_terms(coef)
+    joint = exact_finite_joint(r_psi, quorum, pairs1, pairs2)
+    r_est = np.trace(r_psi).real * _choi_layout(joint @ comb)
     return (r_est + r_est.conj().T) / 2.0

@@ -364,7 +364,7 @@ def _write_plotdata(out_dir, prefix, values, std_errors, theory) -> list:
 def emit_plotdata(result_path, out_dir=".") -> list:
     """Regenerate plot-data files from a result document.
 
-    The document stores 9 significant digits, so regenerated files can differ
+    The document stores 10 significant digits, so regenerated files can differ
     from the originals in the last digit.
     """
     result_path = pathlib.Path(result_path)
@@ -397,7 +397,8 @@ def _check(lines, name, value, bound, ok=None):
 
 
 def verify_unbiasedness(seed: int = 7) -> tuple[bool, list]:
-    """Exact estimator-chain unbiasedness at d = 2 and 3, brute force."""
+    """Exact unbiasedness at d = 2 and 3 of the estimator chain that sampled
+    runs use, taken over every finite outcome with its exact probability."""
     lines = []
     ok = True
     rng = np.random.default_rng(seed)

@@ -232,7 +232,7 @@ class HomodyneKernel:
         tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
         try:
             with open(tmp, "xb") as fh:
-                np.savez_compressed(
+                np.savez(
                     fh,
                     version=KERNEL_CACHE_VERSION,
                     dim_cut=self.dim_cut,
@@ -285,6 +285,10 @@ def build_homodyne_kernel(
     relative to the mean diagonal of the constraint Gram matrix.  Rows are
     stored for n <= max_index (default dim_cut // 2).
 
+    With ``cache_dir``, a cached kernel is returned only if its header gives
+    the requested ``cache_key``; a missing, corrupt or mismatched file is
+    rebuilt and replaced atomically by ``save``.
+
     Raises UnphysicalDeconvolutionError for eta <= 0.5 and
     IllConditionedKernelError (naming the diagonal) when the stored rows fail
     their unbiasedness constraints within the stored window at
@@ -306,11 +310,14 @@ def build_homodyne_kernel(
     )
     if cache_dir is not None:
         cache_path = pathlib.Path(cache_dir) / f"kernel-{probe.cache_key()}.npz"
-        if cache_path.exists():
-            try:
-                return load_homodyne_kernel(cache_path)
-            except Exception:
-                cache_path.unlink()  # stale or corrupt; rebuild
+        try:
+            cached = load_homodyne_kernel(cache_path)
+            if cached.cache_key() == probe.cache_key():
+                return cached
+        except Exception:
+            # a missing, truncated or foreign file rebuilds: the cache never
+            # fails a run, and save replaces the file atomically
+            pass
 
     x = grid.points
     dx = grid.spacing

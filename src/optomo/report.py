@@ -2,11 +2,13 @@
 
 A result document embeds the canonical config, the scalar reconstruction
 summary (kappa, herald statistics, truncation deficit), and the matrix
-estimate with per-entry standard errors.  Matrix values are printed with 9
-significant digits and errors with 3.  The document contains nothing
-run-dependent beyond the data itself, so identical config + seed produce
-byte-identical files regardless of thread count; wall-clock goes to the
-console log instead.
+estimate with per-entry standard errors.  The matrix section has one row per
+entry, its indices first: (i, j) of A_ij for a pure estimate, (i, j, l, k)
+of <<i,j|R(I)|l,k>> for a Choi estimate, in row-major order.  Matrix values
+are printed with 10 significant digits and errors with 3.  The document
+contains nothing run-dependent beyond the data itself, so identical config
++ seed produce byte-identical files regardless of thread count; wall-clock
+goes to the console log instead.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ class ResultDoc:
     std_errors: np.ndarray
 
 
+# matrix indices of a document row: A_ij, or the Choi entry <<i,j|R(I)|l,k>>
+_INDEX_NAMES = {"pure": ("i", "j"), "choi": ("i", "j", "l", "k")}
+
+
 def _fmt(x: float) -> str:
     return f"{x:+.9e}"
 
@@ -43,6 +49,8 @@ def _fmt_err(x: float) -> str:
 def render_result(cfg: ExperimentConfig, estimate: MatrixEstimate,
                   kind: str = "pure") -> str:
     kap = estimate.kappa
+    names = _INDEX_NAMES[kind]
+    w1 = round(estimate.values.size ** (1.0 / len(names)))
     lines = [f"optomo-result v{RESULT_VERSION}", "[config]"]
     lines.append(write_config(cfg).rstrip("\n"))
     lines.append("[summary]")
@@ -52,8 +60,7 @@ def render_result(cfg: ExperimentConfig, estimate: MatrixEstimate,
         ("seed", cfg.master_seed),
         ("i0", estimate.i0),
         ("j0", estimate.j0),
-        ("window", estimate.window if kind == "pure" else
-         int(np.sqrt(estimate.values.shape[0])) - 1),
+        ("window", w1 - 1),
         ("n_blocks", estimate.n_blocks),
         ("p_hat", _fmt(kap.p_hat)),
         ("p_hat_stderr", _fmt_err(kap.p_hat_stderr)),
@@ -68,27 +75,14 @@ def render_result(cfg: ExperimentConfig, estimate: MatrixEstimate,
         summary.append(("hermiticity_defect", _fmt_err(estimate.hermiticity_defect)))
     lines.extend(f"{k} = {v}" for k, v in summary)
     lines.append("[matrix]")
-    vals = estimate.values
-    errs = estimate.std_errors
-    if kind == "pure":
-        lines.append("# i j re im stderr")
-        for i in range(vals.shape[0]):
-            for j in range(vals.shape[1]):
-                lines.append(
-                    f"{i} {j} {_fmt(vals[i, j].real)} {_fmt(vals[i, j].imag)} "
-                    f"{_fmt_err(errs[i, j])}"
-                )
-    else:
-        w1 = int(np.sqrt(vals.shape[0]))
-        lines.append("# i j l k re im stderr")
-        for r in range(vals.shape[0]):
-            for c in range(vals.shape[1]):
-                i, j = divmod(r, w1)
-                l, k = divmod(c, w1)
-                lines.append(
-                    f"{i} {j} {l} {k} {_fmt(vals[r, c].real)} "
-                    f"{_fmt(vals[r, c].imag)} {_fmt_err(errs[r, c])}"
-                )
+    lines.append(f"# {' '.join(names)} re im stderr")
+    shape = (w1,) * len(names)
+    vals = estimate.values.reshape(shape)
+    errs = estimate.std_errors.reshape(shape)
+    for idx in np.ndindex(shape):
+        v = vals[idx]
+        lines.append(f"{' '.join(map(str, idx))} {_fmt(v.real)} {_fmt(v.imag)} "
+                     f"{_fmt_err(errs[idx])}")
     return "\n".join(lines) + "\n"
 
 
@@ -118,24 +112,18 @@ def parse_result(text: str) -> ResultDoc:
             rows.append(stripped.split())
     cfg = parse_config("\n".join(config_lines))
     kind = summary.get("estimate_kind", "pure")
-    if kind == "pure":
-        dim = max(int(r[0]) for r in rows) + 1
-        vals = np.zeros((dim, dim), dtype=complex)
-        errs = np.zeros((dim, dim))
-        for r in rows:
-            i, j = int(r[0]), int(r[1])
-            vals[i, j] = float(r[2]) + 1j * float(r[3])
-            errs[i, j] = float(r[4])
-    else:
-        w1 = max(int(r[0]) for r in rows) + 1
-        vals = np.zeros((w1 * w1, w1 * w1), dtype=complex)
-        errs = np.zeros((w1 * w1, w1 * w1))
-        for r in rows:
-            i, j, l, k = (int(t) for t in r[:4])
-            vals[i * w1 + j, l * w1 + k] = float(r[4]) + 1j * float(r[5])
-            errs[i * w1 + j, l * w1 + k] = float(r[6])
+    order = len(_INDEX_NAMES[kind])
+    table = np.array(rows, dtype=float)
+    idx = tuple(table[:, :order].astype(int).T)
+    shape = (int(table[:, :order].max()) + 1,) * order
+    vals = np.zeros(shape, dtype=complex)
+    errs = np.zeros(shape)
+    vals[idx] = table[:, order] + 1j * table[:, order + 1]
+    errs[idx] = table[:, order + 2]
+    side = shape[0] ** (order // 2)
     return ResultDoc(config=cfg, kind=kind, summary=summary,
-                     values=vals, std_errors=errs)
+                     values=vals.reshape(side, side),
+                     std_errors=errs.reshape(side, side))
 
 
 def render_plotdata_diagonal(values, std_errors, theory) -> str:

@@ -283,6 +283,21 @@ class TestChoiEstimation:
         est = exact_choi_estimate(r_psi, psi, q)
         assert np.max(np.abs(est - kraus_to_choi(kmap).matrix)) < 1e-10
 
+    def test_exact_choi_chain_at_finite_choi_dimension(self, rng):
+        # d = 6 is the dimension the finite-route Choi workload samples at
+        from optomo.estimation import exact_choi_estimate
+        from optomo.maps import apply_kraus_bipartite, kraus_to_choi
+
+        from oracles import random_invertible_state, random_kraus_map
+
+        d = 6
+        q = build_finite_quorum(d)
+        kmap = KrausMap(tuple(random_kraus_map(rng, d)))
+        psi = random_invertible_state(rng, d)
+        r_psi = apply_kraus_bipartite(kmap, psi)
+        est = exact_choi_estimate(r_psi, psi, q)
+        assert np.max(np.abs(est - kraus_to_choi(kmap).matrix)) < 1e-10
+
     def test_exact_choi_identity_channel(self):
         from optomo.estimation import exact_choi_estimate
         from optomo.maps import apply_kraus_bipartite

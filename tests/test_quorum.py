@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from optomo import quorum
 from optomo.errors import (
     IllConditionedKernelError,
     UnphysicalDeconvolutionError,
@@ -151,12 +152,43 @@ class TestHomodyneKernel:
             file.flush()
             raise OSError("No space left on device")
 
-        monkeypatch.setattr(np, "savez_compressed", broken_savez)
+        monkeypatch.setattr(np, "savez", broken_savez)
         target = tmp_path / f"kernel-{kernel.cache_key()}.npz"
         with pytest.raises(OSError, match="No space"):
             kernel.save(target)
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_load_rebuilds_without_deleting(self, tmp_path,
+                                                   monkeypatch):
+        # two runs that find the same stale file: the other run's recovery
+        # may remove or replace it between this run's failed load and its own
+        args = (12, 0.95, GridSpec(8.0))
+        key = build_homodyne_kernel(*args, max_index=4).cache_key()
+        path = tmp_path / f"kernel-{key}.npz"
+        path.write_bytes(b"stale")
+
+        def load_after_other_run(p):
+            p.unlink()
+            raise ValueError("kernel cache version mismatch")
+
+        monkeypatch.setattr(quorum, "load_homodyne_kernel", load_after_other_run)
+        kernel = build_homodyne_kernel(*args, max_index=4, cache_dir=tmp_path)
+        assert path.exists()
+        assert np.array_equal(load_homodyne_kernel(path).tables[0],
+                              kernel.tables[0])
+
+    def test_cache_header_mismatch_rebuilds(self, tmp_path):
+        # a kernel whose header does not give the requested key is not used
+        grid = GridSpec(8.0)
+        wrong = build_homodyne_kernel(12, 0.9, grid, max_index=4)
+        want_key = build_homodyne_kernel(12, 0.8, grid, max_index=4).cache_key()
+        path = tmp_path / f"kernel-{want_key}.npz"
+        wrong.save(path)
+        kernel = build_homodyne_kernel(12, 0.8, grid, max_index=4,
+                                       cache_dir=tmp_path)
+        assert kernel.eta == 0.8
+        assert load_homodyne_kernel(path).cache_key() == want_key
 
     def test_cache_dir_reuse_and_regeneration(self, tmp_path):
         k1 = build_homodyne_kernel(12, 0.95, GridSpec(8.0), max_index=4,
