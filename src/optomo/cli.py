@@ -66,6 +66,9 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             kwargs = {}
             if args.seed is not None:
+                if args.suite == "kernels":
+                    raise ConfigError("--seed does not apply to the kernels "
+                                      "suite, which draws no random numbers")
                 kwargs["seed"] = args.seed
             if args.eta is not None:
                 if args.suite != "kernels":

@@ -51,10 +51,6 @@ class PureOperation:
         if top > 1.0 + CONTRACTION_TOL:
             raise ValueError(f"not a contraction: largest singular value {top:.6g}")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class KrausMap:

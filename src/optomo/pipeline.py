@@ -1,11 +1,14 @@
 """Orchestration: simulate -> estimate pipelines, verification suites, plot data.
 
 The simulate pipeline is one path for every route (gaussian, fock, finite).
-It builds the entangler, operation, and measurement backend from a config,
-samples measurement records block by block (each block on its own RNG
-substream, through one heralded-block sampler; the routes differ only in
-how they draw the heralded samples), accumulates the estimator sums, merges
-the blocks once, and writes the result document plus plot-data files.
+Every operation is a Kraus map; a pure operation is the one-operator case
+and is estimated as a matrix, any other as a Choi matrix.  The pipeline
+builds the entangler, the operation with its output branches K_n psi, and
+the measurement backend from a config, samples measurement records block by
+block (each block on its own RNG substream, through one heralded-block
+sampler; the routes differ only in how they draw the heralded samples),
+accumulates the estimator sums, merges the blocks once, and writes the
+result document plus plot-data files.
 Values that depend only on the run (the homodyne kernel or finite quorum,
 the Fock sampler tables, the joint outcome table, the mode-2 estimator
 coefficients) are built once, after the dry-run return, and shared
@@ -27,7 +30,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from optomo import estimation, report, sampling
 from optomo.bipartite import phase_align
 from optomo.config import ExperimentConfig, config_hash, load_preset
-from optomo.errors import ConfigError, VerificationFailure
+from optomo.errors import AnnihilatingOperationError, ConfigError, VerificationFailure
 from optomo.estimation import (
     MatrixEstimate,
     exact_choi_estimate,
@@ -68,66 +71,58 @@ def displacement_theory(z: complex, n_max: int) -> np.ndarray:
     """Closed-form Fock matrix elements of D(z) on the window.
 
     <m|D(z)|n> = sqrt(n!/m!) z^{m-n} e^{-|z|^2/2} L_n^{(m-n)}(|z|^2) for
-    m >= n, and the (-z*)-reflected form below the diagonal.
+    m >= n, and the same with -z* in place of z for the mirrored <n|D(z)|m>.
     """
     w1 = n_max + 1
     out = np.empty((w1, w1), dtype=complex)
     a2 = abs(z) ** 2
     pref = np.exp(-a2 / 2.0)
     for m in range(w1):
-        for n in range(w1):
-            if m >= n:
-                amp = (
-                    np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-                    * z ** (m - n) * eval_genlaguerre(n, m - n, a2)
-                )
-            else:
-                amp = (
-                    np.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
-                    * (-np.conj(z)) ** (n - m) * eval_genlaguerre(m, n - m, a2)
-                )
-            out[m, n] = pref * amp
+        for n in range(m + 1):
+            scale = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+            lag = eval_genlaguerre(n, m - n, a2)
+            out[m, n] = pref * (scale * z ** (m - n) * lag)
+            out[n, m] = pref * (scale * (-np.conj(z)) ** (m - n) * lag)
     return out
 
 
-def theory_matrix(cfg: ExperimentConfig, window: int) -> np.ndarray | None:
-    """Exact operation matrix on the reconstruction window, if closed-form."""
+def theory_matrix(cfg: ExperimentConfig, op: KrausMap,
+                  window: int) -> np.ndarray | None:
+    """Exact operation matrix on the reconstruction window, if closed-form;
+    a single operator of ``op`` (from ``build_operation``) is its own theory."""
     if cfg.operation == "displacement":
         return displacement_theory(cfg.z, window)
-    if cfg.operation == "identity":
-        return np.eye(window + 1, dtype=complex)
-    kraus = load_kraus_file(cfg.kraus_file)
-    if len(kraus.kraus) == 1:
-        k = kraus.kraus[0]
-        w1 = min(window + 1, k.shape[0])
-        out = np.zeros((window + 1, window + 1), dtype=complex)
-        out[:w1, :w1] = k[:w1, :w1]
-        return out
+    if len(op.kraus) == 1:
+        return op.kraus[0][: window + 1, : window + 1]
     return None  # general Kraus maps are estimated as Choi matrices
 
 
 def load_kraus_file(path: str) -> KrausMap:
-    """Kraus operators from a .npy stack of shape (n_kraus, d, d)."""
-    arr = np.load(path)
-    if arr.ndim == 2:
-        arr = arr[None]
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ConfigError(
-            f"kraus file must hold a (n, d, d) stack, got shape {arr.shape}"
-        )
-    return KrausMap(tuple(arr.astype(complex)))
+    """Kraus operators from a .npy stack of shape (n_kraus, d, d); a file that
+    cannot be read or holds no Kraus map raises a ConfigError naming it."""
+    try:
+        arr = np.load(path)
+        if arr.ndim == 2:
+            arr = arr[None]
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+            raise ValueError(f"need a (n, d, d) stack, got shape {arr.shape}")
+        return KrausMap(tuple(arr.astype(complex)))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"kraus_file {path}: {exc}") from exc
 
 
-def build_operation(cfg: ExperimentConfig, dim_cut: int):
+def build_operation(cfg: ExperimentConfig, dim_cut: int) -> KrausMap:
+    """The run's operation as Kraus operators on the dim_cut Fock space; a
+    pure operation (displacement, identity, one-operator file) has one."""
     if cfg.operation == "displacement":
         m = displacement_matrix(cfg.z, dim_cut).matrix
         # the cropped exponential can exceed unit norm by rounding; rescale
         top = np.linalg.norm(m, 2)
         if top > 1.0:
             m = m / top
-        return PureOperation(m)
+        return KrausMap((m,))
     if cfg.operation == "identity":
-        return PureOperation(np.eye(dim_cut, dtype=complex))
+        return KrausMap((np.eye(dim_cut, dtype=complex),))
     kraus = load_kraus_file(cfg.kraus_file)
     if kraus.dim > dim_cut:
         raise ConfigError(
@@ -136,8 +131,6 @@ def build_operation(cfg: ExperimentConfig, dim_cut: int):
     if kraus.dim < dim_cut:
         pad = ((0, dim_cut - kraus.dim),) * 2
         kraus = KrausMap(tuple(np.pad(k, pad) for k in kraus.kraus))
-    if len(kraus.kraus) == 1:
-        return PureOperation(kraus.kraus[0])
     return kraus
 
 
@@ -173,7 +166,7 @@ def _heralded_block(cfg, p_occ, block_id, draw, record):
     return record(block_id, *columns, herald)
 
 
-def _fock_draw(cfg, tables, weights):
+def _fock_branch_draw(cfg, tables, weights):
     """The Fock route's draw: a mixture over the pure branches K_n psi.
 
     Each heralded sample picks a branch with probability proportional to
@@ -227,9 +220,11 @@ def run_simulate(
 ) -> SimResult:
     """Full simulate -> estimate -> report pipeline; returns the estimate and paths.
 
-    Every route runs the same chain.  The routes differ only in the
-    entangler (the finite route renormalises the truncated twin beam, so it
-    carries no truncation deficit), in the measurement backend (homodyne
+    Every route runs the same chain: the estimate kind, the output branches
+    with their weights, the occurrence probability and the reference are
+    worked out once, before the dry-run return.  The routes differ only in
+    the entangler (the finite route renormalises the truncated twin beam, so
+    it carries no truncation deficit), in the measurement backend (homodyne
     kernel or finite quorum) and in how the heralded samples of a block are
     drawn.  Backends, sampler tables and the mode-2 coefficients are built
     once per run, after the dry-run return.
@@ -249,31 +244,28 @@ def run_simulate(
         beam = twin_beam(cfg.nbar, dim_cut)
         psi, deficit = beam.psi, beam.deficit
     op = build_operation(cfg, dim_cut)
-    theory = theory_matrix(cfg, window)
-    kind = "pure" if isinstance(op, PureOperation) else "choi"
+    kind = "pure" if len(op.kraus) == 1 else "choi"
+    if kind == "choi" and cfg.reference != "auto":
+        raise ConfigError(f"reference applies to pure operations only; this "
+                          f"one has {len(op.kraus)} Kraus operators")
+    theory = theory_matrix(cfg, op, window)
 
+    # the output mixes the branches K_n psi (normalised) with weights
+    # ||K_n psi||^2; a pure operation has one branch
+    branches, weights = [], []
+    for k in op.kraus:
+        out = k @ psi
+        w = float(np.sum(np.abs(out) ** 2))
+        if w > 0:
+            branches.append(out / np.sqrt(w))
+            weights.append(w)
+    if not branches:
+        raise AnnihilatingOperationError("operation annihilates the entangler")
+    p_occ = float(sum(weights))
     i0 = j0 = 0
     if kind == "pure":
-        phi_norm, p_occ = apply_pure(op, psi)
-        branches, weights = [phi_norm], [1.0]
-        ref = cfg.resolved_reference()
-        if ref is None:
-            ref = select_reference(np.abs(phi_norm[: window + 1, : window + 1]))
-        i0, j0 = ref
-    elif route == "finite":
-        r_out = apply_kraus_bipartite(op, psi)
-        p_occ = float(np.trace(r_out).real)
-        r_out = r_out / p_occ
-    else:
-        branches = []
-        weights = []
-        for k in op.kraus:
-            out = k @ psi
-            w = float(np.sum(np.abs(out) ** 2))
-            if w > 0:
-                branches.append(out / np.sqrt(w))
-                weights.append(w)
-        p_occ = float(sum(weights))
+        i0, j0 = cfg.resolved_reference() or select_reference(
+            np.abs(branches[0][: window + 1, : window + 1]))
 
     if dry_run:
         lines = [f"config_hash = {config_hash(cfg)}", f"route = {route}",
@@ -289,9 +281,7 @@ def run_simulate(
 
     if route == "finite":
         backend = build_finite_quorum(dim_cut)
-        if kind == "pure":
-            r_out = np.outer(phi_norm.reshape(-1), phi_norm.reshape(-1).conj())
-        table = joint_outcome_table(r_out, backend)
+        table = joint_outcome_table(apply_kraus_bipartite(op, psi), backend)
         record = FiniteOutcomeBlock
         draw = lambda n, rng: sample_finite(table, n, rng)
     else:
@@ -302,13 +292,15 @@ def run_simulate(
         )
         record = QuadratureBlock
         if route == "gaussian":
-            # the unitary displacement always occurs: p_occ = 1 draws no heralds
+            # the sampled Gaussian state is untruncated, and in it the unitary
+            # displacement always occurs: p_occ = 1 draws no heralds
             z = cfg.z if cfg.operation == "displacement" else 0.0
             state = displaced_twinbeam_gaussian(z, cfg.nbar)
             p_occ = 1.0
             draw = lambda n, rng: sample_quadratures(state, cfg.eta, n, rng)
         else:
-            draw = _fock_draw(cfg, [fock_tables(b) for b in branches], weights)
+            draw = _fock_branch_draw(cfg, [fock_tables(b) for b in branches],
+                                     weights)
     make_block = lambda b: _heralded_block(cfg, p_occ, b, draw, record)
 
     coef, coef_deficit = estimation.mode2_combination(
@@ -378,8 +370,10 @@ def emit_plotdata(result_path, out_dir=".") -> list:
         )
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    theory = theory_matrix(doc.config, doc.values.shape[0] - 1)
-    return _write_plotdata(out_dir, doc.config.out_prefix, doc.values,
+    cfg = doc.config
+    theory = theory_matrix(cfg, build_operation(cfg, cfg.resolved_dim_cut()),
+                           doc.values.shape[0] - 1)
+    return _write_plotdata(out_dir, cfg.out_prefix, doc.values,
                            doc.std_errors, theory)
 
 
@@ -437,14 +431,19 @@ def verify_choi(seed: int = 11) -> tuple[bool, list]:
     norm = np.linalg.eigvalsh(sum(k.conj().T @ k for k in ks))[-1]
     kmap = KrausMap(tuple(k / np.sqrt(norm) for k in ks))
     choi = kraus_to_choi(kmap)
-    worst = 0.0
-    for _ in range(20):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = g @ g.conj().T
-        rho = rho / np.trace(rho)
-        worst = max(worst, float(np.max(np.abs(
-            map_from_choi(choi, rho) - kmap.apply(rho)))))
-    ok &= _check(lines, "choi-action", worst, 1e-12)
+
+    def worst_action_error(apply):
+        """Largest deviation from kmap's action over 20 random states."""
+        worst = 0.0
+        for _ in range(20):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = g @ g.conj().T
+            rho = rho / np.trace(rho)
+            worst = max(worst, float(np.max(np.abs(apply(rho) - kmap.apply(rho)))))
+        return worst
+
+    ok &= _check(lines, "choi-action",
+                 worst_action_error(lambda rho: map_from_choi(choi, rho)), 1e-12)
 
     psi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     psi = psi / np.linalg.norm(psi)
@@ -452,14 +451,7 @@ def verify_choi(seed: int = 11) -> tuple[bool, list]:
     dist = float(np.max(np.abs(tri.matrix - choi.matrix)))
     ok &= _check(lines, "consistency-triangle", dist, 1e-10)
 
-    back = choi_to_kraus(choi)
-    worst = 0.0
-    for _ in range(20):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = g @ g.conj().T
-        rho = rho / np.trace(rho)
-        worst = max(worst, float(np.max(np.abs(
-            back.apply(rho) - kmap.apply(rho)))))
+    worst = worst_action_error(choi_to_kraus(choi).apply)
     ok &= _check(lines, "kraus-roundtrip-action", worst, 1e-10)
     return ok, lines
 

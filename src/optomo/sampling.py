@@ -10,8 +10,9 @@ Three sampling paths share one RNG contract:
   the exact conditional given x1; each grid node's mass sits on the cell
   centred on it, so draws carry no half-cell shift,
 * exact-distribution outcome sampling for finite-dimensional quorums, by
-  inverse CDF on the joint outcome table (``joint_outcome_table``), which
-  is also built once per run.
+  inverse CDF on the joint outcome table of the output state R(psi) of any
+  Kraus map (``joint_outcome_table``, two one-mode contractions), which is
+  also built once per run.
 
 Quadrature units follow X_phi = (a^dag e^{i phi} + a e^{-i phi})/2 (vacuum
 variance 1/4); detector efficiency adds independent Gaussian noise of
@@ -337,31 +338,32 @@ def joint_outcome_table(r_out: np.ndarray, quorum: FiniteQuorum) -> np.ndarray:
 
     Entry (k, l, m1, m2) is the probability of choosing observables (k, l)
     and obtaining their (m1, m2)-th eigenvalues on the normalised state.
-    Sums to 1; raises NumericalPSDError on negative probabilities
-    beyond -1e-10.
+    The Born probabilities come from two one-mode contractions of the state
+    with the L*d eigenvectors, not from L^2 two-mode products.  Sums to 1;
+    raises NumericalPSDError on negative probabilities beyond -1e-10.
     """
     r = np.asarray(r_out, dtype=complex)
     tr = np.trace(r).real
     if tr <= 0:
         raise NumericalPSDError("state has non-positive trace")
-    r = r / tr
     L, d = len(quorum), quorum.dim
-    table = np.empty((L, L, d, d))
-    for k in range(L):
-        vk = quorum.eigenvectors[k]
-        for l in range(L):
-            vl = quorum.eigenvectors[l]
-            u = np.kron(vk, vl)
-            born = np.real(np.einsum("ij,jk,ki->i", u.conj().T, r, u))
-            if born.min() < -1e-10:
-                raise NumericalPSDError(
-                    f"negative joint probability {born.min():.3e} for "
-                    f"observables ({k}, {l})"
-                )
-            table[k, l] = (
-                quorum.weights[k] * quorum.weights[l]
-                * np.clip(born, 0.0, None).reshape(d, d)
-            )
+    # rows[k d + m] = <m_k|, the m-th eigenvector of observable k
+    rows = quorum.eigenvectors.conj().transpose(0, 2, 1).reshape(L * d, d)
+    # mode 1: half[i, b, b'] = <m_k, b| r |m_k, b'> with i = k d + m
+    half = np.einsum("ia,abce,ic->ibe", rows, (r / tr).reshape(d, d, d, d),
+                     rows.conj())
+    # mode 2: born[i, j] = <m_k, m'_l| r |m_k, m'_l> with j = l d + m'
+    born = np.einsum("jb,ibe,je->ij", rows, half, rows.conj()).real
+    born = born.reshape(L, d, L, d).transpose(0, 2, 1, 3)
+    bad = np.argwhere(born.min(axis=(2, 3)) < -1e-10)
+    if bad.size:
+        k, l = bad[0]
+        raise NumericalPSDError(
+            f"negative joint probability {born[k, l].min():.3e} for "
+            f"observables ({k}, {l})"
+        )
+    table = (np.outer(quorum.weights, quorum.weights)[:, :, None, None]
+             * np.clip(born, 0.0, None))
     return table / table.sum()
 
 

@@ -69,6 +69,26 @@ def partial_trace_2_by_loops(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def outcome_table_by_loops(r: np.ndarray, quorum) -> np.ndarray:
+    """Joint finite-quorum outcome table, one Born probability at a time.
+
+    Entry (k, l, m1, m2) is w_k w_l <u|r|u> with u = v_k[:, m1] (x) v_l[:, m2],
+    normalised over the whole table.
+    """
+    n_obs, d = len(quorum), quorum.dim
+    table = np.zeros((n_obs, n_obs, d, d))
+    for k in range(n_obs):
+        for l in range(n_obs):
+            for m1 in range(d):
+                for m2 in range(d):
+                    u = np.kron(quorum.eigenvectors[k][:, m1],
+                                quorum.eigenvectors[l][:, m2])
+                    born = np.real(u.conj() @ r @ u)
+                    table[k, l, m1, m2] = (quorum.weights[k] * quorum.weights[l]
+                                           * born)
+    return table / table.sum()
+
+
 def random_contraction(rng, d: int, margin: float = 1.25) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return a / (np.linalg.svd(a, compute_uv=False)[0] * margin)

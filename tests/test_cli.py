@@ -135,6 +135,10 @@ class TestVerifyCommand:
     def test_eta_flag_rejected_elsewhere(self, capsys):
         assert main(["verify", "choi", "--eta", "0.9"]) == 2
 
+    def test_seed_flag_rejected_for_kernels(self, capsys):
+        assert main(["verify", "kernels", "--seed", "3"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
 
 def _csv_numbers(text):
     rows = [ln.split(", ") for ln in text.strip().splitlines()[1:]]
@@ -232,3 +236,64 @@ class TestKrausRoute:
         doc = parse_result((tmp_path / "ch.result.txt").read_text())
         assert doc.kind == "choi"
         assert doc.values.shape == (9, 9)
+
+
+def _kraus_config(tmp_path, kraus, route, extra=""):
+    np.save(tmp_path / "k.npy", kraus)
+    dim_cut = kraus.shape[-1]
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(
+        "optomo-config v1\noperation = kraus\n"
+        f"kraus_file = {tmp_path / 'k.npy'}\nroute = {route}\n"
+        f"nbar = 1.0\neta = 0.9\ndim_cut = {dim_cut}\nn_max = 1\nblocks = 2\n"
+        f"samples_per_block = 200\nmaster_seed = 3\nout_prefix = k\n{extra}"
+    )
+    return cfg
+
+
+class TestOperationErrors:
+    @pytest.mark.parametrize("route, sampler, dim_cut", [
+        ("finite", "sample_finite", 3),
+        ("fock", "sample_fock_general", 12),
+    ])
+    def test_annihilating_map_exit_3(self, tmp_path, capsys, monkeypatch,
+                                     route, sampler, dim_cut):
+        from optomo import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, sampler,
+                            lambda *args: calls.append(args))
+        cfg = _kraus_config(tmp_path, np.zeros((2, dim_cut, dim_cut)), route)
+        for flags in ([], ["--dry-run"]):
+            assert main(["simulate", "--config", str(cfg),
+                         "--out-dir", str(tmp_path)] + flags) == 3
+            assert "AnnihilatingOperation" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "k.result.txt").exists()
+
+    @pytest.mark.parametrize("fault", ["missing", "exceeds_identity"])
+    def test_bad_kraus_file_exit_2(self, tmp_path, capsys, fault):
+        good = np.diag([1.0, 0.8, 0.0]).astype(complex)[None]
+        cfg = _kraus_config(tmp_path, good, "finite")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+        kraus_path = tmp_path / "k.npy"
+        if fault == "missing":
+            kraus_path.unlink()
+        else:
+            np.save(kraus_path, 1.5 * good)
+        capsys.readouterr()
+        for argv in (
+            ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "a")],
+            ["simulate", "--config", str(cfg), "--dry-run"],
+            ["emit-plotdata", "--from", str(tmp_path / "k.result.txt"),
+             "--out-dir", str(tmp_path / "b")],
+        ):
+            assert main(argv) == 2
+            assert str(kraus_path) in capsys.readouterr().err
+
+    def test_reference_rejected_for_choi(self, tmp_path, capsys):
+        ks = np.stack([np.sqrt(0.5) * np.eye(3), np.sqrt(0.5) * np.eye(3)])
+        cfg = _kraus_config(tmp_path, ks, "finite", "reference = 1,0\n")
+        assert main(["simulate", "--config", str(cfg), "--dry-run"]) == 2
+        assert "reference" in capsys.readouterr().err

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from oracles import outcome_table_by_loops, random_density
 
 from optomo.bipartite import vec
 from optomo.errors import NumericalPSDError, TruncationError
@@ -234,10 +237,28 @@ class TestSampleFinite:
         assert abs(table.sum() - 1.0) < 1e-12
         assert table.min() >= 0.0
 
+    def test_outcome_table_matches_loop_oracle(self, rng):
+        q = build_finite_quorum(3)
+        rho = random_density(rng, 9)
+        table = joint_outcome_table(rho, q)
+        assert np.max(np.abs(table - outcome_table_by_loops(rho, q))) < 1e-14
+
     def test_negative_probability_rejected(self):
         q = build_finite_quorum(2)
         bad = np.diag([1.0, 0.5, -0.2, 0.1])
-        with pytest.raises(NumericalPSDError):
+        with pytest.raises(NumericalPSDError,
+                           match=re.escape("for observables (0, 0)")):
+            joint_outcome_table(bad, q)
+
+    def test_negative_probability_names_ordered_pair(self):
+        # I/4 + sigma_x (x) sigma_y / 2 is negative only for sigma_x (1) on
+        # mode 1 with sigma_y (2) on mode 2
+        q = build_finite_quorum(2)
+        sx = np.array([[0, 1], [1, 0]])
+        sy = np.array([[0, -1j], [1j, 0]])
+        bad = np.eye(4) / 4 + 0.5 * np.kron(sx, sy)
+        with pytest.raises(NumericalPSDError,
+                           match=re.escape("for observables (1, 2)")):
             joint_outcome_table(bad, q)
 
 
