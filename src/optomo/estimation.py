@@ -17,7 +17,8 @@ once against it.
 
 Pure and Choi entries are one two-mode average over different dyad pairs:
 ``_pure_terms`` and ``_choi_terms`` give each kind's pairs and mode-2
-combination, every block is reduced by one kernel, e1.T @ (e2 @ comb), and
+combination, every block is reduced by one kernel, e1.T @ (e2 @ comb),
+summed over chunks of ``DYAD_CHUNK`` heralded samples, and
 ``finalize_choi`` puts Choi sums in the (i, j), (l, k) layout once.  The
 exact path (``exact_*``) runs the same terms over every finite outcome.
 
@@ -35,7 +36,6 @@ taken in block-index order so results are independent of worker scheduling.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -46,6 +46,9 @@ from optomo.quorum import FiniteQuorum
 from optomo.sampling import joint_outcome_table
 
 REFERENCE_SIGMA_FACTOR = 2.0
+# heralded samples per dyad evaluation: the (samples, pairs) estimates of a
+# chunk stay in cache, and no block-sized array of them is allocated
+DYAD_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +164,16 @@ def select_reference(magnitudes: np.ndarray | None) -> tuple[int, int]:
     """Reference indices (i0, j0) maximising |phi|, row-major tie-break.
 
     ``magnitudes`` is an exact or pilot-estimated table of |phi_ij|; with no
-    table (or an all-zero one) the default is (0, 0).
+    table the default is (0, 0).  An all-zero table raises
+    ReferenceTooSmallError: every reference denominator would vanish.
     """
     if magnitudes is None:
         return 0, 0
     mags = np.abs(np.asarray(magnitudes))
     if not np.any(mags > 0):
-        warnings.warn("pilot estimate is all zero; falling back to (0, 0)",
-                      stacklevel=2)
-        return 0, 0
+        raise ReferenceTooSmallError(
+            "the output is zero on the reconstruction window, so no reference "
+            "element (i0, j0) has a nonzero denominator; raise n_max")
     flat = int(np.argmax(mags))
     return flat // mags.shape[1], flat % mags.shape[1]
 
@@ -257,17 +261,27 @@ def _choi_layout(m: np.ndarray) -> np.ndarray:
 
 def _accumulate(blocks, backend, terms) -> BlockAccumulator:
     """One accumulator row per block: e1.T @ (e2 @ comb) with e1, e2 the dyad
-    estimates of the heralded samples of each mode, and the denominator."""
+    estimates of the heralded samples of each mode, and the denominator.
+
+    Each block is reduced in chunks of DYAD_CHUNK samples, so no
+    (samples, pairs) array of a whole block is built.  Blocks of at most
+    one chunk give exactly the one-shot sums; longer blocks add the chunk
+    sums in order, which moves the sums by roundoff.
+    """
     pairs1, pairs2, comb, den_cols = terms
     est = np.zeros((len(blocks), len(pairs1), comb.shape[1]), dtype=complex)
     den = np.zeros(len(blocks))
     n_her = np.array([int(blk.herald.sum()) for blk in blocks])
     for r in np.flatnonzero(n_her):
-        e1 = backend.dyad_estimates(*blocks[r].heralded_mode(1), pairs1)
-        e2 = backend.dyad_estimates(*blocks[r].heralded_mode(2), pairs2)
-        est[r] = e1.T @ (e2 @ comb)
-        if den_cols is not None:
-            den[r] = np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
+        a1, b1 = blocks[r].heralded_mode(1)
+        a2, b2 = blocks[r].heralded_mode(2)
+        for lo in range(0, n_her[r], DYAD_CHUNK):
+            c = slice(lo, lo + DYAD_CHUNK)
+            e1 = backend.dyad_estimates(a1[c], b1[c], pairs1)
+            e2 = backend.dyad_estimates(a2[c], b2[c], pairs2)
+            est[r] += e1.T @ (e2 @ comb)
+            if den_cols is not None:
+                den[r] += np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
     return BlockAccumulator(
         np.array([blk.block_id for blk in blocks]), est, den, n_her,
         np.array([blk.herald.size for blk in blocks]),

@@ -221,12 +221,14 @@ def run_simulate(
     """Full simulate -> estimate -> report pipeline; returns the estimate and paths.
 
     Every route runs the same chain: the estimate kind, the output branches
-    with their weights, the occurrence probability and the reference are
-    worked out once, before the dry-run return.  The routes differ only in
-    the entangler (the finite route renormalises the truncated twin beam, so
-    it carries no truncation deficit), in the measurement backend (homodyne
-    kernel or finite quorum) and in how the heralded samples of a block are
-    drawn.  Backends, sampler tables and the mode-2 coefficients are built
+    with their weights, the occurrence probability (1 on the Gaussian route,
+    which heralds every trial) and the reference are worked out once, before
+    the dry-run return; an automatic reference on an output that is zero
+    over the window raises ReferenceTooSmallError there.  The routes differ
+    only in the entangler (the finite route renormalises the truncated twin
+    beam, so it carries no truncation deficit), in the measurement backend
+    (homodyne kernel or finite quorum) and in how the heralded samples of a
+    block are drawn.  Backends, sampler tables and the mode-2 coefficients are built
     once per run, after the dry-run return.
     """
     cfg.validate()
@@ -261,7 +263,9 @@ def run_simulate(
             weights.append(w)
     if not branches:
         raise AnnihilatingOperationError("operation annihilates the entangler")
-    p_occ = float(sum(weights))
+    # the sampled Gaussian state is untruncated, and in it the unitary
+    # displacement always occurs: p_occ = 1 draws no heralds
+    p_occ = 1.0 if route == "gaussian" else float(sum(weights))
     i0 = j0 = 0
     if kind == "pure":
         i0, j0 = cfg.resolved_reference() or select_reference(
@@ -292,11 +296,8 @@ def run_simulate(
         )
         record = QuadratureBlock
         if route == "gaussian":
-            # the sampled Gaussian state is untruncated, and in it the unitary
-            # displacement always occurs: p_occ = 1 draws no heralds
             z = cfg.z if cfg.operation == "displacement" else 0.0
             state = displaced_twinbeam_gaussian(z, cfg.nbar)
-            p_occ = 1.0
             draw = lambda n, rng: sample_quadratures(state, cfg.eta, n, rng)
         else:
             draw = _fock_branch_draw(cfg, [fock_tables(b) for b in branches],

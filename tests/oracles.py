@@ -127,3 +127,20 @@ def depolarizing_choi(q: float) -> np.ndarray:
     ident = np.eye(2, dtype=complex)
     v = ident.reshape(-1)
     return (1.0 - q) * np.outer(v, v.conj()) + (q / 2.0) * np.eye(4, dtype=complex)
+
+
+def homodyne_dyads_by_pairs(kernel, x, phi, pairs) -> np.ndarray:
+    """Homodyne dyad estimates one pair at a time, shape (samples, pairs).
+
+    Each pattern row f_{b,a} is interpolated linearly at x (held at the end
+    rows outside the grid) and multiplied by its own np.exp(1j*(a-b)*phi).
+    """
+    g = kernel.x
+    dx = kernel.grid.spacing
+    idx = np.clip(((x - g[0]) / dx).astype(np.int64), 0, g.size - 2)
+    w = np.clip((x - g[idx]) / dx, 0.0, 1.0)
+    out = np.empty((x.size, len(pairs)), dtype=complex)
+    for p, (a, b) in enumerate(pairs):
+        row = kernel.pattern(b, a)
+        out[:, p] = (row[idx] * (1.0 - w) + row[idx + 1] * w) * np.exp(1j * (a - b) * phi)
+    return out

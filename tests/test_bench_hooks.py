@@ -34,3 +34,29 @@ def test_map_blocks_takes_traced_parameters(tracer):
     assert found is not None
     params = inspect.signature(found[2]).parameters
     assert set(tracer.MAP_BLOCKS_PARAMS) <= set(params)
+
+
+def test_dyad_hook_counts_every_pair_sample(tracer, tmp_path):
+    # every heralded sample is evaluated on each mode's pairs through the
+    # hooked dyad_estimates; dyads evaluated elsewhere would read 0 here
+    from optomo.config import ExperimentConfig
+    from optomo.pipeline import run_simulate
+
+    cfg = ExperimentConfig(
+        operation="displacement", z=0.5 + 0.0j, nbar=1.0, eta=0.9, n_max=3,
+        blocks=3, samples_per_block=5000, master_seed=8, out_prefix="hooks",
+    )
+    t = tracer.Tracer()
+    t.install()
+    try:
+        run_simulate(cfg, threads=2, out_dir=tmp_path)
+    finally:
+        t.uninstall()
+    spans, _, _ = t.take()
+    assert t.missing == {}
+    heralded = [s.count[0] for s in spans if s.label == "sampling.heralds"]
+    assert len(heralded) == cfg.blocks
+    # a pure estimate pairs i0 with n_max + 1 indices on each mode
+    pairs_per_sample = 2 * (cfg.n_max + 1)
+    dyad = sum(s.count for s in spans if s.label == "quorum.dyad")
+    assert dyad == sum(heralded) * pairs_per_sample

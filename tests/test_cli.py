@@ -87,6 +87,13 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "theory A_00 = 0.60653" in out
 
+    def test_gaussian_dry_run_occurrence_is_one(self, tmp_path, capsys):
+        # the Gaussian route heralds every trial
+        code = main(["simulate", "--config", "fig2_top", "--dry-run",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "p_occurrence = 1\n" in capsys.readouterr().out
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CONFIG.replace("eta = 0.9", "eta = 0.4"))
@@ -268,6 +275,27 @@ class TestOperationErrors:
             assert main(["simulate", "--config", str(cfg),
                          "--out-dir", str(tmp_path)] + flags) == 3
             assert "AnnihilatingOperation" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "k.result.txt").exists()
+
+    def test_zero_window_auto_reference_exit_3(self, tmp_path, capsys,
+                                               monkeypatch):
+        # |5><5| maps the twin beam outside the n_max = 2 window: every
+        # candidate reference has a zero denominator
+        from optomo import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "sample_fock_general",
+                            lambda *args: calls.append(args))
+        proj = np.zeros((1, 10, 10), dtype=complex)
+        proj[0, 5, 5] = 1.0
+        cfg = _kraus_config(tmp_path, proj, "fock")
+        cfg.write_text(cfg.read_text().replace("n_max = 1", "n_max = 2")
+                       .replace("blocks = 2", "blocks = 4"))
+        for flags in ([], ["--dry-run"]):
+            assert main(["simulate", "--config", str(cfg),
+                         "--out-dir", str(tmp_path)] + flags) == 3
+            assert "ReferenceTooSmall" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "k.result.txt").exists()
 

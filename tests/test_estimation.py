@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from optomo import estimation
 from optomo.bipartite import phase_align, vec
 from optomo.config import ExperimentConfig
 from optomo.errors import NonInvertibleEntanglerError, ReferenceTooSmallError
@@ -24,8 +25,10 @@ from optomo.pipeline import _heralded_block
 from optomo.sampling import (
     FiniteOutcomeBlock,
     QuadratureBlock,
+    displaced_twinbeam_gaussian,
     joint_outcome_table,
     sample_finite,
+    sample_quadratures,
     substream,
 )
 
@@ -39,6 +42,66 @@ def make_finite_blocks(r_out, quorum, n_blocks, per_block, seed, p_occ=1.0):
     draw = lambda n, rng: sample_finite(table, n, rng)
     return [_heralded_block(cfg, p_occ, b, draw, FiniteOutcomeBlock)
             for b in range(n_blocks)]
+
+
+class TestChunkedAccumulation:
+    """A block is reduced in chunks of DYAD_CHUNK heralded samples; the chunk
+    sums must add up to the one-shot e1.T @ (e2 @ comb) of the whole block."""
+
+    CHUNK = estimation.DYAD_CHUNK
+
+    @pytest.fixture(scope="class")
+    def backends(self):
+        return {
+            "homodyne": build_homodyne_kernel(8, 0.9, GridSpec(8.0), max_index=3),
+            "finite": build_finite_quorum(4),
+        }
+
+    def _block(self, name, backend, n_heralded, seed):
+        # n_heralded samples among n_heralded + 3 trials
+        rng = np.random.default_rng(seed)
+        n = n_heralded + 3
+        if name == "homodyne":
+            state = displaced_twinbeam_gaussian(0.5 + 0.2j, 1.0)
+            cols = sample_quadratures(state, 0.9, n, rng)
+            record = QuadratureBlock
+        else:
+            psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
+            r_out = np.outer(psi.reshape(-1), psi.reshape(-1).conj())
+            cols = sample_finite(joint_outcome_table(r_out, backend), n, rng)
+            record = FiniteOutcomeBlock
+        herald = np.ones(n, dtype=bool)
+        herald[[0, n // 2, n - 1]] = False
+        return record(0, *cols, herald)
+
+    @pytest.mark.parametrize("n_heralded", [1, CHUNK - 1, CHUNK, int(2.5 * CHUNK)])
+    @pytest.mark.parametrize("name", ["homodyne", "finite"])
+    @pytest.mark.parametrize("kind", ["pure", "choi"])
+    def test_chunk_sums_match_one_shot(self, backends, name, kind, n_heralded):
+        backend = backends[name]
+        psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
+        coef, _ = mode2_combination(psi, 2, 3)
+        blk = self._block(name, backend, n_heralded, 5)
+        if kind == "pure":
+            terms = estimation._pure_terms(coef, 1, 0)
+            acc = accumulate_pure([blk], coef, 1, 0, backend)
+        else:
+            terms = estimation._choi_terms(coef)
+            acc = accumulate_choi([blk], coef, backend)
+        pairs1, pairs2, comb, den_cols = terms
+        e1 = backend.dyad_estimates(*blk.heralded_mode(1), pairs1)
+        e2 = backend.dyad_estimates(*blk.heralded_mode(2), pairs2)
+        want = e1.T @ (e2 @ comb)
+        want_den = (np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
+                    if den_cols else 0.0)
+        assert acc.n_heralded[0] == n_heralded
+        if n_heralded <= self.CHUNK:  # one chunk: the one-shot arithmetic
+            assert np.array_equal(acc.est_sums[0], want)
+            assert acc.den_sums[0] == want_den
+        else:
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(acc.est_sums[0] - want)) <= 1e-12 * scale
+            assert abs(acc.den_sums[0] - want_den) <= 1e-12 * abs(want_den)
 
 
 class TestMode2Combination:
@@ -327,9 +390,9 @@ class TestReferenceAndPhase:
     def test_select_reference_no_pilot(self):
         assert select_reference(None) == (0, 0)
 
-    def test_select_reference_zero_pilot_warns(self):
-        with pytest.warns(UserWarning, match="all zero"):
-            assert select_reference(np.zeros((2, 2))) == (0, 0)
+    def test_select_reference_zero_table_raises(self):
+        with pytest.raises(ReferenceTooSmallError, match="zero on the"):
+            select_reference(np.zeros((2, 2)))
 
     def _estimate(self, values):
         values = np.asarray(values, dtype=complex)

@@ -21,6 +21,23 @@ def _two_kraus_file(path, dim_cut):
     return str(path)
 
 
+class TestGaussianRoute:
+    def test_thread_count_invariance_across_chunks(self, tmp_path):
+        # blocks of 2.5 dyad chunks, so every block sum crosses chunk
+        # boundaries
+        cfg = ExperimentConfig(
+            operation="displacement", z=0.5 + 0.0j, nbar=1.0, eta=0.9,
+            n_max=3, blocks=4,
+            samples_per_block=int(2.5 * estimation.DYAD_CHUNK),
+            master_seed=41, out_prefix="inv",
+        )
+        run_simulate(cfg, threads=1, out_dir=tmp_path / "a")
+        run_simulate(cfg, threads=3, out_dir=tmp_path / "b")
+        a = (tmp_path / "a" / "inv.result.txt").read_bytes()
+        b = (tmp_path / "b" / "inv.result.txt").read_bytes()
+        assert a == b
+
+
 class TestFockRoute:
     def test_thread_count_invariance_choi(self, tmp_path):
         # the per-run sampler tables are shared by all workers

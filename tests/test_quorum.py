@@ -18,7 +18,7 @@ from optomo.quorum import (
     load_homodyne_kernel,
 )
 
-from oracles import random_density
+from oracles import homodyne_dyads_by_pairs, random_density
 
 
 class TestFiniteQuorum:
@@ -119,6 +119,23 @@ class TestHomodyneKernel:
         assert np.allclose(vals[:, 1], f02 * np.exp(-2j * phi))
         f11 = np.interp(x, kernel.x, kernel.pattern(1, 1))
         assert np.allclose(vals[:, 2], f11)
+
+    @pytest.mark.parametrize("pairs", [
+        [(2, i) for i in range(6)],  # pure mode 1, (i0, i): offsets 2..-3
+        [(3, k) for k in range(9)],  # pure mode 2, (j0, k): offsets 3..-5
+        [(l, i) for l in range(4) for i in range(4)],  # Choi mode 1, (l, i)
+        [(a, b) for a in range(6) for b in range(6)],  # Choi mode 2, (a, b)
+    ], ids=["pure-mode1", "pure-mode2", "choi-mode1", "choi-mode2"])
+    def test_dyad_estimates_match_per_pair_oracle(self, kernel, rng, pairs):
+        # x spans both grid ends (the clip path) and exact grid nodes
+        x = np.concatenate([rng.uniform(-14.0, 14.0, 400),
+                            kernel.x[[0, 1, 500, -2, -1]], [-30.0, 30.0]])
+        phi = rng.uniform(0.0, 2.0 * np.pi, x.size)
+        want = homodyne_dyads_by_pairs(kernel, x, phi, pairs)
+        got = kernel.dyad_estimates(x, phi, pairs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # the pair table is built once and reused by later calls
+        assert kernel._pair_table(pairs) is kernel._pair_table(list(pairs))
 
     def test_missing_row_raises(self, kernel):
         with pytest.raises(KeyError):
