@@ -228,8 +228,8 @@ def run_simulate(
     only in the entangler (the finite route renormalises the truncated twin
     beam, so it carries no truncation deficit), in the measurement backend
     (homodyne kernel or finite quorum) and in how the heralded samples of a
-    block are drawn.  Backends, sampler tables and the mode-2 coefficients are built
-    once per run, after the dry-run return.
+    block are drawn.  Backends, sampler tables and the mode-2 coefficients
+    are built once per run, after the dry-run return.
     """
     cfg.validate()
     t0 = time.perf_counter()

@@ -142,5 +142,6 @@ def homodyne_dyads_by_pairs(kernel, x, phi, pairs) -> np.ndarray:
     out = np.empty((x.size, len(pairs)), dtype=complex)
     for p, (a, b) in enumerate(pairs):
         row = kernel.pattern(b, a)
-        out[:, p] = (row[idx] * (1.0 - w) + row[idx + 1] * w) * np.exp(1j * (a - b) * phi)
+        interp = row[idx] * (1.0 - w) + row[idx + 1] * w
+        out[:, p] = interp * np.exp(1j * (a - b) * phi)
     return out

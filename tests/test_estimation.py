@@ -53,7 +53,8 @@ class TestChunkedAccumulation:
     @pytest.fixture(scope="class")
     def backends(self):
         return {
-            "homodyne": build_homodyne_kernel(8, 0.9, GridSpec(8.0), max_index=3),
+            "homodyne": build_homodyne_kernel(8, 0.9, GridSpec(8.0),
+                                              max_index=3),
             "finite": build_finite_quorum(4),
         }
 
@@ -74,7 +75,8 @@ class TestChunkedAccumulation:
         herald[[0, n // 2, n - 1]] = False
         return record(0, *cols, herald)
 
-    @pytest.mark.parametrize("n_heralded", [1, CHUNK - 1, CHUNK, int(2.5 * CHUNK)])
+    @pytest.mark.parametrize("n_heralded",
+                             [1, CHUNK - 1, CHUNK, int(2.5 * CHUNK)])
     @pytest.mark.parametrize("name", ["homodyne", "finite"])
     @pytest.mark.parametrize("kind", ["pure", "choi"])
     def test_chunk_sums_match_one_shot(self, backends, name, kind, n_heralded):
