@@ -38,7 +38,6 @@ from optomo.quorum import (
     HomodyneKernel,
     build_finite_quorum,
     build_homodyne_kernel,
-    expand_in_quorum,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +58,6 @@ __all__ = [
     "choi_normalize",
     "choi_to_kraus",
     "displacement_matrix",
-    "expand_in_quorum",
     "hs_inner",
     "hs_norm",
     "inverse",

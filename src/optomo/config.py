@@ -50,6 +50,13 @@ class ExperimentConfig:
     dump_samples: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (float, complex)) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} = {value} is not finite")
+        for key in ("dim_cut", "grid_half_width", "ridge"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} = {getattr(self, key)} is negative")
         if self.operation not in _OPERATIONS:
             raise ConfigError(
                 f"unknown operation {self.operation!r}; pick one of {_OPERATIONS}"

@@ -11,9 +11,10 @@ estimate).
 
 Both measurement backends, HomodyneKernel (pattern functions on quadrature
 records) and FiniteQuorum (dual frame on finite-quorum outcomes), expose the
-same interface: ``max_index`` and ``dyad_estimates(a, b, pairs)``, where
-(a, b) is a block's ``heralded_mode(m)``.  The estimator chain is written
-once against it.
+same interface: ``max_index`` and ``dyad_estimates(outcomes, settings,
+pairs)``, fed straight from the columns of a ``SampleBlock``, which holds the
+heralded samples only: (out1, set1) for mode 1, (out2, set2) for mode 2.
+The estimator chain is written once against it.
 
 Pure and Choi entries are one two-mode average over different dyad pairs:
 ``_pure_terms`` and ``_choi_terms`` give each kind's pairs and mode-2
@@ -260,8 +261,8 @@ def _choi_layout(m: np.ndarray) -> np.ndarray:
 
 
 def _accumulate(blocks, backend, terms) -> BlockAccumulator:
-    """One accumulator row per block: e1.T @ (e2 @ comb) with e1, e2 the dyad
-    estimates of the heralded samples of each mode, and the denominator.
+    """One accumulator row per SampleBlock: e1.T @ (e2 @ comb) with e1, e2 the
+    dyad estimates of the heralded samples of each mode, and the denominator.
 
     Each block is reduced in chunks of DYAD_CHUNK samples, so no
     (samples, pairs) array of a whole block is built.  Blocks of at most
@@ -271,14 +272,13 @@ def _accumulate(blocks, backend, terms) -> BlockAccumulator:
     pairs1, pairs2, comb, den_cols = terms
     est = np.zeros((len(blocks), len(pairs1), comb.shape[1]), dtype=complex)
     den = np.zeros(len(blocks))
-    n_her = np.array([int(blk.herald.sum()) for blk in blocks])
+    n_her = np.array([blk.set1.size for blk in blocks])
     for r in np.flatnonzero(n_her):
-        a1, b1 = blocks[r].heralded_mode(1)
-        a2, b2 = blocks[r].heralded_mode(2)
+        blk = blocks[r]
         for lo in range(0, n_her[r], DYAD_CHUNK):
             c = slice(lo, lo + DYAD_CHUNK)
-            e1 = backend.dyad_estimates(a1[c], b1[c], pairs1)
-            e2 = backend.dyad_estimates(a2[c], b2[c], pairs2)
+            e1 = backend.dyad_estimates(blk.out1[c], blk.set1[c], pairs1)
+            e2 = backend.dyad_estimates(blk.out2[c], blk.set2[c], pairs2)
             est[r] += e1.T @ (e2 @ comb)
             if den_cols is not None:
                 den[r] += np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
@@ -402,8 +402,8 @@ def exact_finite_joint(r_out: np.ndarray, quorum: FiniteQuorum,
     n_obs, _, d, _ = table.shape
     t = table.transpose(0, 2, 1, 3).reshape(n_obs * d, n_obs * d)
     obs, out = np.divmod(np.arange(n_obs * d), d)
-    e1 = quorum.dyad_estimates(obs, out, pairs1)
-    return e1.T @ t @ quorum.dyad_estimates(obs, out, pairs2)
+    e1 = quorum.dyad_estimates(out, obs, pairs1)
+    return e1.T @ t @ quorum.dyad_estimates(out, obs, pairs2)
 
 
 def exact_pure_estimate(phi_norm: np.ndarray, p: float, psi: np.ndarray,

@@ -8,7 +8,9 @@ the measurement backend from a config, samples measurement records block by
 block (each block on its own RNG substream, through one heralded-block
 sampler; the routes differ only in how they draw the heralded samples),
 accumulates the estimator sums, merges the blocks once, and writes the
-result document plus plot-data files.
+result document plus plot-data files.  Every block is one ``SampleBlock``
+of heralded samples, dropped once accumulated; the optional sample dump
+draws the blocks again, one at a time.
 Values that depend only on the run (the homodyne kernel or finite quorum,
 the Fock sampler tables, the joint outcome table, the mode-2 estimator
 coefficients) are built once, after the dry-run return, and shared
@@ -30,7 +32,12 @@ from scipy.special import eval_genlaguerre, gammaln
 from optomo import estimation, report, sampling
 from optomo.bipartite import phase_align
 from optomo.config import ExperimentConfig, config_hash, load_preset
-from optomo.errors import AnnihilatingOperationError, ConfigError, VerificationFailure
+from optomo.errors import (
+    AnnihilatingOperationError,
+    ConfigError,
+    ReferenceTooSmallError,
+    VerificationFailure,
+)
 from optomo.estimation import (
     MatrixEstimate,
     exact_choi_estimate,
@@ -50,8 +57,7 @@ from optomo.maps import (
 )
 from optomo.quorum import GridSpec, build_finite_quorum, build_homodyne_kernel
 from optomo.sampling import (
-    FiniteOutcomeBlock,
-    QuadratureBlock,
+    SampleBlock,
     displaced_twinbeam_gaussian,
     draw_heralds,
     fock_tables,
@@ -148,22 +154,15 @@ class SimResult:
     dry_report: list = None
 
 
-def _heralded_block(cfg, p_occ, block_id, draw, record):
-    """One block of ``record`` on the block's own substream.
+def _heralded_block(cfg, p_occ, block_id, draw):
+    """One SampleBlock on the block's own substream.
 
     Heralds are drawn first; ``draw(n_heralded, rng)`` then returns the four
-    columns of the heralded samples, which are scattered into zeroed arrays
-    (non-heralded trials keep zeros: nothing was measured).
+    columns of the heralded samples, settings then outcomes.
     """
     rng = substream(cfg.master_seed, block_id)
     herald = draw_heralds(p_occ, cfg.samples_per_block, rng)
-    hpos = np.flatnonzero(herald)
-    columns = []
-    for col in draw(hpos.size, rng):
-        full = np.zeros(herald.size, dtype=col.dtype)
-        full[hpos] = col
-        columns.append(full)
-    return record(block_id, *columns, herald)
+    return SampleBlock(block_id, herald, *draw(int(herald.sum()), rng))
 
 
 def _fock_branch_draw(cfg, tables, weights):
@@ -190,26 +189,20 @@ def _fock_branch_draw(cfg, tables, weights):
     return draw
 
 
-def _map_blocks(make_block, accumulate_one, block_ids, threads,
-                keep_blocks=False):
+def _map_blocks(make_block, accumulate_one, block_ids, threads):
     """Per-block sample + accumulate; the block accumulators are merged once,
-    in block order, so the result does not depend on scheduling.
-
-    Sampled blocks are dropped after accumulation unless ``keep_blocks`` is
-    set (needed only for the raw-sample dump); full-scale runs would
-    otherwise hold gigabytes of records.
+    in block order, so the result does not depend on scheduling.  Each
+    sampled block is dropped once accumulated.
     """
     def work(bid):
-        blk = make_block(bid)
-        return accumulate_one(blk), (blk if keep_blocks else None)
+        return accumulate_one(make_block(bid))
 
     if threads <= 1:
-        results = [work(b) for b in block_ids]
+        accs = [work(b) for b in block_ids]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, block_ids))
-    acc = results[0][0].merge(*(other for other, _ in results[1:]))
-    return acc, [blk for _, blk in results if blk is not None]
+            accs = list(pool.map(work, block_ids))
+    return accs[0].merge(*accs[1:])
 
 
 def run_simulate(
@@ -223,13 +216,14 @@ def run_simulate(
     Every route runs the same chain: the estimate kind, the output branches
     with their weights, the occurrence probability (1 on the Gaussian route,
     which heralds every trial) and the reference are worked out once, before
-    the dry-run return; an automatic reference on an output that is zero
-    over the window raises ReferenceTooSmallError there.  The routes differ
-    only in the entangler (the finite route renormalises the truncated twin
-    beam, so it carries no truncation deficit), in the measurement backend
-    (homodyne kernel or finite quorum) and in how the heralded samples of a
-    block are drawn.  Backends, sampler tables and the mode-2 coefficients
-    are built once per run, after the dry-run return.
+    the dry-run return; a reference element that is exactly zero in the
+    output (an explicit one, or any when the output is zero over the window)
+    raises ReferenceTooSmallError there, before anything is sampled.  The
+    routes differ only in the entangler (the finite route renormalises the
+    truncated twin beam, so it carries no truncation deficit), in the
+    measurement backend (homodyne kernel or finite quorum) and in how the
+    heralded samples of a block are drawn.  Backends, sampler tables and the
+    mode-2 coefficients are built once per run, after the dry-run return.
     """
     cfg.validate()
     t0 = time.perf_counter()
@@ -270,6 +264,10 @@ def run_simulate(
     if kind == "pure":
         i0, j0 = cfg.resolved_reference() or select_reference(
             np.abs(branches[0][: window + 1, : window + 1]))
+        if branches[0][i0, j0] == 0:
+            raise ReferenceTooSmallError(
+                f"reference element ({i0},{j0}) is exactly zero in the output, "
+                f"so its denominator vanishes; choose different (i0, j0)")
 
     if dry_run:
         lines = [f"config_hash = {config_hash(cfg)}", f"route = {route}",
@@ -286,7 +284,6 @@ def run_simulate(
     if route == "finite":
         backend = build_finite_quorum(dim_cut)
         table = joint_outcome_table(apply_kraus_bipartite(op, psi), backend)
-        record = FiniteOutcomeBlock
         draw = lambda n, rng: sample_finite(table, n, rng)
     else:
         grid = GridSpec(cfg.resolved_half_width(), cfg.grid_spacing)
@@ -294,7 +291,6 @@ def run_simulate(
             dim_cut, cfg.eta, grid, max_index=window, ridge=cfg.ridge,
             cache_dir=out_dir / "kernel-cache",
         )
-        record = QuadratureBlock
         if route == "gaussian":
             z = cfg.z if cfg.operation == "displacement" else 0.0
             state = displaced_twinbeam_gaussian(z, cfg.nbar)
@@ -302,7 +298,7 @@ def run_simulate(
         else:
             draw = _fock_branch_draw(cfg, [fock_tables(b) for b in branches],
                                      weights)
-    make_block = lambda b: _heralded_block(cfg, p_occ, b, draw, record)
+    make_block = lambda b: _heralded_block(cfg, p_occ, b, draw)
 
     coef, coef_deficit = estimation.mode2_combination(
         psi, window, min(backend.max_index, psi.shape[0] - 1))
@@ -313,9 +309,8 @@ def run_simulate(
         def accumulate_one(blk):
             return estimation.accumulate_choi([blk], coef, backend)
 
-    acc, blocks = _map_blocks(make_block, accumulate_one,
-                              list(range(cfg.blocks)), threads,
-                              keep_blocks=cfg.dump_samples)
+    acc = _map_blocks(make_block, accumulate_one, list(range(cfg.blocks)),
+                      threads)
     total_deficit = coef_deficit + deficit
     if kind == "pure":
         estimate = estimation.phase_fix(
@@ -323,22 +318,26 @@ def run_simulate(
     else:
         estimate = estimation.finalize_choi(acc, total_deficit)
 
-    paths = _write_outputs(cfg, estimate, kind, theory, out_dir,
-                           blocks if cfg.dump_samples else None)
+    paths = _write_outputs(cfg, estimate, kind, theory, out_dir, make_block)
     return SimResult(estimate=estimate, kind=kind, theory=theory, paths=paths,
                      wall_seconds=time.perf_counter() - t0)
 
 
-def _write_outputs(cfg, estimate, kind, theory, out_dir, dump_blocks):
+def _write_outputs(cfg, estimate, kind, theory, out_dir, make_block):
+    """Write the result document, the plot data of a pure estimate and, with
+    ``dump_samples``, the sample dump: the blocks are drawn again one at a
+    time by ``make_block``, each on its own substream, so the dump holds the
+    samples that were estimated from while only one block is in memory."""
     result_path = out_dir / f"{cfg.out_prefix}.result.txt"
     result_path.write_text(report.render_result(cfg, estimate, kind))
     paths = [result_path]
     if kind == "pure":
         paths += _write_plotdata(out_dir, cfg.out_prefix, estimate.values,
                                  estimate.std_errors, theory)
-    if dump_blocks is not None:
+    if cfg.dump_samples:
         dump_path = out_dir / f"{cfg.out_prefix}.samples.csv"
-        sampling.write_sample_dump(dump_path, dump_blocks)
+        sampling.write_sample_dump(dump_path,
+                                   map(make_block, range(cfg.blocks)))
         paths.append(dump_path)
     return paths
 

@@ -21,12 +21,14 @@ conjugates, for k < 0).  This differs from a direct exponential by roughly
 |k| units of roundoff.
 
 Both backends evaluate dyad estimates through one interface,
-``dyad_estimates(a, b, pairs)``.  The pair-dependent table (pattern rows
-and phase offsets, or dual coefficients) is built by ``_pair_table`` on
-the first call for a list of pairs and kept on the backend, which lives
-for one run, so ``estimation`` can evaluate a block in chunks of
-``DYAD_CHUNK`` samples without rebuilding it; the chunk sums add up to the
-one-shot reduction of the block up to roundoff (about 1e-15 relative).
+``dyad_estimates(outcomes, settings, pairs)``, outcome first: quadratures
+and phases, or eigenvalue and observable indices, of one mode.  The
+pair-dependent table (pattern rows and phase offsets, or dual coefficients)
+is built by ``_pair_table`` on the first call for a list of pairs and kept
+on the backend, which lives for one run, so ``estimation`` can evaluate a
+block in chunks of ``DYAD_CHUNK`` samples without rebuilding it; the chunk
+sums add up to the one-shot reduction of the block up to roundoff (about
+1e-15 relative).
 
 Kernel construction is a one-time single-threaded setup; the resulting
 objects are immutable apart from that memo of pair tables, and shareable
@@ -94,10 +96,11 @@ class FiniteQuorum:
             self._pair_tables[key] = self.duals.conj()[:, a, b]
         return self._pair_tables[key]
 
-    def dyad_estimates(self, obs_idx, out_idx, pairs) -> np.ndarray:
+    def dyad_estimates(self, out_idx, obs_idx, pairs) -> np.ndarray:
         """Per-sample unbiased estimates of dyads |a><b|.
 
-        For sample s with observable k_s and eigenvalue index m_s the estimate
+        Outcome first, then setting, as ``HomodyneKernel.dyad_estimates``:
+        for sample s with eigenvalue index m_s of observable k_s the estimate
         of <|a><b|> is <b|Q^dag(k_s)|a> lambda_{m_s} / w_{k_s}.  Returns shape
         (n_samples, n_pairs).
         """
@@ -155,14 +158,6 @@ def build_finite_quorum(dim: int) -> FiniteQuorum:
         eigenvalues=evals,
         eigenvectors=evecs,
     )
-
-
-def expand_in_quorum(h: np.ndarray, quorum: FiniteQuorum) -> np.ndarray:
-    """Expansion coefficients c_l = Tr[Q^dag(l) H], so H = sum_l c_l O(l)."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (quorum.dim, quorum.dim):
-        raise ValueError(f"operator shape {h.shape} does not match dim {quorum.dim}")
-    return np.einsum("lab,ab->l", quorum.duals.conj(), h)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +223,7 @@ class HomodyneKernel:
     def dyad_estimates(self, x, phi, pairs) -> np.ndarray:
         """Per-sample unbiased estimates of dyads |a><b| from quadrature data.
 
+        Outcome first, then setting, as ``FiniteQuorum.dyad_estimates``.
         The estimate of <|a><b|> = rho_ba from a sample (x, phi) is
         f_{b,a}(x) e^{i(a-b) phi}, with f_{b,a} interpolated linearly between
         grid nodes (held at the end rows outside the grid).  The interpolation

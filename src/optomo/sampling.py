@@ -18,6 +18,10 @@ Quadrature units follow X_phi = (a^dag e^{i phi} + a e^{-i phi})/2 (vacuum
 variance 1/4); detector efficiency adds independent Gaussian noise of
 variance (1-eta)/(4 eta) per mode.
 
+Every sampler returns four columns, settings then outcomes: (phi1, phi2, x1,
+x2) or (obs1, obs2, out1, out2).  A block of them is one ``SampleBlock``,
+which holds the heralded samples only and one herald flag per trial.
+
 Determinism: every block owns the generator ``substream(master_seed,
 block_index)``; block data never depends on scheduling order or worker count.
 Draw order within a block is fixed and documented per sampler.
@@ -96,41 +100,21 @@ def displaced_twinbeam_gaussian(z: complex, nbar: float) -> GaussianState:
 
 
 @dataclass(frozen=True)
-class QuadratureBlock:
-    """One block of joint homodyne records; ``herald`` flags the trials in
-    which the operation occurred."""
+class SampleBlock:
+    """One block of joint measurement records.
+
+    ``herald`` flags the trials in which the operation occurred.  The four
+    columns hold the heralded samples only, in the order the samplers return
+    them: settings (phases phi1, phi2, or observable indices), then outcomes
+    (quadratures x1, x2, or eigenvalue indices).
+    """
 
     block_id: int
-    phi1: np.ndarray
-    phi2: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
     herald: np.ndarray
-
-    def heralded_mode(self, mode: int):
-        h = self.herald
-        if mode == 1:
-            return self.x1[h], self.phi1[h]
-        return self.x2[h], self.phi2[h]
-
-
-@dataclass(frozen=True)
-class FiniteOutcomeBlock:
-    """One block of joint finite-quorum outcomes (observable and eigenvalue
-    indices); ``herald`` as for QuadratureBlock."""
-
-    block_id: int
-    obs1: np.ndarray
-    obs2: np.ndarray
+    set1: np.ndarray
+    set2: np.ndarray
     out1: np.ndarray
     out2: np.ndarray
-    herald: np.ndarray
-
-    def heralded_mode(self, mode: int):
-        h = self.herald
-        if mode == 1:
-            return self.obs1[h], self.out1[h]
-        return self.obs2[h], self.out2[h]
 
 
 def _quadrature_projection(state: GaussianState, phi1, phi2):
@@ -394,16 +378,20 @@ def draw_heralds(p: float, n: int, stream: np.random.Generator) -> np.ndarray:
 
 
 def write_sample_dump(path, blocks) -> None:
-    """Raw-sample dump: one `block_id, phi1, phi2, x1, x2, herald` record per line.
+    """Raw-sample dump: one `block_id, phi1, phi2, x1, x2, herald` record per
+    trial of each homodyne SampleBlock in ``blocks`` (any iterable, consumed
+    once).
 
-    Values use 9 significant digits; herald is 0/1.  Non-heralded records keep
-    zero quadratures (the operation did not occur; nothing was measured).
+    Values use 9 significant digits; herald is 0/1.  Non-heralded records get
+    zero phases and quadratures (the operation did not occur; nothing was
+    measured).
     """
     with open(path, "w") as fh:
         fh.write("# block_id, phi1, phi2, x1, x2, herald\n")
         for blk in blocks:
-            for i in range(blk.phi1.size):
-                fh.write(
-                    f"{blk.block_id}, {blk.phi1[i]:.9g}, {blk.phi2[i]:.9g}, "
-                    f"{blk.x1[i]:.9g}, {blk.x2[i]:.9g}, {int(blk.herald[i])}\n"
-                )
+            rows = np.zeros((blk.herald.size, 4))
+            rows[blk.herald] = np.column_stack(
+                (blk.set1, blk.set2, blk.out1, blk.out2))
+            for (phi1, phi2, x1, x2), h in zip(rows, blk.herald):
+                fh.write(f"{blk.block_id}, {phi1:.9g}, {phi2:.9g}, "
+                         f"{x1:.9g}, {x2:.9g}, {int(h)}\n")

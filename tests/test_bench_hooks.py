@@ -10,6 +10,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -36,16 +37,10 @@ def test_map_blocks_takes_traced_parameters(tracer):
     assert set(tracer.MAP_BLOCKS_PARAMS) <= set(params)
 
 
-def test_dyad_hook_counts_every_pair_sample(tracer, tmp_path):
-    # every heralded sample is evaluated on each mode's pairs through the
-    # hooked dyad_estimates; dyads evaluated elsewhere would read 0 here
-    from optomo.config import ExperimentConfig
+def _traced_counts(tracer, cfg, tmp_path):
+    """Heralded samples and dyad pair-samples of one traced two-thread run."""
     from optomo.pipeline import run_simulate
 
-    cfg = ExperimentConfig(
-        operation="displacement", z=0.5 + 0.0j, nbar=1.0, eta=0.9, n_max=3,
-        blocks=3, samples_per_block=5000, master_seed=8, out_prefix="hooks",
-    )
     t = tracer.Tracer()
     t.install()
     try:
@@ -56,7 +51,39 @@ def test_dyad_hook_counts_every_pair_sample(tracer, tmp_path):
     assert t.missing == {}
     heralded = [s.count[0] for s in spans if s.label == "sampling.heralds"]
     assert len(heralded) == cfg.blocks
-    # a pure estimate pairs i0 with n_max + 1 indices on each mode
-    pairs_per_sample = 2 * (cfg.n_max + 1)
     dyad = sum(s.count for s in spans if s.label == "quorum.dyad")
-    assert dyad == sum(heralded) * pairs_per_sample
+    return sum(heralded), dyad
+
+
+def test_dyad_hook_counts_every_pair_sample(tracer, tmp_path):
+    # every heralded sample is evaluated on each mode's pairs through the
+    # hooked dyad_estimates; dyads evaluated elsewhere would read 0 here
+    from optomo.config import ExperimentConfig
+
+    cfg = ExperimentConfig(
+        operation="displacement", z=0.5 + 0.0j, nbar=1.0, eta=0.9, n_max=3,
+        blocks=3, samples_per_block=5000, master_seed=8, out_prefix="hooks",
+    )
+    heralded, dyad = _traced_counts(tracer, cfg, tmp_path)
+    # a pure estimate pairs i0 with n_max + 1 indices on each mode
+    assert dyad == heralded * 2 * (cfg.n_max + 1)
+
+
+def test_dyad_hook_counts_heralded_choi_pair_samples(tracer, tmp_path):
+    # a finite-route Choi run with p_occ < 1: only heralded samples are
+    # evaluated, each on w1^2 mode-1 and k1^2 mode-2 pairs
+    from optomo.config import ExperimentConfig
+
+    ks = np.zeros((2, 3, 3), dtype=complex)
+    ks[0, :2, :2] = np.sqrt(0.5) * np.eye(2)
+    ks[1, :2, :2] = np.sqrt(0.5) * np.diag([1.0, -1.0])
+    np.save(tmp_path / "k.npy", ks)
+    cfg = ExperimentConfig(
+        operation="kraus", kraus_file=str(tmp_path / "k.npy"), route="finite",
+        nbar=1.0, dim_cut=3, n_max=2, blocks=3, samples_per_block=2000,
+        master_seed=8, out_prefix="hooks",
+    )
+    heralded, dyad = _traced_counts(tracer, cfg, tmp_path)
+    assert 0 < heralded < cfg.blocks * cfg.samples_per_block
+    w1, k1 = cfg.n_max + 1, cfg.dim_cut
+    assert dyad == heralded * (w1**2 + k1**2)

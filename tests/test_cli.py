@@ -100,6 +100,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("nbar", "nan"), ("eta", "nan"), ("z", "nan+1j"), ("ridge", "nan"),
+        ("grid_spacing", "nan"), ("grid_half_width", "inf"),
+        ("ridge", "-1"), ("dim_cut", "-5"), ("grid_half_width", "-3"),
+    ])
+    def test_non_finite_or_negative_value_exit_2(self, tmp_path, capsys,
+                                                 key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"optomo-config v1\n{key} = {value}\n")
+        assert main(["simulate", "--config", str(bad), "--dry-run",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert f"config error: {key} = " in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, capsys):
         assert main(["simulate", "--config", "nope.cfg"]) == 2
 

@@ -23,8 +23,7 @@ from optomo.maps import KrausMap, PureOperation, apply_pure, displacement_matrix
 from optomo.quorum import GridSpec, build_finite_quorum, build_homodyne_kernel
 from optomo.pipeline import _heralded_block
 from optomo.sampling import (
-    FiniteOutcomeBlock,
-    QuadratureBlock,
+    SampleBlock,
     displaced_twinbeam_gaussian,
     joint_outcome_table,
     sample_finite,
@@ -40,8 +39,7 @@ def make_finite_blocks(r_out, quorum, n_blocks, per_block, seed, p_occ=1.0):
     table = joint_outcome_table(r_out, quorum)
     cfg = ExperimentConfig(samples_per_block=per_block, master_seed=seed)
     draw = lambda n, rng: sample_finite(table, n, rng)
-    return [_heralded_block(cfg, p_occ, b, draw, FiniteOutcomeBlock)
-            for b in range(n_blocks)]
+    return [_heralded_block(cfg, p_occ, b, draw) for b in range(n_blocks)]
 
 
 class TestChunkedAccumulation:
@@ -65,15 +63,13 @@ class TestChunkedAccumulation:
         if name == "homodyne":
             state = displaced_twinbeam_gaussian(0.5 + 0.2j, 1.0)
             cols = sample_quadratures(state, 0.9, n, rng)
-            record = QuadratureBlock
         else:
             psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
             r_out = np.outer(psi.reshape(-1), psi.reshape(-1).conj())
             cols = sample_finite(joint_outcome_table(r_out, backend), n, rng)
-            record = FiniteOutcomeBlock
         herald = np.ones(n, dtype=bool)
         herald[[0, n // 2, n - 1]] = False
-        return record(0, *cols, herald)
+        return SampleBlock(0, herald, *(c[herald] for c in cols))
 
     @pytest.mark.parametrize("n_heralded",
                              [1, CHUNK - 1, CHUNK, int(2.5 * CHUNK)])
@@ -91,8 +87,8 @@ class TestChunkedAccumulation:
             terms = estimation._choi_terms(coef)
             acc = accumulate_choi([blk], coef, backend)
         pairs1, pairs2, comb, den_cols = terms
-        e1 = backend.dyad_estimates(*blk.heralded_mode(1), pairs1)
-        e2 = backend.dyad_estimates(*blk.heralded_mode(2), pairs2)
+        e1 = backend.dyad_estimates(blk.out1, blk.set1, pairs1)
+        e2 = backend.dyad_estimates(blk.out2, blk.set2, pairs2)
         want = e1.T @ (e2 @ comb)
         want_den = (np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
                     if den_cols else 0.0)
@@ -302,8 +298,8 @@ class TestErrorBarCalibration:
         for b in range(15):
             rng = substream(77, b)
             phi1, phi2, x1, x2 = sample_quadratures(state, 0.9, 3000, rng)
-            blocks.append(QuadratureBlock(b, phi1, phi2, x1, x2,
-                                          np.ones(3000, dtype=bool)))
+            blocks.append(SampleBlock(b, np.ones(3000, dtype=bool),
+                                      phi1, phi2, x1, x2))
         coef, deficit = mode2_combination(beam.psi, 5, 5)
         est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, kernel), 0, 0,
                             deficit)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from optomo import estimation, pipeline
+from optomo.cli import main
 from optomo.config import ExperimentConfig
 from optomo.errors import NonInvertibleEntanglerError
 from optomo.estimation import align_to_truth
@@ -51,6 +52,36 @@ class TestFockRoute:
         a = (tmp_path / "a" / "inv.result.txt").read_bytes()
         b = (tmp_path / "b" / "inv.result.txt").read_bytes()
         assert a == b
+
+    def test_sample_dump_thread_count_invariance(self, tmp_path, monkeypatch):
+        # the dump draws every block again after the estimate: the same file
+        # for any thread count, zeros on the non-heralded rows, and one
+        # heralded row per sample the estimate counted
+        accs = []
+        map_blocks = pipeline._map_blocks
+
+        def recorded(*args, **kwargs):
+            accs.append(map_blocks(*args, **kwargs))
+            return accs[-1]
+
+        monkeypatch.setattr(pipeline, "_map_blocks", recorded)
+        cfg = ExperimentConfig(
+            operation="kraus", kraus_file=_two_kraus_file(tmp_path / "k.npy", 12),
+            nbar=1.0, eta=0.95, dim_cut=12, n_max=1, blocks=4,
+            samples_per_block=300, master_seed=37, out_prefix="dmp",
+            dump_samples=True,
+        )
+        dumps = []
+        for threads in (1, 3):
+            run_simulate(cfg, threads=threads, out_dir=tmp_path / str(threads))
+            dumps.append((tmp_path / str(threads) / "dmp.samples.csv").read_bytes())
+        assert dumps[0] == dumps[1]
+        rows = [ln.split(", ") for ln in dumps[0].decode().splitlines()[1:]]
+        assert len(rows) == cfg.blocks * cfg.samples_per_block
+        assert all(r[1:5] == ["0"] * 4 for r in rows if r[5] == "0")
+        heralded = sum(r[5] == "1" for r in rows)
+        assert 0 < heralded < len(rows)
+        assert [int(a.n_heralded.sum()) for a in accs] == [heralded] * 2
 
     def test_agrees_with_gaussian_route(self, tmp_path):
         # one displacement config on both samplers; each entry, aligned onto
@@ -112,6 +143,23 @@ class TestRunLevelPlan:
         cfg.validate()
         with pytest.raises(NonInvertibleEntanglerError):
             run_simulate(cfg, out_dir=tmp_path)
+        assert calls == []
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_zero_explicit_reference_exits_3_before_sampling(
+            self, tmp_path, monkeypatch, capsys, dry_run):
+        # (0, 1) is exactly zero in the output of the identity on the twin
+        # beam: its denominator vanishes, so nothing may be sampled
+        calls = self._count_calls(monkeypatch, pipeline, "sample_quadratures")
+        path = tmp_path / "ref.cfg"
+        path.write_text(
+            "optomo-config v1\noperation = identity\nreference = 0,1\n"
+            "nbar = 1.0\neta = 0.9\nn_max = 3\nblocks = 6\n"
+            "samples_per_block = 400\nmaster_seed = 5\n"
+        )
+        argv = ["simulate", "--config", str(path), "--out-dir", str(tmp_path)]
+        assert main(argv + ["--dry-run"] * dry_run) == 3
+        assert "ReferenceTooSmall" in capsys.readouterr().err
         assert calls == []
 
     def test_entangler_inverted_once_per_run(self, tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ from optomo.quorum import (
     GridSpec,
     build_finite_quorum,
     build_homodyne_kernel,
-    expand_in_quorum,
     load_homodyne_kernel,
 )
 
@@ -44,25 +43,6 @@ class TestFiniteQuorum:
         for o in q.observables:
             assert np.allclose(o, o.conj().T)
 
-    def test_expand_basis_element(self):
-        q = build_finite_quorum(2)
-        coeffs = expand_in_quorum(q.observables[1], q)
-        expect = np.zeros(4)
-        expect[1] = 1.0
-        assert np.allclose(coeffs, expect, atol=1e-12)
-
-    def test_expand_resum(self, rng):
-        q = build_finite_quorum(3)
-        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = h + h.conj().T
-        coeffs = expand_in_quorum(h, q)
-        resum = np.einsum("l,lab->ab", coeffs, q.observables)
-        assert np.max(np.abs(resum - h)) < 1e-10
-
-    def test_expand_zero(self):
-        q = build_finite_quorum(2)
-        assert np.allclose(expand_in_quorum(np.zeros((2, 2)), q), 0.0)
-
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_single_mode_unbiasedness_brute_force(self, d, rng):
         # expectation of the dyad estimator over all outcomes = Tr[rho H],
@@ -75,7 +55,7 @@ class TestFiniteQuorum:
             evals, evecs = q.eigenvalues[k], q.eigenvectors[k]
             born = np.real(np.einsum("im,ij,jm->m", evecs.conj(), rho, evecs))
             for m in range(d):
-                est = q.dyad_estimates(np.array([k]), np.array([m]), pairs)[0]
+                est = q.dyad_estimates(np.array([m]), np.array([k]), pairs)[0]
                 got += q.weights[k] * born[m] * est
         want = np.array([rho[b, a] for (a, b) in pairs])
         assert np.max(np.abs(got - want)) < 1e-12

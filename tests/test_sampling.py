@@ -18,7 +18,7 @@ from optomo.sampling import (
     sample_quadratures,
     substream,
     write_sample_dump,
-    QuadratureBlock,
+    SampleBlock,
 )
 
 
@@ -286,13 +286,13 @@ class TestHeralds:
 
 class TestSampleDump:
     def test_format(self, tmp_path):
-        blk = QuadratureBlock(
+        blk = SampleBlock(
             block_id=3,
-            phi1=np.array([0.1, 0.2]),
-            phi2=np.array([1.0, 2.0]),
-            x1=np.array([0.123456789123, -1.0]),
-            x2=np.array([0.5, 0.25]),
             herald=np.array([True, False]),
+            set1=np.array([0.1]),
+            set2=np.array([1.0]),
+            out1=np.array([0.123456789123]),
+            out2=np.array([0.5]),
         )
         path = tmp_path / "dump.csv"
         write_sample_dump(path, [blk])
