@@ -190,6 +190,8 @@ def parse_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
+        if key in kwargs:
+            raise ConfigError(f"config key {key!r} given more than once")
         parse = _parse_bool if _FIELD_TYPES[key] is bool else _FIELD_TYPES[key]
         try:
             kwargs[key] = parse(value)

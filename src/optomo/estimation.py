@@ -18,10 +18,14 @@ The estimator chain is written once against it.
 
 Pure and Choi entries are one two-mode average over different dyad pairs:
 ``_pure_terms`` and ``_choi_terms`` give each kind's pairs and mode-2
-combination, every block is reduced by one kernel, e1.T @ (e2 @ comb),
-summed over chunks of ``DYAD_CHUNK`` heralded samples, and
-``finalize_choi`` puts Choi sums in the (i, j), (l, k) layout once.  The
-exact path (``exact_*``) runs the same terms over every finite outcome.
+combination, and ``finalize_choi`` puts Choi sums in the (i, j), (l, k)
+layout once.  A block is reduced by e1.T @ (e2 @ comb), summed over chunks
+of ``DYAD_CHUNK`` heralded samples.  On a finite quorum, where one mode's
+outcome is one of L d values, a block with more samples than the dense work
+needs is reduced instead through its joint outcome counts N by
+``_reduce_outcomes``, T1.T @ (N @ (T2 @ comb)) with T1, T2 the dyad
+estimates at every outcome; the exact path (``exact_*``) calls the same
+reduction with the exact joint probabilities in place of N.
 
 Error bars follow the block structure of the data: per-block means, standard
 error = std across block means / sqrt(blocks).  kappa uncertainty is reported
@@ -260,21 +264,48 @@ def _choi_layout(m: np.ndarray) -> np.ndarray:
     return m.reshape((w1,) * 4).transpose(1, 2, 0, 3).reshape(m.shape)
 
 
+def _reduce_outcomes(t1, joint, t2, terms):
+    """Estimator sums over outcome pairs: t1.T @ (joint @ (t2 @ comb)) and the
+    real denominator t1[:, i0] @ joint @ t2[:, j0] (0 without one).
+
+    t1, t2 are a FiniteQuorum's ``alphabet_estimates`` of each mode's pairs
+    and joint[u, v] weighs the joint outcome (u, v): the counts of a sampled
+    block or the exact probabilities.
+    """
+    _, _, comb, den_cols = terms
+    est = t1.T @ (joint @ (t2 @ comb))
+    if den_cols is None:
+        return est, 0.0
+    return est, (t1[:, den_cols[0]] @ joint @ t2[:, den_cols[1]]).real
+
+
 def _accumulate(blocks, backend, terms) -> BlockAccumulator:
     """One accumulator row per SampleBlock: e1.T @ (e2 @ comb) with e1, e2 the
     dyad estimates of the heralded samples of each mode, and the denominator.
 
-    Each block is reduced in chunks of DYAD_CHUNK samples, so no
-    (samples, pairs) array of a whole block is built.  Blocks of at most
-    one chunk give exactly the one-shot sums; longer blocks add the chunk
-    sums in order, which moves the sums by roundoff.
+    On a FiniteQuorum a block whose heralded samples outnumber the dense
+    work, (L d)^2 <= n_heralded * (P1 + P2), is reduced through its
+    (L d, L d) joint outcome counts by ``_reduce_outcomes``, the formula of
+    ``exact_finite_joint``; the counts are exact, and the sums differ from
+    the per-sample ones by roundoff (about 1e-15 relative).  Any other block
+    is reduced in chunks of DYAD_CHUNK samples, so no (samples, pairs) array
+    of a whole block is built.  Blocks of at most one chunk give exactly the
+    one-shot sums; longer blocks add the chunk sums in order, which moves
+    the sums by roundoff.
     """
     pairs1, pairs2, comb, den_cols = terms
     est = np.zeros((len(blocks), len(pairs1), comb.shape[1]), dtype=complex)
     den = np.zeros(len(blocks))
     n_her = np.array([blk.set1.size for blk in blocks])
+    n_alpha = backend.alphabet_size if isinstance(backend, FiniteQuorum) else 0
     for r in np.flatnonzero(n_her):
         blk = blocks[r]
+        if n_alpha and n_alpha**2 <= n_her[r] * (len(pairs1) + len(pairs2)):
+            counts = backend.joint_counts(blk.out1, blk.set1, blk.out2, blk.set2)
+            est[r], den[r] = _reduce_outcomes(
+                backend.alphabet_estimates(pairs1), counts,
+                backend.alphabet_estimates(pairs2), terms)
+            continue
         for lo in range(0, n_her[r], DYAD_CHUNK):
             c = slice(lo, lo + DYAD_CHUNK)
             e1 = backend.dyad_estimates(blk.out1[c], blk.set1[c], pairs1)
@@ -391,19 +422,19 @@ def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
 # exact (no-sampling) expectations for the finite quorum
 
 
-def exact_finite_joint(r_out: np.ndarray, quorum: FiniteQuorum,
-                       pairs1, pairs2) -> np.ndarray:
-    """Exact E[est1_p est2_q] of the joint dyad estimators, e1.T @ T @ e2.
+def exact_finite_joint(r_out: np.ndarray, quorum: FiniteQuorum, terms):
+    """Exact expectations of the estimator sums of ``terms`` (a
+    ``_pure_terms`` or ``_choi_terms`` tuple) and of the denominator.
 
-    e1 and e2 are ``quorum.dyad_estimates`` at every outcome (k, m) of one
-    mode and T the joint outcome probabilities on the normalised state.
+    The reduction is a sampled block's, ``_reduce_outcomes``, with the joint
+    outcome probabilities of the normalised state in place of the counts.
     """
     table = joint_outcome_table(r_out, quorum)
-    n_obs, _, d, _ = table.shape
-    t = table.transpose(0, 2, 1, 3).reshape(n_obs * d, n_obs * d)
-    obs, out = np.divmod(np.arange(n_obs * d), d)
-    e1 = quorum.dyad_estimates(out, obs, pairs1)
-    return e1.T @ t @ quorum.dyad_estimates(out, obs, pairs2)
+    n_alpha = quorum.alphabet_size
+    t = table.transpose(0, 2, 1, 3).reshape(n_alpha, n_alpha)
+    pairs1, pairs2 = terms[:2]
+    return _reduce_outcomes(quorum.alphabet_estimates(pairs1), t,
+                            quorum.alphabet_estimates(pairs2), terms)
 
 
 def exact_pure_estimate(phi_norm: np.ndarray, p: float, psi: np.ndarray,
@@ -411,10 +442,9 @@ def exact_pure_estimate(phi_norm: np.ndarray, p: float, psi: np.ndarray,
     """The pure chain's ``_pure_terms`` under the exact outcome law: the true
     A up to the global phase when phi_norm is apply_pure's normalised output."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
-    pairs1, pairs2, comb, den_cols = _pure_terms(coef, i0, j0)
     r_out = np.outer(phi_norm.reshape(-1), phi_norm.reshape(-1).conj())
-    joint = exact_finite_joint(r_out, quorum, pairs1, pairs2)
-    return np.sqrt(p / joint[den_cols].real) * (joint @ comb)
+    est, den = exact_finite_joint(r_out, quorum, _pure_terms(coef, i0, j0))
+    return np.sqrt(p / den) * est
 
 
 def exact_choi_estimate(r_psi: np.ndarray, psi: np.ndarray,
@@ -422,7 +452,6 @@ def exact_choi_estimate(r_psi: np.ndarray, psi: np.ndarray,
     """The Choi chain's ``_choi_terms`` and ``_choi_layout`` under the exact
     outcome law, times the trace of r_psi, hermitised."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
-    pairs1, pairs2, comb, _ = _choi_terms(coef)
-    joint = exact_finite_joint(r_psi, quorum, pairs1, pairs2)
-    r_est = np.trace(r_psi).real * _choi_layout(joint @ comb)
+    est, _ = exact_finite_joint(r_psi, quorum, _choi_terms(coef))
+    r_est = np.trace(r_psi).real * _choi_layout(est)
     return (r_est + r_est.conj().T) / 2.0

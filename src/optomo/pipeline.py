@@ -12,9 +12,10 @@ result document plus plot-data files.  Every block is one ``SampleBlock``
 of heralded samples, dropped once accumulated; the optional sample dump
 draws the blocks again, one at a time.
 Values that depend only on the run (the homodyne kernel or finite quorum,
-the Fock sampler tables, the joint outcome table, the mode-2 estimator
-coefficients) are built once, after the dry-run return, and shared
-read-only by all workers.  Worker count only affects wall-clock: block
+the Fock sampler tables, the joint outcome table and its running sum, the
+mode-2 estimator coefficients) are built once, after the dry-run return, and
+shared read-only by all workers; the backends' pair and alphabet tables are
+built on first use and kept for the run.  Worker count only affects wall-clock: block
 substreams and the ordered reduction make outputs byte-identical for any
 --threads value.
 """
@@ -284,7 +285,8 @@ def run_simulate(
     if route == "finite":
         backend = build_finite_quorum(dim_cut)
         table = joint_outcome_table(apply_kraus_bipartite(op, psi), backend)
-        draw = lambda n, rng: sample_finite(table, n, rng)
+        cum_table = np.cumsum(table).reshape(table.shape)
+        draw = lambda n, rng: sample_finite(cum_table, n, rng)
     else:
         grid = GridSpec(cfg.resolved_half_width(), cfg.grid_spacing)
         backend = build_homodyne_kernel(

@@ -25,15 +25,18 @@ Both backends evaluate dyad estimates through one interface,
 and phases, or eigenvalue and observable indices, of one mode.  The
 pair-dependent table (pattern rows and phase offsets, or dual coefficients)
 is built by ``_pair_table`` on the first call for a list of pairs and kept
-on the backend, which lives for one run, so ``estimation`` can evaluate a
-block in chunks of ``DYAD_CHUNK`` samples without rebuilding it; the chunk
-sums add up to the one-shot reduction of the block up to roundoff (about
-1e-15 relative).
+on the backend, which lives for one run.  On the homodyne backend
+``estimation`` evaluates a block in chunks of ``DYAD_CHUNK`` samples without
+rebuilding it; the chunk sums add up to the one-shot reduction of the block
+up to roundoff (about 1e-15 relative).  A finite quorum's outcomes of one
+mode form an alphabet of L d values, so ``alphabet_estimates`` tabulates
+``dyad_estimates`` at each of them once per run and pair list, and
+``estimation`` reduces a large block through its joint outcome counts.
 
 Kernel construction is a one-time single-threaded setup; the resulting
-objects are immutable apart from that memo of pair tables, and shareable
-across concurrent workers (two workers may build the same table; either
-copy is kept).
+objects are immutable apart from those memos, and shareable across
+concurrent workers (two workers may build the same pair table, and either
+copy is kept; an alphabet table is built under a lock, once).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
+import threading
 import uuid
 from dataclasses import dataclass, field
 
@@ -72,6 +76,10 @@ class FiniteQuorum:
     eigenvectors: np.ndarray  # (L, d, d), columns are eigenvectors
     _pair_tables: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
+    _alphabet_tables: dict = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
+    _alphabet_lock: threading.Lock = field(default_factory=threading.Lock,
+                                           init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bio = np.einsum("iab,jab->ij", self.duals.conj(), self.observables)
@@ -86,6 +94,11 @@ class FiniteQuorum:
     def max_index(self) -> int:
         """Largest dyad index |a><b| the quorum estimates (as HomodyneKernel)."""
         return self.dim - 1
+
+    @property
+    def alphabet_size(self) -> int:
+        """Number L d of outcomes (observable k, eigenvalue m) of one mode."""
+        return len(self) * self.dim
 
     def _pair_table(self, pairs) -> np.ndarray:
         """The dual coefficients <b|Q^dag(l)|a> = conj(Q_l[a, b]), (L, P),
@@ -109,6 +122,28 @@ class FiniteQuorum:
         out_idx = np.asarray(out_idx)
         lam = self.eigenvalues[obs_idx, out_idx] / self.weights[obs_idx]  # (S,)
         return coeff[obs_idx] * lam[:, None]
+
+    def alphabet_estimates(self, pairs) -> np.ndarray:
+        """``dyad_estimates`` at every outcome of one mode, (L d, P): row
+        k d + m is eigenvalue m of observable k.
+
+        Built on the first call for a list of pairs, under a lock, and kept
+        for the run: concurrent workers build it once and only read it.
+        """
+        key = tuple(map(tuple, pairs))
+        with self._alphabet_lock:
+            if key not in self._alphabet_tables:
+                obs, out = np.divmod(np.arange(self.alphabet_size), self.dim)
+                self._alphabet_tables[key] = self.dyad_estimates(out, obs, key)
+        return self._alphabet_tables[key]
+
+    def joint_counts(self, out1, obs1, out2, obs2) -> np.ndarray:
+        """Counts of the joint outcomes of paired samples, (L d, L d), rows
+        and columns indexed as the rows of ``alphabet_estimates``."""
+        n = self.alphabet_size
+        u = np.asarray(obs1) * self.dim + out1
+        v = np.asarray(obs2) * self.dim + out2
+        return np.bincount(u * n + v, minlength=n * n).reshape(n, n)
 
 
 def _gell_mann_family(dim: int) -> list[np.ndarray]:

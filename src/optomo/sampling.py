@@ -12,7 +12,7 @@ Three sampling paths share one RNG contract:
 * exact-distribution outcome sampling for finite-dimensional quorums, by
   inverse CDF on the joint outcome table of the output state R(psi) of any
   Kraus map (``joint_outcome_table``, two one-mode contractions), which is
-  also built once per run.
+  also built once per run, with its running sum.
 
 Quadrature units follow X_phi = (a^dag e^{i phi} + a e^{-i phi})/2 (vacuum
 variance 1/4); detector efficiency adds independent Gaussian noise of
@@ -352,19 +352,20 @@ def joint_outcome_table(r_out: np.ndarray, quorum: FiniteQuorum) -> np.ndarray:
 
 
 def sample_finite(
-    table: np.ndarray,
+    cum_table: np.ndarray,
     n: int,
     stream: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Joint finite-quorum outcomes (obs1, obs2, out1, out2).
 
-    ``table`` is the per-run ``joint_outcome_table``; one uniform per sample.
+    ``cum_table`` is the running sum of the per-run ``joint_outcome_table``
+    in its own shape, ``np.cumsum(table).reshape(table.shape)``, built once
+    per run; one uniform per sample.
     """
-    flat = table.reshape(-1)
-    cdf = np.cumsum(flat)
+    cdf = cum_table.reshape(-1)
     draws = np.searchsorted(cdf, stream.random(n) * cdf[-1], side="right")
-    draws = np.minimum(draws, flat.size - 1)
-    obs1, obs2, out1, out2 = np.unravel_index(draws, table.shape)
+    draws = np.minimum(draws, cdf.size - 1)
+    obs1, obs2, out1, out2 = np.unravel_index(draws, cum_table.shape)
     return obs1, obs2, out1, out2
 
 

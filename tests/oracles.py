@@ -145,3 +145,18 @@ def homodyne_dyads_by_pairs(kernel, x, phi, pairs) -> np.ndarray:
         interp = row[idx] * (1.0 - w) + row[idx + 1] * w
         out[:, p] = interp * np.exp(1j * (a - b) * phi)
     return out
+
+
+def per_sample_sums(backend, blk, terms):
+    """A block's estimator sums from every heralded sample at once.
+
+    e1.T @ (e2 @ comb) with e1, e2 the (samples, pairs) dyad estimates of the
+    block's two modes, and the real denominator sum e1[:, i0] e2[:, j0]
+    (0.0 when ``terms`` has none): no chunks and no outcome counts.
+    """
+    pairs1, pairs2, comb, den_cols = terms
+    e1 = backend.dyad_estimates(blk.out1, blk.set1, pairs1)
+    e2 = backend.dyad_estimates(blk.out2, blk.set2, pairs2)
+    den = (np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
+           if den_cols else 0.0)
+    return e1.T @ (e2 @ comb), den

@@ -70,8 +70,10 @@ def test_dyad_hook_counts_every_pair_sample(tracer, tmp_path):
 
 
 def test_dyad_hook_counts_heralded_choi_pair_samples(tracer, tmp_path):
-    # a finite-route Choi run with p_occ < 1: only heralded samples are
-    # evaluated, each on w1^2 mode-1 and k1^2 mode-2 pairs
+    # a finite-route Choi run with p_occ < 1 whose blocks are reduced
+    # through their joint outcome counts: the hooked dyad_estimates is
+    # evaluated once per run and pair list, at each of the L d outcomes of
+    # one mode, and never per sample
     from optomo.config import ExperimentConfig
 
     ks = np.zeros((2, 3, 3), dtype=complex)
@@ -86,4 +88,9 @@ def test_dyad_hook_counts_heralded_choi_pair_samples(tracer, tmp_path):
     heralded, dyad = _traced_counts(tracer, cfg, tmp_path)
     assert 0 < heralded < cfg.blocks * cfg.samples_per_block
     w1, k1 = cfg.n_max + 1, cfg.dim_cut
-    assert dyad == heralded * (w1**2 + k1**2)
+    n_alpha = cfg.dim_cut**3  # L d with L = d^2 observables
+    # a block below the guard would add its heralded x pairs here;
+    # w1 = k1, so the w1^2 mode-1 and k1^2 mode-2 pairs are the same (a, b)
+    # grid and one table serves both modes
+    assert w1 == k1
+    assert dyad == n_alpha * w1**2

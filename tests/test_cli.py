@@ -113,6 +113,14 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)]) == 2
         assert f"config error: {key} = " in capsys.readouterr().err
 
+    def test_repeated_key_exit_2(self, tmp_path, capsys):
+        # a key given twice must not silently keep its last value
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("optomo-config v1\nnbar = 1.0\nnbar = 2.0\n")
+        assert main(["simulate", "--config", str(bad), "--dry-run",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "config key 'nbar' given more than once" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, capsys):
         assert main(["simulate", "--config", "nope.cfg"]) == 2
 

@@ -31,30 +31,29 @@ from optomo.sampling import (
     substream,
 )
 
-from oracles import depolarizing_choi, random_contraction
+from oracles import depolarizing_choi, per_sample_sums, random_contraction
 
 
 def make_finite_blocks(r_out, quorum, n_blocks, per_block, seed, p_occ=1.0):
     """Finite-route blocks through the pipeline's heralded-block sampler."""
     table = joint_outcome_table(r_out, quorum)
+    cum_table = np.cumsum(table).reshape(table.shape)
     cfg = ExperimentConfig(samples_per_block=per_block, master_seed=seed)
-    draw = lambda n, rng: sample_finite(table, n, rng)
+    draw = lambda n, rng: sample_finite(cum_table, n, rng)
     return [_heralded_block(cfg, p_occ, b, draw) for b in range(n_blocks)]
 
 
 class TestChunkedAccumulation:
-    """A block is reduced in chunks of DYAD_CHUNK heralded samples; the chunk
-    sums must add up to the one-shot e1.T @ (e2 @ comb) of the whole block."""
+    """A block is reduced in chunks of DYAD_CHUNK heralded samples, or on a
+    finite quorum through its joint outcome counts once the samples
+    outnumber the dense work; either way the sums must match the one-shot
+    per-sample sums of the whole block."""
 
     CHUNK = estimation.DYAD_CHUNK
 
     @pytest.fixture(scope="class")
-    def backends(self):
-        return {
-            "homodyne": build_homodyne_kernel(8, 0.9, GridSpec(8.0),
-                                              max_index=3),
-            "finite": build_finite_quorum(4),
-        }
+    def kernel(self):
+        return build_homodyne_kernel(8, 0.9, GridSpec(8.0), max_index=3)
 
     def _block(self, name, backend, n_heralded, seed):
         # n_heralded samples among n_heralded + 3 trials
@@ -66,40 +65,61 @@ class TestChunkedAccumulation:
         else:
             psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
             r_out = np.outer(psi.reshape(-1), psi.reshape(-1).conj())
-            cols = sample_finite(joint_outcome_table(r_out, backend), n, rng)
+            table = joint_outcome_table(r_out, backend)
+            cols = sample_finite(np.cumsum(table).reshape(table.shape), n, rng)
         herald = np.ones(n, dtype=bool)
         herald[[0, n // 2, n - 1]] = False
         return SampleBlock(0, herald, *(c[herald] for c in cols))
+
+    @staticmethod
+    def _accumulate(kind, blk, coef, backend):
+        if kind == "pure":
+            terms = estimation._pure_terms(coef, 1, 0)
+            return terms, accumulate_pure([blk], coef, 1, 0, backend)
+        terms = estimation._choi_terms(coef)
+        return terms, accumulate_choi([blk], coef, backend)
 
     @pytest.mark.parametrize("n_heralded",
                              [1, CHUNK - 1, CHUNK, int(2.5 * CHUNK)])
     @pytest.mark.parametrize("name", ["homodyne", "finite"])
     @pytest.mark.parametrize("kind", ["pure", "choi"])
-    def test_chunk_sums_match_one_shot(self, backends, name, kind, n_heralded):
-        backend = backends[name]
+    def test_chunk_sums_match_one_shot(self, kernel, name, kind, n_heralded):
+        backend = kernel if name == "homodyne" else build_finite_quorum(4)
         psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
         coef, _ = mode2_combination(psi, 2, 3)
         blk = self._block(name, backend, n_heralded, 5)
-        if kind == "pure":
-            terms = estimation._pure_terms(coef, 1, 0)
-            acc = accumulate_pure([blk], coef, 1, 0, backend)
-        else:
-            terms = estimation._choi_terms(coef)
-            acc = accumulate_choi([blk], coef, backend)
-        pairs1, pairs2, comb, den_cols = terms
-        e1 = backend.dyad_estimates(blk.out1, blk.set1, pairs1)
-        e2 = backend.dyad_estimates(blk.out2, blk.set2, pairs2)
-        want = e1.T @ (e2 @ comb)
-        want_den = (np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
-                    if den_cols else 0.0)
+        terms, acc = self._accumulate(kind, blk, coef, backend)
+        want, want_den = per_sample_sums(backend, blk, terms)
+        # a finite block is reduced through its counts when (L d)^2 = 4096
+        # <= n (P1 + P2), with P1 + P2 = 7 (pure) or 25 (Choi): every n > 1
+        counts = name == "finite" and n_heralded > 1
+        assert bool(getattr(backend, "_alphabet_tables", {})) == counts
         assert acc.n_heralded[0] == n_heralded
-        if n_heralded <= self.CHUNK:  # one chunk: the one-shot arithmetic
+        if n_heralded <= self.CHUNK and not counts:
+            # one chunk, per sample: the one-shot arithmetic
             assert np.array_equal(acc.est_sums[0], want)
             assert acc.den_sums[0] == want_den
         else:
             scale = np.max(np.abs(want))
             assert np.max(np.abs(acc.est_sums[0] - want)) <= 1e-12 * scale
             assert abs(acc.den_sums[0] - want_den) <= 1e-12 * abs(want_den)
+
+    @pytest.mark.parametrize("kind", ["pure", "choi"])
+    def test_large_alphabet_small_block_stays_per_sample(self, kind):
+        # d = 12: (L d)^2 = 1728^2 outnumbers 500 samples x (P1 + P2) pairs,
+        # so the block is reduced per sample, exactly as the one-shot sums
+        q = build_finite_quorum(12)
+        rng = np.random.default_rng(9)
+        obs = rng.integers(0, len(q), (2, 500))
+        out = rng.integers(0, q.dim, (2, 500))
+        blk = SampleBlock(0, np.ones(500, dtype=bool), *obs, *out)
+        psi = twin_beam(1.0, 12, deficit_bound=1.0).psi
+        coef, _ = mode2_combination(psi, 11, 11)
+        terms, acc = self._accumulate(kind, blk, coef, q)
+        want, want_den = per_sample_sums(q, blk, terms)
+        assert q._alphabet_tables == {}
+        assert np.array_equal(acc.est_sums[0], want)
+        assert acc.den_sums[0] == want_den
 
 
 class TestMode2Combination:
@@ -183,7 +203,8 @@ class TestExactChain:
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
         r_out = np.outer(vec(phi), vec(phi).conj())
-        den = exact_finite_joint(r_out, q, [(0, 0)], [(0, 0)])[0, 0].real
+        _, den = exact_finite_joint(r_out, q,
+                                    ([(0, 0)], [(0, 0)], np.eye(1), (0, 0)))
         assert abs(den - 0.5) < 1e-12
         assert abs(np.sqrt(p / den) - np.sqrt(2.0)) < 1e-12
 
@@ -197,9 +218,9 @@ class TestExactChain:
         phi, p = apply_pure(PureOperation(a), psi)
         r_out = np.outer(vec(phi), vec(phi).conj())
         psi_inv = np.linalg.inv(psi)
-        joint = exact_finite_joint(r_out, q, [(0, i) for i in range(2)],
-                                   [(0, k) for k in range(2)])
-        mean = joint @ psi_inv
+        mean, _ = exact_finite_joint(
+            r_out, q, ([(0, i) for i in range(2)], [(0, k) for k in range(2)],
+                       psi_inv, None))
         expect = np.conj(phi[0, 0]) * (phi @ psi_inv)
         assert np.max(np.abs(mean - expect)) < 1e-12
 

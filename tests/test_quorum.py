@@ -1,4 +1,8 @@
+import concurrent.futures
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +63,42 @@ class TestFiniteQuorum:
                 got += q.weights[k] * born[m] * est
         want = np.array([rho[b, a] for (a, b) in pairs])
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+    def test_alphabet_table_built_once_under_thread_contention(self,
+                                                                monkeypatch):
+        # more workers than cores ask for one table at once, with a short
+        # switch interval and a slow build; a check-then-act race would
+        # build it more than once
+        q = build_finite_quorum(3)
+        pairs = [(a, b) for a in range(3) for b in range(3)]
+        builds = []
+        original = quorum.FiniteQuorum.dyad_estimates
+
+        def slow_build(self, out_idx, obs_idx, pairs):
+            builds.append(len(out_idx))
+            time.sleep(0.01)
+            return original(self, out_idx, obs_idx, pairs)
+
+        monkeypatch.setattr(quorum.FiniteQuorum, "dyad_estimates", slow_build)
+        n_workers = (os.cpu_count() or 1) + 2
+        start = threading.Barrier(n_workers)
+
+        def work(_):
+            start.wait(timeout=10)
+            return q.alphabet_estimates(pairs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(n_workers) as pool:
+                futures = [pool.submit(work, i) for i in range(n_workers)]
+                tables = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert builds == [q.alphabet_size]
+        assert all(t is tables[0] for t in tables)
+        assert tables[0].shape == (q.alphabet_size, len(pairs))
 
 
 class TestGridSpec:

@@ -212,7 +212,8 @@ class TestSampleFinite:
         v = vec(np.eye(2) / np.sqrt(2))
         r = np.outer(v, v.conj())
         table = joint_outcome_table(r, q)
-        obs1, obs2, out1, out2 = sample_finite(table, 20_000, substream(3, 0))
+        obs1, obs2, out1, out2 = sample_finite(
+            np.cumsum(table).reshape(table.shape), 20_000, substream(3, 0))
         zz = (obs1 == 3) & (obs2 == 3)  # observable 3 is sigma_z
         assert zz.sum() > 500
         assert np.all(out1[zz] == out2[zz])
@@ -224,10 +225,27 @@ class TestSampleFinite:
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0  # |00><00| with (0,0) = Fock-like ground pair
         table = joint_outcome_table(rho, q)
-        obs1, obs2, out1, out2 = sample_finite(table, 5_000, substream(3, 1))
+        obs1, obs2, out1, out2 = sample_finite(
+            np.cumsum(table).reshape(table.shape), 5_000, substream(3, 1))
         zz = (obs1 == 3) & (obs2 == 3)
         # sigma_z eigenvalues sorted ascending: index 1 is the +1 outcome |0>
         assert np.all(out1[zz] == 1) and np.all(out2[zz] == 1)
+
+    def test_draws_match_cumsum_search_on_fixed_stream(self, rng):
+        # the running sum is built once per run by the caller; the draws
+        # are those of a search on the cumsum of the table itself
+        q = build_finite_quorum(3)
+        table = joint_outcome_table(random_density(rng, 9), q)
+        got = sample_finite(np.cumsum(table).reshape(table.shape), 10_000,
+                            substream(5, 2))
+        cdf = np.cumsum(table)
+        u = substream(5, 2).random(10_000)
+        flat = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"),
+                          cdf.size - 1)
+        want = np.unravel_index(flat, table.shape)
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_outcome_table_normalised(self, rng):
         q = build_finite_quorum(3)
