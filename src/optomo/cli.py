@@ -53,6 +53,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be at least 1, got "
+                                  f"{args.threads}")
             cfg = load_config_or_preset(args.config)
             result = run_simulate(cfg, threads=args.threads,
                                   dry_run=args.dry_run, out_dir=args.out_dir)

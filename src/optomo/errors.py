@@ -47,10 +47,6 @@ class ReferenceTooSmallError(NumericalError):
     """Reference matrix element consistent with zero; pick another (i0, j0)."""
 
 
-class NumericalPSDError(NumericalError):
-    """Probabilities or eigenvalues negative beyond numerical tolerance."""
-
-
 class TruncationError(NumericalError):
     """Fock-space truncation deficit above the configured bound."""
 

@@ -25,7 +25,9 @@ outcome is one of L d values, a block with more samples than the dense work
 needs is reduced instead through its joint outcome counts N by
 ``_reduce_outcomes``, T1.T @ (N @ (T2 @ comb)) with T1, T2 the dyad
 estimates at every outcome; the exact path (``exact_*``) calls the same
-reduction with the exact joint probabilities in place of N.
+reduction with the exact joint probabilities in place of N, the outcome
+law the finite route samples: ``joint_outcome_table`` of the output
+branches K_n psi and their weights.
 
 Error bars follow the block structure of the data: per-block means, standard
 error = std across block means / sqrt(blocks).  kappa uncertainty is reported
@@ -156,10 +158,6 @@ class MatrixEstimate:
     phase_convention: str = "none"
     hermiticity_defect: float | None = None
 
-    @property
-    def window(self) -> int:
-        return self.values.shape[0] - 1
-
 
 # ---------------------------------------------------------------------------
 # reference selection and phase conventions
@@ -184,15 +182,15 @@ def select_reference(magnitudes: np.ndarray | None) -> tuple[int, int]:
 
 
 def phase_fix(estimate: MatrixEstimate) -> MatrixEstimate:
-    """Rotate by the unit phase making the largest-magnitude entry real positive."""
+    """Rotate by the unit phase making the reference entry (i0, j0) real
+    positive; no rotation when that entry is zero."""
     vals = estimate.values
-    flat = int(np.argmax(np.abs(vals)))
-    pivot = vals.reshape(-1)[flat]
+    pivot = vals[estimate.i0, estimate.j0]
     phase = np.conj(pivot) / abs(pivot) if pivot != 0 else 1.0 + 0.0j
     return replace(
         estimate,
         values=vals * phase,
-        phase_convention="largest-entry-real-positive",
+        phase_convention="reference-entry-real-positive",
     )
 
 
@@ -422,14 +420,15 @@ def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
 # exact (no-sampling) expectations for the finite quorum
 
 
-def exact_finite_joint(r_out: np.ndarray, quorum: FiniteQuorum, terms):
+def exact_finite_joint(branches, weights, quorum: FiniteQuorum, terms):
     """Exact expectations of the estimator sums of ``terms`` (a
     ``_pure_terms`` or ``_choi_terms`` tuple) and of the denominator.
 
     The reduction is a sampled block's, ``_reduce_outcomes``, with the joint
-    outcome probabilities of the normalised state in place of the counts.
+    outcome law the finite route samples, ``joint_outcome_table`` of the
+    output branches, in place of the counts.
     """
-    table = joint_outcome_table(r_out, quorum)
+    table = joint_outcome_table(branches, weights, quorum)
     n_alpha = quorum.alphabet_size
     t = table.transpose(0, 2, 1, 3).reshape(n_alpha, n_alpha)
     pairs1, pairs2 = terms[:2]
@@ -437,21 +436,23 @@ def exact_finite_joint(r_out: np.ndarray, quorum: FiniteQuorum, terms):
                             quorum.alphabet_estimates(pairs2), terms)
 
 
-def exact_pure_estimate(phi_norm: np.ndarray, p: float, psi: np.ndarray,
-                        i0: int, j0: int, quorum: FiniteQuorum) -> np.ndarray:
+def exact_pure_estimate(branches, weights, psi: np.ndarray, i0: int, j0: int,
+                        quorum: FiniteQuorum) -> np.ndarray:
     """The pure chain's ``_pure_terms`` under the exact outcome law: the true
-    A up to the global phase when phi_norm is apply_pure's normalised output."""
+    A up to the global phase when the output is apply_pure's (phi, p) as the
+    one branch [phi] of weight [p]."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
-    r_out = np.outer(phi_norm.reshape(-1), phi_norm.reshape(-1).conj())
-    est, den = exact_finite_joint(r_out, quorum, _pure_terms(coef, i0, j0))
-    return np.sqrt(p / den) * est
+    est, den = exact_finite_joint(branches, weights, quorum,
+                                  _pure_terms(coef, i0, j0))
+    return np.sqrt(sum(weights) / den) * est
 
 
-def exact_choi_estimate(r_psi: np.ndarray, psi: np.ndarray,
+def exact_choi_estimate(branches, weights, psi: np.ndarray,
                         quorum: FiniteQuorum) -> np.ndarray:
     """The Choi chain's ``_choi_terms`` and ``_choi_layout`` under the exact
-    outcome law, times the trace of r_psi, hermitised."""
+    outcome law of the output branches, times the occurrence probability
+    sum(weights), hermitised."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
-    est, _ = exact_finite_joint(r_psi, quorum, _choi_terms(coef))
-    r_est = np.trace(r_psi).real * _choi_layout(est)
+    est, _ = exact_finite_joint(branches, weights, quorum, _choi_terms(coef))
+    r_est = sum(weights) * _choi_layout(est)
     return (r_est + r_est.conj().T) / 2.0

@@ -8,9 +8,10 @@ pure state |psi>> produces, for the pure case,
     |phi>> = (A (x) I)|psi>> / ||A psi||_HS,      p = ||A psi||_HS^2,
 
 from which A = phi psi^{-1} sqrt(p) up to a global phase.  For the general
-case the (unnormalised) output is R(psi) = sum_n (K_n (x) I)|psi>><<psi|(...)^dag
-and the Choi matrix is R(I) = (I (x) psi^{-1 T}) R(psi) (I (x) psi^{-1 *}),
-with the map recovered as E(rho) = Tr_2[(I (x) rho^T) R(I)].
+case the (unnormalised) output is R(psi) = sum_n (K_n (x) I)|psi>><<psi|(...)^dag,
+the mixture of the branches K_n psi (``output_branches``); the Choi matrix
+is R(I) = (I (x) psi^{-1 T}) R(psi) (I (x) psi^{-1 *}), with the map
+recovered as E(rho) = Tr_2[(I (x) rho^T) R(I)].
 
 Construction and application functions are pure; values are immutable in
 practice and safe to share across workers.
@@ -138,19 +139,14 @@ class DisplacementOp:
 
 
 def apply_pure(op: PureOperation, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Map the entangler matrix through the operation: phi = A psi / ||A psi||.
+    """Map the entangler matrix through the operation: phi = A psi / ||A psi||,
+    the one-branch case of ``output_branches``.
 
     Returns (phi, p) with p = ||A psi||_HS^2 the occurrence probability.
     Raises AnnihilatingOperationError when A psi = 0.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if op.matrix.shape[1] != psi.shape[0]:
-        raise ValueError("operation and entangler dimensions do not match")
-    out = op.matrix @ psi
-    norm = hs_norm(out)
-    if norm == 0.0:
-        raise AnnihilatingOperationError("operation annihilates the input state")
-    return out / norm, float(norm**2)
+    (phi,), (p,) = output_branches(KrausMap((op.matrix,)), psi)
+    return phi, p
 
 
 def reconstruct_pure(phi: np.ndarray, psi: np.ndarray, p: float) -> np.ndarray:
@@ -158,6 +154,26 @@ def reconstruct_pure(phi: np.ndarray, psi: np.ndarray, p: float) -> np.ndarray:
     if not 0.0 < p <= 1.0 + CONTRACTION_TOL:
         raise ValueError(f"occurrence probability must be in (0, 1], got {p}")
     return np.asarray(phi, dtype=complex) @ inverse(psi) * np.sqrt(p)
+
+
+def output_branches(kmap: KrausMap, psi: np.ndarray) -> tuple[list, list]:
+    """The output of the map on the entangled input as normalised branches.
+
+    Returns (branches, weights): branch n is K_n psi / ||K_n psi||_HS with
+    weight ||K_n psi||_HS^2, so R(psi) = sum_n w_n |Phi_n>><<Phi_n| and the
+    weights sum to the occurrence probability.  Branches of zero weight are
+    dropped; raises AnnihilatingOperationError when every branch vanishes.
+    """
+    branches, weights = [], []
+    for k in kmap.kraus:
+        out = k @ psi
+        w = float(np.sum(np.abs(out) ** 2))
+        if w > 0:
+            branches.append(out / np.sqrt(w))
+            weights.append(w)
+    if not branches:
+        raise AnnihilatingOperationError("operation annihilates the entangler")
+    return branches, weights
 
 
 def apply_kraus_bipartite(kmap: KrausMap, psi: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 The simulate pipeline is one path for every route (gaussian, fock, finite).
 Every operation is a Kraus map; a pure operation is the one-operator case
 and is estimated as a matrix, any other as a Choi matrix.  The pipeline
-builds the entangler, the operation with its output branches K_n psi, and
-the measurement backend from a config, samples measurement records block by
+builds the entangler, the operation with its output branches K_n psi (the
+one model of the output, which every route and the exact path sample or
+tabulate), and the measurement backend from a config, samples records block by
 block (each block on its own RNG substream, through one heralded-block
 sampler; the routes differ only in how they draw the heralded samples),
 accumulates the estimator sums, merges the blocks once, and writes the
@@ -34,7 +35,6 @@ from optomo import estimation, report, sampling
 from optomo.bipartite import phase_align
 from optomo.config import ExperimentConfig, config_hash, load_preset
 from optomo.errors import (
-    AnnihilatingOperationError,
     ConfigError,
     ReferenceTooSmallError,
     VerificationFailure,
@@ -48,12 +48,11 @@ from optomo.estimation import (
 from optomo.fock import noise_sigma2
 from optomo.maps import (
     KrausMap,
-    PureOperation,
     apply_kraus_bipartite,
-    apply_pure,
     displacement_matrix,
     kraus_to_choi,
     map_from_choi,
+    output_branches,
     twin_beam,
 )
 from optomo.quorum import GridSpec, build_finite_quorum, build_homodyne_kernel
@@ -247,17 +246,7 @@ def run_simulate(
                           f"one has {len(op.kraus)} Kraus operators")
     theory = theory_matrix(cfg, op, window)
 
-    # the output mixes the branches K_n psi (normalised) with weights
-    # ||K_n psi||^2; a pure operation has one branch
-    branches, weights = [], []
-    for k in op.kraus:
-        out = k @ psi
-        w = float(np.sum(np.abs(out) ** 2))
-        if w > 0:
-            branches.append(out / np.sqrt(w))
-            weights.append(w)
-    if not branches:
-        raise AnnihilatingOperationError("operation annihilates the entangler")
+    branches, weights = output_branches(op, psi)  # pure: one branch
     # the sampled Gaussian state is untruncated, and in it the unitary
     # displacement always occurs: p_occ = 1 draws no heralds
     p_occ = 1.0 if route == "gaussian" else float(sum(weights))
@@ -284,7 +273,7 @@ def run_simulate(
 
     if route == "finite":
         backend = build_finite_quorum(dim_cut)
-        table = joint_outcome_table(apply_kraus_bipartite(op, psi), backend)
+        table = joint_outcome_table(branches, weights, backend)
         cum_table = np.cumsum(table).reshape(table.shape)
         draw = lambda n, rng: sample_finite(cum_table, n, rng)
     else:
@@ -335,7 +324,8 @@ def _write_outputs(cfg, estimate, kind, theory, out_dir, make_block):
     paths = [result_path]
     if kind == "pure":
         paths += _write_plotdata(out_dir, cfg.out_prefix, estimate.values,
-                                 estimate.std_errors, theory)
+                                 estimate.std_errors, theory,
+                                 estimate.i0, estimate.j0)
     if cfg.dump_samples:
         dump_path = out_dir / f"{cfg.out_prefix}.samples.csv"
         sampling.write_sample_dump(dump_path,
@@ -344,10 +334,15 @@ def _write_outputs(cfg, estimate, kind, theory, out_dir, make_block):
     return paths
 
 
-def _write_plotdata(out_dir, prefix, values, std_errors, theory) -> list:
-    """Write the diagonal and matrix plot-data files; no theory gives zeros."""
+def _write_plotdata(out_dir, prefix, values, std_errors, theory,
+                    i0, j0) -> list:
+    """Write the diagonal and matrix plot-data files; no theory gives zeros.
+
+    The theory is rotated to the estimate's convention, theory[i0, j0] real
+    positive."""
     if theory is None:
         theory = np.zeros_like(values)
+    theory = theory * np.exp(-1j * np.angle(theory[i0, j0]))
     diag = out_dir / f"{prefix}.diagonal.csv"
     diag.write_text(report.render_plotdata_diagonal(values, std_errors, theory))
     mat = out_dir / f"{prefix}.matrix.csv"
@@ -376,7 +371,8 @@ def emit_plotdata(result_path, out_dir=".") -> list:
     theory = theory_matrix(cfg, build_operation(cfg, cfg.resolved_dim_cut()),
                            doc.values.shape[0] - 1)
     return _write_plotdata(out_dir, cfg.out_prefix, doc.values,
-                           doc.std_errors, theory)
+                           doc.std_errors, theory, int(doc.summary["i0"]),
+                           int(doc.summary["j0"]))
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +400,8 @@ def verify_unbiasedness(seed: int = 7) -> tuple[bool, list]:
         a = a / (np.linalg.svd(a, compute_uv=False)[0] * 1.25)
         psi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         psi = psi / np.linalg.norm(psi)
-        phi, p = apply_pure(PureOperation(a), psi)
-        est = exact_pure_estimate(phi, p, psi, 0, 0, quorum)
+        est = exact_pure_estimate(*output_branches(KrausMap((a,)), psi), psi,
+                                  0, 0, quorum)
         _, dist = phase_align(a, est)
         ok &= _check(lines, f"pure-chain-d{d}", dist, 1e-10)
 
@@ -413,8 +409,8 @@ def verify_unbiasedness(seed: int = 7) -> tuple[bool, list]:
               for _ in range(2)]
         norm = np.linalg.eigvalsh(sum(k.conj().T @ k for k in ks))[-1]
         kmap = KrausMap(tuple(k / np.sqrt(norm * 1.1) for k in ks))
-        r_psi = apply_kraus_bipartite(kmap, psi)
-        est_choi = exact_choi_estimate(r_psi, psi, quorum)
+        est_choi = exact_choi_estimate(*output_branches(kmap, psi), psi,
+                                       quorum)
         truth = kraus_to_choi(kmap).matrix
         dist = float(np.max(np.abs(est_choi - truth)))
         ok &= _check(lines, f"choi-chain-d{d}", dist, 1e-10)

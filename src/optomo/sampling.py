@@ -10,9 +10,9 @@ Three sampling paths share one RNG contract:
   the exact conditional given x1; each grid node's mass sits on the cell
   centred on it, so draws carry no half-cell shift,
 * exact-distribution outcome sampling for finite-dimensional quorums, by
-  inverse CDF on the joint outcome table of the output state R(psi) of any
-  Kraus map (``joint_outcome_table``, two one-mode contractions), which is
-  also built once per run, with its running sum.
+  inverse CDF on the joint outcome table of the same output branches the
+  Fock route draws from (``joint_outcome_table``, a weighted sum of squared
+  branch amplitudes), which is also built once per run, with its running sum.
 
 Quadrature units follow X_phi = (a^dag e^{i phi} + a e^{-i phi})/2 (vacuum
 variance 1/4); detector efficiency adds independent Gaussian noise of
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from optomo.errors import NumericalPSDError, TruncationError
+from optomo.errors import TruncationError
 from optomo.fock import noise_sigma2, quadrature_wavefunctions
 from optomo.quorum import FiniteQuorum
 
@@ -317,37 +317,24 @@ def sample_fock_general(
     return phi1, phi2, x1, x2
 
 
-def joint_outcome_table(r_out: np.ndarray, quorum: FiniteQuorum) -> np.ndarray:
+def joint_outcome_table(branches, weights, quorum: FiniteQuorum) -> np.ndarray:
     """Exact joint outcome probabilities, shape (L, L, d, d).
 
     Entry (k, l, m1, m2) is the probability of choosing observables (k, l)
-    and obtaining their (m1, m2)-th eigenvalues on the normalised state.
-    The Born probabilities come from two one-mode contractions of the state
-    with the L*d eigenvectors, not from L^2 two-mode products.  Sums to 1;
-    raises NumericalPSDError on negative probabilities beyond -1e-10.
+    and obtaining their (m1, m2)-th eigenvalues on the output that mixes the
+    normalised pure ``branches`` (d x d matrices) with ``weights``: the Born
+    probabilities sum_n w_n |rows Phi_n rows^T|^2 over all L d x L d
+    eigenvector pairs, a sum of squared moduli.  Sums to 1.
     """
-    r = np.asarray(r_out, dtype=complex)
-    tr = np.trace(r).real
-    if tr <= 0:
-        raise NumericalPSDError("state has non-positive trace")
     L, d = len(quorum), quorum.dim
     # rows[k d + m] = <m_k|, the m-th eigenvector of observable k
     rows = quorum.eigenvectors.conj().transpose(0, 2, 1).reshape(L * d, d)
-    # mode 1: half[i, b, b'] = <m_k, b| r |m_k, b'> with i = k d + m
-    half = np.einsum("ia,abce,ic->ibe", rows, (r / tr).reshape(d, d, d, d),
-                     rows.conj())
-    # mode 2: born[i, j] = <m_k, m'_l| r |m_k, m'_l> with j = l d + m'
-    born = np.einsum("jb,ibe,je->ij", rows, half, rows.conj()).real
+    born = np.zeros((L * d, L * d))
+    for phi, w in zip(branches, weights):
+        amp = rows @ phi @ rows.T
+        born += w * (amp.real**2 + amp.imag**2)
     born = born.reshape(L, d, L, d).transpose(0, 2, 1, 3)
-    bad = np.argwhere(born.min(axis=(2, 3)) < -1e-10)
-    if bad.size:
-        k, l = bad[0]
-        raise NumericalPSDError(
-            f"negative joint probability {born[k, l].min():.3e} for "
-            f"observables ({k}, {l})"
-        )
-    table = (np.outer(quorum.weights, quorum.weights)[:, :, None, None]
-             * np.clip(born, 0.0, None))
+    table = np.outer(quorum.weights, quorum.weights)[:, :, None, None] * born
     return table / table.sum()
 
 

@@ -100,6 +100,17 @@ def random_density(rng, d: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+def eigen_branches(rho: np.ndarray):
+    """A bipartite density matrix (d^2 x d^2) as the normalised pure branches
+    of its eigendecomposition: (branches, weights) with branch n the d x d
+    matrix of the n-th eigenvector, weight its eigenvalue; eigenvalues that
+    are not positive are dropped."""
+    evals, evecs = np.linalg.eigh(rho)
+    d = round(np.sqrt(rho.shape[0]))
+    keep = evals > 0
+    return ([v.reshape(d, d) for v in evecs.T[keep]], list(evals[keep]))
+
+
 def random_invertible_state(rng, d: int) -> np.ndarray:
     """Normalised bipartite matrix kept safely away from singularity."""
     while True:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from optomo.bipartite import phase_align, vec
+from optomo.bipartite import phase_align
 from optomo.config import load_preset
 from optomo.estimation import (
     accumulate_pure,
@@ -24,10 +24,10 @@ from optomo.estimation import (
 from optomo.maps import (
     KrausMap,
     PureOperation,
-    apply_kraus_bipartite,
     apply_pure,
     kraus_to_choi,
     map_from_choi,
+    output_branches,
 )
 from optomo.pipeline import (
     calibration_worst_error,
@@ -120,12 +120,12 @@ class TestCriterion3ExactUnbiasedness:
             a = random_contraction(rng, d)
             psi = random_invertible_state(rng, d)
             phi, p = apply_pure(PureOperation(a), psi)
-            est = exact_pure_estimate(phi, p, psi, 0, 0, quorum)
+            est = exact_pure_estimate([phi], [p], psi, 0, 0, quorum)
             _, dist = phase_align(a, est)
             worst_pure = max(worst_pure, dist)
             kmap = KrausMap(tuple(random_kraus_map(rng, d)))
-            r_psi = apply_kraus_bipartite(kmap, psi)
-            est_r = exact_choi_estimate(r_psi, psi, quorum)
+            est_r = exact_choi_estimate(*output_branches(kmap, psi), psi,
+                                        quorum)
             worst_choi = max(
                 worst_choi,
                 float(np.max(np.abs(est_r - kraus_to_choi(kmap).matrix))),
@@ -203,9 +203,8 @@ class TestCriterion7Heralding:
         proj[0, 0] = 1.0
         phi, p = apply_pure(PureOperation(proj), psi)
         assert abs(p - 0.5) < 1e-12
-        r_out = np.outer(vec(phi), vec(phi).conj())
         n_trials = 10**5
-        blocks = make_finite_blocks(r_out, quorum, 50, n_trials // 50,
+        blocks = make_finite_blocks([phi], [p], quorum, 50, n_trials // 50,
                                     seed=707, p_occ=p)
         coef, deficit = mode2_combination(psi, 1, 1)
         est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, quorum), 0, 0,

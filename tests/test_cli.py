@@ -121,6 +121,16 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)]) == 2
         assert "config key 'nbar' given more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_exit_2(self, tiny_cfg, tmp_path, capsys,
+                                      threads):
+        # a worker count below 1 is not silently run serially
+        code = main(["simulate", "--config", str(tiny_cfg), "--threads",
+                     threads, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "tiny.result.txt").exists()
+
     def test_missing_config_exit_2(self, capsys):
         assert main(["simulate", "--config", "nope.cfg"]) == 2
 

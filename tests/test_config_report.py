@@ -154,7 +154,7 @@ def _fake_estimate(w=2):
                         denominator_stderr=0.004, i0=0, j0=0)
     return MatrixEstimate(values=vals, std_errors=errs, kappa=kap, i0=0, j0=0,
                           n_blocks=5, truncation_deficit=1e-4,
-                          phase_convention="largest-entry-real-positive")
+                          phase_convention="reference-entry-real-positive")
 
 
 class TestResultDocument:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,14 @@ from optomo.estimation import (
     phase_fix,
     select_reference,
 )
-from optomo.maps import KrausMap, PureOperation, apply_pure, displacement_matrix, twin_beam
+from optomo.maps import (
+    KrausMap,
+    PureOperation,
+    apply_pure,
+    displacement_matrix,
+    output_branches,
+    twin_beam,
+)
 from optomo.quorum import GridSpec, build_finite_quorum, build_homodyne_kernel
 from optomo.pipeline import _heralded_block
 from optomo.sampling import (
@@ -34,9 +43,11 @@ from optomo.sampling import (
 from oracles import depolarizing_choi, per_sample_sums, random_contraction
 
 
-def make_finite_blocks(r_out, quorum, n_blocks, per_block, seed, p_occ=1.0):
-    """Finite-route blocks through the pipeline's heralded-block sampler."""
-    table = joint_outcome_table(r_out, quorum)
+def make_finite_blocks(branches, weights, quorum, n_blocks, per_block, seed,
+                       p_occ=1.0):
+    """Finite-route blocks through the pipeline's heralded-block sampler,
+    drawn from the outcome law of the output ``branches`` and ``weights``."""
+    table = joint_outcome_table(branches, weights, quorum)
     cum_table = np.cumsum(table).reshape(table.shape)
     cfg = ExperimentConfig(samples_per_block=per_block, master_seed=seed)
     draw = lambda n, rng: sample_finite(cum_table, n, rng)
@@ -64,8 +75,8 @@ class TestChunkedAccumulation:
             cols = sample_quadratures(state, 0.9, n, rng)
         else:
             psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
-            r_out = np.outer(psi.reshape(-1), psi.reshape(-1).conj())
-            table = joint_outcome_table(r_out, backend)
+            table = joint_outcome_table([psi / np.linalg.norm(psi)], [1.0],
+                                        backend)
             cols = sample_finite(np.cumsum(table).reshape(table.shape), n, rng)
         herald = np.ones(n, dtype=bool)
         herald[[0, n // 2, n - 1]] = False
@@ -192,7 +203,7 @@ class TestExactChain:
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
-        est = exact_pure_estimate(phi, p, psi, 0, 0, q)
+        est = exact_pure_estimate([phi], [p], psi, 0, 0, q)
         _, dist = phase_align(np.eye(2), est)
         assert dist < 1e-12
 
@@ -202,8 +213,7 @@ class TestExactChain:
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
-        r_out = np.outer(vec(phi), vec(phi).conj())
-        _, den = exact_finite_joint(r_out, q,
+        _, den = exact_finite_joint([phi], [p], q,
                                     ([(0, 0)], [(0, 0)], np.eye(1), (0, 0)))
         assert abs(den - 0.5) < 1e-12
         assert abs(np.sqrt(p / den) - np.sqrt(2.0)) < 1e-12
@@ -216,11 +226,11 @@ class TestExactChain:
         psi = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         psi = psi / np.linalg.norm(psi)
         phi, p = apply_pure(PureOperation(a), psi)
-        r_out = np.outer(vec(phi), vec(phi).conj())
         psi_inv = np.linalg.inv(psi)
         mean, _ = exact_finite_joint(
-            r_out, q, ([(0, i) for i in range(2)], [(0, k) for k in range(2)],
-                       psi_inv, None))
+            [phi], [p], q,
+            ([(0, i) for i in range(2)], [(0, k) for k in range(2)], psi_inv,
+             None))
         expect = np.conj(phi[0, 0]) * (phi @ psi_inv)
         assert np.max(np.abs(mean - expect)) < 1e-12
 
@@ -230,8 +240,7 @@ class TestSampledPure:
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
-        r_out = np.outer(vec(phi), vec(phi).conj())
-        blocks = make_finite_blocks(r_out, q, 25, 800, seed=11)
+        blocks = make_finite_blocks([phi], [p], q, 25, 800, seed=11)
         coef, deficit = mode2_combination(psi, 1, 1)
         est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, q), 0, 0,
                             deficit)
@@ -243,9 +252,8 @@ class TestSampledPure:
     def test_block_merge_associativity(self):
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
-        phi, _ = apply_pure(PureOperation(np.eye(2)), psi)
-        r_out = np.outer(vec(phi), vec(phi).conj())
-        blocks = make_finite_blocks(r_out, q, 8, 200, seed=13)
+        phi, p = apply_pure(PureOperation(np.eye(2)), psi)
+        blocks = make_finite_blocks([phi], [p], q, 8, 200, seed=13)
         coef, _ = mode2_combination(psi, 1, 1)
         one_pass = accumulate_pure(blocks, coef, 0, 0, q)
         first = accumulate_pure(blocks[:3], coef, 0, 0, q)
@@ -260,9 +268,8 @@ class TestSampledPure:
         # phi_01 = 0 for the identity on the maximally entangled pair
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
-        phi, _ = apply_pure(PureOperation(np.eye(2)), psi)
-        r_out = np.outer(vec(phi), vec(phi).conj())
-        blocks = make_finite_blocks(r_out, q, 10, 300, seed=17)
+        phi, p = apply_pure(PureOperation(np.eye(2)), psi)
+        blocks = make_finite_blocks([phi], [p], q, 10, 300, seed=17)
         coef, deficit = mode2_combination(psi, 1, 1)
         with pytest.raises(ReferenceTooSmallError, match="choose different"):
             finalize_pure(accumulate_pure(blocks, coef, 0, 1, q), 0, 1, deficit)
@@ -273,8 +280,7 @@ class TestSampledPure:
         psi = np.eye(2) / np.sqrt(2)
         a = np.diag([1.0, 0.5]).astype(complex)
         phi, p = apply_pure(PureOperation(a), psi)
-        r_out = np.outer(vec(phi), vec(phi).conj())
-        blocks = make_finite_blocks(r_out, q, 30, 600, seed=19, p_occ=p)
+        blocks = make_finite_blocks([phi], [p], q, 30, 600, seed=19, p_occ=p)
         coef, deficit = mode2_combination(psi, 1, 1)
         est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, q), 0, 0,
                             deficit)
@@ -291,14 +297,13 @@ class TestErrorBarCalibration:
         psi = np.eye(2) / np.sqrt(2)
         a = np.diag([1.0, 0.5]).astype(complex)
         phi, p = apply_pure(PureOperation(a), psi)
-        r_out = np.outer(vec(phi), vec(phi).conj())
         truth = a * np.exp(-1j * np.angle(phi[0, 0]))  # chain phase reference
         coef, deficit = mode2_combination(psi, 1, 1)
         hits = 0
         total = 0
         for run in range(100):
-            blocks = make_finite_blocks(r_out, q, 20, 400, seed=1000 + run,
-                                        p_occ=p)
+            blocks = make_finite_blocks([phi], [p], q, 20, 400,
+                                        seed=1000 + run, p_occ=p)
             est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, q), 0, 0,
                                 deficit)
             dev = np.abs(est.values - truth)
@@ -337,11 +342,8 @@ class TestChoiEstimation:
             np.sqrt(0.5 / 4) * np.array([[0, -1j], [1j, 0]]),
             np.sqrt(0.5 / 4) * np.diag([1.0, -1.0]).astype(complex),
         )
-        from optomo.maps import apply_kraus_bipartite
-
-        r_psi = apply_kraus_bipartite(KrausMap(ks), psi)
-        blocks = make_finite_blocks(r_psi / np.trace(r_psi).real, q, 40, 2500,
-                                    seed=23)
+        blocks = make_finite_blocks(*output_branches(KrausMap(ks), psi), q, 40,
+                                    2500, seed=23)
         coef, deficit = mode2_combination(psi, 1, 1)
         est = finalize_choi(accumulate_choi(blocks, coef, q), deficit)
         truth = depolarizing_choi(0.5)
@@ -353,7 +355,7 @@ class TestChoiEstimation:
 
     def test_exact_choi_chain_matches_truth(self, rng):
         from optomo.estimation import exact_choi_estimate
-        from optomo.maps import apply_kraus_bipartite, kraus_to_choi
+        from optomo.maps import kraus_to_choi
 
         from oracles import random_invertible_state, random_kraus_map
 
@@ -361,14 +363,13 @@ class TestChoiEstimation:
         q = build_finite_quorum(d)
         kmap = KrausMap(tuple(random_kraus_map(rng, d)))
         psi = random_invertible_state(rng, d)
-        r_psi = apply_kraus_bipartite(kmap, psi)
-        est = exact_choi_estimate(r_psi, psi, q)
+        est = exact_choi_estimate(*output_branches(kmap, psi), psi, q)
         assert np.max(np.abs(est - kraus_to_choi(kmap).matrix)) < 1e-10
 
     def test_exact_choi_chain_at_finite_choi_dimension(self, rng):
         # d = 6 is the dimension the finite-route Choi workload samples at
         from optomo.estimation import exact_choi_estimate
-        from optomo.maps import apply_kraus_bipartite, kraus_to_choi
+        from optomo.maps import kraus_to_choi
 
         from oracles import random_invertible_state, random_kraus_map
 
@@ -376,18 +377,16 @@ class TestChoiEstimation:
         q = build_finite_quorum(d)
         kmap = KrausMap(tuple(random_kraus_map(rng, d)))
         psi = random_invertible_state(rng, d)
-        r_psi = apply_kraus_bipartite(kmap, psi)
-        est = exact_choi_estimate(r_psi, psi, q)
+        est = exact_choi_estimate(*output_branches(kmap, psi), psi, q)
         assert np.max(np.abs(est - kraus_to_choi(kmap).matrix)) < 1e-10
 
     def test_exact_choi_identity_channel(self):
         from optomo.estimation import exact_choi_estimate
-        from optomo.maps import apply_kraus_bipartite
 
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
-        r_psi = apply_kraus_bipartite(KrausMap((np.eye(2),)), psi)
-        est = exact_choi_estimate(r_psi, psi, q)
+        est = exact_choi_estimate(*output_branches(KrausMap((np.eye(2),)), psi),
+                                  psi, q)
         v = vec(np.eye(2))
         assert np.max(np.abs(est - np.outer(v, v.conj()))) < 1e-12
 
@@ -421,10 +420,14 @@ class TestReferenceAndPhase:
             kappa=None, i0=0, j0=0, n_blocks=2, truncation_deficit=0.0,
         )
 
-    def test_phase_fix_rotates_largest(self):
-        est = phase_fix(self._estimate([[0.6j, 0.1], [0.0, 0.2]]))
-        assert abs(est.values[0, 0] - 0.6) < 1e-12
-        assert est.phase_convention == "largest-entry-real-positive"
+    def test_phase_fix_rotates_reference(self):
+        # the reference entry (i0, j0) = (1, 0) is pinned real positive,
+        # not the largest entry (0, 0)
+        est = phase_fix(replace(self._estimate([[0.6j, 0.1], [-0.2, 0.1]]),
+                                i0=1, j0=0))
+        assert abs(est.values[1, 0] - 0.2) < 1e-12
+        assert abs(est.values[0, 0] + 0.6j) < 1e-12
+        assert est.phase_convention == "reference-entry-real-positive"
 
     def test_phase_fix_leaves_real_positive(self):
         est = phase_fix(self._estimate([[0.7, 0.0], [0.0, 0.1]]))

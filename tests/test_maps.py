@@ -14,6 +14,7 @@ from optomo.maps import (
     displacement_matrix,
     kraus_to_choi,
     map_from_choi,
+    output_branches,
     reconstruct_pure,
     twin_beam,
 )
@@ -158,6 +159,26 @@ class TestKrausBipartite:
         assert np.allclose(r, np.outer(v, v.conj()), atol=1e-12)
         _, p = apply_pure(PureOperation(a), psi)
         assert abs(np.trace(r).real - p) < 1e-12
+
+
+class TestOutputBranches:
+    def test_branches_mix_into_bipartite_output(self, rng):
+        kmap = KrausMap(tuple(random_kraus_map(rng, 3, n_ops=3)))
+        psi = random_invertible_state(rng, 3)
+        branches, weights = output_branches(kmap, psi)
+        r = sum(w * np.outer(vec(b), vec(b).conj())
+                for b, w in zip(branches, weights))
+        assert np.max(np.abs(r - apply_kraus_bipartite(kmap, psi))) < 1e-14
+        assert all(abs(hs_norm(b) - 1.0) < 1e-14 for b in branches)
+
+    def test_zero_branch_dropped(self):
+        # K_1 annihilates the |0>-only entangler, so only K_0 psi remains
+        psi = np.diag([1.0, 0.0]).astype(complex)
+        proj1 = np.diag([0.0, 1.0]).astype(complex)
+        branches, weights = output_branches(
+            KrausMap((np.sqrt(0.5) * np.eye(2), proj1 / 2)), psi)
+        assert len(branches) == 1
+        assert abs(weights[0] - 0.5) < 1e-15
 
 
 class TestChoi:

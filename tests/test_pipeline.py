@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from optomo import estimation, pipeline
+from optomo import estimation, maps, pipeline
 from optomo.cli import main
-from optomo.config import ExperimentConfig
+from optomo.config import ExperimentConfig, load_preset
 from optomo.errors import NonInvertibleEntanglerError
 from optomo.estimation import align_to_truth
-from optomo.pipeline import displacement_theory, run_simulate
+from optomo.pipeline import displacement_theory, emit_plotdata, run_simulate
 
 
 def _two_kraus_file(path, dim_cut):
@@ -116,6 +116,64 @@ class TestFiniteRoute:
         a = (tmp_path / "a" / "inv.result.txt").read_bytes()
         b = (tmp_path / "b" / "inv.result.txt").read_bytes()
         assert a == b
+
+
+    def test_samples_the_branches_only(self, tmp_path, monkeypatch):
+        # the outcome table is built from the output branches K_n psi, the
+        # model the Fock route samples; no density matrix R(psi) is formed
+        def no_density(*args, **kwargs):
+            raise AssertionError("the output density matrix was built")
+
+        monkeypatch.setattr(pipeline, "apply_kraus_bipartite", no_density)
+        monkeypatch.setattr(maps, "apply_kraus_bipartite", no_density)
+        cfg = ExperimentConfig(
+            operation="kraus", kraus_file=_two_kraus_file(tmp_path / "k.npy", 3),
+            route="finite", nbar=1.0, dim_cut=3, n_max=2, blocks=3,
+            samples_per_block=500, master_seed=31, out_prefix="br",
+        )
+        result = run_simulate(cfg, out_dir=tmp_path)
+        assert result.kind == "choi"
+        assert (tmp_path / "br.result.txt").exists()
+
+
+def _diagonal_rows(path):
+    """Columns n, re, im, stderr, theory_re, theory_im of a diagonal file."""
+    return np.loadtxt(path, delimiter=",", ndmin=2).T
+
+
+class TestPlotData:
+    def test_fig2_top_diagonal_matches_theory_unaligned(self, tmp_path):
+        # the written plot data as a plotting tool reads them, with no phase
+        # alignment: the estimate's reference entry (0, 0) is real positive,
+        # and so is the theory's
+        cfg = replace(load_preset("fig2_top"), blocks=20,
+                      samples_per_block=5000)
+        run_simulate(cfg, out_dir=tmp_path)
+        _, re, _, se, theory_re, _ = _diagonal_rows(
+            tmp_path / "fig2_top.diagonal.csv")
+        within = np.abs(re[:7] - theory_re[:7]) <= 3.0 * se[:7]
+        assert within.sum() >= 6
+
+    def test_theory_columns_follow_explicit_reference(self, tmp_path):
+        # <0|D(z)|1> = -z e^{-z^2/2} < 0 for real z: pinning it real positive
+        # rotates the estimate by pi, and the theory columns with it, both
+        # in the run and when the plot data are regenerated
+        cfg = ExperimentConfig(
+            operation="displacement", z=0.5 + 0.0j, nbar=1.0, eta=0.9,
+            n_max=3, blocks=4, samples_per_block=2000, master_seed=5,
+            reference="0,1", out_prefix="ref",
+        )
+        result = run_simulate(cfg, out_dir=tmp_path / "run")
+        est = result.estimate
+        assert est.values[0, 1].real > 0
+        assert abs(est.values[0, 1].imag) <= 1e-15 * abs(est.values[0, 1])
+        truth = -np.diag(displacement_theory(cfg.z, cfg.n_max))
+        emitted = emit_plotdata(tmp_path / "run" / "ref.result.txt",
+                                out_dir=tmp_path / "emit")
+        for path in (tmp_path / "run" / "ref.diagonal.csv", emitted[0]):
+            _, _, _, _, theory_re, theory_im = _diagonal_rows(path)
+            assert np.allclose(theory_re, truth.real, rtol=1e-8, atol=1e-12)
+            assert np.allclose(theory_im, 0.0, atol=1e-12)
 
 
 class TestRunLevelPlan:

@@ -1,11 +1,9 @@
-import re
-
 import numpy as np
 import pytest
-from oracles import outcome_table_by_loops, random_density
+from oracles import eigen_branches, outcome_table_by_loops, random_density
 
 from optomo.bipartite import vec
-from optomo.errors import NumericalPSDError, TruncationError
+from optomo.errors import TruncationError
 from optomo.quorum import build_finite_quorum
 from optomo.sampling import (
     GaussianState,
@@ -209,9 +207,7 @@ class TestSampleFockGeneral:
 class TestSampleFinite:
     def test_maximally_entangled_sigma_z_correlations(self):
         q = build_finite_quorum(2)
-        v = vec(np.eye(2) / np.sqrt(2))
-        r = np.outer(v, v.conj())
-        table = joint_outcome_table(r, q)
+        table = joint_outcome_table([np.eye(2) / np.sqrt(2)], [1.0], q)
         obs1, obs2, out1, out2 = sample_finite(
             np.cumsum(table).reshape(table.shape), 20_000, substream(3, 0))
         zz = (obs1 == 3) & (obs2 == 3)  # observable 3 is sigma_z
@@ -222,9 +218,9 @@ class TestSampleFinite:
 
     def test_product_ground_state(self):
         q = build_finite_quorum(2)
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0  # |00><00| with (0,0) = Fock-like ground pair
-        table = joint_outcome_table(rho, q)
+        ground = np.zeros((2, 2), dtype=complex)
+        ground[0, 0] = 1.0  # |00> with (0,0) = Fock-like ground pair
+        table = joint_outcome_table([ground], [1.0], q)
         obs1, obs2, out1, out2 = sample_finite(
             np.cumsum(table).reshape(table.shape), 5_000, substream(3, 1))
         zz = (obs1 == 3) & (obs2 == 3)
@@ -235,7 +231,7 @@ class TestSampleFinite:
         # the running sum is built once per run by the caller; the draws
         # are those of a search on the cumsum of the table itself
         q = build_finite_quorum(3)
-        table = joint_outcome_table(random_density(rng, 9), q)
+        table = joint_outcome_table(*eigen_branches(random_density(rng, 9)), q)
         got = sample_finite(np.cumsum(table).reshape(table.shape), 10_000,
                             substream(5, 2))
         cdf = np.cumsum(table)
@@ -250,34 +246,29 @@ class TestSampleFinite:
     def test_outcome_table_normalised(self, rng):
         q = build_finite_quorum(3)
         g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        r = g @ g.conj().T
-        table = joint_outcome_table(r, q)
+        table = joint_outcome_table(*eigen_branches(g @ g.conj().T), q)
         assert abs(table.sum() - 1.0) < 1e-12
         assert table.min() >= 0.0
 
     def test_outcome_table_matches_loop_oracle(self, rng):
         q = build_finite_quorum(3)
         rho = random_density(rng, 9)
-        table = joint_outcome_table(rho, q)
+        table = joint_outcome_table(*eigen_branches(rho), q)
         assert np.max(np.abs(table - outcome_table_by_loops(rho, q))) < 1e-14
 
-    def test_negative_probability_rejected(self):
-        q = build_finite_quorum(2)
-        bad = np.diag([1.0, 0.5, -0.2, 0.1])
-        with pytest.raises(NumericalPSDError,
-                           match=re.escape("for observables (0, 0)")):
-            joint_outcome_table(bad, q)
-
-    def test_negative_probability_names_ordered_pair(self):
-        # I/4 + sigma_x (x) sigma_y / 2 is negative only for sigma_x (1) on
-        # mode 1 with sigma_y (2) on mode 2
-        q = build_finite_quorum(2)
-        sx = np.array([[0, 1], [1, 0]])
-        sy = np.array([[0, -1j], [1j, 0]])
-        bad = np.eye(4) / 4 + 0.5 * np.kron(sx, sy)
-        with pytest.raises(NumericalPSDError,
-                           match=re.escape("for observables (1, 2)")):
-            joint_outcome_table(bad, q)
+    def test_branch_mixture_matches_loop_oracle(self, rng):
+        # three non-orthogonal branches with unnormalised weights; the
+        # oracle sees only the density matrix they mix into
+        q = build_finite_quorum(3)
+        branches = []
+        for _ in range(3):
+            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            branches.append(g / np.linalg.norm(g))
+        weights = [0.5, 0.2, 0.1]
+        r = sum(w * np.outer(vec(b), vec(b).conj())
+                for b, w in zip(branches, weights))
+        table = joint_outcome_table(branches, weights, q)
+        assert np.max(np.abs(table - outcome_table_by_loops(r, q))) < 1e-14
 
 
 class TestHeralds:
