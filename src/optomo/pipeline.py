@@ -60,6 +60,7 @@ from optomo.sampling import (
     SampleBlock,
     displaced_twinbeam_gaussian,
     draw_heralds,
+    fock_grid,
     fock_tables,
     joint_outcome_table,
     sample_finite,
@@ -287,8 +288,9 @@ def run_simulate(
             state = displaced_twinbeam_gaussian(z, cfg.nbar)
             draw = lambda n, rng: sample_quadratures(state, cfg.eta, n, rng)
         else:
-            draw = _fock_branch_draw(cfg, [fock_tables(b) for b in branches],
-                                     weights)
+            shared = fock_grid(dim_cut)
+            draw = _fock_branch_draw(
+                cfg, [fock_tables(b, shared) for b in branches], weights)
     make_block = lambda b: _heralded_block(cfg, p_occ, b, draw)
 
     coef, coef_deficit = estimation.mode2_combination(

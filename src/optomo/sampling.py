@@ -5,10 +5,13 @@ Three sampling paths share one RNG contract:
 * exact Gaussian sampling of joint quadratures for Gaussian scenarios
   (the displaced twin-beam experiment),
 * exact Fock-basis sampling of arbitrary pure bipartite outputs (and
-  mixtures of them for Kraus maps): x1 by bisection on a cumulative
-  mode-1 marginal table built once per state (``fock_tables``), x2 from
-  the exact conditional given x1; each grid node's mass sits on the cell
-  centred on it, so draws carry no half-cell shift,
+  mixtures of them for Kraus maps) on one grid per run (``fock_grid``,
+  shared by every branch): x1 by bisection on a cumulative mode-1 marginal
+  table built once per branch (``fock_tables``), x2 from the exact
+  conditional given x1 by a two-level search, first over the grid's blocks
+  by their masses c^dag M_b c, then over the nodes of one block; each grid
+  node's mass sits on the cell centred on it, so draws carry no half-cell
+  shift,
 * exact-distribution outcome sampling for finite-dimensional quorums, by
   inverse CDF on the joint outcome table of the same output branches the
   Fock route draws from (``joint_outcome_table``, a weighted sum of squared
@@ -41,6 +44,7 @@ SYMPLECTIC_TOL = 1e-9
 FOCK_GRID_POINTS = 4096
 TRUNCATION_BOUND = 1e-6
 FOCK_BATCH = 256
+OUTCOME_CHUNK = 1 << 16  # complex amplitudes formed at once by the table
 
 _OMEGA = np.array(
     [[0.0, 1.0, 0.0, 0.0],
@@ -170,6 +174,13 @@ def sample_quadratures(
     return phi1, phi2, x1, x2
 
 
+def _in_cell(x_node, dx, c_lo, c_hi, target):
+    """The point of the cell [x_node - dx/2, x_node + dx/2] at which the CDF,
+    linear across the cell from ``c_lo`` to ``c_hi``, reaches ``target``."""
+    frac = (target - c_lo) / np.maximum(c_hi - c_lo, np.finfo(float).tiny)
+    return x_node + (frac - 0.5) * dx
+
+
 def _inverse_cdf(cdf_at, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One draw per row by inverting a cumulative table over the grid ``x``.
 
@@ -195,39 +206,79 @@ def _inverse_cdf(cdf_at, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         hi = np.where(above, mid, hi)
         c_hi = np.where(above, c_mid, c_hi)
         active = hi - lo > 1
-    frac = (target - c_lo) / np.maximum(c_hi - c_lo, np.finfo(float).tiny)
-    return x[hi] + (frac - 0.5) * (x[1] - x[0])
+    return _in_cell(x[hi], x[1] - x[0], c_lo, c_hi, target)
+
+
+@dataclass(frozen=True)
+class FockGrid:
+    """Per-run grid tables of the Fock-route sampler, shared by every branch.
+
+    ``x`` holds the G nodes of the sampling grid, cropped to the support of
+    the wavefunctions.  The nodes are split into ``n_blocks`` contiguous
+    blocks of ``block`` nodes; ``psi`` holds Psi_a(x) for a < d on the
+    nodes, zero-padded to n_blocks * block columns (shape (d, n_blocks
+    block)), so block b is columns [b block, (b + 1) block).  ``mass`` holds
+    the block mass matrices M_b = Psi_b Psi_b^T side by side, shape
+    (d, n_blocks d): the mass of block b under the amplitude c over Fock
+    index m is c^dag M_b c.
+    """
+
+    x: np.ndarray
+    psi: np.ndarray
+    mass: np.ndarray
+    block: int
+    n_blocks: int
+
+
+def fock_grid(d: int, n_points: int = FOCK_GRID_POINTS) -> FockGrid:
+    """The sampling grid of dimension-``d`` outputs and its block tables.
+
+    The grid is ``n_points`` nodes over [-6 sigma_max, 6 sigma_max] with
+    sigma_max^2 = (2d + 1)/4, cropped to the nodes where the envelope
+    sum_a Psi_a(x)^2 exceeds 1e-40 of its peak.  Its G nodes are split into
+    nb = round(sqrt(G/d)) blocks of B = ceil(G/nb) nodes, which balances the
+    d^2 nb work of the block masses against the d B work inside one block.
+    """
+    sigma_max = np.sqrt((2.0 * d + 1.0) / 4.0)
+    x = np.linspace(-6.0 * sigma_max, 6.0 * sigma_max, n_points)
+    psi = quadrature_wavefunctions(d, x)
+    envelope = np.sum(psi * psi, axis=0)
+    keep = np.flatnonzero(envelope > 1e-40 * envelope.max())
+    crop = slice(keep[0], keep[-1] + 1)
+    x = x[crop]
+    block = -(-x.size // max(1, round(np.sqrt(x.size / d))))  # ceil
+    n_blocks = -(-x.size // block)  # every block holds a node
+    padded = np.zeros((d, n_blocks * block))
+    padded[:, : x.size] = psi[:, crop]
+    mass = np.concatenate(
+        [pb @ pb.T for pb in np.split(padded, n_blocks, axis=1)], axis=1)
+    return FockGrid(x=x, psi=padded, mass=mass, block=block,
+                    n_blocks=n_blocks)
 
 
 @dataclass(frozen=True)
 class FockTables:
-    """Per-state tables of the Fock-route sampler, built once per run.
+    """Per-branch tables of the Fock-route sampler, built once per run.
 
-    ``x`` is the sampling grid cropped to the support of the wavefunctions,
-    ``psi`` holds Psi_a(x) for a < d (shape (d, G)), and ``marginal`` is the
-    cumulative mode-1 marginal: column delta of its complex form is
-    H_delta(k) = w_delta sum_a rho1[a, a+delta] sum_{j<=k} Psi_a Psi_{a+delta}
-    at x_j (w_0 = 1, otherwise 2), stored as [Re H | Im H], shape (G, 2d).
-    The cumulative marginal at x_k for phase phi1 is
+    ``grid`` is the run's shared ``FockGrid``.  ``marginal`` is the
+    cumulative mode-1 marginal of ``phi_out``: column delta of its complex
+    form is H_delta(k) = w_delta sum_a rho1[a, a+delta] sum_{j<=k} Psi_a
+    Psi_{a+delta} at x_j (w_0 = 1, otherwise 2), stored as [Re H | Im H],
+    shape (G, 2d).  The cumulative marginal at x_k for phase phi1 is
     Re sum_delta H_delta(k) e^{-i delta phi1}.
     """
 
     phi_out: np.ndarray
-    x: np.ndarray
-    psi: np.ndarray
+    grid: FockGrid
     marginal: np.ndarray
 
 
-def fock_tables(
-    phi_out: np.ndarray,
-    n_points: int = FOCK_GRID_POINTS,
-) -> FockTables:
+def fock_tables(phi_out: np.ndarray, grid: FockGrid) -> FockTables:
     """Sampler tables for the normalised pure bipartite output ``phi_out``.
 
-    The grid is ``n_points`` nodes over [-6 sigma_max, 6 sigma_max] with
-    sigma_max^2 = (2d + 1)/4, cropped to the nodes where the envelope
-    sum_a Psi_a(x)^2 exceeds 1e-40 of its peak.  Raises TruncationError if
-    the norm of ``phi_out`` differs from 1 by more than ``TRUNCATION_BOUND``.
+    ``grid`` is the run's ``fock_grid`` of the dimension of ``phi_out``.
+    Raises TruncationError if the norm of ``phi_out`` differs from 1 by more
+    than ``TRUNCATION_BOUND``.
     """
     phi_out = np.asarray(phi_out, dtype=complex)
     d = phi_out.shape[0]
@@ -237,23 +288,59 @@ def fock_tables(
             f"output-state truncation deficit {abs(norm2 - 1.0):.3e} above "
             f"bound {TRUNCATION_BOUND:.0e}"
         )
-    sigma_max = np.sqrt((2.0 * d + 1.0) / 4.0)
-    x = np.linspace(-6.0 * sigma_max, 6.0 * sigma_max, n_points)
-    psi = quadrature_wavefunctions(d, x)
-    envelope = np.sum(psi * psi, axis=0)
-    keep = np.flatnonzero(envelope > 1e-40 * envelope.max())
-    crop = slice(keep[0], keep[-1] + 1)
-    # contiguous, so the per-batch GEMMs do not copy it
-    x, psi = x[crop], np.ascontiguousarray(psi[:, crop])
+    psi = grid.psi[:, : grid.x.size]
     rho1 = phi_out @ phi_out.conj().T  # reduced state of mode 1
-    density = np.empty((x.size, d), dtype=complex)
+    density = np.empty((grid.x.size, d), dtype=complex)
     for delta in range(d):
         w = 1.0 if delta == 0 else 2.0
         r = w * np.diagonal(rho1, delta)
         density[:, delta] = r @ (psi[: d - delta] * psi[delta:])
     cum = np.cumsum(density, axis=0)
     marginal = np.concatenate([cum.real, cum.imag], axis=1)
-    return FockTables(phi_out=phi_out, x=x, psi=psi, marginal=marginal)
+    return FockTables(phi_out=phi_out, grid=grid, marginal=marginal)
+
+
+def _draw_x2(grid: FockGrid, c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One draw per row of the density |sum_m c[r, m] Psi_m(x)|^2 on ``grid``.
+
+    Two-level inverse CDF: the block masses c^dag M_b c of every row come
+    from one real GEMM and pick the block where u times the total mass is
+    reached; the node inside it comes from the running sum of the density
+    over that block's nodes only, one GEMM per block, and the in-cell
+    inversion of ``_inverse_cdf``.
+    """
+    s, d = c.shape
+    nb, size = grid.n_blocks, grid.block
+    ri = np.concatenate([c.real, c.imag])  # (2s, d)
+    quad = (ri @ grid.mass).reshape(2, s, nb, d)
+    masses = np.maximum(
+        np.einsum("tsbm,tsm->sb", quad, ri.reshape(2, s, d)), 0.0)
+    cum = np.cumsum(masses, axis=1)
+    target = u * cum[:, -1]
+    blk = np.sum(cum < target[:, None], axis=1)
+    rows = np.arange(s)
+    before = np.where(blk > 0, cum[rows, blk - 1], 0.0)
+    # the share of the chosen block's mass below the target
+    share = np.minimum(
+        (target - before) / np.maximum(masses[rows, blk], np.finfo(float).tiny),
+        1.0)
+    xs = np.empty(s)
+    dx = grid.x[1] - grid.x[0]
+    for b in np.unique(blk):
+        sel = np.flatnonzero(blk == b)
+        psi_b = grid.psi[:, b * size:(b + 1) * size]
+        cdf = c.real[sel] @ psi_b
+        im = c.imag[sel] @ psi_b
+        cdf *= cdf
+        im *= im
+        cdf += im
+        np.cumsum(cdf, axis=1, out=cdf)
+        t = share[sel] * cdf[:, -1]
+        node = np.sum(cdf < t[:, None], axis=1)
+        at = np.arange(sel.size)
+        c_lo = np.where(node > 0, cdf[at, node - 1], 0.0)
+        xs[sel] = _in_cell(grid.x[b * size + node], dx, c_lo, cdf[at, node], t)
+    return xs
 
 
 def _fock_draw(tables: FockTables, p1, p2, u1, u2):
@@ -263,20 +350,12 @@ def _fock_draw(tables: FockTables, p1, p2, u1, u2):
     rot1 = np.exp(1j * np.outer(p1, orders))  # e^{i a phi1}, (s, d)
     trig1 = np.concatenate([rot1.real, rot1.imag], axis=1)
     xs1 = _inverse_cdf(
-        lambda k: np.einsum("ij,ij->i", tables.marginal[k], trig1), tables.x, u1
-    )
+        lambda k: np.einsum("ij,ij->i", tables.marginal[k], trig1),
+        tables.grid.x, u1)
     # conditional amplitude over mode-2 index m at the drawn x1
     psi_at = quadrature_wavefunctions(d, xs1).T  # (s, d)
     c = ((psi_at * rot1) @ tables.phi_out) * np.exp(1j * np.outer(p2, orders))
-    pdf2 = c.real @ tables.psi
-    im = c.imag @ tables.psi
-    pdf2 *= pdf2
-    im *= im
-    pdf2 += im
-    cdf2 = np.cumsum(pdf2, axis=1, out=pdf2)
-    rows = np.arange(u2.size)
-    xs2 = _inverse_cdf(lambda k: cdf2[rows, k], tables.x, u2)
-    return xs1, xs2
+    return xs1, _draw_x2(tables.grid, c, u2)
 
 
 def sample_fock_general(
@@ -290,8 +369,10 @@ def sample_fock_general(
     Per sample, x1 is drawn from the exact phase-dependent marginal by
     bisection on the cumulative table of ``tables``, x2 from the exact
     conditional |sum_m c_m e^{i m phi2} Psi_m(x2)|^2 given x1, with Psi_a(x1)
-    evaluated at the drawn point.  Both then receive efficiency noise.  Draw
-    order per batch of ``FOCK_BATCH`` samples: phi1, phi2, u1, u2, noise1, noise2.
+    evaluated at the drawn point: the block masses of the shared grid pick
+    the block, a running sum over its nodes the cell.  Both then receive
+    efficiency noise.  Draw order per batch of ``FOCK_BATCH`` samples: phi1,
+    phi2, u1, u2, noise1, noise2.
     """
     sig2 = noise_sigma2(eta)
     phi1 = np.empty(n)
@@ -324,18 +405,24 @@ def joint_outcome_table(branches, weights, quorum: FiniteQuorum) -> np.ndarray:
     and obtaining their (m1, m2)-th eigenvalues on the output that mixes the
     normalised pure ``branches`` (d x d matrices) with ``weights``: the Born
     probabilities sum_n w_n |rows Phi_n rows^T|^2 over all L d x L d
-    eigenvector pairs, a sum of squared moduli.  Sums to 1.
+    eigenvector pairs, a sum of squared moduli.  Sums to 1.  The amplitudes
+    are formed ``OUTCOME_CHUNK`` entries at a time, from the whole
+    ``rows Phi_n`` and a chunk of its rows.
     """
     L, d = len(quorum), quorum.dim
     # rows[k d + m] = <m_k|, the m-th eigenvector of observable k
     rows = quorum.eigenvectors.conj().transpose(0, 2, 1).reshape(L * d, d)
+    chunk = max(1, OUTCOME_CHUNK // (L * d))
     born = np.zeros((L * d, L * d))
     for phi, w in zip(branches, weights):
-        amp = rows @ phi @ rows.T
-        born += w * (amp.real**2 + amp.imag**2)
+        half = rows @ phi
+        for lo in range(0, L * d, chunk):
+            amp = half[lo:lo + chunk] @ rows.T
+            born[lo:lo + chunk] += w * (amp.real**2 + amp.imag**2)
     born = born.reshape(L, d, L, d).transpose(0, 2, 1, 3)
     table = np.outer(quorum.weights, quorum.weights)[:, :, None, None] * born
-    return table / table.sum()
+    table /= table.sum()
+    return table
 
 
 def sample_finite(

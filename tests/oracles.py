@@ -89,6 +89,51 @@ def outcome_table_by_loops(r: np.ndarray, quorum) -> np.ndarray:
     return table / table.sum()
 
 
+def hermite_functions(d: int, x: np.ndarray) -> np.ndarray:
+    """Psi_n(x) for n < d, shape (d, len(x)), from the physicists' Hermite
+    polynomials: (2/pi)^{1/4} e^{-x^2} H_n(sqrt(2) x) / sqrt(2^n n!), with
+    H_{n+1}(y) = 2y H_n(y) - 2n H_{n-1}(y)."""
+    from math import factorial, sqrt
+
+    y = np.sqrt(2.0) * np.asarray(x, dtype=float)
+    herm = [np.ones_like(y), 2.0 * y]
+    for n in range(1, d - 1):
+        herm.append(2.0 * y * herm[n] - 2.0 * n * herm[n - 1])
+    gauss = (2.0 / np.pi) ** 0.25 * np.exp(-y * y / 2.0)
+    return np.array([gauss * herm[n] / sqrt(2.0**n * factorial(n))
+                     for n in range(d)])
+
+
+def fock_conditional_cdf(phi_out, psi_grid, x1, phi1, phi2) -> np.ndarray:
+    """Running sums over every node of the grid of the mode-2 densities of
+    the pure output ``phi_out`` given drawn x1 values, one row per sample
+    (unnormalised).
+
+    ``psi_grid`` holds Psi_m at the nodes.  The density at a node is
+    |sum_m c_m Psi_m|^2 with c_m = e^{i m phi2} sum_n Psi_n(x1) e^{i n phi1}
+    phi_out[n, m].
+    """
+    orders = np.arange(phi_out.shape[0])
+    at_x1 = hermite_functions(orders.size, x1).T
+    c = ((at_x1 * np.exp(1j * np.outer(phi1, orders))) @ phi_out
+         * np.exp(1j * np.outer(phi2, orders)))
+    density = np.abs(c @ psi_grid.astype(complex)) ** 2
+    return np.cumsum(density, axis=1)
+
+
+def cell_inverse(x: np.ndarray, cdf: np.ndarray, u: float) -> float:
+    """The point where the running sum ``cdf`` over the nodes ``x`` reaches
+    u times its total, each node's mass spread evenly over the cell centred
+    on it: the first node that reaches it by a sorted search, then linear
+    interpolation inside its cell."""
+    target = u * cdf[-1]
+    k = int(np.searchsorted(cdf, target, side="left"))
+    below = cdf[k - 1] if k > 0 else 0.0
+    frac = (target - below) / (cdf[k] - below) if cdf[k] > below else 0.0
+    dx = x[1] - x[0]
+    return x[k] - dx / 2.0 + frac * dx
+
+
 def random_contraction(rng, d: int, margin: float = 1.25) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return a / (np.linalg.svd(a, compute_uv=False)[0] * margin)

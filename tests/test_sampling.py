@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from oracles import eigen_branches, outcome_table_by_loops, random_density
+from oracles import (
+    cell_inverse,
+    eigen_branches,
+    fock_conditional_cdf,
+    hermite_functions,
+    outcome_table_by_loops,
+    random_density,
+)
 
 from optomo.bipartite import vec
 from optomo.errors import TruncationError
@@ -9,6 +16,7 @@ from optomo.sampling import (
     GaussianState,
     displaced_twinbeam_gaussian,
     draw_heralds,
+    fock_grid,
     fock_tables,
     joint_outcome_table,
     sample_finite,
@@ -17,6 +25,7 @@ from optomo.sampling import (
     substream,
     write_sample_dump,
     SampleBlock,
+    _fock_draw,
 )
 
 
@@ -127,7 +136,8 @@ class TestSampleFockGeneral:
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[0, 0] = 1.0
         rng = substream(2, 0)
-        p1, p2, x1, x2 = sample_fock_general(fock_tables(phi_out), 1.0, 10**5, rng)
+        p1, p2, x1, x2 = sample_fock_general(
+            fock_tables(phi_out, fock_grid(2)), 1.0, 10**5, rng)
         st = displaced_twinbeam_gaussian(0.0, 0.0)
         rng2 = substream(2, 1)
         _, _, y1, y2 = sample_quadratures(st, 1.0, 10**5, rng2)
@@ -139,7 +149,7 @@ class TestSampleFockGeneral:
         # marginal of vec(I/sqrt 2) is a 50/50 mix of |0> and |1>:
         # var = (1/4 + 3/4) / 2 = 1/2 per mode
         phi_out = np.eye(2, dtype=complex) / np.sqrt(2)
-        _, _, x1, x2 = sample_fock_general(fock_tables(phi_out),
+        _, _, x1, x2 = sample_fock_general(fock_tables(phi_out, fock_grid(2)),
                                            1.0, 10**5, substream(2, 2))
         assert abs(np.var(x1) - 0.5) < 0.01
         assert abs(np.var(x2) - 0.5) < 0.01
@@ -148,7 +158,7 @@ class TestSampleFockGeneral:
         # |1> (x) vacuum: x1 density 4 x^2 sqrt(2/pi) e^{-2x^2}, var 3/4
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[1, 0] = 1.0
-        _, _, x1, x2 = sample_fock_general(fock_tables(phi_out),
+        _, _, x1, x2 = sample_fock_general(fock_tables(phi_out, fock_grid(2)),
                                            1.0, 10**5, substream(2, 3))
         assert abs(np.var(x1) - 0.75) < 0.01
         assert abs(np.var(x2) - 0.25) < 0.01
@@ -156,14 +166,15 @@ class TestSampleFockGeneral:
     def test_eta_noise_added(self):
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[0, 0] = 1.0
-        _, _, x1, _ = sample_fock_general(fock_tables(phi_out),
+        _, _, x1, _ = sample_fock_general(fock_tables(phi_out, fock_grid(2)),
                                           0.7, 10**5, substream(2, 4))
         assert abs(np.var(x1) - 1.0 / 2.8) < 0.01
 
     def test_truncation_deficit_rejected(self):
         bad = np.eye(2, dtype=complex)  # norm sqrt(2), deficit huge
         with pytest.raises(TruncationError):
-            sample_fock_general(fock_tables(bad), 1.0, 10, substream(2, 5))
+            sample_fock_general(fock_tables(bad, fock_grid(2)), 1.0, 10,
+                                substream(2, 5))
 
     def test_coarse_grid_vacuum_mean_unbiased(self):
         # 256 nodes at d = 2 give cells of width 0.053: a sampler that puts
@@ -172,7 +183,7 @@ class TestSampleFockGeneral:
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[0, 0] = 1.0
         n = 10**5
-        tables = fock_tables(phi_out, n_points=256)
+        tables = fock_tables(phi_out, fock_grid(2, n_points=256))
         _, _, x1, x2 = sample_fock_general(tables, 1.0, n, substream(2, 6))
         tol = 4.0 * 0.5 / np.sqrt(n)
         assert abs(np.mean(x1)) < tol
@@ -198,10 +209,64 @@ class TestSampleFockGeneral:
         tol_var = 4.0 * np.sqrt(2.0 * v**2 / n)
         tol_corr = 4.0 * np.sqrt((v**2 + c12**2) / (2.0 * n))
         phi_out = np.diag(c).astype(complex)
-        p1, p2, x1, x2 = sample_fock_general(fock_tables(phi_out), 1.0, n,
-                                             substream(2, 7))
+        p1, p2, x1, x2 = sample_fock_general(
+            fock_tables(phi_out, fock_grid(d)), 1.0, n, substream(2, 7))
         assert abs(np.mean(x1**2) - var_fock) < tol_var
         assert abs(np.mean(x1 * x2 * np.cos(p1 + p2)) - corr_fock) < tol_corr
+
+
+class TestFockX2Draw:
+    @pytest.mark.parametrize("d", [2, 12, 48])
+    def test_matches_full_grid_oracle(self, d):
+        # the two-level x2 draw against a full-grid running sum inverted one
+        # sample at a time, for the same phases and uniforms.  Of every
+        # three targets one is drawn uniformly, one lies in the first block
+        # and one in the highest block that holds at least 2e-6 of the mass:
+        # at d = 48 that is mostly the last block, whose tail is
+        # zero-padded; at d = 2 and 12 the last blocks hold less than 1e-30.
+        # Those targets keep 1e-6 of the mass above them: two float64 sums
+        # of the same density differ by ~1e-15 of the total, which moves a
+        # draw by dx 1e-15 / (mass of its cell), about 1e-10 at 1e-6 from
+        # the top and more closer to it.
+        rng = np.random.default_rng(100 + d)
+        phi_out = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        phi_out /= np.linalg.norm(phi_out)
+        grid = fock_grid(d)
+        n = 10**4
+        p1 = rng.uniform(0.0, 2.0 * np.pi, n)
+        p2 = rng.uniform(0.0, 2.0 * np.pi, n)
+        u1 = rng.random(n)
+        v = rng.random(n)
+        tables = fock_tables(phi_out, grid)
+        xs1, _ = _fock_draw(tables, p1, p2, u1, v)  # x1 does not use u2
+        psi_grid = hermite_functions(d, grid.x)
+        starts = np.arange(grid.n_blocks) * grid.block
+        u2 = v.copy()
+        expect = np.empty(n)
+        top_block = np.empty(n, dtype=int)
+        for lo in range(0, n, 500):
+            cdfs = fock_conditional_cdf(phi_out, psi_grid, xs1[lo:lo + 500],
+                                        p1[lo:lo + 500], p2[lo:lo + 500])
+            for r, cdf in enumerate(cdfs, start=lo):
+                below = np.concatenate([[0.0], cdf[starts[1:] - 1]]) / cdf[-1]
+                top_block[r] = np.flatnonzero(1.0 - below >= 2e-6)[-1]
+                if r % 3 == 1:
+                    u2[r] = v[r] * below[1]
+                elif r % 3 == 2:
+                    f = below[top_block[r]]
+                    u2[r] = f + (1.0 - 1e-6 - f) * v[r]
+                expect[r] = cell_inverse(grid.x, cdf, u2[r])
+        _, xs2 = _fock_draw(tables, p1, p2, u1, u2)
+        assert np.max(np.abs(xs2 - expect)) < 1e-9
+        dx = grid.x[1] - grid.x[0]
+        cell = np.floor((xs2 - grid.x[0]) / dx + 0.5).astype(int)
+        assert np.all(cell[1::3] < grid.block)
+        assert np.all(cell[2::3] >= starts[top_block[2::3]])
+        if d == 48:
+            assert grid.n_blocks * grid.block > grid.x.size
+            assert np.mean(top_block[2::3] == grid.n_blocks - 1) > 0.5
+        assert np.all(xs2 >= grid.x[0] - dx / 2)
+        assert np.all(xs2 <= grid.x[-1] + dx / 2)
 
 
 class TestSampleFinite:
