@@ -18,7 +18,6 @@ from optomo.bipartite import (
 )
 from optomo.maps import (
     ChoiMatrix,
-    DisplacementOp,
     KrausMap,
     PureOperation,
     TwinBeamState,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChoiMatrix",
-    "DisplacementOp",
     "FiniteQuorum",
     "GridSpec",
     "HomodyneKernel",

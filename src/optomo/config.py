@@ -54,7 +54,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, (float, complex)) and not np.isfinite(value):
                 raise ConfigError(f"{f.name} = {value} is not finite")
-        for key in ("dim_cut", "grid_half_width", "ridge"):
+        for key in ("dim_cut", "grid_half_width", "ridge", "master_seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} = {getattr(self, key)} is negative")
         if self.operation not in _OPERATIONS:
@@ -104,6 +104,9 @@ class ExperimentConfig:
                 f"route = finite is limited to dim_cut <= "
                 f"{FINITE_ROUTE_MAX_DIM}, got {dim}"
             )
+        if dim < 2:
+            # no finite quorum or displacement fits in one Fock level
+            raise ConfigError(f"dim_cut = {dim} must be at least 2")
         if dim <= self.n_max:
             raise ConfigError(
                 f"dim_cut = {dim} must exceed the reconstruction window "

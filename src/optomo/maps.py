@@ -129,15 +129,6 @@ class TwinBeamState:
         return np.real(np.diag(self.psi))
 
 
-@dataclass(frozen=True)
-class DisplacementOp:
-    """Fock-basis truncation of the unitary displacement exp(z a^dag - z* a)."""
-
-    z: complex
-    dim_cut: int
-    matrix: np.ndarray = field(repr=False)
-
-
 def apply_pure(op: PureOperation, psi: np.ndarray) -> tuple[np.ndarray, float]:
     """Map the entangler matrix through the operation: phi = A psi / ||A psi||,
     the one-branch case of ``output_branches``.
@@ -239,7 +230,7 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausMap:
     return KrausMap(tuple(ops))
 
 
-def displacement_matrix(z: complex, dim_cut: int) -> DisplacementOp:
+def displacement_matrix(z: complex, dim_cut: int) -> np.ndarray:
     """Truncated displacement operator exp(z a^dag - z* a) in the Fock basis.
 
     The generator is exponentiated at an enlarged cutoff (guard band of
@@ -252,7 +243,7 @@ def displacement_matrix(z: complex, dim_cut: int) -> DisplacementOp:
     adag = np.diag(np.sqrt(np.arange(1.0, n)), -1)
     gen = z * adag - np.conj(z) * adag.T
     full = scipy.linalg.expm(gen)
-    return DisplacementOp(z=complex(z), dim_cut=dim_cut, matrix=full[:dim_cut, :dim_cut])
+    return full[:dim_cut, :dim_cut]
 
 
 def twin_beam(nbar: float, dim_cut: int, deficit_bound: float = DEFICIT_WARN_BOUND) -> TwinBeamState:

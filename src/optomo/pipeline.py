@@ -13,12 +13,13 @@ result document plus plot-data files.  Every block is one ``SampleBlock``
 of heralded samples, dropped once accumulated; the optional sample dump
 draws the blocks again, one at a time.
 Values that depend only on the run (the homodyne kernel or finite quorum,
-the Fock sampler tables, the joint outcome table and its running sum, the
-mode-2 estimator coefficients) are built once, after the dry-run return, and
-shared read-only by all workers; the backends' pair and alphabet tables are
-built on first use and kept for the run.  Worker count only affects wall-clock: block
-substreams and the ordered reduction make outputs byte-identical for any
---threads value.
+the mode-2 estimator coefficients, and the sampler record of the output
+branches: ``fock_tables`` on the Fock route, the joint outcome table and its
+running sum on the finite one, each built from ``(branches, weights)`` in one
+call) are built once, after the dry-run return, and shared read-only by all
+workers; the backends' pair and alphabet tables are built on first use and
+kept for the run.  Worker count only affects wall-clock: block substreams and
+the ordered reduction make outputs byte-identical for any --threads value.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def build_operation(cfg: ExperimentConfig, dim_cut: int) -> KrausMap:
     """The run's operation as Kraus operators on the dim_cut Fock space; a
     pure operation (displacement, identity, one-operator file) has one."""
     if cfg.operation == "displacement":
-        m = displacement_matrix(cfg.z, dim_cut).matrix
+        m = displacement_matrix(cfg.z, dim_cut)
         # the cropped exponential can exceed unit norm by rounding; rescale
         top = np.linalg.norm(m, 2)
         if top > 1.0:
@@ -164,30 +165,6 @@ def _heralded_block(cfg, p_occ, block_id, draw):
     rng = substream(cfg.master_seed, block_id)
     herald = draw_heralds(p_occ, cfg.samples_per_block, rng)
     return SampleBlock(block_id, herald, *draw(int(herald.sum()), rng))
-
-
-def _fock_branch_draw(cfg, tables, weights):
-    """The Fock route's draw: a mixture over the pure branches K_n psi.
-
-    Each heralded sample picks a branch with probability proportional to
-    ``weights`` (no draw for a single branch) and is drawn from that
-    branch's per-run sampler ``tables``.
-    """
-    w = np.asarray(weights) / np.sum(weights)
-
-    def draw(n, rng):
-        if len(tables) == 1:
-            branch_idx = np.zeros(n, dtype=int)
-        else:
-            branch_idx = rng.choice(len(tables), size=n, p=w)
-        cols = np.zeros((4, n))
-        for bi, tab in enumerate(tables):
-            sel = np.flatnonzero(branch_idx == bi)
-            if sel.size:
-                cols[:, sel] = sample_fock_general(tab, cfg.eta, sel.size, rng)
-        return cols
-
-    return draw
 
 
 def _map_blocks(make_block, accumulate_one, block_ids, threads):
@@ -288,9 +265,8 @@ def run_simulate(
             state = displaced_twinbeam_gaussian(z, cfg.nbar)
             draw = lambda n, rng: sample_quadratures(state, cfg.eta, n, rng)
         else:
-            shared = fock_grid(dim_cut)
-            draw = _fock_branch_draw(
-                cfg, [fock_tables(b, shared) for b in branches], weights)
+            tables = fock_tables(branches, weights, fock_grid(dim_cut))
+            draw = lambda n, rng: sample_fock_general(tables, cfg.eta, n, rng)
     make_block = lambda b: _heralded_block(cfg, p_occ, b, draw)
 
     coef, coef_deficit = estimation.mode2_combination(

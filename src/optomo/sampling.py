@@ -5,13 +5,13 @@ Three sampling paths share one RNG contract:
 * exact Gaussian sampling of joint quadratures for Gaussian scenarios
   (the displaced twin-beam experiment),
 * exact Fock-basis sampling of arbitrary pure bipartite outputs (and
-  mixtures of them for Kraus maps) on one grid per run (``fock_grid``,
-  shared by every branch): x1 by bisection on a cumulative mode-1 marginal
-  table built once per branch (``fock_tables``), x2 from the exact
-  conditional given x1 by a two-level search, first over the grid's blocks
-  by their masses c^dag M_b c, then over the nodes of one block; each grid
-  node's mass sits on the cell centred on it, so draws carry no half-cell
-  shift,
+  mixtures of them for Kraus maps) on one grid per run (``fock_grid``),
+  from one per-run record of the output branches (``fock_tables``, which
+  holds each branch's mode-1 marginal summed block by block): x1 from the
+  phase-dependent marginal, x2 from the exact conditional given x1, both
+  by one two-level search, first over the grid's blocks by their masses,
+  then over the nodes of one block; each grid node's mass sits on the cell
+  centred on it, so draws carry no half-cell shift,
 * exact-distribution outcome sampling for finite-dimensional quorums, by
   inverse CDF on the joint outcome table of the same output branches the
   Fock route draws from (``joint_outcome_table``, a weighted sum of squared
@@ -174,41 +174,6 @@ def sample_quadratures(
     return phi1, phi2, x1, x2
 
 
-def _in_cell(x_node, dx, c_lo, c_hi, target):
-    """The point of the cell [x_node - dx/2, x_node + dx/2] at which the CDF,
-    linear across the cell from ``c_lo`` to ``c_hi``, reaches ``target``."""
-    frac = (target - c_lo) / np.maximum(c_hi - c_lo, np.finfo(float).tiny)
-    return x_node + (frac - 0.5) * dx
-
-
-def _inverse_cdf(cdf_at, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One draw per row by inverting a cumulative table over the grid ``x``.
-
-    ``cdf_at(k)`` returns, for every row r, the mass of nodes 0..k[r] of that
-    row.  Node k carries its mass on the cell [x_k - dx/2, x_k + dx/2], so
-    the midpoint rule is inverted without a shift; within the cell the CDF
-    is linear.  The node is found by bisection, ceil(log2(len(x) + 1))
-    calls of ``cdf_at``.
-    """
-    lo = np.full(u.size, -1)
-    hi = np.full(u.size, x.size - 1)
-    c_lo = np.zeros(u.size)
-    c_hi = cdf_at(hi)
-    target = u * c_hi
-    active = hi - lo > 1
-    while active.any():
-        mid = np.where(active, (lo + hi) // 2, hi)
-        c_mid = cdf_at(mid)
-        below = active & (c_mid < target)
-        above = active & ~below
-        lo = np.where(below, mid, lo)
-        c_lo = np.where(below, c_mid, c_lo)
-        hi = np.where(above, mid, hi)
-        c_hi = np.where(above, c_mid, c_hi)
-        active = hi - lo > 1
-    return _in_cell(x[hi], x[1] - x[0], c_lo, c_hi, target)
-
-
 @dataclass(frozen=True)
 class FockGrid:
     """Per-run grid tables of the Fock-route sampler, shared by every branch.
@@ -258,63 +223,75 @@ def fock_grid(d: int, n_points: int = FOCK_GRID_POINTS) -> FockGrid:
 
 @dataclass(frozen=True)
 class FockTables:
-    """Per-branch tables of the Fock-route sampler, built once per run.
+    """Per-run tables of the Fock-route sampler for the output that mixes the
+    pure ``branches`` (shape (n, d, d)) with probabilities ``weights``.
 
-    ``grid`` is the run's shared ``FockGrid``.  ``marginal`` is the
-    cumulative mode-1 marginal of ``phi_out``: column delta of its complex
-    form is H_delta(k) = w_delta sum_a rho1[a, a+delta] sum_{j<=k} Psi_a
-    Psi_{a+delta} at x_j (w_0 = 1, otherwise 2), stored as [Re H | Im H],
-    shape (G, 2d).  The cumulative marginal at x_k for phase phi1 is
-    Re sum_delta H_delta(k) e^{-i delta phi1}.
+    ``grid`` is the run's shared ``FockGrid``.  ``marginal[n]`` is the mode-1
+    marginal of branch n in the node layout of ``grid.psi``, summed from the
+    first node of each block: column k of row delta of its complex form is
+    H_delta(k) = w_delta sum_a rho1[a, a+delta] sum_j Psi_a Psi_{a+delta} at
+    x_j, over the nodes j <= k of the block of node k (w_0 = 1, otherwise
+    2), stored as rows [Re H; Im H], shape (n, 2d, n_blocks block).  For
+    phase phi1 the running mass at node k is Re sum_delta H_delta(k)
+    e^{-i delta phi1}; at a block's last node it is that block's mass.
     """
 
-    phi_out: np.ndarray
     grid: FockGrid
+    branches: np.ndarray
+    weights: np.ndarray
     marginal: np.ndarray
 
 
-def fock_tables(phi_out: np.ndarray, grid: FockGrid) -> FockTables:
-    """Sampler tables for the normalised pure bipartite output ``phi_out``.
+def fock_tables(branches, weights, grid: FockGrid) -> FockTables:
+    """Sampler tables of the output that mixes the normalised pure
+    ``branches`` (d x d matrices) with ``weights``, built once per run.
 
-    ``grid`` is the run's ``fock_grid`` of the dimension of ``phi_out``.
-    Raises TruncationError if the norm of ``phi_out`` differs from 1 by more
-    than ``TRUNCATION_BOUND``.
+    ``grid`` is the run's ``fock_grid`` of dimension d.  Raises
+    TruncationError if the norm of a branch differs from 1 by more than
+    ``TRUNCATION_BOUND``.
     """
-    phi_out = np.asarray(phi_out, dtype=complex)
-    d = phi_out.shape[0]
-    norm2 = float(np.sum(np.abs(phi_out) ** 2))
-    if abs(norm2 - 1.0) > TRUNCATION_BOUND:
-        raise TruncationError(
-            f"output-state truncation deficit {abs(norm2 - 1.0):.3e} above "
-            f"bound {TRUNCATION_BOUND:.0e}"
-        )
-    psi = grid.psi[:, : grid.x.size]
-    rho1 = phi_out @ phi_out.conj().T  # reduced state of mode 1
-    density = np.empty((grid.x.size, d), dtype=complex)
-    for delta in range(d):
-        w = 1.0 if delta == 0 else 2.0
-        r = w * np.diagonal(rho1, delta)
-        density[:, delta] = r @ (psi[: d - delta] * psi[delta:])
-    cum = np.cumsum(density, axis=0)
-    marginal = np.concatenate([cum.real, cum.imag], axis=1)
-    return FockTables(phi_out=phi_out, grid=grid, marginal=marginal)
+    branches = np.array(branches, dtype=complex)
+    n, d = branches.shape[:2]
+    psi = grid.psi
+    marginal = np.empty((n, 2 * d, psi.shape[1]))
+    for phi, table in zip(branches, marginal):
+        norm2 = float(np.sum(np.abs(phi) ** 2))
+        if abs(norm2 - 1.0) > TRUNCATION_BOUND:
+            raise TruncationError(
+                f"output-state truncation deficit {abs(norm2 - 1.0):.3e} "
+                f"above bound {TRUNCATION_BOUND:.0e}"
+            )
+        rho1 = phi @ phi.conj().T  # reduced state of mode 1
+        density = np.empty((d, psi.shape[1]), dtype=complex)
+        for delta in range(d):
+            w = 1.0 if delta == 0 else 2.0
+            r = w * np.diagonal(rho1, delta)
+            density[delta] = r @ (psi[: d - delta] * psi[delta:])
+        cum = np.cumsum(density.reshape(d, grid.n_blocks, grid.block), axis=2)
+        table[:d] = cum.real.reshape(d, -1)
+        table[d:] = cum.imag.reshape(d, -1)
+    return FockTables(grid=grid, branches=branches,
+                      weights=np.asarray(weights) / np.sum(weights),
+                      marginal=marginal)
 
 
-def _draw_x2(grid: FockGrid, c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One draw per row of the density |sum_m c[r, m] Psi_m(x)|^2 on ``grid``.
+def _grid_draw(grid: FockGrid, masses, running, u) -> np.ndarray:
+    """One draw per row by a two-level inverse CDF on ``grid``.
 
-    Two-level inverse CDF: the block masses c^dag M_b c of every row come
-    from one real GEMM and pick the block where u times the total mass is
-    reached; the node inside it comes from the running sum of the density
-    over that block's nodes only, one GEMM per block, and the in-cell
-    inversion of ``_inverse_cdf``.
+    ``masses`` (s, n_blocks) holds every row's mass in each block, and
+    ``running(b, sel)`` the running mass of the rows ``sel`` over the nodes
+    of block b, from its first node.  The masses pick the block where u
+    times the row's total mass is reached; the running mass over that block
+    picks the first node that reaches the target's share of the block, which
+    stays a crossing where rounding makes a running mass dip (x1's is a sum
+    of cosines).  Node k carries its mass on the cell [x_k - dx/2,
+    x_k + dx/2], across which the CDF is linear, so the midpoint rule is
+    inverted without a shift.  The zero padding past the grid's last node
+    is cut off before the node search, so no draw lands there even where
+    rounding leaves a padded node's running mass above the last real one.
     """
-    s, d = c.shape
-    nb, size = grid.n_blocks, grid.block
-    ri = np.concatenate([c.real, c.imag])  # (2s, d)
-    quad = (ri @ grid.mass).reshape(2, s, nb, d)
-    masses = np.maximum(
-        np.einsum("tsbm,tsm->sb", quad, ri.reshape(2, s, d)), 0.0)
+    s = masses.shape[0]
+    masses = np.maximum(masses, 0.0)
     cum = np.cumsum(masses, axis=1)
     target = u * cum[:, -1]
     blk = np.sum(cum < target[:, None], axis=1)
@@ -328,34 +305,64 @@ def _draw_x2(grid: FockGrid, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     dx = grid.x[1] - grid.x[0]
     for b in np.unique(blk):
         sel = np.flatnonzero(blk == b)
+        start = b * grid.block
+        cdf = running(b, sel)[:, : grid.x.size - start]
+        t = share[sel] * cdf[:, -1]
+        node = np.argmax(cdf >= t[:, None], axis=1)
+        at = np.arange(sel.size)
+        c_lo = np.where(node > 0, cdf[at, node - 1], 0.0)
+        frac = (t - c_lo) / np.maximum(cdf[at, node] - c_lo,
+                                       np.finfo(float).tiny)
+        xs[sel] = grid.x[start + node] + (frac - 0.5) * dx
+    return xs
+
+
+def _draw_x2(grid: FockGrid, c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One draw per row of the density |sum_m c[r, m] Psi_m(x)|^2 on ``grid``.
+
+    The block masses c^dag M_b c of every row come from one real GEMM; the
+    running mass over one block's nodes from one GEMM per block.
+    """
+    s, d = c.shape
+    size = grid.block
+    ri = np.concatenate([c.real, c.imag])  # (2s, d)
+    quad = (ri @ grid.mass).reshape(2, s, grid.n_blocks, d)
+    masses = np.einsum("tsbm,tsm->sb", quad, ri.reshape(2, s, d))
+
+    def running(b, sel):
         psi_b = grid.psi[:, b * size:(b + 1) * size]
         cdf = c.real[sel] @ psi_b
         im = c.imag[sel] @ psi_b
         cdf *= cdf
         im *= im
         cdf += im
-        np.cumsum(cdf, axis=1, out=cdf)
-        t = share[sel] * cdf[:, -1]
-        node = np.sum(cdf < t[:, None], axis=1)
-        at = np.arange(sel.size)
-        c_lo = np.where(node > 0, cdf[at, node - 1], 0.0)
-        xs[sel] = _in_cell(grid.x[b * size + node], dx, c_lo, cdf[at, node], t)
-    return xs
+        return np.cumsum(cdf, axis=1, out=cdf)
+
+    return _grid_draw(grid, masses, running, u)
 
 
-def _fock_draw(tables: FockTables, p1, p2, u1, u2):
-    """Noise-free (x1, x2) for one batch of phases and uniforms."""
-    d = tables.phi_out.shape[0]
+def _fock_draw(tables: FockTables, branch: int, p1, p2, u1, u2):
+    """Noise-free (x1, x2) of one branch for a batch of phases and uniforms.
+
+    x1 is drawn from the branch's marginal table with trig1 = [cos a phi1 |
+    sin a phi1]: the block masses are trig1 times the table's columns at
+    the blocks' last nodes, the running mass over one block trig1 times that
+    block's columns.  x2 is drawn from the exact conditional given x1.
+    """
+    grid, size = tables.grid, tables.grid.block
+    phi_out = tables.branches[branch]
+    marginal = tables.marginal[branch]
+    d = phi_out.shape[0]
     orders = np.arange(d)
     rot1 = np.exp(1j * np.outer(p1, orders))  # e^{i a phi1}, (s, d)
     trig1 = np.concatenate([rot1.real, rot1.imag], axis=1)
-    xs1 = _inverse_cdf(
-        lambda k: np.einsum("ij,ij->i", tables.marginal[k], trig1),
-        tables.grid.x, u1)
+    xs1 = _grid_draw(
+        grid, trig1 @ marginal[:, size - 1::size],
+        lambda b, sel: trig1[sel] @ marginal[:, b * size:(b + 1) * size], u1)
     # conditional amplitude over mode-2 index m at the drawn x1
     psi_at = quadrature_wavefunctions(d, xs1).T  # (s, d)
-    c = ((psi_at * rot1) @ tables.phi_out) * np.exp(1j * np.outer(p2, orders))
-    return xs1, _draw_x2(tables.grid, c, u2)
+    c = ((psi_at * rot1) @ phi_out) * np.exp(1j * np.outer(p2, orders))
+    return xs1, _draw_x2(grid, c, u2)
 
 
 def sample_fock_general(
@@ -364,38 +371,43 @@ def sample_fock_general(
     n: int,
     stream: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Joint quadrature samples (phi1, phi2, x1, x2) for a pure bipartite output.
+    """Joint quadrature samples (phi1, phi2, x1, x2) of the output that
+    mixes the pure branches of ``tables``.
 
-    Per sample, x1 is drawn from the exact phase-dependent marginal by
-    bisection on the cumulative table of ``tables``, x2 from the exact
-    conditional |sum_m c_m e^{i m phi2} Psi_m(x2)|^2 given x1, with Psi_a(x1)
-    evaluated at the drawn point: the block masses of the shared grid pick
-    the block, a running sum over its nodes the cell.  Both then receive
-    efficiency noise.  Draw order per batch of ``FOCK_BATCH`` samples: phi1,
-    phi2, u1, u2, noise1, noise2.
+    Each sample picks a branch with probability equal to its weight.  Per
+    sample, x1 is drawn from the branch's exact phase-dependent marginal, x2
+    from the exact conditional |sum_m c_m e^{i m phi2} Psi_m(x2)|^2 given
+    x1, with Psi_a(x1) evaluated at the drawn point; both by the same
+    two-level search over the grid's blocks, then the nodes of one block.
+    Both then receive efficiency noise.  Draw order: the branch indices
+    (``stream.choice``, only when there is more than one branch); then,
+    branch by branch in index order, per batch of up to ``FOCK_BATCH`` of
+    that branch's samples: phi1, phi2, u1, u2, noise1, noise2.  A branch
+    with no sample draws nothing.
     """
     sig2 = noise_sigma2(eta)
-    phi1 = np.empty(n)
-    phi2 = np.empty(n)
-    x1 = np.empty(n)
-    x2 = np.empty(n)
-    for lo in range(0, n, FOCK_BATCH):
-        s = min(FOCK_BATCH, n - lo)
-        p1 = stream.uniform(0.0, 2.0 * np.pi, s)
-        p2 = stream.uniform(0.0, 2.0 * np.pi, s)
-        u1 = stream.random(s)
-        u2 = stream.random(s)
-        g1 = stream.standard_normal(s)
-        g2 = stream.standard_normal(s)
-        xs1, xs2 = _fock_draw(tables, p1, p2, u1, u2)
-        if sig2 > 0.0:
-            xs1 += np.sqrt(sig2) * g1
-            xs2 += np.sqrt(sig2) * g2
-        phi1[lo:lo + s] = p1
-        phi2[lo:lo + s] = p2
-        x1[lo:lo + s] = xs1
-        x2[lo:lo + s] = xs2
-    return phi1, phi2, x1, x2
+    n_branches = len(tables.weights)
+    if n_branches == 1:
+        branch_idx = np.zeros(n, dtype=int)
+    else:
+        branch_idx = stream.choice(n_branches, size=n, p=tables.weights)
+    cols = np.zeros((4, n))
+    for branch in range(n_branches):
+        sel = np.flatnonzero(branch_idx == branch)
+        for lo in range(0, sel.size, FOCK_BATCH):
+            at = sel[lo:lo + FOCK_BATCH]
+            p1 = stream.uniform(0.0, 2.0 * np.pi, at.size)
+            p2 = stream.uniform(0.0, 2.0 * np.pi, at.size)
+            u1 = stream.random(at.size)
+            u2 = stream.random(at.size)
+            g1 = stream.standard_normal(at.size)
+            g2 = stream.standard_normal(at.size)
+            xs1, xs2 = _fock_draw(tables, branch, p1, p2, u1, u2)
+            if sig2 > 0.0:
+                xs1 += np.sqrt(sig2) * g1
+                xs2 += np.sqrt(sig2) * g2
+            cols[:, at] = p1, p2, xs1, xs2
+    return tuple(cols)
 
 
 def joint_outcome_table(branches, weights, quorum: FiniteQuorum) -> np.ndarray:

@@ -121,6 +121,20 @@ def fock_conditional_cdf(phi_out, psi_grid, x1, phi1, phi2) -> np.ndarray:
     return np.cumsum(density, axis=1)
 
 
+def fock_marginal_cdf(phi_out, psi_grid, phi1) -> np.ndarray:
+    """Running sums over every node of the grid of the mode-1 densities of
+    the pure output ``phi_out`` at the phases ``phi1``, one row per phase
+    (unnormalised).
+
+    ``psi_grid`` holds Psi_n at the nodes.  The density at a node is
+    sum_m |sum_n Psi_n e^{i n phi1} phi_out[n, m]|^2, the squared norm of
+    the mode-2 amplitude left by the mode-1 outcome.
+    """
+    rot = np.exp(1j * np.outer(phi1, np.arange(phi_out.shape[0])))
+    amp = (psi_grid.T[None, :, :] * rot[:, None, :]) @ phi_out
+    return np.cumsum(np.sum(amp.real**2 + amp.imag**2, axis=2), axis=1)
+
+
 def cell_inverse(x: np.ndarray, cdf: np.ndarray, u: float) -> float:
     """The point where the running sum ``cdf`` over the nodes ``x`` reaches
     u times its total, each node's mass spread evenly over the cell centred

@@ -37,8 +37,8 @@ def test_map_blocks_takes_traced_parameters(tracer):
     assert set(tracer.MAP_BLOCKS_PARAMS) <= set(params)
 
 
-def _traced_counts(tracer, cfg, tmp_path):
-    """Heralded samples and dyad pair-samples of one traced two-thread run."""
+def _traced_run(tracer, cfg, tmp_path):
+    """Heralded samples and the spans of one traced two-thread run."""
     from optomo.pipeline import run_simulate
 
     t = tracer.Tracer()
@@ -51,8 +51,11 @@ def _traced_counts(tracer, cfg, tmp_path):
     assert t.missing == {}
     heralded = [s.count[0] for s in spans if s.label == "sampling.heralds"]
     assert len(heralded) == cfg.blocks
-    dyad = sum(s.count for s in spans if s.label == "quorum.dyad")
-    return sum(heralded), dyad
+    return sum(heralded), spans
+
+
+def _counted(spans, label):
+    return sum(s.count for s in spans if s.label == label)
 
 
 def test_dyad_hook_counts_every_pair_sample(tracer, tmp_path):
@@ -64,7 +67,8 @@ def test_dyad_hook_counts_every_pair_sample(tracer, tmp_path):
         operation="displacement", z=0.5 + 0.0j, nbar=1.0, eta=0.9, n_max=3,
         blocks=3, samples_per_block=5000, master_seed=8, out_prefix="hooks",
     )
-    heralded, dyad = _traced_counts(tracer, cfg, tmp_path)
+    heralded, spans = _traced_run(tracer, cfg, tmp_path)
+    dyad = _counted(spans, "quorum.dyad")
     # a pure estimate pairs i0 with n_max + 1 indices on each mode
     assert dyad == heralded * 2 * (cfg.n_max + 1)
 
@@ -85,7 +89,8 @@ def test_dyad_hook_counts_heralded_choi_pair_samples(tracer, tmp_path):
         nbar=1.0, dim_cut=3, n_max=2, blocks=3, samples_per_block=2000,
         master_seed=8, out_prefix="hooks",
     )
-    heralded, dyad = _traced_counts(tracer, cfg, tmp_path)
+    heralded, spans = _traced_run(tracer, cfg, tmp_path)
+    dyad = _counted(spans, "quorum.dyad")
     assert 0 < heralded < cfg.blocks * cfg.samples_per_block
     w1, k1 = cfg.n_max + 1, cfg.dim_cut
     n_alpha = cfg.dim_cut**3  # L d with L = d^2 observables
@@ -94,3 +99,23 @@ def test_dyad_hook_counts_heralded_choi_pair_samples(tracer, tmp_path):
     # grid and one table serves both modes
     assert w1 == k1
     assert dyad == n_alpha * w1**2
+
+
+def test_fock_hook_counts_every_heralded_sample(tracer, tmp_path):
+    # a two-branch Fock-route Choi run with p_occ < 1: the samples counted
+    # by the hooked sample_fock_general, which sampling.fock_us_per_sample
+    # divides its time by, are the heralded samples of every branch
+    from optomo.config import ExperimentConfig
+
+    ks = np.zeros((2, 3, 3), dtype=complex)
+    ks[0, :2, :2] = np.sqrt(0.5) * np.eye(2)
+    ks[1, :2, :2] = np.sqrt(0.5) * np.diag([1.0, -1.0])
+    np.save(tmp_path / "k.npy", ks)
+    cfg = ExperimentConfig(
+        operation="kraus", kraus_file=str(tmp_path / "k.npy"), route="fock",
+        nbar=1.0, dim_cut=12, n_max=2, blocks=3, samples_per_block=600,
+        master_seed=8, out_prefix="hooks",
+    )
+    heralded, spans = _traced_run(tracer, cfg, tmp_path)
+    assert 0 < heralded < cfg.blocks * cfg.samples_per_block
+    assert _counted(spans, "sampling.fock") == heralded

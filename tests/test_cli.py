@@ -104,6 +104,7 @@ class TestSimulate:
         ("nbar", "nan"), ("eta", "nan"), ("z", "nan+1j"), ("ridge", "nan"),
         ("grid_spacing", "nan"), ("grid_half_width", "inf"),
         ("ridge", "-1"), ("dim_cut", "-5"), ("grid_half_width", "-3"),
+        ("master_seed", "-1"),
     ])
     def test_non_finite_or_negative_value_exit_2(self, tmp_path, capsys,
                                                  key, value):
@@ -112,6 +113,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--dry-run",
                      "--out-dir", str(tmp_path)]) == 2
         assert f"config error: {key} = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route, operation, nbar", [
+        ("finite", "identity", "1.0"), ("fock", "displacement", "0.001"),
+    ])
+    def test_one_fock_level_exit_2(self, tmp_path, capsys, route, operation,
+                                   nbar):
+        # dim_cut = 1 exceeds the window n_max = 0 but holds no finite
+        # quorum or displacement
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"optomo-config v1\noperation = {operation}\n"
+                       f"route = {route}\nnbar = {nbar}\ndim_cut = 1\n"
+                       "n_max = 0\nblocks = 2\nsamples_per_block = 10\n")
+        for flags in ([], ["--dry-run"]):
+            assert main(["simulate", "--config", str(bad),
+                         "--out-dir", str(tmp_path)] + flags) == 2
+            assert "config error: dim_cut = 1 " in capsys.readouterr().err
 
     def test_repeated_key_exit_2(self, tmp_path, capsys):
         # a key given twice must not silently keep its last value

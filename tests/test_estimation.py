@@ -394,7 +394,7 @@ class TestChoiEstimation:
 class TestReferenceAndPhase:
     def test_select_reference_displacement(self):
         beam = twin_beam(5.0, 48)
-        dop = displacement_matrix(1.0, 48).matrix
+        dop = displacement_matrix(1.0, 48)
         phi = dop @ beam.psi
         mags = np.abs(phi[:8, :8])
         i0, j0 = select_reference(mags)

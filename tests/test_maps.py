@@ -76,11 +76,11 @@ class TestApplyPure:
         # bound is only reachable at the policy cutoff 48 (oracle: exact norm
         # at the larger cutoff)
         beam16 = twin_beam(5.0, 16, deficit_bound=1.0)
-        m16 = displacement_matrix(1.0, 16).matrix
+        m16 = displacement_matrix(1.0, 16)
         _, p16 = apply_pure(PureOperation(m16 / max(1.0, np.linalg.norm(m16, 2))),
                             beam16.psi)
         beam48 = twin_beam(5.0, 48)
-        m48 = displacement_matrix(1.0, 48).matrix
+        m48 = displacement_matrix(1.0, 48)
         _, p48 = apply_pure(PureOperation(m48 / max(1.0, np.linalg.norm(m48, 2))),
                             beam48.psi)
         assert abs(p48 - 1.0) < 1e-3
@@ -111,11 +111,11 @@ class TestReconstructPure:
     def test_twin_beam_window(self):
         # reconstruction agrees inside the window; doubled cutoff as oracle
         beam = twin_beam(3.0, 16, deficit_bound=1.0)
-        op = PureOperation(displacement_matrix(1.0, 16).matrix)
+        op = PureOperation(displacement_matrix(1.0, 16))
         phi, p = apply_pure(op, beam.psi)
         a_rec = reconstruct_pure(phi, beam.psi, p)
         beam2 = twin_beam(3.0, 32)
-        op2 = PureOperation(displacement_matrix(1.0, 32).matrix)
+        op2 = PureOperation(displacement_matrix(1.0, 32))
         phi2, p2 = apply_pure(op2, beam2.psi)
         a_rec2 = reconstruct_pure(phi2, beam2.psi, p2)
         win = np.s_[:9, :9]
@@ -266,22 +266,22 @@ class TestChoi:
 class TestDisplacement:
     def test_zero_is_identity(self):
         op = displacement_matrix(0.0, 8)
-        assert np.allclose(op.matrix, np.eye(8), atol=1e-12)
+        assert np.allclose(op, np.eye(8), atol=1e-12)
 
     def test_vacuum_element(self):
         op = displacement_matrix(1.0, 16)
-        assert abs(op.matrix[0, 0] - np.exp(-0.5)) < 1e-9
+        assert abs(op[0, 0] - np.exp(-0.5)) < 1e-9
 
     def test_diagonal_matches_laguerre(self):
         op = displacement_matrix(1.0, 24)
         for n in range(9):
-            assert abs(op.matrix[n, n] - displacement_element(n, n, 1.0)) < 1e-6
+            assert abs(op[n, n] - displacement_element(n, n, 1.0)) < 1e-6
 
     def test_offdiagonal_matches_laguerre(self):
         op = displacement_matrix(0.7 + 0.3j, 24)
         for m in range(8):
             for n in range(8):
-                assert abs(op.matrix[m, n] - displacement_element(m, n, 0.7 + 0.3j)) < 1e-6
+                assert abs(op[m, n] - displacement_element(m, n, 0.7 + 0.3j)) < 1e-6
 
     def test_unitarity_inner_block(self):
         # cropping loses column norm where D(z)|n> spreads past dim_cut, so
@@ -289,7 +289,7 @@ class TestDisplacement:
         # like sqrt(2n+1)|z|, and the quarter block is comfortably inside at
         # |z| = 1
         op = displacement_matrix(1.0, 24)
-        gram = op.matrix.conj().T @ op.matrix
+        gram = op.conj().T @ op
         inner = 24 // 4
         assert np.max(np.abs(gram[:inner, :inner] - np.eye(inner))) < 1e-6
 

@@ -308,7 +308,7 @@ class TestFig2BiasAudit:
         kernel = build_homodyne_kernel(
             dim_cut, eta, GridSpec(6.0 * (1 + nbar)), max_index=n_max)
         beam = twin_beam(nbar, dim_cut)
-        dop = displacement_matrix(1.0, dim_cut).matrix
+        dop = displacement_matrix(1.0, dim_cut)
         phi = dop @ beam.psi  # unnormalised output, A_ij = phi_ij / psi_jj
         diag = beam.diagonal
         rec = kernel.recovery

@@ -4,6 +4,7 @@ from oracles import (
     cell_inverse,
     eigen_branches,
     fock_conditional_cdf,
+    fock_marginal_cdf,
     hermite_functions,
     outcome_table_by_loops,
     random_density,
@@ -137,7 +138,7 @@ class TestSampleFockGeneral:
         phi_out[0, 0] = 1.0
         rng = substream(2, 0)
         p1, p2, x1, x2 = sample_fock_general(
-            fock_tables(phi_out, fock_grid(2)), 1.0, 10**5, rng)
+            fock_tables([phi_out], [1.0], fock_grid(2)), 1.0, 10**5, rng)
         st = displaced_twinbeam_gaussian(0.0, 0.0)
         rng2 = substream(2, 1)
         _, _, y1, y2 = sample_quadratures(st, 1.0, 10**5, rng2)
@@ -149,8 +150,9 @@ class TestSampleFockGeneral:
         # marginal of vec(I/sqrt 2) is a 50/50 mix of |0> and |1>:
         # var = (1/4 + 3/4) / 2 = 1/2 per mode
         phi_out = np.eye(2, dtype=complex) / np.sqrt(2)
-        _, _, x1, x2 = sample_fock_general(fock_tables(phi_out, fock_grid(2)),
-                                           1.0, 10**5, substream(2, 2))
+        _, _, x1, x2 = sample_fock_general(
+            fock_tables([phi_out], [1.0], fock_grid(2)), 1.0, 10**5,
+            substream(2, 2))
         assert abs(np.var(x1) - 0.5) < 0.01
         assert abs(np.var(x2) - 0.5) < 0.01
 
@@ -158,23 +160,25 @@ class TestSampleFockGeneral:
         # |1> (x) vacuum: x1 density 4 x^2 sqrt(2/pi) e^{-2x^2}, var 3/4
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[1, 0] = 1.0
-        _, _, x1, x2 = sample_fock_general(fock_tables(phi_out, fock_grid(2)),
-                                           1.0, 10**5, substream(2, 3))
+        _, _, x1, x2 = sample_fock_general(
+            fock_tables([phi_out], [1.0], fock_grid(2)), 1.0, 10**5,
+            substream(2, 3))
         assert abs(np.var(x1) - 0.75) < 0.01
         assert abs(np.var(x2) - 0.25) < 0.01
 
     def test_eta_noise_added(self):
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[0, 0] = 1.0
-        _, _, x1, _ = sample_fock_general(fock_tables(phi_out, fock_grid(2)),
-                                          0.7, 10**5, substream(2, 4))
+        _, _, x1, _ = sample_fock_general(
+            fock_tables([phi_out], [1.0], fock_grid(2)), 0.7, 10**5,
+            substream(2, 4))
         assert abs(np.var(x1) - 1.0 / 2.8) < 0.01
 
     def test_truncation_deficit_rejected(self):
         bad = np.eye(2, dtype=complex)  # norm sqrt(2), deficit huge
         with pytest.raises(TruncationError):
-            sample_fock_general(fock_tables(bad, fock_grid(2)), 1.0, 10,
-                                substream(2, 5))
+            sample_fock_general(fock_tables([bad], [1.0], fock_grid(2)), 1.0,
+                                10, substream(2, 5))
 
     def test_coarse_grid_vacuum_mean_unbiased(self):
         # 256 nodes at d = 2 give cells of width 0.053: a sampler that puts
@@ -183,7 +187,7 @@ class TestSampleFockGeneral:
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[0, 0] = 1.0
         n = 10**5
-        tables = fock_tables(phi_out, fock_grid(2, n_points=256))
+        tables = fock_tables([phi_out], [1.0], fock_grid(2, n_points=256))
         _, _, x1, x2 = sample_fock_general(tables, 1.0, n, substream(2, 6))
         tol = 4.0 * 0.5 / np.sqrt(n)
         assert abs(np.mean(x1)) < tol
@@ -210,9 +214,59 @@ class TestSampleFockGeneral:
         tol_corr = 4.0 * np.sqrt((v**2 + c12**2) / (2.0 * n))
         phi_out = np.diag(c).astype(complex)
         p1, p2, x1, x2 = sample_fock_general(
-            fock_tables(phi_out, fock_grid(d)), 1.0, n, substream(2, 7))
+            fock_tables([phi_out], [1.0], fock_grid(d)), 1.0, n,
+            substream(2, 7))
         assert abs(np.mean(x1**2) - var_fock) < tol_var
         assert abs(np.mean(x1 * x2 * np.cos(p1 + p2)) - corr_fock) < tol_corr
+
+
+class TestFockX1Draw:
+    @pytest.mark.parametrize("d", [2, 12, 48])
+    def test_matches_full_grid_oracle(self, d):
+        # the two-level x1 draw against a full-grid running sum of the
+        # mode-1 marginal inverted one sample at a time, for the same phases
+        # and uniforms.  The targets and the bound follow TestFockX2Draw:
+        # of every three targets one is drawn uniformly, one lies in the
+        # first block and one in the highest block that holds at least 2e-6
+        # of the mass, keeping 1e-6 of the mass above it.  At d = 48 that
+        # block is the last one, whose tail is zero-padded.
+        rng = np.random.default_rng(300 + d)
+        phi_out = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        phi_out /= np.linalg.norm(phi_out)
+        grid = fock_grid(d)
+        n = 1200
+        p1 = rng.uniform(0.0, 2.0 * np.pi, n)
+        p2 = rng.uniform(0.0, 2.0 * np.pi, n)
+        v = rng.random(n)
+        u2 = rng.random(n)
+        psi_grid = hermite_functions(d, grid.x)
+        starts = np.arange(grid.n_blocks) * grid.block
+        u1 = v.copy()
+        expect = np.empty(n)
+        top_block = np.empty(n, dtype=int)
+        for lo in range(0, n, 20):
+            cdfs = fock_marginal_cdf(phi_out, psi_grid, p1[lo:lo + 20])
+            for r, cdf in enumerate(cdfs, start=lo):
+                below = np.concatenate([[0.0], cdf[starts[1:] - 1]]) / cdf[-1]
+                top_block[r] = np.flatnonzero(1.0 - below >= 2e-6)[-1]
+                if r % 3 == 1:
+                    u1[r] = v[r] * below[1]
+                elif r % 3 == 2:
+                    f = below[top_block[r]]
+                    u1[r] = f + (1.0 - 1e-6 - f) * v[r]
+                expect[r] = cell_inverse(grid.x, cdf, u1[r])
+        tables = fock_tables([phi_out], [1.0], grid)
+        xs1, _ = _fock_draw(tables, 0, p1, p2, u1, u2)
+        assert np.max(np.abs(xs1 - expect)) < 1e-9
+        dx = grid.x[1] - grid.x[0]
+        cell = np.floor((xs1 - grid.x[0]) / dx + 0.5).astype(int)
+        assert np.all(cell[1::3] < grid.block)
+        assert np.all(cell[2::3] >= starts[top_block[2::3]])
+        if d == 48:
+            assert grid.n_blocks * grid.block > grid.x.size
+            assert np.all(top_block[2::3] == grid.n_blocks - 1)
+        assert np.all(xs1 >= grid.x[0] - dx / 2)
+        assert np.all(xs1 <= grid.x[-1] + dx / 2)
 
 
 class TestFockX2Draw:
@@ -237,8 +291,8 @@ class TestFockX2Draw:
         p2 = rng.uniform(0.0, 2.0 * np.pi, n)
         u1 = rng.random(n)
         v = rng.random(n)
-        tables = fock_tables(phi_out, grid)
-        xs1, _ = _fock_draw(tables, p1, p2, u1, v)  # x1 does not use u2
+        tables = fock_tables([phi_out], [1.0], grid)
+        xs1, _ = _fock_draw(tables, 0, p1, p2, u1, v)  # x1 does not use u2
         psi_grid = hermite_functions(d, grid.x)
         starts = np.arange(grid.n_blocks) * grid.block
         u2 = v.copy()
@@ -256,7 +310,7 @@ class TestFockX2Draw:
                     f = below[top_block[r]]
                     u2[r] = f + (1.0 - 1e-6 - f) * v[r]
                 expect[r] = cell_inverse(grid.x, cdf, u2[r])
-        _, xs2 = _fock_draw(tables, p1, p2, u1, u2)
+        _, xs2 = _fock_draw(tables, 0, p1, p2, u1, u2)
         assert np.max(np.abs(xs2 - expect)) < 1e-9
         dx = grid.x[1] - grid.x[0]
         cell = np.floor((xs2 - grid.x[0]) / dx + 0.5).astype(int)
