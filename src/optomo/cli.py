@@ -72,6 +72,8 @@ def main(argv=None) -> int:
                 if args.suite == "kernels":
                     raise ConfigError("--seed does not apply to the kernels "
                                       "suite, which draws no random numbers")
+                if args.seed < 0:
+                    raise ConfigError(f"--seed = {args.seed} is negative")
                 kwargs["seed"] = args.seed
             if args.eta is not None:
                 if args.suite != "kernels":

@@ -13,7 +13,9 @@ Both measurement backends, HomodyneKernel (pattern functions on quadrature
 records) and FiniteQuorum (dual frame on finite-quorum outcomes), expose the
 same interface: ``max_index`` and ``dyad_estimates(outcomes, settings,
 pairs)``, fed straight from the columns of a ``SampleBlock``, which holds the
-heralded samples only: (out1, set1) for mode 1, (out2, set2) for mode 2.
+heralded samples only: (out1, set1) for mode 1, (out2, set2) for mode 2,
+where a homodyne setting is the phasor e^{i phi} and a finite one the index
+of the observable.
 The estimator chain is written once against it.
 
 Pure and Choi entries are one two-mode average over different dyad pairs:
@@ -311,6 +313,7 @@ def _accumulate(blocks, backend, terms) -> BlockAccumulator:
             est[r] += e1.T @ (e2 @ comb)
             if den_cols is not None:
                 den[r] += np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
+            del e1, e2  # not alive while the next chunk's are formed
     return BlockAccumulator(
         np.array([blk.block_id for blk in blocks]), est, den, n_her,
         np.array([blk.herald.size for blk in blocks]),

@@ -13,19 +13,23 @@ quadrature data at uniformly random phase recovers <n|rho|m> for any state
 supported below the configured Fock cutoff.  The kernels are built
 numerically, per phase-offset delta = m - n, as the minimum-norm solution of
 the unbiasedness constraints against the exact smeared pair distributions on
-an x-grid, with a small ridge for numerical stability.  The phase factor
-e^{i(m-n) phi} is handled analytically: e^{i phi} is formed once per sample
-and e^{ik phi} for 1 < |k| <= max|m - n| by the power recurrence
-e^{ik phi} = e^{i(k-1) phi} e^{i phi} (powers of e^{-i phi}, the exact
-conjugates, for k < 0).  This differs from a direct exponential by roughly
-|k| units of roundoff.
+an x-grid, with a small ridge for numerical stability.  Between grid nodes
+a kernel is interpolated linearly as a + w Delta, from the node value a and
+the difference Delta to the next node, tabulated together.  The phase
+factor e^{i(m-n) phi} is handled analytically: the phasor e^{i phi} comes
+with the sample (the homodyne samplers form it once, from the cos and sin
+they already need), and e^{ik phi} for 1 < |k| <= max|m - n| comes from the
+power recurrence e^{ik phi} = e^{i(k-1) phi} e^{i phi} (powers of
+e^{-i phi}, the exact conjugates, for k < 0).  This differs from a direct
+exponential by roughly |k| units of roundoff.
 
 Both backends evaluate dyad estimates through one interface,
 ``dyad_estimates(outcomes, settings, pairs)``, outcome first: quadratures
-and phases, or eigenvalue and observable indices, of one mode.  The
-pair-dependent table (pattern rows and phase offsets, or dual coefficients)
-is built by ``_pair_table`` on the first call for a list of pairs and kept
-on the backend, which lives for one run.  On the homodyne backend
+and phasors e^{i phi}, or eigenvalue and observable indices, of one mode.
+The pair-dependent table (the interpolation table [f_j | f_{j+1} - f_j]
+and the runs of phase offsets, or the dual coefficients) is built by
+``_pair_table`` on the first call for a list of pairs and kept on the
+backend, which lives for one run.  On the homodyne backend
 ``estimation`` evaluates a block in chunks of ``DYAD_CHUNK`` samples without
 rebuilding it; the chunk sums add up to the one-shot reduction of the block
 up to roundoff (about 1e-15 relative).  A finite quorum's outcomes of one
@@ -246,50 +250,76 @@ class HomodyneKernel:
             raise KeyError(f"kernel row ({n}, {m}) not built; max_index={self.max_index}")
         return self.tables[delta][lo]
 
-    def _pair_table(self, pairs) -> tuple[np.ndarray, np.ndarray]:
-        """Pattern rows f_{b,a} of ``pairs`` sample-major, (G, P), and the
-        phase offsets a - b, built on first use."""
+    def _pair_table(self, pairs) -> tuple[np.ndarray, int, int, list]:
+        """The interpolation table of ``pairs`` pair-major, built on first use.
+
+        Column j of the table is [f_j | f_{j+1} - f_j] over the pattern rows
+        f = f_{b,a} of the P pairs, shape (2P, G - 1), so one gather of
+        column j gives both terms of a + w Delta for every pair.  The phase
+        offsets a - b are kept as the range [k_lo, k_hi] they span (with 0),
+        and as runs [first pair, end, first phase row] of consecutive pairs
+        whose offsets step down by one: the phase rows are laid out from
+        k_hi down to k_lo, so a run meets a contiguous block of them.
+        """
         key = tuple(map(tuple, pairs))
         if key not in self._pair_tables:
-            rows = np.stack([self.pattern(b, a) for (a, b) in key], axis=1)
-            self._pair_tables[key] = rows, np.array([a - b for (a, b) in key])
+            rows = np.stack([self.pattern(b, a) for (a, b) in key])
+            table = np.concatenate([rows[:, :-1], np.diff(rows, axis=1)])
+            offsets = [a - b for (a, b) in key]
+            k_lo, k_hi = min(*offsets, 0), max(*offsets, 0)
+            runs = []
+            for p, k in enumerate(offsets):
+                if p and k == offsets[p - 1] - 1:
+                    runs[-1][1] = p + 1
+                else:
+                    runs.append([p, p + 1, k_hi - k])
+            self._pair_tables[key] = table, k_lo, k_hi, runs
         return self._pair_tables[key]
 
-    def dyad_estimates(self, x, phi, pairs) -> np.ndarray:
+    def dyad_estimates(self, x, e, pairs) -> np.ndarray:
         """Per-sample unbiased estimates of dyads |a><b| from quadrature data.
 
-        Outcome first, then setting, as ``FiniteQuorum.dyad_estimates``.
-        The estimate of <|a><b|> = rho_ba from a sample (x, phi) is
+        Outcome first, then setting, as ``FiniteQuorum.dyad_estimates``: the
+        quadratures x and the phasors e = e^{i phi} of their phases.  The
+        estimate of <|a><b|> = rho_ba from a sample (x, e^{i phi}) is
         f_{b,a}(x) e^{i(a-b) phi}, with f_{b,a} interpolated linearly between
-        grid nodes (held at the end rows outside the grid).  The interpolation
-        index and weight are computed once per sample for all pairs.
-        e^{i phi} is formed once per sample and e^{ik phi} by the power
+        grid nodes as a + w Delta from one gather of the ``_pair_table``
+        column [f_j | f_{j+1} - f_j] (held at the end nodes outside the
+        grid).  The interpolation index and weight are computed once per
+        sample for all pairs.  e^{ik phi} comes from e by the power
         recurrence (powers of e^{-i phi} for k < 0), so an offset k carries
-        about |k| ulp more roundoff than np.exp(1j * k * phi).  Returns shape
-        (n_samples, n_pairs).
+        about |k| ulp more roundoff than np.exp(1j * k * phi).  The products
+        f e^{ik phi} are written into the real and imaginary parts of one
+        pair-major array, returned as its transpose, shape (n_samples,
+        n_pairs).
         """
-        rows, offsets = self._pair_table(pairs)
+        table, k_lo, k_hi, runs = self._pair_table(pairs)
         x = np.asarray(x, dtype=float)
-        phi = np.asarray(phi, dtype=float)
+        e = np.asarray(e, dtype=complex)
         g = self.x
         dx = self.grid.spacing
         idx = np.clip(((x - g[0]) / dx).astype(np.int64), 0, g.size - 2)
-        w = np.clip((x - g[idx]) / dx, 0.0, 1.0)[:, None]
-        vals = rows[idx] * (1.0 - w) + rows[idx + 1] * w  # (S, P)
-        # row k - k_lo holds e^{ik phi}; both sides of k = 0 are powers of
+        w = np.clip((x - g[idx]) / dx, 0.0, 1.0)
+        ad = np.take(table, idx, axis=1)  # (2P, S): a over Delta
+        n_pairs = ad.shape[0] // 2
+        out = np.empty((n_pairs, x.size), dtype=complex)
+        f, f_im = out.real, out.imag
+        np.multiply(ad[n_pairs:], w, out=f)
+        f += ad[:n_pairs]
+        del ad  # freed before the phase rows are formed
+        # row k_hi - k holds e^{ik phi}; both sides of k = 0 are powers of
         # e^{+-i phi}, and (e^{-i phi})^k = conj(e^{ik phi}) exactly
-        k_lo = min(int(offsets.min()), 0)
-        k_hi = max(int(offsets.max()), 0)
         phase = np.empty((k_hi - k_lo + 1, x.size), dtype=complex)
-        e = np.empty(x.size, dtype=complex)
-        np.cos(phi, out=e.real)
-        np.sin(phi, out=e.imag)
-        for powers, base, n in ((phase[-k_lo:], e, k_hi),
-                                (phase[-k_lo::-1], e.conj(), -k_lo)):
+        for powers, base, n in ((phase[k_hi::-1], e, k_hi),
+                                (phase[k_hi:], e.conj(), -k_lo)):
             powers[0] = 1.0
             for k in range(1, n + 1):
                 np.multiply(powers[k - 1], base, out=powers[k])
-        return (vals.T * phase[offsets - k_lo]).T
+        for lo, hi, row in runs:
+            rot = phase[row:row + hi - lo]
+            np.multiply(f[lo:hi], rot.imag, out=f_im[lo:hi])
+            np.multiply(f[lo:hi], rot.real, out=f[lo:hi])
+        return out.T
 
     def cache_key(self) -> str:
         raw = (

@@ -21,8 +21,13 @@ Quadrature units follow X_phi = (a^dag e^{i phi} + a e^{-i phi})/2 (vacuum
 variance 1/4); detector efficiency adds independent Gaussian noise of
 variance (1-eta)/(4 eta) per mode.
 
-Every sampler returns four columns, settings then outcomes: (phi1, phi2, x1,
-x2) or (obs1, obs2, out1, out2).  A block of them is one ``SampleBlock``,
+Every sampler returns four columns, settings then outcomes: (e^{i phi1},
+e^{i phi2}, x1, x2) or (obs1, obs2, out1, out2).  A homodyne setting is the
+unit phasor of its phase, formed once per sample from what the sampler
+computes anyway (cos and sin on the Gaussian path, the order-1 phase
+rotation on the Fock path), so the dyad estimates never evaluate a
+trigonometric function; the sample dump writes phi back as
+angle(e^{i phi}) mod 2 pi.  A block of them is one ``SampleBlock``,
 which holds the heralded samples only and one herald flag per trial.
 
 Determinism: every block owns the generator ``substream(master_seed,
@@ -109,8 +114,8 @@ class SampleBlock:
 
     ``herald`` flags the trials in which the operation occurred.  The four
     columns hold the heralded samples only, in the order the samplers return
-    them: settings (phases phi1, phi2, or observable indices), then outcomes
-    (quadratures x1, x2, or eigenvalue indices).
+    them: settings (phasors e^{i phi1}, e^{i phi2}, or observable indices),
+    then outcomes (quadratures x1, x2, or eigenvalue indices).
     """
 
     block_id: int
@@ -121,21 +126,51 @@ class SampleBlock:
     out2: np.ndarray
 
 
-def _quadrature_projection(state: GaussianState, phi1, phi2):
-    """Mean and 2x2 covariance of (X_phi1 (x) X_phi2) for each phase pair."""
-    c1, s1 = np.cos(phi1), np.sin(phi1)
-    c2, s2 = np.cos(phi2), np.sin(phi2)
+def _phasor(phi: np.ndarray) -> np.ndarray:
+    """e^{i phi} from np.cos and np.sin of ``phi``, written into its real
+    and imaginary parts."""
+    e = np.empty(phi.size, dtype=complex)
+    np.cos(phi, out=e.real)
+    np.sin(phi, out=e.imag)
+    return e
+
+
+def _sum_of_products(terms, tmp) -> np.ndarray:
+    """sum_t prod(t) in a new array, each product and the sum taken left to
+    right; ``tmp`` holds the products after the first."""
+    out = None
+    for first, second, *rest in terms:
+        prod = np.multiply(first, second, out=None if out is None else tmp)
+        for factor in rest:
+            prod *= factor
+        if out is None:
+            out = prod
+        else:
+            out += prod
+    return out
+
+
+def _quadrature_projection(state: GaussianState, e1, e2):
+    """Mean and 2x2 covariance of (X_phi1 (x) X_phi2) for each phasor pair.
+
+    cos phi and sin phi are the real and imaginary parts of the phasors
+    e^{i phi}.  Each entry is a sum of products such as c1 c1 v00 +
+    2 c1 s1 v01 + s1 s1 v11, formed in place in its own array.
+    """
+    c1, s1, c2, s2 = e1.real, e1.imag, e2.real, e2.imag
     v = state.cov
     mu = state.mean
-    m1 = c1 * mu[0] + s1 * mu[1]
-    m2 = c2 * mu[2] + s2 * mu[3]
-    v11 = c1 * c1 * v[0, 0] + 2 * c1 * s1 * v[0, 1] + s1 * s1 * v[1, 1]
-    v22 = c2 * c2 * v[2, 2] + 2 * c2 * s2 * v[2, 3] + s2 * s2 * v[3, 3]
-    v12 = (
-        c1 * c2 * v[0, 2] + c1 * s2 * v[0, 3]
-        + s1 * c2 * v[1, 2] + s1 * s2 * v[1, 3]
+    tmp = np.empty(c1.size)
+    return (
+        _sum_of_products(((c1, mu[0]), (s1, mu[1])), tmp),
+        _sum_of_products(((c2, mu[2]), (s2, mu[3])), tmp),
+        _sum_of_products(((c1, c1, v[0, 0]), (2, c1, s1, v[0, 1]),
+                          (s1, s1, v[1, 1])), tmp),
+        _sum_of_products(((c2, c2, v[2, 2]), (2, c2, s2, v[2, 3]),
+                          (s2, s2, v[3, 3])), tmp),
+        _sum_of_products(((c1, c2, v[0, 2]), (c1, s2, v[0, 3]),
+                          (s1, c2, v[1, 2]), (s1, s2, v[1, 3])), tmp),
     )
-    return m1, m2, v11, v22, v12
 
 
 def sample_quadratures(
@@ -145,33 +180,54 @@ def sample_quadratures(
     stream: np.random.Generator,
     phases: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Joint quadrature samples (phi1, phi2, x1, x2) at efficiency eta.
+    """Joint quadrature samples (e^{i phi1}, e^{i phi2}, x1, x2) at
+    efficiency eta.
 
     Draw order (fixed for reproducibility): phi1, phi2, two standard normals
     for the exact bivariate law, two standard normals for efficiency noise.
-    ``phases`` overrides the random phases with fixed values (test hook).
+    Each phase is returned as its phasor np.cos(phi) + 1j np.sin(phi), whose
+    parts the projection reads.  ``phases`` overrides the random phases with
+    fixed values (test hook).  The arithmetic runs in place, in the order of
+    the formulas below, and each draw is made when it is first needed (no
+    other draw comes between), so few sample-sized arrays are alive at once.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     sig2 = noise_sigma2(eta)
     if phases is None:
-        phi1 = stream.uniform(0.0, 2.0 * np.pi, n)
-        phi2 = stream.uniform(0.0, 2.0 * np.pi, n)
+        e1 = _phasor(stream.uniform(0.0, 2.0 * np.pi, n))
+        e2 = _phasor(stream.uniform(0.0, 2.0 * np.pi, n))
     else:
-        phi1 = np.full(n, float(phases[0]))
-        phi2 = np.full(n, float(phases[1]))
+        e1 = _phasor(np.full(n, float(phases[0])))
+        e2 = _phasor(np.full(n, float(phases[1])))
+    x1, x2, v11, v22, v12 = _quadrature_projection(state, e1, e2)
     z1 = stream.standard_normal(n)
     z2 = stream.standard_normal(n)
-    g1 = stream.standard_normal(n)
-    g2 = stream.standard_normal(n)
-    m1, m2, v11, v22, v12 = _quadrature_projection(state, phi1, phi2)
-    x1 = m1 + np.sqrt(v11) * z1
-    x2 = m2 + (v12 / np.sqrt(v11)) * z1 + np.sqrt(np.maximum(v22 - v12**2 / v11, 0.0)) * z2
-    if sig2 > 0.0:
-        sn = np.sqrt(sig2)
-        x1 = x1 + sn * g1
-        x2 = x2 + sn * g2
-    return phi1, phi2, x1, x2
+    # x2 = m2 + (v12 / sqrt(v11)) z1 + sqrt(max(v22 - v12^2 / v11, 0)) z2,
+    # its last term first, into v22
+    sq = np.multiply(v12, v12)
+    sq /= v11
+    np.subtract(v22, sq, out=v22)
+    del sq
+    np.maximum(v22, 0.0, out=v22)
+    np.sqrt(v22, out=v22)
+    v22 *= z2
+    del z2
+    np.sqrt(v11, out=v11)
+    np.divide(v12, v11, out=v12)
+    v12 *= z1
+    x2 += v12
+    x2 += v22
+    # x1 = m1 + sqrt(v11) z1
+    v11 *= z1
+    x1 += v11
+    # efficiency noise: x_j + sqrt(sig2) g_j
+    for x in (x1, x2):
+        g = stream.standard_normal(n)
+        if sig2 > 0.0:
+            g *= np.sqrt(sig2)
+            x += g
+    return e1, e2, x1, x2
 
 
 @dataclass(frozen=True)
@@ -342,12 +398,14 @@ def _draw_x2(grid: FockGrid, c: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _fock_draw(tables: FockTables, branch: int, p1, p2, u1, u2):
-    """Noise-free (x1, x2) of one branch for a batch of phases and uniforms.
+    """Phasors and noise-free quadratures (e^{i phi1}, e^{i phi2}, x1, x2) of
+    one branch for a batch of phases and uniforms.
 
     x1 is drawn from the branch's marginal table with trig1 = [cos a phi1 |
     sin a phi1]: the block masses are trig1 times the table's columns at
     the blocks' last nodes, the running mass over one block trig1 times that
-    block's columns.  x2 is drawn from the exact conditional given x1.
+    block's columns.  x2 is drawn from the exact conditional given x1.  The
+    phasors are the order-1 columns of rot_j = e^{i a phi_j}, a < d (d >= 2).
     """
     grid, size = tables.grid, tables.grid.block
     phi_out = tables.branches[branch]
@@ -355,14 +413,15 @@ def _fock_draw(tables: FockTables, branch: int, p1, p2, u1, u2):
     d = phi_out.shape[0]
     orders = np.arange(d)
     rot1 = np.exp(1j * np.outer(p1, orders))  # e^{i a phi1}, (s, d)
+    rot2 = np.exp(1j * np.outer(p2, orders))
     trig1 = np.concatenate([rot1.real, rot1.imag], axis=1)
     xs1 = _grid_draw(
         grid, trig1 @ marginal[:, size - 1::size],
         lambda b, sel: trig1[sel] @ marginal[:, b * size:(b + 1) * size], u1)
     # conditional amplitude over mode-2 index m at the drawn x1
     psi_at = quadrature_wavefunctions(d, xs1).T  # (s, d)
-    c = ((psi_at * rot1) @ phi_out) * np.exp(1j * np.outer(p2, orders))
-    return xs1, _draw_x2(grid, c, u2)
+    c = ((psi_at * rot1) @ phi_out) * rot2
+    return rot1[:, 1], rot2[:, 1], xs1, _draw_x2(grid, c, u2)
 
 
 def sample_fock_general(
@@ -371,8 +430,8 @@ def sample_fock_general(
     n: int,
     stream: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Joint quadrature samples (phi1, phi2, x1, x2) of the output that
-    mixes the pure branches of ``tables``.
+    """Joint quadrature samples (e^{i phi1}, e^{i phi2}, x1, x2) of the
+    output that mixes the pure branches of ``tables``.
 
     Each sample picks a branch with probability equal to its weight.  Per
     sample, x1 is drawn from the branch's exact phase-dependent marginal, x2
@@ -383,7 +442,8 @@ def sample_fock_general(
     (``stream.choice``, only when there is more than one branch); then,
     branch by branch in index order, per batch of up to ``FOCK_BATCH`` of
     that branch's samples: phi1, phi2, u1, u2, noise1, noise2.  A branch
-    with no sample draws nothing.
+    with no sample draws nothing.  The phasors are np.exp(1j * phi), as
+    ``_fock_draw`` forms them.
     """
     sig2 = noise_sigma2(eta)
     n_branches = len(tables.weights)
@@ -391,7 +451,8 @@ def sample_fock_general(
         branch_idx = np.zeros(n, dtype=int)
     else:
         branch_idx = stream.choice(n_branches, size=n, p=tables.weights)
-    cols = np.zeros((4, n))
+    e1, e2 = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    x1, x2 = np.zeros(n), np.zeros(n)
     for branch in range(n_branches):
         sel = np.flatnonzero(branch_idx == branch)
         for lo in range(0, sel.size, FOCK_BATCH):
@@ -402,12 +463,13 @@ def sample_fock_general(
             u2 = stream.random(at.size)
             g1 = stream.standard_normal(at.size)
             g2 = stream.standard_normal(at.size)
-            xs1, xs2 = _fock_draw(tables, branch, p1, p2, u1, u2)
+            e1[at], e2[at], xs1, xs2 = _fock_draw(tables, branch, p1, p2,
+                                                   u1, u2)
             if sig2 > 0.0:
                 xs1 += np.sqrt(sig2) * g1
                 xs2 += np.sqrt(sig2) * g2
-            cols[:, at] = p1, p2, xs1, xs2
-    return tuple(cols)
+            x1[at], x2[at] = xs1, xs2
+    return e1, e2, x1, x2
 
 
 def joint_outcome_table(branches, weights, quorum: FiniteQuorum) -> np.ndarray:
@@ -469,16 +531,18 @@ def write_sample_dump(path, blocks) -> None:
     trial of each homodyne SampleBlock in ``blocks`` (any iterable, consumed
     once).
 
-    Values use 9 significant digits; herald is 0/1.  Non-heralded records get
-    zero phases and quadratures (the operation did not occur; nothing was
-    measured).
+    The phases are written back from the blocks' phasors as
+    angle(e^{i phi}) mod 2 pi.  Values use 9 significant
+    digits; herald is 0/1.  Non-heralded records get zero phases and
+    quadratures (the operation did not occur; nothing was measured).
     """
     with open(path, "w") as fh:
         fh.write("# block_id, phi1, phi2, x1, x2, herald\n")
         for blk in blocks:
             rows = np.zeros((blk.herald.size, 4))
             rows[blk.herald] = np.column_stack(
-                (blk.set1, blk.set2, blk.out1, blk.out2))
+                (np.angle(blk.set1) % (2.0 * np.pi),
+                 np.angle(blk.set2) % (2.0 * np.pi), blk.out1, blk.out2))
             for (phi1, phi2, x1, x2), h in zip(rows, blk.herald):
                 fh.write(f"{blk.block_id}, {phi1:.9g}, {phi2:.9g}, "
                          f"{x1:.9g}, {x2:.9g}, {int(h)}\n")

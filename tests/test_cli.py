@@ -194,6 +194,11 @@ class TestVerifyCommand:
         assert main(["verify", "kernels", "--seed", "3"]) == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["unbiasedness", "sampler-moments"])
+    def test_negative_seed_exit_2(self, suite, capsys):
+        assert main(["verify", suite, "--seed", "-1"]) == 2
+        assert "--seed = -1 is negative" in capsys.readouterr().err
+
 
 def _csv_numbers(text):
     rows = [ln.split(", ") for ln in text.strip().splitlines()[1:]]

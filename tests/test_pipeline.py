@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from optomo import estimation, maps, pipeline
+from optomo import estimation, maps, pipeline, sampling
 from optomo.cli import main
 from optomo.config import ExperimentConfig, load_preset
 from optomo.errors import NonInvertibleEntanglerError
@@ -37,6 +37,24 @@ class TestGaussianRoute:
         a = (tmp_path / "a" / "inv.result.txt").read_bytes()
         b = (tmp_path / "b" / "inv.result.txt").read_bytes()
         assert a == b
+
+    def test_sample_dump_phases_match_redrawn_stream(self, tmp_path):
+        # the blocks carry phasors; the dump writes the phases back from
+        # them, equal to the phases each block's substream draws (after no
+        # herald draws: p_occ = 1) to the dump's 9 significant digits
+        cfg = replace(load_preset("fig2_top"), blocks=3, samples_per_block=400,
+                      dump_samples=True)
+        run_simulate(cfg, out_dir=tmp_path)
+        rows = np.loadtxt(tmp_path / "fig2_top.samples.csv", delimiter=",")
+        assert rows.shape == (cfg.blocks * cfg.samples_per_block, 6)
+        assert np.all(rows[:, 5] == 1)
+        for b in range(cfg.blocks):
+            rng = sampling.substream(cfg.master_seed, b)
+            n = cfg.samples_per_block
+            want = np.column_stack([rng.uniform(0.0, 2.0 * np.pi, n)
+                                    for _ in range(2)])
+            got = rows[rows[:, 0] == b, 1:3]
+            np.testing.assert_allclose(got, want, rtol=5e-9, atol=1e-12)
 
 
 class TestFockRoute:

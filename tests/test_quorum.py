@@ -133,7 +133,8 @@ class TestHomodyneKernel:
     def test_dyad_estimates_phase_factor(self, kernel):
         x = np.array([0.3, -1.2])
         phi = np.array([0.7, 2.1])
-        vals = kernel.dyad_estimates(x, phi, [(2, 0), (0, 2), (1, 1)])
+        vals = kernel.dyad_estimates(x, np.exp(1j * phi),
+                                     [(2, 0), (0, 2), (1, 1)])
         f02 = np.interp(x, kernel.x, kernel.pattern(0, 2))
         assert np.allclose(vals[:, 0], f02 * np.exp(2j * phi))
         assert np.allclose(vals[:, 1], f02 * np.exp(-2j * phi))
@@ -152,7 +153,7 @@ class TestHomodyneKernel:
                             kernel.x[[0, 1, 500, -2, -1]], [-30.0, 30.0]])
         phi = rng.uniform(0.0, 2.0 * np.pi, x.size)
         want = homodyne_dyads_by_pairs(kernel, x, phi, pairs)
-        got = kernel.dyad_estimates(x, phi, pairs)
+        got = kernel.dyad_estimates(x, np.exp(1j * phi), pairs)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         # the pair table is built once and reused by later calls
         assert kernel._pair_table(pairs) is kernel._pair_table(list(pairs))

@@ -14,6 +14,7 @@ from optomo.bipartite import vec
 from optomo.errors import TruncationError
 from optomo.quorum import build_finite_quorum
 from optomo.sampling import (
+    FOCK_BATCH,
     GaussianState,
     displaced_twinbeam_gaussian,
     draw_heralds,
@@ -126,9 +127,44 @@ class TestSampleQuadratures:
 
     def test_phases_uniform_range(self):
         st = displaced_twinbeam_gaussian(0.0, 0.0)
-        phi1, phi2, _, _ = sample_quadratures(st, 1.0, 10**4, substream(1, 5))
+        e1, e2, _, _ = sample_quadratures(st, 1.0, 10**4, substream(1, 5))
+        assert np.max(np.abs(np.abs(e1) - 1.0)) < 1e-15
+        phi1 = np.angle(e1) % (2 * np.pi)
         assert phi1.min() >= 0.0 and phi1.max() < 2 * np.pi
         assert abs(np.mean(phi1) - np.pi) < 0.1
+
+    @pytest.mark.parametrize("eta", [1.0, 0.7])
+    def test_phasors_and_quadratures_from_redrawn_stream(self, eta):
+        # the phasors are np.cos / np.sin of the phases the substream draws
+        # first, bitwise; the quadratures equal the sampler's formulas
+        # evaluated out of place on the same draws, bitwise
+        st = displaced_twinbeam_gaussian(1.0 + 0.3j, 3.0)
+        n = 5000
+        e1, e2, x1, x2 = sample_quadratures(st, eta, n, substream(9, 4))
+        rng = substream(9, 4)
+        phi1 = rng.uniform(0.0, 2.0 * np.pi, n)
+        phi2 = rng.uniform(0.0, 2.0 * np.pi, n)
+        z1, z2, g1, g2 = (rng.standard_normal(n) for _ in range(4))
+        c1, s1, c2, s2 = np.cos(phi1), np.sin(phi1), np.cos(phi2), np.sin(phi2)
+        for got, want in ((e1.real, c1), (e1.imag, s1), (e2.real, c2),
+                          (e2.imag, s2)):
+            assert np.array_equal(got, want)
+        v, mu = st.cov, st.mean
+        m1 = c1 * mu[0] + s1 * mu[1]
+        m2 = c2 * mu[2] + s2 * mu[3]
+        v11 = c1 * c1 * v[0, 0] + 2 * c1 * s1 * v[0, 1] + s1 * s1 * v[1, 1]
+        v22 = c2 * c2 * v[2, 2] + 2 * c2 * s2 * v[2, 3] + s2 * s2 * v[3, 3]
+        v12 = (c1 * c2 * v[0, 2] + c1 * s2 * v[0, 3]
+               + s1 * c2 * v[1, 2] + s1 * s2 * v[1, 3])
+        y1 = m1 + np.sqrt(v11) * z1
+        y2 = (m2 + (v12 / np.sqrt(v11)) * z1
+              + np.sqrt(np.maximum(v22 - v12**2 / v11, 0.0)) * z2)
+        if eta < 1.0:
+            sn = np.sqrt((1.0 - eta) / (4.0 * eta))
+            y1 = y1 + sn * g1
+            y2 = y2 + sn * g2
+        assert np.array_equal(x1, y1)
+        assert np.array_equal(x2, y2)
 
 
 class TestSampleFockGeneral:
@@ -213,11 +249,38 @@ class TestSampleFockGeneral:
         tol_var = 4.0 * np.sqrt(2.0 * v**2 / n)
         tol_corr = 4.0 * np.sqrt((v**2 + c12**2) / (2.0 * n))
         phi_out = np.diag(c).astype(complex)
-        p1, p2, x1, x2 = sample_fock_general(
+        e1, e2, x1, x2 = sample_fock_general(
             fock_tables([phi_out], [1.0], fock_grid(d)), 1.0, n,
             substream(2, 7))
+        cos12 = np.real(e1 * e2)  # cos(phi1 + phi2)
         assert abs(np.mean(x1**2) - var_fock) < tol_var
-        assert abs(np.mean(x1 * x2 * np.cos(p1 + p2)) - corr_fock) < tol_corr
+        assert abs(np.mean(x1 * x2 * cos12) - corr_fock) < tol_corr
+
+    def test_phasors_are_exp_of_redrawn_phases(self):
+        # two branches and a branch with two batches: the phasors are
+        # np.exp(1j * phi) of the phases the documented draw order gives
+        d, n = 3, FOCK_BATCH + 300
+        branches = [np.eye(d, dtype=complex) / np.sqrt(d),
+                    np.diag([1.0, 0.0, 0.0]).astype(complex)]
+        weights = [0.7, 0.3]
+        tables = fock_tables(branches, weights, fock_grid(d))
+        e1, e2, _, _ = sample_fock_general(tables, 0.9, n, substream(6, 1))
+        rng = substream(6, 1)
+        branch_idx = rng.choice(2, size=n, p=tables.weights)
+        phi1, phi2 = np.empty(n), np.empty(n)
+        for branch in range(2):
+            sel = np.flatnonzero(branch_idx == branch)
+            for lo in range(0, sel.size, FOCK_BATCH):
+                at = sel[lo:lo + FOCK_BATCH]
+                phi1[at] = rng.uniform(0.0, 2.0 * np.pi, at.size)
+                phi2[at] = rng.uniform(0.0, 2.0 * np.pi, at.size)
+                rng.random(at.size)  # u1, u2
+                rng.random(at.size)
+                rng.standard_normal(at.size)  # noise1, noise2
+                rng.standard_normal(at.size)
+        assert np.count_nonzero(branch_idx == 0) > FOCK_BATCH
+        assert np.array_equal(e1, np.exp(1j * phi1))
+        assert np.array_equal(e2, np.exp(1j * phi2))
 
 
 class TestFockX1Draw:
@@ -256,7 +319,7 @@ class TestFockX1Draw:
                     u1[r] = f + (1.0 - 1e-6 - f) * v[r]
                 expect[r] = cell_inverse(grid.x, cdf, u1[r])
         tables = fock_tables([phi_out], [1.0], grid)
-        xs1, _ = _fock_draw(tables, 0, p1, p2, u1, u2)
+        _, _, xs1, _ = _fock_draw(tables, 0, p1, p2, u1, u2)
         assert np.max(np.abs(xs1 - expect)) < 1e-9
         dx = grid.x[1] - grid.x[0]
         cell = np.floor((xs1 - grid.x[0]) / dx + 0.5).astype(int)
@@ -292,7 +355,7 @@ class TestFockX2Draw:
         u1 = rng.random(n)
         v = rng.random(n)
         tables = fock_tables([phi_out], [1.0], grid)
-        xs1, _ = _fock_draw(tables, 0, p1, p2, u1, v)  # x1 does not use u2
+        _, _, xs1, _ = _fock_draw(tables, 0, p1, p2, u1, v)  # no u2 in x1
         psi_grid = hermite_functions(d, grid.x)
         starts = np.arange(grid.n_blocks) * grid.block
         u2 = v.copy()
@@ -310,7 +373,7 @@ class TestFockX2Draw:
                     f = below[top_block[r]]
                     u2[r] = f + (1.0 - 1e-6 - f) * v[r]
                 expect[r] = cell_inverse(grid.x, cdf, u2[r])
-        _, xs2 = _fock_draw(tables, 0, p1, p2, u1, u2)
+        *_, xs2 = _fock_draw(tables, 0, p1, p2, u1, u2)
         assert np.max(np.abs(xs2 - expect)) < 1e-9
         dx = grid.x[1] - grid.x[0]
         cell = np.floor((xs2 - grid.x[0]) / dx + 0.5).astype(int)
