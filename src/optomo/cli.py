@@ -78,6 +78,8 @@ def main(argv=None) -> int:
             if args.eta is not None:
                 if args.suite != "kernels":
                     raise ConfigError("--eta applies to the kernels suite only")
+                if not 0.5 < args.eta <= 1.0:  # also rejects nan
+                    raise ConfigError(f"--eta = {args.eta} outside (0.5, 1]")
                 kwargs["etas"] = (args.eta,)
             lines = run_verify(args.suite, **kwargs)
             print("\n".join(lines))

@@ -4,11 +4,11 @@ A result document embeds the canonical config, the scalar reconstruction
 summary (kappa, herald statistics, truncation deficit), and the matrix
 estimate with per-entry standard errors.  The matrix section has one row per
 entry, its indices first: (i, j) of A_ij for a pure estimate, (i, j, l, k)
-of <<i,j|R(I)|l,k>> for a Choi estimate, in row-major order.  Matrix values
-are printed with 10 significant digits and errors with 3.  The document
-contains nothing run-dependent beyond the data itself, so identical config
-+ seed produce byte-identical files regardless of thread count; wall-clock
-goes to the console log instead.
+of <<i,j|R(I)|l,k>> for a Choi estimate, in row-major order, all rendered
+by one row template.  Matrix values are printed with 10 significant digits
+and errors with 3.  The document contains nothing run-dependent beyond the
+data itself, so identical config + seed produce byte-identical files
+regardless of thread count; wall-clock goes to the console log instead.
 """
 
 from __future__ import annotations
@@ -76,13 +76,12 @@ def render_result(cfg: ExperimentConfig, estimate: MatrixEstimate,
     lines.extend(f"{k} = {v}" for k, v in summary)
     lines.append("[matrix]")
     lines.append(f"# {' '.join(names)} re im stderr")
-    shape = (w1,) * len(names)
-    vals = estimate.values.reshape(shape)
-    errs = estimate.std_errors.reshape(shape)
-    for idx in np.ndindex(shape):
-        v = vals[idx]
-        lines.append(f"{' '.join(map(str, idx))} {_fmt(v.real)} {_fmt(v.imag)} "
-                     f"{_fmt_err(errs[idx])}")
+    row = "%d " * len(names) + "%+.9e %+.9e %.2e"  # _fmt, _fmt, _fmt_err
+    cols = [*np.indices((w1,) * len(names)).reshape(len(names), -1).tolist(),
+            estimate.values.real.ravel().tolist(),
+            estimate.values.imag.ravel().tolist(),
+            estimate.std_errors.ravel().tolist()]
+    lines.extend(row % r for r in zip(*cols))
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,8 @@ Three sampling paths share one RNG contract:
 * exact-distribution outcome sampling for finite-dimensional quorums, by
   inverse CDF on the joint outcome table of the same output branches the
   Fock route draws from (``joint_outcome_table``, a weighted sum of squared
-  branch amplitudes), which is also built once per run, with its running sum.
+  branch amplitudes), which is also built once per run, with its running sum;
+  a block's uniforms are sorted first, so its samples come in table order.
 
 Quadrature units follow X_phi = (a^dag e^{i phi} + a e^{-i phi})/2 (vacuum
 variance 1/4); detector efficiency adds independent Gaussian noise of
@@ -508,10 +509,15 @@ def sample_finite(
 
     ``cum_table`` is the running sum of the per-run ``joint_outcome_table``
     in its own shape, ``np.cumsum(table).reshape(table.shape)``, built once
-    per run; one uniform per sample.
+    per run; one uniform per sample.  The uniforms are sorted before the
+    search, which then walks the running sum in order, so the samples come
+    in table order; their multiset, and so the joint counts, are those of
+    the unsorted draws.
     """
     cdf = cum_table.reshape(-1)
-    draws = np.searchsorted(cdf, stream.random(n) * cdf[-1], side="right")
+    u = stream.random(n)
+    u.sort()
+    draws = np.searchsorted(cdf, u * cdf[-1], side="right")
     draws = np.minimum(draws, cdf.size - 1)
     obs1, obs2, out1, out2 = np.unravel_index(draws, cum_table.shape)
     return obs1, obs2, out1, out2

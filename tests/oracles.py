@@ -230,3 +230,23 @@ def per_sample_sums(backend, blk, terms):
     den = (np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
            if den_cols else 0.0)
     return e1.T @ (e2 @ comb), den
+
+
+def render_rows_by_entry(values, std_errors, order: int) -> str:
+    """The matrix rows of a result document, one entry at a time.
+
+    ``order`` is 2 for a pure estimate and 4 for a Choi one.  Each entry of
+    the matrix, seen as an array of ``order`` equal axes, gives one line, in
+    row-major order: its indices, then the real and imaginary parts as
+    signed 10-significant-digit f-strings and the standard error to 3.
+    """
+    w1 = round(values.size ** (1.0 / order))
+    shape = (w1,) * order
+    vals = values.reshape(shape)
+    errs = std_errors.reshape(shape)
+    out = []
+    for idx in np.ndindex(shape):
+        v = vals[idx]
+        out.append(f"{' '.join(map(str, idx))} {v.real:+.9e} {v.imag:+.9e} "
+                   f"{errs[idx]:.2e}\n")
+    return "".join(out)

@@ -194,6 +194,12 @@ class TestVerifyCommand:
         assert main(["verify", "kernels", "--seed", "3"]) == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta", ["1.5", "0", "-0.5", "0.5", "nan", "inf"])
+    def test_eta_outside_domain_exit_2(self, eta, capsys):
+        # the domain of eta in a config, (0.5, 1], checked before any kernel
+        assert main(["verify", "kernels", "--eta", eta]) == 2
+        assert f"--eta = {float(eta)} outside (0.5, 1]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite", ["unbiasedness", "sampler-moments"])
     def test_negative_seed_exit_2(self, suite, capsys):
         assert main(["verify", suite, "--seed", "-1"]) == 2

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import render_rows_by_entry
 
 from optomo.config import (
     PRESETS,
@@ -191,6 +192,49 @@ class TestResultDocument:
         assert doc.kind == "choi"
         assert np.max(np.abs(doc.values - vals)) < 1e-8
         assert doc.summary["hermiticity_defect"] == "5.00e-02"
+
+
+def _matrix_section(text):
+    return text.partition(" re im stderr\n")[2]
+
+
+class TestRenderRowsMatchOracle:
+    """render_result's matrix rows equal the per-entry f-string loop."""
+
+    def test_pure_8x8(self):
+        est = _fake_estimate(8)
+        text = render_result(ExperimentConfig(), est, "pure")
+        want = render_rows_by_entry(est.values, est.std_errors, 2)
+        assert want.count("\n") == 64
+        assert _matrix_section(text) == want
+
+    def test_choi_d6(self):
+        rng = np.random.default_rng(11)
+        # magnitudes from 1e-20 to 1e+2, both signs
+        vals = (rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))) \
+            * 10.0 ** rng.integers(-20, 3, size=(36, 36))
+        errs = np.abs(rng.normal(size=(36, 36))) * 10.0 ** rng.integers(
+            -20, 3, size=(36, 36))
+        est = replace(_fake_estimate(36), values=vals, std_errors=errs,
+                      hermiticity_defect=1e-3)
+        text = render_result(ExperimentConfig(), est, "choi")
+        want = render_rows_by_entry(vals, errs, 4)
+        assert want.count("\n") == 1296
+        assert _matrix_section(text) == want
+
+    @pytest.mark.parametrize("kind, order", [("pure", 2), ("choi", 4)])
+    def test_signed_zeros_and_extremes(self, kind, order):
+        special = [-0.0, 0.0, 1e-300, -1e+300, 5e-324, 1e+300, -1e-300,
+                   0.123456789012345, -9.9999999995, 1.0, -1.0, 2.5e-17,
+                   -0.0, 0.0, 3.0, -7e+22]
+        vals = (np.array(special) + 1j * np.array(special[::-1])).reshape(4, 4)
+        vals.imag[0, 0] = -0.0
+        errs = np.array([0.0, 1e-300, 0.0, 9.995e-3] * 4).reshape(4, 4)
+        est = replace(_fake_estimate(4), values=vals, std_errors=errs)
+        text = render_result(ExperimentConfig(), est, kind)
+        want = render_rows_by_entry(vals, errs, order)
+        assert "-0.000000000e+00" in want and " 0.00e+00\n" in want
+        assert _matrix_section(text) == want
 
 
 class TestPlotData:

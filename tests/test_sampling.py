@@ -409,21 +409,44 @@ class TestSampleFinite:
         # sigma_z eigenvalues sorted ascending: index 1 is the +1 outcome |0>
         assert np.all(out1[zz] == 1) and np.all(out2[zz] == 1)
 
+    @staticmethod
+    def _unsorted_flat_draws(table, n, stream):
+        """Flat table indices of a search on the cumsum of the table itself,
+        one uniform per sample in stream order."""
+        cdf = np.cumsum(table)
+        u = stream.random(n)
+        return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"),
+                          cdf.size - 1)
+
     def test_draws_match_cumsum_search_on_fixed_stream(self, rng):
         # the running sum is built once per run by the caller; the draws
-        # are those of a search on the cumsum of the table itself
+        # are those of a search on the cumsum of the table itself, in
+        # table order
         q = build_finite_quorum(3)
         table = joint_outcome_table(*eigen_branches(random_density(rng, 9)), q)
         got = sample_finite(np.cumsum(table).reshape(table.shape), 10_000,
                             substream(5, 2))
-        cdf = np.cumsum(table)
-        u = substream(5, 2).random(10_000)
-        flat = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"),
-                          cdf.size - 1)
-        want = np.unravel_index(flat, table.shape)
+        flat = self._unsorted_flat_draws(table, 10_000, substream(5, 2))
+        want = np.unravel_index(np.sort(flat), table.shape)
         assert len(got) == 4
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    def test_sorted_draws_keep_the_joint_counts(self, rng):
+        # d = 6: a 46,656-entry table; the block's joint counts, all that a
+        # counted block is reduced through, are those of the unsorted draws
+        q = build_finite_quorum(6)
+        table = joint_outcome_table(*eigen_branches(random_density(rng, 36)), q)
+        cum = np.cumsum(table).reshape(table.shape)
+        for block_id in (0, 1, 7, 123):
+            obs1, obs2, out1, out2 = sample_finite(cum, 17_000,
+                                                   substream(8, block_id))
+            flat = np.ravel_multi_index((obs1, obs2, out1, out2), table.shape)
+            assert np.all(np.diff(flat) >= 0)
+            w1, w2, m1, m2 = np.unravel_index(self._unsorted_flat_draws(
+                table, 17_000, substream(8, block_id)), table.shape)
+            assert np.array_equal(q.joint_counts(out1, obs1, out2, obs2),
+                                  q.joint_counts(m1, w1, m2, w2))
 
     def test_outcome_table_normalised(self, rng):
         q = build_finite_quorum(3)
