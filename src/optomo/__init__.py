@@ -7,7 +7,6 @@ experiment on a displaced twin-beam.
 """
 
 from optomo.bipartite import (
-    hs_inner,
     hs_norm,
     inverse,
     kron,
@@ -23,12 +22,11 @@ from optomo.maps import (
     TwinBeamState,
     apply_kraus_bipartite,
     apply_pure,
-    choi_normalize,
     choi_to_kraus,
     displacement_matrix,
     kraus_to_choi,
     map_from_choi,
-    reconstruct_pure,
+    output_branches,
     twin_beam,
 )
 from optomo.quorum import (
@@ -53,18 +51,16 @@ __all__ = [
     "apply_pure",
     "build_finite_quorum",
     "build_homodyne_kernel",
-    "choi_normalize",
     "choi_to_kraus",
     "displacement_matrix",
-    "hs_inner",
     "hs_norm",
     "inverse",
     "kraus_to_choi",
     "kron",
     "map_from_choi",
+    "output_branches",
     "partial_trace_2",
     "phase_align",
-    "reconstruct_pure",
     "twin_beam",
     "unvec",
     "vec",

@@ -51,14 +51,6 @@ def hs_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def hs_inner(m, n) -> complex:
-    """Hilbert-Schmidt inner product Tr(M^dag N)."""
-    a, b = np.asarray(m), np.asarray(n)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def partial_trace_2(x) -> np.ndarray:
     """Trace out the second factor: (Tr_2 X)_ab = sum_k X_(a,k),(b,k)."""
     a = _as_complex(x)

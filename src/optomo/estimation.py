@@ -142,8 +142,6 @@ class KappaEstimate:
     p_hat_stderr: float
     denominator: float
     denominator_stderr: float
-    i0: int
-    j0: int
 
 
 @dataclass(frozen=True)
@@ -165,15 +163,13 @@ class MatrixEstimate:
 # reference selection and phase conventions
 
 
-def select_reference(magnitudes: np.ndarray | None) -> tuple[int, int]:
+def select_reference(magnitudes: np.ndarray) -> tuple[int, int]:
     """Reference indices (i0, j0) maximising |phi|, row-major tie-break.
 
-    ``magnitudes`` is an exact or pilot-estimated table of |phi_ij|; with no
-    table the default is (0, 0).  An all-zero table raises
-    ReferenceTooSmallError: every reference denominator would vanish.
+    ``magnitudes`` is an exact or pilot-estimated table of |phi_ij|.  An
+    all-zero table raises ReferenceTooSmallError: every reference
+    denominator would vanish.
     """
-    if magnitudes is None:
-        return 0, 0
     mags = np.abs(np.asarray(magnitudes))
     if not np.any(mags > 0):
         raise ReferenceTooSmallError(
@@ -356,7 +352,6 @@ def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
         kappa=kappa, kappa_stderr=float(kappa * rel),
         p_hat=float(p_hat), p_hat_stderr=p_stderr,
         denominator=den, denominator_stderr=den_stderr,
-        i0=i0, j0=j0,
     )
 
 
@@ -406,7 +401,7 @@ def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
     sym_err = np.sqrt((spread**2 + spread.T**2) / 2.0)
     kap = KappaEstimate(
         kappa=1.0, kappa_stderr=0.0, p_hat=p_hat, p_hat_stderr=p_hat_stderr,
-        denominator=1.0, denominator_stderr=0.0, i0=0, j0=0,
+        denominator=1.0, denominator_stderr=0.0,
     )
     return MatrixEstimate(
         values=herm,
@@ -442,8 +437,8 @@ def exact_finite_joint(branches, weights, quorum: FiniteQuorum, terms):
 def exact_pure_estimate(branches, weights, psi: np.ndarray, i0: int, j0: int,
                         quorum: FiniteQuorum) -> np.ndarray:
     """The pure chain's ``_pure_terms`` under the exact outcome law: the true
-    A up to the global phase when the output is apply_pure's (phi, p) as the
-    one branch [phi] of weight [p]."""
+    A up to the global phase when the output is ``output_branches`` of the
+    one-operator map (A,)."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
     est, den = exact_finite_joint(branches, weights, quorum,
                                   _pure_terms(coef, i0, j0))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from optomo.bipartite import hs_norm, inverse, kron, partial_trace_2, unvec, vec
+from optomo.bipartite import hs_norm, kron, partial_trace_2, unvec, vec
 from optomo.errors import (
     AnnihilatingOperationError,
     NotCompletelyPositiveError,
@@ -66,6 +66,8 @@ class KrausMap:
         d = ops[0].shape[0]
         if any(k.shape != (d, d) for k in ops):
             raise ValueError("all Kraus operators must be square with equal dims")
+        if not all(np.isfinite(k).all() for k in ops):
+            raise ValueError("Kraus operators must be finite")
         object.__setattr__(self, "kraus", ops)
         gap = np.eye(d) - sum(k.conj().T @ k for k in ops)
         low = np.linalg.eigvalsh(gap)[0]
@@ -140,13 +142,6 @@ def apply_pure(op: PureOperation, psi: np.ndarray) -> tuple[np.ndarray, float]:
     return phi, p
 
 
-def reconstruct_pure(phi: np.ndarray, psi: np.ndarray, p: float) -> np.ndarray:
-    """Invert apply_pure: A = phi psi^{-1} sqrt(p), up to a global phase."""
-    if not 0.0 < p <= 1.0 + CONTRACTION_TOL:
-        raise ValueError(f"occurrence probability must be in (0, 1], got {p}")
-    return np.asarray(phi, dtype=complex) @ inverse(psi) * np.sqrt(p)
-
-
 def output_branches(kmap: KrausMap, psi: np.ndarray) -> tuple[list, list]:
     """The output of the map on the entangled input as normalised branches.
 
@@ -182,15 +177,6 @@ def apply_kraus_bipartite(kmap: KrausMap, psi: np.ndarray) -> np.ndarray:
         v = vec(k @ psi)  # (K (x) I) vec(psi)
         r += np.outer(v, v.conj())
     return r
-
-
-def choi_normalize(r_psi: np.ndarray, psi: np.ndarray) -> ChoiMatrix:
-    """Rescale R(psi) to the Choi matrix R(I) = (I (x) psi^{-1T}) R(psi) (I (x) psi^{-1*})."""
-    psi = np.asarray(psi, dtype=complex)
-    d = psi.shape[0]
-    left = kron(np.eye(d), inverse(psi).T)
-    r = left @ np.asarray(r_psi, dtype=complex) @ left.conj().T
-    return ChoiMatrix((r + r.conj().T) / 2.0)
 
 
 def map_from_choi(choi: ChoiMatrix, rho: np.ndarray) -> np.ndarray:

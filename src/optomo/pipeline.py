@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from optomo import estimation, report, sampling
-from optomo.bipartite import phase_align
+from optomo.bipartite import inverse, phase_align
 from optomo.config import ExperimentConfig, config_hash, load_preset
 from optomo.errors import (
     ConfigError,
@@ -49,7 +49,7 @@ from optomo.estimation import (
 from optomo.fock import noise_sigma2
 from optomo.maps import (
     KrausMap,
-    apply_kraus_bipartite,
+    choi_to_kraus,
     displacement_matrix,
     kraus_to_choi,
     map_from_choi,
@@ -110,6 +110,9 @@ def load_kraus_file(path: str) -> KrausMap:
     cannot be read or holds no Kraus map raises a ConfigError naming it."""
     try:
         arr = np.load(path)
+        if not isinstance(arr, np.ndarray):  # an .npz archive
+            arr.close()
+            raise ValueError("need a .npy array file, got an .npz archive")
         if arr.ndim == 2:
             arr = arr[None]
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -337,7 +340,10 @@ def emit_plotdata(result_path, out_dir=".") -> list:
     result_path = pathlib.Path(result_path)
     if not result_path.exists():
         raise ConfigError(f"result document {result_path} does not exist")
-    doc = report.parse_result(result_path.read_text())
+    try:
+        doc = report.parse_result(result_path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"result document {result_path}: {exc}") from exc
     if doc.kind != "pure":
         raise ConfigError(
             "plot data is defined for pure-operation results; this document "
@@ -396,9 +402,9 @@ def verify_unbiasedness(seed: int = 7) -> tuple[bool, list]:
 
 
 def verify_choi(seed: int = 11) -> tuple[bool, list]:
-    """Choi conversions and the consistency triangle at d = 3."""
-    from optomo.maps import choi_normalize, choi_to_kraus
-
+    """Choi conversions and the consistency triangle at d = 3: R(I) rebuilt
+    from the output branches K_n psi (the model every route samples) as the
+    Kraus map sqrt(w_n) Phi_n psi^{-1} matches kraus_to_choi."""
     lines = []
     ok = True
     rng = np.random.default_rng(seed)
@@ -423,7 +429,9 @@ def verify_choi(seed: int = 11) -> tuple[bool, list]:
 
     psi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     psi = psi / np.linalg.norm(psi)
-    tri = choi_normalize(apply_kraus_bipartite(kmap, psi), psi)
+    branches, weights = output_branches(kmap, psi)
+    tri = kraus_to_choi(KrausMap(tuple(np.sqrt(w) * b @ inverse(psi)
+                                       for b, w in zip(branches, weights))))
     dist = float(np.max(np.abs(tri.matrix - choi.matrix)))
     ok &= _check(lines, "consistency-triangle", dist, 1e-10)
 

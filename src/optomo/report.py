@@ -113,6 +113,8 @@ def parse_result(text: str) -> ResultDoc:
     kind = summary.get("estimate_kind", "pure")
     order = len(_INDEX_NAMES[kind])
     table = np.array(rows, dtype=float)
+    if table.ndim != 2 or table.shape[1] != order + 3:
+        raise ValueError(f"[matrix] needs rows of {order + 3} columns")
     idx = tuple(table[:, :order].astype(int).T)
     shape = (int(table[:, :order].max()) + 1,) * order
     vals = np.zeros(shape, dtype=complex)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optomo.bipartite import (
-    hs_inner,
     hs_norm,
     inverse,
     kron,
@@ -85,18 +84,10 @@ class TestHilbertSchmidt:
     def test_norm_identity(self):
         assert abs(hs_norm(np.eye(3)) - np.sqrt(3)) < 1e-14
 
-    def test_inner_self_is_norm_squared(self, rng):
-        m = random_complex(rng, (4, 4))
-        assert abs(hs_inner(m, m) - hs_norm(m) ** 2) < 1e-10
-
     def test_norm_squared_elementwise(self, rng):
         m = random_complex(rng, (5, 5))
         brute = sum(abs(m[i, j]) ** 2 for i in range(5) for j in range(5))
         assert abs(hs_norm(m) ** 2 - brute) < 1e-12
-
-    def test_inner_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hs_inner(np.eye(2), np.eye(3))
 
 
 class TestPartialTrace:

@@ -170,6 +170,18 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "status=pass" in out and "status=fail" not in out
 
+    def test_choi_pass(self, capsys):
+        assert main(["verify", "choi"]) == 0
+        checks = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()
+                  if "status=pass" in ln]
+        assert checks == ["check=choi-action", "check=consistency-triangle",
+                          "check=kraus-roundtrip-action"]
+
+    def test_sampler_moments_pass(self, capsys):
+        assert main(["verify", "sampler-moments"]) == 0
+        out = capsys.readouterr().out
+        assert "status=pass" in out and "status=fail" not in out
+
     def test_kernels_single_eta(self, capsys):
         assert main(["verify", "kernels", "--eta", "0.9"]) == 0
         assert "eta0.9" in capsys.readouterr().out
@@ -226,6 +238,24 @@ class TestEmitPlotdata:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["emit-plotdata", "--from", "missing.result.txt"]) == 2
+
+    @pytest.mark.parametrize("fault", ["bad_version", "cut_after_matrix"])
+    def test_malformed_document_exit_2(self, tmp_path, capsys, fault):
+        good = np.diag([1.0, 0.8, 0.0]).astype(complex)[None]
+        cfg = _kraus_config(tmp_path, good, "finite")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+        doc = tmp_path / "k.result.txt"
+        text = doc.read_text()
+        if fault == "bad_version":
+            text = text.replace("optomo-result v", "optomo-result vX", 1)
+        else:
+            text = text[: text.index("[matrix]") + len("[matrix]\n")]
+        doc.write_text(text)
+        capsys.readouterr()
+        assert main(["emit-plotdata", "--from", str(doc),
+                     "--out-dir", str(tmp_path / "b")]) == 2
+        assert f"config error: result document {doc}" in capsys.readouterr().err
 
 
 class TestKrausRoute:
@@ -358,7 +388,8 @@ class TestOperationErrors:
         assert calls == []
         assert not (tmp_path / "k.result.txt").exists()
 
-    @pytest.mark.parametrize("fault", ["missing", "exceeds_identity"])
+    @pytest.mark.parametrize("fault", ["missing", "exceeds_identity",
+                                       "npz_archive"])
     def test_bad_kraus_file_exit_2(self, tmp_path, capsys, fault):
         good = np.diag([1.0, 0.8, 0.0]).astype(complex)[None]
         cfg = _kraus_config(tmp_path, good, "finite")
@@ -367,6 +398,9 @@ class TestOperationErrors:
         kraus_path = tmp_path / "k.npy"
         if fault == "missing":
             kraus_path.unlink()
+        elif fault == "npz_archive":
+            with open(kraus_path, "wb") as f:
+                np.savez(f, k=good)
         else:
             np.save(kraus_path, 1.5 * good)
         capsys.readouterr()
@@ -378,6 +412,17 @@ class TestOperationErrors:
         ):
             assert main(argv) == 2
             assert str(kraus_path) in capsys.readouterr().err
+
+    def test_non_finite_kraus_operator_exit_2(self, tmp_path, capsys):
+        # a NaN operator has NaN weight, which output_branches would drop
+        ks = np.stack([np.sqrt(0.5) * np.eye(2), np.full((2, 2), np.nan)])
+        cfg = _kraus_config(tmp_path, ks.astype(complex), "finite")
+        for flags in ([], ["--dry-run"]):
+            assert main(["simulate", "--config", str(cfg),
+                         "--out-dir", str(tmp_path)] + flags) == 2
+            err = capsys.readouterr().err
+            assert str(tmp_path / "k.npy") in err and "finite" in err
+        assert not (tmp_path / "k.result.txt").exists()
 
     def test_reference_rejected_for_choi(self, tmp_path, capsys):
         ks = np.stack([np.sqrt(0.5) * np.eye(3), np.sqrt(0.5) * np.eye(3)])

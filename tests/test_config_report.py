@@ -152,7 +152,7 @@ def _fake_estimate(w=2):
     errs = np.abs(rng.normal(size=(w, w))) * 0.01
     kap = KappaEstimate(kappa=1.5, kappa_stderr=0.01, p_hat=0.9,
                         p_hat_stderr=0.001, denominator=0.4,
-                        denominator_stderr=0.004, i0=0, j0=0)
+                        denominator_stderr=0.004)
     return MatrixEstimate(values=vals, std_errors=errs, kappa=kap, i0=0, j0=0,
                           n_blocks=5, truncation_deficit=1e-4,
                           phase_convention="reference-entry-real-positive")
@@ -183,7 +183,7 @@ class TestResultDocument:
         vals = vals + vals.conj().T
         kap = KappaEstimate(kappa=1.0, kappa_stderr=0.0, p_hat=1.0,
                             p_hat_stderr=0.0, denominator=1.0,
-                            denominator_stderr=0.0, i0=0, j0=0)
+                            denominator_stderr=0.0)
         est = MatrixEstimate(values=vals, std_errors=np.full((4, 4), 0.1),
                              kappa=kap, i0=0, j0=0, n_blocks=3,
                              truncation_deficit=0.0, hermiticity_defect=0.05)

@@ -405,9 +405,6 @@ class TestReferenceAndPhase:
         mags = np.ones((3, 3))
         assert select_reference(mags) == (0, 0)
 
-    def test_select_reference_no_pilot(self):
-        assert select_reference(None) == (0, 0)
-
     def test_select_reference_zero_table_raises(self):
         with pytest.raises(ReferenceTooSmallError, match="zero on the"):
             select_reference(np.zeros((2, 2)))

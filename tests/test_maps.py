@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optomo.bipartite import hs_norm, phase_align, vec
+from optomo.bipartite import hs_norm, inverse, phase_align, vec
 from optomo.errors import AnnihilatingOperationError, NotCompletelyPositiveError
 from optomo.maps import (
     ChoiMatrix,
@@ -9,15 +9,15 @@ from optomo.maps import (
     PureOperation,
     apply_kraus_bipartite,
     apply_pure,
-    choi_normalize,
     choi_to_kraus,
     displacement_matrix,
     kraus_to_choi,
     map_from_choi,
     output_branches,
-    reconstruct_pure,
     twin_beam,
 )
+from optomo.estimation import exact_choi_estimate
+from optomo.quorum import build_finite_quorum
 
 from oracles import (
     displacement_element,
@@ -95,29 +95,32 @@ class TestApplyPure:
             apply_pure(PureOperation(proj), psi)
 
 
+def reconstruct_from_branch(a, psi):
+    """A = phi psi^{-1} sqrt(p) from the one output branch phi, of weight p,
+    of the one-operator map (a,)."""
+    (phi,), (p,) = output_branches(KrausMap((a,)), psi)
+    return phi @ inverse(psi) * np.sqrt(p)
+
+
 class TestReconstructPure:
     def test_identity_roundtrip(self, rng):
         psi = random_invertible_state(rng, 3)
-        assert np.allclose(reconstruct_pure(psi, psi, 1.0), np.eye(3), atol=1e-10)
+        assert np.allclose(reconstruct_from_branch(np.eye(3), psi), np.eye(3),
+                           atol=1e-10)
 
     def test_random_roundtrip(self, rng):
         for _ in range(10):
             a = random_contraction(rng, 4)
             psi = random_invertible_state(rng, 4)
-            phi, p = apply_pure(PureOperation(a), psi)
-            _, dist = phase_align(a, reconstruct_pure(phi, psi, p))
+            _, dist = phase_align(a, reconstruct_from_branch(a, psi))
             assert dist < 1e-10
 
     def test_twin_beam_window(self):
         # reconstruction agrees inside the window; doubled cutoff as oracle
         beam = twin_beam(3.0, 16, deficit_bound=1.0)
-        op = PureOperation(displacement_matrix(1.0, 16))
-        phi, p = apply_pure(op, beam.psi)
-        a_rec = reconstruct_pure(phi, beam.psi, p)
+        a_rec = reconstruct_from_branch(displacement_matrix(1.0, 16), beam.psi)
         beam2 = twin_beam(3.0, 32)
-        op2 = PureOperation(displacement_matrix(1.0, 32))
-        phi2, p2 = apply_pure(op2, beam2.psi)
-        a_rec2 = reconstruct_pure(phi2, beam2.psi, p2)
+        a_rec2 = reconstruct_from_branch(displacement_matrix(1.0, 32), beam2.psi)
         win = np.s_[:9, :9]
         phase, _ = phase_align(a_rec2[win], a_rec[win])
         assert np.max(np.abs(a_rec2[win] - phase * a_rec[win])) < 1e-6
@@ -182,41 +185,26 @@ class TestOutputBranches:
 
 
 class TestChoi:
+    # R(psi) normalised to R(I) by the exact Choi chain over the output branches
     def test_normalize_identity_map(self):
         psi = np.eye(2) / np.sqrt(2)
-        r_psi = apply_kraus_bipartite(KrausMap((np.eye(2),)), psi)
-        choi = choi_normalize(r_psi, psi)
+        choi = exact_choi_estimate(*output_branches(KrausMap((np.eye(2),)), psi),
+                                   psi, build_finite_quorum(2))
         v = vec(np.eye(2))
-        assert np.allclose(choi.matrix, np.outer(v, v.conj()), atol=1e-10)
-        assert abs(np.trace(choi.matrix) - 2.0) < 1e-10
+        assert np.allclose(choi, np.outer(v, v.conj()), atol=1e-10)
+        assert abs(np.trace(choi) - 2.0) < 1e-10
 
     def test_normalize_matches_direct_on_twin_beam(self, rng):
         beam = twin_beam(1.0, 6, deficit_bound=1.0)
         psi = beam.psi / hs_norm(beam.psi)
-        ks = random_kraus_map(rng, 6)
-        r_psi = apply_kraus_bipartite(KrausMap(tuple(ks)), psi)
-        choi = choi_normalize(r_psi, psi)
-        direct = kraus_to_choi(KrausMap(tuple(ks))).matrix
+        kmap = KrausMap(tuple(random_kraus_map(rng, 6)))
+        choi = exact_choi_estimate(*output_branches(kmap, psi), psi,
+                                   build_finite_quorum(6))
+        direct = kraus_to_choi(kmap).matrix
         d = 6
         win = np.array([i * d + j for i in range(5) for j in range(5)])
-        diff = np.max(np.abs(choi.matrix[np.ix_(win, win)] - direct[np.ix_(win, win)]))
+        diff = np.max(np.abs(choi[np.ix_(win, win)] - direct[np.ix_(win, win)]))
         assert diff < 1e-8
-
-    def test_normalize_diagonal_index_formula(self, rng):
-        # hand-expanded index algebra for diagonal psi, checked by brute force
-        d = 3
-        diag = np.array([0.8, 0.5, 0.33])
-        psi = np.diag(diag) / np.linalg.norm(diag)
-        ks = random_kraus_map(rng, d)
-        r_psi = apply_kraus_bipartite(KrausMap(tuple(ks)), psi)
-        choi = choi_normalize(r_psi, psi)
-        pd = np.real(np.diag(psi))
-        for i in range(d):
-            for j in range(d):
-                for l in range(d):
-                    for k in range(d):
-                        expect = r_psi[i * d + j, l * d + k] / (pd[j] * pd[k])
-                        assert abs(choi.matrix[i * d + j, l * d + k] - expect) < 1e-9
 
     def test_map_from_choi_identity(self, rng):
         v = vec(np.eye(3))

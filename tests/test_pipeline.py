@@ -142,7 +142,6 @@ class TestFiniteRoute:
         def no_density(*args, **kwargs):
             raise AssertionError("the output density matrix was built")
 
-        monkeypatch.setattr(pipeline, "apply_kraus_bipartite", no_density)
         monkeypatch.setattr(maps, "apply_kraus_bipartite", no_density)
         cfg = ExperimentConfig(
             operation="kraus", kraus_file=_two_kraus_file(tmp_path / "k.npy", 3),

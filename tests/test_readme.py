@@ -1,0 +1,13 @@
+"""Every python block of README.md runs, so the library sketch cannot go stale."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks
+    for source in blocks:
+        exec(compile(source, str(README), "exec"), {})
