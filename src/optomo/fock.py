@@ -9,6 +9,11 @@ the orthonormal wavefunctions
 
 and <x|n>_phi = e^{i n phi} Psi_n(x).  Detector efficiency eta < 1 smears the
 quadrature distribution with a zero-mean Gaussian of variance (1-eta)/(4 eta).
+
+A kernel build forms the Psi table of its grid once and hands it to
+``smeared_pair_table`` for every offset, which convolves the pair products
+``CONVOLVE_ROWS`` rows per FFT call: batching rows saves per-call work,
+while the row cap bounds the FFT buffers of one call.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from optomo.errors import UnphysicalDeconvolutionError
+
+CONVOLVE_ROWS = 8  # smeared rows per fftconvolve call: bounds the batch
 
 
 def noise_sigma2(eta: float) -> float:
@@ -29,16 +36,28 @@ def noise_sigma2(eta: float) -> float:
 
 
 def quadrature_wavefunctions(nmax: int, x: np.ndarray) -> np.ndarray:
-    """Table of Psi_n(x) for n < nmax, shape (nmax, len(x))."""
+    """Table of Psi_n(x) for n < nmax, shape (nmax, len(x)).
+
+    The recursion runs in place, row n + 1 formed as (2x / sqrt(n + 1))
+    Psi_n - sqrt(n / (n + 1)) Psi_{n-1}, each product and the difference
+    taken in that order.
+    """
     x = np.asarray(x, dtype=float)
-    table = np.zeros((nmax, x.size))
-    table[0] = (2.0 / np.pi) ** 0.25 * np.exp(-x * x)
+    table = np.empty((nmax, x.size))
+    np.multiply(x, x, out=table[0])
+    np.negative(table[0], out=table[0])
+    np.exp(table[0], out=table[0])
+    table[0] *= (2.0 / np.pi) ** 0.25
     if nmax > 1:
-        table[1] = 2.0 * x * table[0]
-    for n in range(1, nmax - 1):
-        table[n + 1] = (2.0 * x / np.sqrt(n + 1.0)) * table[n] - np.sqrt(
-            n / (n + 1.0)
-        ) * table[n - 1]
+        two_x = 2.0 * x
+        np.multiply(two_x, table[0], out=table[1])
+        tmp = np.empty(x.size)
+        for n in range(1, nmax - 1):
+            row = table[n + 1]
+            np.divide(two_x, np.sqrt(n + 1.0), out=row)
+            row *= table[n]
+            np.multiply(table[n - 1], np.sqrt(n / (n + 1.0)), out=tmp)
+            row -= tmp
     return table
 
 
@@ -53,21 +72,26 @@ def gaussian_filter_kernel(sigma: float, dx: float) -> np.ndarray:
 
 
 def smeared_pair_table(
-    dim_cut: int, delta: int, x: np.ndarray, dx: float, sigma: float
+    psi: np.ndarray, delta: int, dx: float, sigma: float
 ) -> np.ndarray:
     """Smeared products g_ab = (Psi_a Psi_b) * N(0, sigma^2) for b - a = delta.
 
-    Returns shape (dim_cut - delta, len(x)); row a holds the pair (a, a + delta).
-    These are the quadrature-distribution basis functions: a state rho smeared
-    by efficiency noise has density
+    ``psi`` is the ``quadrature_wavefunctions`` table (dim_cut, len(x)) of
+    the grid x with spacing ``dx``, formed once by the caller for every
+    offset.  Returns shape (dim_cut - delta, len(x)); row a holds the pair
+    (a, a + delta).  The products are convolved with the filter
+    ``CONVOLVE_ROWS`` rows per ``fftconvolve`` call, each row as if alone.
+    These are the quadrature-distribution basis functions: a state rho
+    smeared by efficiency noise has density
     p_eta(x | phi) = sum_ab rho_ab e^{i(a-b) phi} g_{min(a,b),|a-b|}(x).
     """
+    dim_cut = psi.shape[0]
     if not 0 <= delta < dim_cut:
         raise ValueError(f"need 0 <= delta < dim_cut, got delta={delta}")
-    psi = quadrature_wavefunctions(dim_cut, x)
     kern = gaussian_filter_kernel(sigma, dx)
-    rows = np.empty((dim_cut - delta, x.size))
-    for a in range(dim_cut - delta):
-        prod = psi[a] * psi[a + delta]
-        rows[a] = fftconvolve(prod, kern, mode="same") if kern.size > 1 else prod
+    rows = np.multiply(psi[: dim_cut - delta], psi[delta:])
+    if kern.size > 1:
+        for lo in range(0, rows.shape[0], CONVOLVE_ROWS):
+            chunk = rows[lo:lo + CONVOLVE_ROWS]
+            chunk[:] = fftconvolve(chunk, kern[None, :], mode="same", axes=1)
     return rows

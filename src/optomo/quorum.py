@@ -55,7 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from optomo.errors import IllConditionedKernelError
-from optomo.fock import noise_sigma2, smeared_pair_table
+from optomo.fock import (noise_sigma2, quadrature_wavefunctions,
+                         smeared_pair_table)
 
 KERNEL_CACHE_VERSION = 1
 BIORTHOGONALITY_TOL = 1e-8
@@ -427,11 +428,13 @@ def build_homodyne_kernel(
 
     x = grid.points
     dx = grid.spacing
+    psi = quadrature_wavefunctions(dim_cut, x)
     tables = {}
     recovery = {}
     for delta in range(0, max_index + 1):
-        g = smeared_pair_table(dim_cut, delta, x, dx, sigma)
-        a_mat = g * dx  # quadrature rows: (a_mat f)_p ~ integral g_p f
+        # quadrature rows, scaled in place: (a_mat f)_p ~ integral g_p f
+        a_mat = smeared_pair_table(psi, delta, dx, sigma)
+        a_mat *= dx
         m = a_mat.shape[0]
         keep = min(max_index + 1, m)
         gram = a_mat @ a_mat.T

@@ -11,7 +11,10 @@ Three sampling paths share one RNG contract:
   phase-dependent marginal, x2 from the exact conditional given x1, both
   by one two-level search, first over the grid's blocks by their masses,
   then over the nodes of one block; each grid node's mass sits on the cell
-  centred on it, so draws carry no half-cell shift,
+  centred on it, so draws carry no half-cell shift; a block's draws are
+  made first, and the phase rotations (by power recurrence), the
+  wavefunctions at x1 and the x2 search then run once over its samples,
+  the x1 search and the conditional amplitude once per branch,
 * exact-distribution outcome sampling for finite-dimensional quorums, by
   inverse CDF on the joint outcome table of the same output branches the
   Fock route draws from (``joint_outcome_table``, a weighted sum of squared
@@ -50,6 +53,8 @@ SYMPLECTIC_TOL = 1e-9
 FOCK_GRID_POINTS = 4096
 TRUNCATION_BOUND = 1e-6
 FOCK_BATCH = 256
+FOCK_ROWS = 2048  # samples per _fock_draw call: bounds its tables
+FOCK_MIN_BLOCK = 128  # grid nodes per block at least, where the grid has them
 OUTCOME_CHUNK = 1 << 16  # complex amplitudes formed at once by the table
 
 _OMEGA = np.array(
@@ -259,7 +264,9 @@ def fock_grid(d: int, n_points: int = FOCK_GRID_POINTS) -> FockGrid:
     sigma_max^2 = (2d + 1)/4, cropped to the nodes where the envelope
     sum_a Psi_a(x)^2 exceeds 1e-40 of its peak.  Its G nodes are split into
     nb = round(sqrt(G/d)) blocks of B = ceil(G/nb) nodes, which balances the
-    d^2 nb work of the block masses against the d B work inside one block.
+    d^2 nb work of the block masses against the d B work inside one block;
+    nb is cut to at most G // ``FOCK_MIN_BLOCK``, so that at small d a
+    block's fixed cost is shared by at least that many nodes.
     """
     sigma_max = np.sqrt((2.0 * d + 1.0) / 4.0)
     x = np.linspace(-6.0 * sigma_max, 6.0 * sigma_max, n_points)
@@ -268,7 +275,8 @@ def fock_grid(d: int, n_points: int = FOCK_GRID_POINTS) -> FockGrid:
     keep = np.flatnonzero(envelope > 1e-40 * envelope.max())
     crop = slice(keep[0], keep[-1] + 1)
     x = x[crop]
-    block = -(-x.size // max(1, round(np.sqrt(x.size / d))))  # ceil
+    nb = min(round(np.sqrt(x.size / d)), x.size // FOCK_MIN_BLOCK)
+    block = -(-x.size // max(1, nb))  # ceil
     n_blocks = -(-x.size // block)  # every block holds a node
     padded = np.zeros((d, n_blocks * block))
     padded[:, : x.size] = psi[:, crop]
@@ -310,23 +318,26 @@ def fock_tables(branches, weights, grid: FockGrid) -> FockTables:
     branches = np.array(branches, dtype=complex)
     n, d = branches.shape[:2]
     psi = grid.psi
-    marginal = np.empty((n, 2 * d, psi.shape[1]))
-    for phi, table in zip(branches, marginal):
+    rho1 = np.empty((n, d, d), dtype=complex)  # reduced states of mode 1
+    for phi, r in zip(branches, rho1):
         norm2 = float(np.sum(np.abs(phi) ** 2))
         if abs(norm2 - 1.0) > TRUNCATION_BOUND:
             raise TruncationError(
                 f"output-state truncation deficit {abs(norm2 - 1.0):.3e} "
                 f"above bound {TRUNCATION_BOUND:.0e}"
             )
-        rho1 = phi @ phi.conj().T  # reduced state of mode 1
-        density = np.empty((d, psi.shape[1]), dtype=complex)
-        for delta in range(d):
-            w = 1.0 if delta == 0 else 2.0
-            r = w * np.diagonal(rho1, delta)
-            density[delta] = r @ (psi[: d - delta] * psi[delta:])
-        cum = np.cumsum(density.reshape(d, grid.n_blocks, grid.block), axis=2)
-        table[:d] = cum.real.reshape(d, -1)
-        table[d:] = cum.imag.reshape(d, -1)
+        np.matmul(phi, phi.conj().T, out=r)
+    marginal = np.empty((n, 2 * d, psi.shape[1]))
+    for delta in range(d):
+        w = 1.0 if delta == 0 else 2.0
+        diag = w * np.diagonal(rho1, delta, axis1=1, axis2=2)  # (n, d - delta)
+        # [Re; Im] of every branch's diagonal in one real GEMM
+        parts = np.concatenate([diag.real, diag.imag]) @ (
+            psi[: d - delta] * psi[delta:])
+        marginal[:, delta] = parts[:n]
+        marginal[:, d + delta] = parts[n:]
+    np.cumsum(marginal.reshape(n, 2 * d, grid.n_blocks, grid.block), axis=3,
+              out=marginal.reshape(n, 2 * d, grid.n_blocks, grid.block))
     return FockTables(grid=grid, branches=branches,
                       weights=np.asarray(weights) / np.sum(weights),
                       marginal=marginal)
@@ -398,31 +409,53 @@ def _draw_x2(grid: FockGrid, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _grid_draw(grid, masses, running, u)
 
 
-def _fock_draw(tables: FockTables, branch: int, p1, p2, u1, u2):
-    """Phasors and noise-free quadratures (e^{i phi1}, e^{i phi2}, x1, x2) of
-    one branch for a batch of phases and uniforms.
+def _rotations(phi: np.ndarray, d: int) -> np.ndarray:
+    """e^{i a phi} for a < d, laid out (d, s): row 1 is np.cos(phi) and
+    np.sin(phi) written into its parts, row a > 1 the power recurrence
+    row (a - 1) times row 1 (as ``HomodyneKernel.dyad_estimates``)."""
+    rot = np.empty((d, phi.size), dtype=complex)
+    rot[0] = 1.0
+    np.cos(phi, out=rot[1].real)
+    np.sin(phi, out=rot[1].imag)
+    for a in range(2, d):
+        np.multiply(rot[a - 1], rot[1], out=rot[a])
+    return rot
 
-    x1 is drawn from the branch's marginal table with trig1 = [cos a phi1 |
-    sin a phi1]: the block masses are trig1 times the table's columns at
-    the blocks' last nodes, the running mass over one block trig1 times that
-    block's columns.  x2 is drawn from the exact conditional given x1.  The
-    phasors are the order-1 columns of rot_j = e^{i a phi_j}, a < d (d >= 2).
+
+def _fock_draw(tables: FockTables, branch_idx, p1, p2, u1, u2):
+    """Phasors and noise-free quadratures (e^{i phi1}, e^{i phi2}, x1, x2)
+    for rows of phases and uniforms, row r drawn from branch branch_idx[r].
+
+    The phase rotations rot_j = e^{i a phi_j}, a < d (d >= 2), the
+    Psi_a(x1) recursion and the x2 search run once over all rows; the x1
+    search and the conditional amplitude run once per branch.  x1 is drawn
+    from the branch's marginal table with trig1 = [cos a phi1 | sin a phi1]:
+    the block masses are trig1 times the table's columns at the blocks'
+    last nodes, the running mass over one block trig1 times that block's
+    columns.  x2 is drawn from the exact conditional given x1.  The phasors
+    are the order-1 rows of rot_j.
     """
     grid, size = tables.grid, tables.grid.block
-    phi_out = tables.branches[branch]
-    marginal = tables.marginal[branch]
-    d = phi_out.shape[0]
-    orders = np.arange(d)
-    rot1 = np.exp(1j * np.outer(p1, orders))  # e^{i a phi1}, (s, d)
-    rot2 = np.exp(1j * np.outer(p2, orders))
-    trig1 = np.concatenate([rot1.real, rot1.imag], axis=1)
-    xs1 = _grid_draw(
-        grid, trig1 @ marginal[:, size - 1::size],
-        lambda b, sel: trig1[sel] @ marginal[:, b * size:(b + 1) * size], u1)
+    d = tables.branches.shape[1]
+    rot1 = _rotations(p1, d)
+    rot2 = _rotations(p2, d)
+    trig1 = np.concatenate([rot1.real.T, rot1.imag.T], axis=1)  # (s, 2d)
+    rows_of = [np.flatnonzero(branch_idx == b)
+               for b in range(len(tables.branches))]
+    xs1 = np.empty(p1.size)
+    for sel, marginal in zip(rows_of, tables.marginal):
+        t = trig1[sel]
+        xs1[sel] = _grid_draw(
+            grid, t @ marginal[:, size - 1::size],
+            lambda b, at: t[at] @ marginal[:, b * size:(b + 1) * size],
+            u1[sel])
     # conditional amplitude over mode-2 index m at the drawn x1
-    psi_at = quadrature_wavefunctions(d, xs1).T  # (s, d)
-    c = ((psi_at * rot1) @ phi_out) * rot2
-    return rot1[:, 1], rot2[:, 1], xs1, _draw_x2(grid, c, u2)
+    amp = (quadrature_wavefunctions(d, xs1) * rot1).T  # (s, d)
+    c = np.empty((p1.size, d), dtype=complex)
+    for sel, phi_out in zip(rows_of, tables.branches):
+        c[sel] = amp[sel] @ phi_out
+    c *= rot2.T
+    return rot1[1], rot2[1], xs1, _draw_x2(grid, c, u2)
 
 
 def sample_fock_general(
@@ -443,8 +476,10 @@ def sample_fock_general(
     (``stream.choice``, only when there is more than one branch); then,
     branch by branch in index order, per batch of up to ``FOCK_BATCH`` of
     that branch's samples: phi1, phi2, u1, u2, noise1, noise2.  A branch
-    with no sample draws nothing.  The phasors are np.exp(1j * phi), as
-    ``_fock_draw`` forms them.
+    with no sample draws nothing.  Every draw of the block is made first;
+    ``_fock_draw`` then turns up to ``FOCK_ROWS`` samples at a time, of any
+    branch, into quadratures.  The phasors are np.cos(phi) + 1j
+    np.sin(phi), the order-1 rotations.
     """
     sig2 = noise_sigma2(eta)
     n_branches = len(tables.weights)
@@ -452,24 +487,26 @@ def sample_fock_general(
         branch_idx = np.zeros(n, dtype=int)
     else:
         branch_idx = stream.choice(n_branches, size=n, p=tables.weights)
-    e1, e2 = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-    x1, x2 = np.zeros(n), np.zeros(n)
+    p1, p2, u1, u2, g1, g2 = np.empty((6, n))
     for branch in range(n_branches):
         sel = np.flatnonzero(branch_idx == branch)
         for lo in range(0, sel.size, FOCK_BATCH):
             at = sel[lo:lo + FOCK_BATCH]
-            p1 = stream.uniform(0.0, 2.0 * np.pi, at.size)
-            p2 = stream.uniform(0.0, 2.0 * np.pi, at.size)
-            u1 = stream.random(at.size)
-            u2 = stream.random(at.size)
-            g1 = stream.standard_normal(at.size)
-            g2 = stream.standard_normal(at.size)
-            e1[at], e2[at], xs1, xs2 = _fock_draw(tables, branch, p1, p2,
-                                                   u1, u2)
-            if sig2 > 0.0:
-                xs1 += np.sqrt(sig2) * g1
-                xs2 += np.sqrt(sig2) * g2
-            x1[at], x2[at] = xs1, xs2
+            p1[at] = stream.uniform(0.0, 2.0 * np.pi, at.size)
+            p2[at] = stream.uniform(0.0, 2.0 * np.pi, at.size)
+            u1[at] = stream.random(at.size)
+            u2[at] = stream.random(at.size)
+            g1[at] = stream.standard_normal(at.size)
+            g2[at] = stream.standard_normal(at.size)
+    e1, e2 = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    x1, x2 = np.empty(n), np.empty(n)
+    for lo in range(0, n, FOCK_ROWS):
+        part = slice(lo, lo + FOCK_ROWS)
+        e1[part], e2[part], x1[part], x2[part] = _fock_draw(
+            tables, branch_idx[part], p1[part], p2[part], u1[part], u2[part])
+    if sig2 > 0.0:
+        x1 += np.sqrt(sig2) * g1
+        x2 += np.sqrt(sig2) * g2
     return e1, e2, x1, x2
 
 

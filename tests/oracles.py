@@ -148,6 +148,87 @@ def cell_inverse(x: np.ndarray, cdf: np.ndarray, u: float) -> float:
     return x[k] - dx / 2.0 + frac * dx
 
 
+def wavefunctions_by_rows(nmax: int, x: np.ndarray) -> np.ndarray:
+    """Psi_n(x) for n < nmax, shape (nmax, len(x)), by the three-term
+    recursion written row by row into a zeroed table, each row a new array:
+    Psi_{n+1} = (2x / sqrt(n + 1)) Psi_n - sqrt(n / (n + 1)) Psi_{n-1}."""
+    x = np.asarray(x, dtype=float)
+    table = np.zeros((nmax, x.size))
+    table[0] = (2.0 / np.pi) ** 0.25 * np.exp(-x * x)
+    if nmax > 1:
+        table[1] = 2.0 * x * table[0]
+    for n in range(1, nmax - 1):
+        table[n + 1] = (2.0 * x / np.sqrt(n + 1.0)) * table[n] - np.sqrt(
+            n / (n + 1.0)) * table[n - 1]
+    return table
+
+
+def smeared_pairs_by_rows(dim_cut: int, delta: int, x, dx: float,
+                          sigma: float) -> np.ndarray:
+    """Rows Psi_a Psi_{a+delta} of the grid x convolved with the discrete
+    Gaussian filter of ``sigma``, one ``fftconvolve`` call per row (the
+    product alone when the filter has one tap), shape (dim_cut - delta,
+    len(x))."""
+    from scipy.signal import fftconvolve
+
+    from optomo.fock import gaussian_filter_kernel
+
+    psi = wavefunctions_by_rows(dim_cut, x)
+    kern = gaussian_filter_kernel(sigma, dx)
+    rows = np.empty((dim_cut - delta, len(x)))
+    for a in range(dim_cut - delta):
+        prod = psi[a] * psi[a + delta]
+        rows[a] = fftconvolve(prod, kern, mode="same") if kern.size > 1 else prod
+    return rows
+
+
+def fock_draw_by_batches(tables, eta: float, n: int, stream):
+    """``sample_fock_general``'s samples, drawn batch by batch.
+
+    The stream is read in the documented order (branch indices, then per
+    branch, per ``FOCK_BATCH`` batch: phi1, phi2, u1, u2, noise1, noise2),
+    and each batch is turned into quadratures on its own, before the next
+    is drawn: rotations np.exp(1j a phi), Psi_a(x1) from
+    ``wavefunctions_by_rows``, and the package's two-level searches for x1
+    (one GEMM with the branch's marginal table) and x2.
+    """
+    from optomo.sampling import FOCK_BATCH, _draw_x2, _grid_draw
+
+    grid, size = tables.grid, tables.grid.block
+    n_branches = len(tables.weights)
+    if n_branches == 1:
+        branch_idx = np.zeros(n, dtype=int)
+    else:
+        branch_idx = stream.choice(n_branches, size=n, p=tables.weights)
+    e1, e2 = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    x1, x2 = np.zeros(n), np.zeros(n)
+    sn = np.sqrt((1.0 - eta) / (4.0 * eta))
+    for branch in range(n_branches):
+        phi_out, marginal = tables.branches[branch], tables.marginal[branch]
+        orders = np.arange(phi_out.shape[0])
+        sel = np.flatnonzero(branch_idx == branch)
+        for lo in range(0, sel.size, FOCK_BATCH):
+            at = sel[lo:lo + FOCK_BATCH]
+            p1 = stream.uniform(0.0, 2.0 * np.pi, at.size)
+            p2 = stream.uniform(0.0, 2.0 * np.pi, at.size)
+            u1, u2 = stream.random(at.size), stream.random(at.size)
+            g1 = stream.standard_normal(at.size)
+            g2 = stream.standard_normal(at.size)
+            rot1 = np.exp(1j * np.outer(p1, orders))
+            rot2 = np.exp(1j * np.outer(p2, orders))
+            trig1 = np.concatenate([rot1.real, rot1.imag], axis=1)
+            xs1 = _grid_draw(
+                grid, trig1 @ marginal[:, size - 1::size],
+                lambda b, s: trig1[s] @ marginal[:, b * size:(b + 1) * size],
+                u1)
+            c = ((wavefunctions_by_rows(orders.size, xs1).T * rot1)
+                 @ phi_out) * rot2
+            e1[at], e2[at] = rot1[:, 1], rot2[:, 1]
+            x1[at] = xs1 + sn * g1
+            x2[at] = _draw_x2(grid, c, u2) + sn * g2
+    return e1, e2, x1, x2
+
+
 def random_contraction(rng, d: int, margin: float = 1.25) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return a / (np.linalg.svd(a, compute_uv=False)[0] * margin)

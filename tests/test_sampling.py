@@ -4,6 +4,7 @@ from oracles import (
     cell_inverse,
     eigen_branches,
     fock_conditional_cdf,
+    fock_draw_by_batches,
     fock_marginal_cdf,
     hermite_functions,
     outcome_table_by_loops,
@@ -15,6 +16,7 @@ from optomo.errors import TruncationError
 from optomo.quorum import build_finite_quorum
 from optomo.sampling import (
     FOCK_BATCH,
+    FOCK_ROWS,
     GaussianState,
     displaced_twinbeam_gaussian,
     draw_heralds,
@@ -283,6 +285,40 @@ class TestSampleFockGeneral:
         assert np.array_equal(e2, np.exp(1j * phi2))
 
 
+class TestFockBlockDraw:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_matches_batch_oracle(self, d):
+        # three branches of a dimension-d output, the last with weight 0:
+        # the first holds more than one batch, the last no sample, and the
+        # block more than one call of rows.  d = 4 is the first dimension
+        # at which e^{3i phi} tells the recurrence from squaring.  The
+        # phasors are equal bit for bit; the quadratures move by the
+        # roundoff of the rotations' recurrence.
+        rng = np.random.default_rng(17)
+        n = FOCK_ROWS + 300
+        branches = []
+        for _ in range(3):
+            phi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            branches.append(phi / np.linalg.norm(phi))
+        tables = fock_tables(branches, [0.6, 0.4, 0.0], fock_grid(d))
+        got = sample_fock_general(tables, 0.9, n, substream(8, 2))
+        expect = fock_draw_by_batches(tables, 0.9, n, substream(8, 2))
+        branch_idx = substream(8, 2).choice(3, size=n, p=tables.weights)
+        assert np.count_nonzero(branch_idx == 0) > FOCK_BATCH
+        assert np.count_nonzero(branch_idx == 2) == 0
+        assert np.array_equal(got[0], expect[0])
+        assert np.array_equal(got[1], expect[1])
+        assert np.max(np.abs(got[2] - expect[2])) <= 1e-12
+        assert np.max(np.abs(got[3] - expect[3])) <= 1e-12
+
+    def test_no_samples(self):
+        tables = fock_tables([np.eye(3, dtype=complex) / np.sqrt(3)], [1.0],
+                             fock_grid(3))
+        e1, e2, x1, x2 = sample_fock_general(tables, 0.9, 0, substream(8, 3))
+        assert e1.shape == e2.shape == x1.shape == x2.shape == (0,)
+        assert e1.dtype == complex and x1.dtype == float
+
+
 class TestFockX1Draw:
     @pytest.mark.parametrize("d", [2, 12, 48])
     def test_matches_full_grid_oracle(self, d):
@@ -319,7 +355,8 @@ class TestFockX1Draw:
                     u1[r] = f + (1.0 - 1e-6 - f) * v[r]
                 expect[r] = cell_inverse(grid.x, cdf, u1[r])
         tables = fock_tables([phi_out], [1.0], grid)
-        _, _, xs1, _ = _fock_draw(tables, 0, p1, p2, u1, u2)
+        _, _, xs1, _ = _fock_draw(tables, np.zeros(n, dtype=int), p1, p2,
+                                  u1, u2)
         assert np.max(np.abs(xs1 - expect)) < 1e-9
         dx = grid.x[1] - grid.x[0]
         cell = np.floor((xs1 - grid.x[0]) / dx + 0.5).astype(int)
@@ -355,7 +392,8 @@ class TestFockX2Draw:
         u1 = rng.random(n)
         v = rng.random(n)
         tables = fock_tables([phi_out], [1.0], grid)
-        _, _, xs1, _ = _fock_draw(tables, 0, p1, p2, u1, v)  # no u2 in x1
+        one_branch = np.zeros(n, dtype=int)
+        _, _, xs1, _ = _fock_draw(tables, one_branch, p1, p2, u1, v)  # no u2 in x1
         psi_grid = hermite_functions(d, grid.x)
         starts = np.arange(grid.n_blocks) * grid.block
         u2 = v.copy()
@@ -373,7 +411,7 @@ class TestFockX2Draw:
                     f = below[top_block[r]]
                     u2[r] = f + (1.0 - 1e-6 - f) * v[r]
                 expect[r] = cell_inverse(grid.x, cdf, u2[r])
-        *_, xs2 = _fock_draw(tables, 0, p1, p2, u1, u2)
+        *_, xs2 = _fock_draw(tables, one_branch, p1, p2, u1, u2)
         assert np.max(np.abs(xs2 - expect)) < 1e-9
         dx = grid.x[1] - grid.x[0]
         cell = np.floor((xs2 - grid.x[0]) / dx + 0.5).astype(int)
