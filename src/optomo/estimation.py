@@ -19,33 +19,36 @@ of the observable.
 The estimator chain is written once against it.
 
 Pure and Choi entries are one two-mode average over different dyad pairs:
-``_pure_terms`` and ``_choi_terms`` give each kind's pairs and mode-2
-combination, and ``finalize_choi`` puts Choi sums in the (i, j), (l, k)
-layout once.  A block is reduced by e1.T @ (e2 @ comb), summed over chunks
-of ``DYAD_CHUNK`` heralded samples.  On a finite quorum, where one mode's
-outcome is one of L d values, a block with more samples than the dense work
-needs is reduced instead through its joint outcome counts N by
-``_reduce_outcomes``, T1.T @ (N @ (T2 @ comb)) with T1, T2 the dyad
-estimates at every outcome; the exact path (``exact_*``) calls the same
-reduction with the exact joint probabilities in place of N, the outcome
-law the finite route samples: ``joint_outcome_table`` of the output
-branches K_n psi and their weights.
+``pure_terms`` and ``choi_terms`` give each kind's ``Terms``, and
+``finalize_choi`` puts Choi sums in the (i, j), (l, k) layout once.  On
+homodyne data a block is reduced by e1.T @ (e2 @ comb), summed over chunks
+of ``DYAD_CHUNK`` heralded samples.  On a finite quorum the dyad estimate
+from eigenvalue m of observable k is c[k, p] s[k, m], a dual coefficient
+times a per-outcome scalar, so a block depends on its samples only through
+the L x L sums R of s1 s2 per observable pair (``FiniteQuorum.pair_sums``)
+and is reduced by ``_reduce_pair_sums``, c1.T @ (R @ (c2 @ comb)), with c1,
+c2 and c2 @ comb built once per run in its ``Terms``; the exact path
+(``exact_*``) runs the same reduction with R summed over the exact joint
+probabilities, the outcome law the finite route samples:
+``joint_outcome_table`` of the output branches K_n psi and their weights.
 
 Error bars follow the block structure of the data: per-block means, standard
 error = std across block means / sqrt(blocks).  kappa uncertainty is reported
 separately and not folded into the per-entry bars.
 
-Values that depend only on the run, such as the mode-2 coefficient matrix
-``mode2_combination`` (one inversion of psi), are computed once per run and
-passed to the per-block ``accumulate_*`` calls.  Accumulation is per-block
-with no shared state; each call gives a BlockAccumulator of per-block rows,
-the rows of all blocks are merged once per run, and the final reduction is
-taken in block-index order so results are independent of worker scheduling.
+Values that depend only on the run, the mode-2 coefficient matrix
+``mode2_combination`` (one inversion of psi) and the ``Terms`` built from
+it, are computed once per run and passed to the per-block ``accumulate_*``
+calls.  Accumulation is per-block with no shared state; each call gives a
+BlockAccumulator of per-block rows, the rows of all blocks are merged once
+per run, and the final reduction is taken in block-index order so results
+are independent of worker scheduling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -235,14 +238,38 @@ def mode2_combination(psi: np.ndarray, window: int, k_max: int):
     return kept, deficit
 
 
-def _pure_terms(coef: np.ndarray, i0: int, j0: int):
+class Terms(NamedTuple):
+    """One estimate kind's dyad pairs per mode, mode-2 combination, pair
+    columns (i0, j0) of the denominator (None without one) and, on a
+    FiniteQuorum, the dual coefficients c1, c2 of the pairs and c2 @ comb."""
+
+    pairs1: list
+    pairs2: list
+    comb: np.ndarray
+    den_cols: tuple | None
+    c1: np.ndarray | None = None
+    c2: np.ndarray | None = None
+    c2_comb: np.ndarray | None = None
+
+
+def block_terms(pairs1, pairs2, comb, den_cols, backend) -> Terms:
+    """``Terms`` of the given pairs, with the dual coefficients when
+    ``backend`` is a FiniteQuorum."""
+    if not isinstance(backend, FiniteQuorum):
+        return Terms(pairs1, pairs2, comb, den_cols)
+    c1, c2 = backend.coefficients(pairs1), backend.coefficients(pairs2)
+    return Terms(pairs1, pairs2, comb, den_cols, c1, c2, c2 @ comb)
+
+
+def pure_terms(coef: np.ndarray, i0: int, j0: int, backend) -> Terms:
     """Terms of A_ij: mode-1 pairs |i0><i|, mode-2 pairs |j0><k| combined by
     ``coef`` into |j0><psi^{-1*}(j)|, and the denominator columns (i0, j0)."""
     k1, w1 = coef.shape
-    return [(i0, i) for i in range(w1)], [(j0, k) for k in range(k1)], coef, (i0, j0)
+    return block_terms([(i0, i) for i in range(w1)],
+                       [(j0, k) for k in range(k1)], coef, (i0, j0), backend)
 
 
-def _choi_terms(coef: np.ndarray):
+def choi_terms(coef: np.ndarray, backend) -> Terms:
     """Terms of <<i,j|R(I)|l,k>>: mode-1 pairs |l><i|, mode-2 pairs |a><b|
     combined into |psi^{-1*}(k)><psi^{-1*}(j)|; sums come out laid out
     (l, i), (j, k), and there is no denominator."""
@@ -251,7 +278,7 @@ def _choi_terms(coef: np.ndarray):
     pairs2 = [(a, b) for a in range(k1) for b in range(k1)]
     # est(j, k) = sum_ab conj(coef[a, k]) coef[b, j] dyad(a, b)
     comb = np.einsum("ak,bj->abjk", coef.conj(), coef).reshape(k1 * k1, w1 * w1)
-    return pairs1, pairs2, comb, None
+    return block_terms(pairs1, pairs2, comb, None, backend)
 
 
 def _choi_layout(m: np.ndarray) -> np.ndarray:
@@ -260,47 +287,39 @@ def _choi_layout(m: np.ndarray) -> np.ndarray:
     return m.reshape((w1,) * 4).transpose(1, 2, 0, 3).reshape(m.shape)
 
 
-def _reduce_outcomes(t1, joint, t2, terms):
-    """Estimator sums over outcome pairs: t1.T @ (joint @ (t2 @ comb)) and the
-    real denominator t1[:, i0] @ joint @ t2[:, j0] (0 without one).
-
-    t1, t2 are a FiniteQuorum's ``alphabet_estimates`` of each mode's pairs
-    and joint[u, v] weighs the joint outcome (u, v): the counts of a sampled
-    block or the exact probabilities.
-    """
-    _, _, comb, den_cols = terms
-    est = t1.T @ (joint @ (t2 @ comb))
-    if den_cols is None:
+def _reduce_pair_sums(r: np.ndarray, terms: Terms):
+    """Estimator sums c1.T @ (r @ c2_comb) and the real denominator
+    c1[:, i0] @ r @ c2[:, j0] (0 without one) of the (L, L) observable-pair
+    sums r of a sampled block or of the exact outcome law."""
+    est = terms.c1.T @ (r @ terms.c2_comb)
+    if terms.den_cols is None:
         return est, 0.0
-    return est, (t1[:, den_cols[0]] @ joint @ t2[:, den_cols[1]]).real
+    i0, j0 = terms.den_cols
+    return est, (terms.c1[:, i0] @ r @ terms.c2[:, j0]).real
 
 
-def _accumulate(blocks, backend, terms) -> BlockAccumulator:
-    """One accumulator row per SampleBlock: e1.T @ (e2 @ comb) with e1, e2 the
-    dyad estimates of the heralded samples of each mode, and the denominator.
+def _accumulate(blocks, backend, terms: Terms) -> BlockAccumulator:
+    """One accumulator row per SampleBlock: the estimator sums of its
+    heralded samples and the denominator.
 
-    On a FiniteQuorum a block whose heralded samples outnumber the dense
-    work, (L d)^2 <= n_heralded * (P1 + P2), is reduced through its
-    (L d, L d) joint outcome counts by ``_reduce_outcomes``, the formula of
-    ``exact_finite_joint``; the counts are exact, and the sums differ from
-    the per-sample ones by roundoff (about 1e-15 relative).  Any other block
-    is reduced in chunks of DYAD_CHUNK samples, so no (samples, pairs) array
-    of a whole block is built.  Blocks of at most one chunk give exactly the
-    one-shot sums; longer blocks add the chunk sums in order, which moves
-    the sums by roundoff.
+    On a FiniteQuorum every block is reduced through its observable-pair
+    sums by ``_reduce_pair_sums``, at O(n + L^2 P) cost; the sums differ
+    from the per-sample ones by roundoff (about 1e-15 relative).  On a
+    homodyne kernel a block is reduced as e1.T @ (e2 @ comb), e1 and e2 the
+    dyad estimates of each mode, in chunks of DYAD_CHUNK samples, so no
+    (samples, pairs) array of a whole block is built.  Blocks of at most one
+    chunk give exactly the one-shot sums; longer blocks add the chunk sums
+    in order, which moves the sums by roundoff.
     """
-    pairs1, pairs2, comb, den_cols = terms
+    pairs1, pairs2, comb, den_cols = terms[:4]
     est = np.zeros((len(blocks), len(pairs1), comb.shape[1]), dtype=complex)
     den = np.zeros(len(blocks))
     n_her = np.array([blk.set1.size for blk in blocks])
-    n_alpha = backend.alphabet_size if isinstance(backend, FiniteQuorum) else 0
     for r in np.flatnonzero(n_her):
         blk = blocks[r]
-        if n_alpha and n_alpha**2 <= n_her[r] * (len(pairs1) + len(pairs2)):
-            counts = backend.joint_counts(blk.out1, blk.set1, blk.out2, blk.set2)
-            est[r], den[r] = _reduce_outcomes(
-                backend.alphabet_estimates(pairs1), counts,
-                backend.alphabet_estimates(pairs2), terms)
+        if terms.c1 is not None:
+            est[r], den[r] = _reduce_pair_sums(backend.pair_sums(
+                blk.out1, blk.set1, blk.out2, blk.set2), terms)
             continue
         for lo in range(0, n_her[r], DYAD_CHUNK):
             c = slice(lo, lo + DYAD_CHUNK)
@@ -316,15 +335,10 @@ def _accumulate(blocks, backend, terms) -> BlockAccumulator:
     )
 
 
-def accumulate_pure(blocks, coef: np.ndarray, i0: int, j0: int,
-                    backend) -> BlockAccumulator:
-    """Accumulate per-block sums of the pure-operation entry estimators.
-
-    ``coef`` is the run's ``mode2_combination`` matrix, shape
-    (k_max + 1, window + 1); ``backend`` is a HomodyneKernel or a
-    FiniteQuorum.  The terms are ``_pure_terms``.
-    """
-    return _accumulate(blocks, backend, _pure_terms(coef, i0, j0))
+def accumulate_pure(blocks, terms: Terms, backend) -> BlockAccumulator:
+    """Per-block sums of the pure-operation entry estimators; ``terms`` is
+    the run's ``pure_terms`` on ``backend``."""
+    return _accumulate(blocks, backend, terms)
 
 
 def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
@@ -373,14 +387,11 @@ def finalize_pure(acc: BlockAccumulator, i0: int, j0: int,
     )
 
 
-def accumulate_choi(blocks, coef: np.ndarray, backend) -> BlockAccumulator:
-    """Accumulate per-block sums of the Choi entry estimators.
-
-    ``coef`` is the run's ``mode2_combination`` matrix and ``backend`` a
-    HomodyneKernel or a FiniteQuorum.  The terms are ``_choi_terms``; the
-    sums stay in their (l, i), (j, k) layout until ``finalize_choi``.
-    """
-    return _accumulate(blocks, backend, _choi_terms(coef))
+def accumulate_choi(blocks, terms: Terms, backend) -> BlockAccumulator:
+    """Per-block sums of the Choi entry estimators; ``terms`` is the run's
+    ``choi_terms`` on ``backend``.  The sums stay in their (l, i), (j, k)
+    layout until ``finalize_choi``."""
+    return _accumulate(blocks, backend, terms)
 
 
 def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
@@ -419,38 +430,36 @@ def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
 
 
 def exact_finite_joint(branches, weights, quorum: FiniteQuorum, terms):
-    """Exact expectations of the estimator sums of ``terms`` (a
-    ``_pure_terms`` or ``_choi_terms`` tuple) and of the denominator.
+    """Exact expectations of the estimator sums of ``terms`` (``pure_terms``
+    or ``choi_terms`` on ``quorum``) and of the denominator.
 
-    The reduction is a sampled block's, ``_reduce_outcomes``, with the joint
-    outcome law the finite route samples, ``joint_outcome_table`` of the
-    output branches, in place of the counts.
+    The reduction is a sampled block's, ``_reduce_pair_sums``, with the
+    observable-pair sums taken over the joint outcome law the finite route
+    samples, ``joint_outcome_table`` of the output branches.
     """
     table = joint_outcome_table(branches, weights, quorum)
-    n_alpha = quorum.alphabet_size
-    t = table.transpose(0, 2, 1, 3).reshape(n_alpha, n_alpha)
-    pairs1, pairs2 = terms[:2]
-    return _reduce_outcomes(quorum.alphabet_estimates(pairs1), t,
-                            quorum.alphabet_estimates(pairs2), terms)
+    s = quorum.scaled_eigenvalues
+    return _reduce_pair_sums(np.einsum("klab,ka,lb->kl", table, s, s), terms)
 
 
 def exact_pure_estimate(branches, weights, psi: np.ndarray, i0: int, j0: int,
                         quorum: FiniteQuorum) -> np.ndarray:
-    """The pure chain's ``_pure_terms`` under the exact outcome law: the true
+    """The pure chain's ``pure_terms`` under the exact outcome law: the true
     A up to the global phase when the output is ``output_branches`` of the
     one-operator map (A,)."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
     est, den = exact_finite_joint(branches, weights, quorum,
-                                  _pure_terms(coef, i0, j0))
+                                  pure_terms(coef, i0, j0, quorum))
     return np.sqrt(sum(weights) / den) * est
 
 
 def exact_choi_estimate(branches, weights, psi: np.ndarray,
                         quorum: FiniteQuorum) -> np.ndarray:
-    """The Choi chain's ``_choi_terms`` and ``_choi_layout`` under the exact
+    """The Choi chain's ``choi_terms`` and ``_choi_layout`` under the exact
     outcome law of the output branches, times the occurrence probability
     sum(weights), hermitised."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
-    est, _ = exact_finite_joint(branches, weights, quorum, _choi_terms(coef))
+    est, _ = exact_finite_joint(branches, weights, quorum,
+                                choi_terms(coef, quorum))
     r_est = sum(weights) * _choi_layout(est)
     return (r_est + r_est.conj().T) / 2.0

@@ -13,13 +13,14 @@ result document plus plot-data files.  Every block is one ``SampleBlock``
 of heralded samples, dropped once accumulated; the optional sample dump
 draws the blocks again, one at a time.
 Values that depend only on the run (the homodyne kernel or finite quorum,
-the mode-2 estimator coefficients, and the sampler record of the output
-branches: ``fock_tables`` on the Fock route, the joint outcome table and its
-running sum on the finite one, each built from ``(branches, weights)`` in one
-call) are built once, after the dry-run return, and shared read-only by all
-workers; the backends' pair and alphabet tables are built on first use and
-kept for the run.  Worker count only affects wall-clock: block substreams and
-the ordered reduction make outputs byte-identical for any --threads value.
+the mode-2 estimator coefficients and the estimator terms built from them,
+and the sampler record of the output branches: ``fock_tables`` on the Fock
+route, the joint outcome table and its running sum on the finite one, each
+built from ``(branches, weights)`` in one call) are built once, after the
+dry-run return, and shared read-only by all workers; the homodyne kernel's
+pair tables are built on first use and kept for the run.  Worker count only
+affects wall-clock: block substreams and the ordered reduction make outputs
+byte-identical for any --threads value.
 """
 
 from __future__ import annotations
@@ -203,8 +204,9 @@ def run_simulate(
     routes differ only in the entangler (the finite route renormalises the
     truncated twin beam, so it carries no truncation deficit), in the
     measurement backend (homodyne kernel or finite quorum) and in how the
-    heralded samples of a block are drawn.  Backends, sampler tables and the
-    mode-2 coefficients are built once per run, after the dry-run return.
+    heralded samples of a block are drawn.  Backends, sampler tables, the
+    mode-2 coefficients and the estimator terms are built once per run,
+    after the dry-run return.
     """
     cfg.validate()
     t0 = time.perf_counter()
@@ -275,11 +277,12 @@ def run_simulate(
     coef, coef_deficit = estimation.mode2_combination(
         psi, window, min(backend.max_index, psi.shape[0] - 1))
     if kind == "pure":
-        def accumulate_one(blk):
-            return estimation.accumulate_pure([blk], coef, i0, j0, backend)
+        terms = estimation.pure_terms(coef, i0, j0, backend)
+        accumulate = estimation.accumulate_pure
     else:
-        def accumulate_one(blk):
-            return estimation.accumulate_choi([blk], coef, backend)
+        terms = estimation.choi_terms(coef, backend)
+        accumulate = estimation.accumulate_choi
+    accumulate_one = lambda blk: accumulate([blk], terms, backend)
 
     acc = _map_blocks(make_block, accumulate_one, list(range(cfg.blocks)),
                       threads)

@@ -26,21 +26,22 @@ exponential by roughly |k| units of roundoff.
 Both backends evaluate dyad estimates through one interface,
 ``dyad_estimates(outcomes, settings, pairs)``, outcome first: quadratures
 and phasors e^{i phi}, or eigenvalue and observable indices, of one mode.
-The pair-dependent table (the interpolation table [f_j | f_{j+1} - f_j]
-and the runs of phase offsets, or the dual coefficients) is built by
+On the homodyne backend the pair-dependent table (the interpolation table
+[f_j | f_{j+1} - f_j] and the runs of phase offsets) is built by
 ``_pair_table`` on the first call for a list of pairs and kept on the
-backend, which lives for one run.  On the homodyne backend
-``estimation`` evaluates a block in chunks of ``DYAD_CHUNK`` samples without
-rebuilding it; the chunk sums add up to the one-shot reduction of the block
-up to roundoff (about 1e-15 relative).  A finite quorum's outcomes of one
-mode form an alphabet of L d values, so ``alphabet_estimates`` tabulates
-``dyad_estimates`` at each of them once per run and pair list, and
-``estimation`` reduces a large block through its joint outcome counts.
+backend, which lives for one run, and ``estimation`` evaluates a block in
+chunks of ``DYAD_CHUNK`` samples without rebuilding it; the chunk sums add
+up to the one-shot reduction of the block up to roundoff (about 1e-15
+relative).  A finite quorum's estimate of |a><b| from eigenvalue m of
+observable k is a per-observable dual coefficient, ``coefficients(pairs)``,
+times a per-outcome scalar lambda_km / w_k, ``scaled_eigenvalues``; so
+``estimation`` reduces a block through the L x L sums of products of the
+two modes' scalars, ``pair_sums``, and never evaluates a per-sample dyad.
 
 Kernel construction is a one-time single-threaded setup; the resulting
-objects are immutable apart from those memos, and shareable across
-concurrent workers (two workers may build the same pair table, and either
-copy is kept; an alphabet table is built under a lock, once).
+objects are immutable apart from the homodyne pair-table memo, and
+shareable across concurrent workers (two workers may build the same pair
+table, and either copy is kept).  A finite quorum keeps no memo.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
-import threading
 import uuid
 from dataclasses import dataclass, field
 
@@ -79,12 +79,6 @@ class FiniteQuorum:
     weights: np.ndarray  # (L,) strictly positive, sums to 1
     eigenvalues: np.ndarray  # (L, d)
     eigenvectors: np.ndarray  # (L, d, d), columns are eigenvectors
-    _pair_tables: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
-    _alphabet_tables: dict = field(default_factory=dict, init=False,
-                                   repr=False, compare=False)
-    _alphabet_lock: threading.Lock = field(default_factory=threading.Lock,
-                                           init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bio = np.einsum("iab,jab->ij", self.duals.conj(), self.observables)
@@ -101,18 +95,16 @@ class FiniteQuorum:
         return self.dim - 1
 
     @property
-    def alphabet_size(self) -> int:
-        """Number L d of outcomes (observable k, eigenvalue m) of one mode."""
-        return len(self) * self.dim
+    def scaled_eigenvalues(self) -> np.ndarray:
+        """lambda_km / w_k, shape (L, d): the factor of every dual-frame
+        estimate from eigenvalue m of observable k."""
+        return self.eigenvalues / self.weights[:, None]
 
-    def _pair_table(self, pairs) -> np.ndarray:
-        """The dual coefficients <b|Q^dag(l)|a> = conj(Q_l[a, b]), (L, P),
-        built on first use."""
-        key = tuple(map(tuple, pairs))
-        if key not in self._pair_tables:
-            a, b = np.array(key).T
-            self._pair_tables[key] = self.duals.conj()[:, a, b]
-        return self._pair_tables[key]
+    def coefficients(self, pairs) -> np.ndarray:
+        """The dual coefficients <b|Q^dag(k)|a> = conj(Q_k[a, b]) of dyads
+        |a><b|, shape (L, P)."""
+        a, b = np.array(pairs).T
+        return self.duals.conj()[:, a, b]
 
     def dyad_estimates(self, out_idx, obs_idx, pairs) -> np.ndarray:
         """Per-sample unbiased estimates of dyads |a><b|.
@@ -122,33 +114,20 @@ class FiniteQuorum:
         of <|a><b|> is <b|Q^dag(k_s)|a> lambda_{m_s} / w_{k_s}.  Returns shape
         (n_samples, n_pairs).
         """
-        coeff = self._pair_table(pairs)
-        obs_idx = np.asarray(obs_idx)
-        out_idx = np.asarray(out_idx)
-        lam = self.eigenvalues[obs_idx, out_idx] / self.weights[obs_idx]  # (S,)
-        return coeff[obs_idx] * lam[:, None]
+        lam = self.scaled_eigenvalues[obs_idx, out_idx]  # (S,)
+        return self.coefficients(pairs)[obs_idx] * lam[:, None]
 
-    def alphabet_estimates(self, pairs) -> np.ndarray:
-        """``dyad_estimates`` at every outcome of one mode, (L d, P): row
-        k d + m is eigenvalue m of observable k.
-
-        Built on the first call for a list of pairs, under a lock, and kept
-        for the run: concurrent workers build it once and only read it.
-        """
-        key = tuple(map(tuple, pairs))
-        with self._alphabet_lock:
-            if key not in self._alphabet_tables:
-                obs, out = np.divmod(np.arange(self.alphabet_size), self.dim)
-                self._alphabet_tables[key] = self.dyad_estimates(out, obs, key)
-        return self._alphabet_tables[key]
-
-    def joint_counts(self, out1, obs1, out2, obs2) -> np.ndarray:
-        """Counts of the joint outcomes of paired samples, (L d, L d), rows
-        and columns indexed as the rows of ``alphabet_estimates``."""
-        n = self.alphabet_size
-        u = np.asarray(obs1) * self.dim + out1
-        v = np.asarray(obs2) * self.dim + out2
-        return np.bincount(u * n + v, minlength=n * n).reshape(n, n)
+    def pair_sums(self, out1, obs1, out2, obs2) -> np.ndarray:
+        """R[k, l], the sum of s1 s2 over the paired samples of observables
+        (k, l), with s = ``scaled_eigenvalues`` at each mode's outcome;
+        shape (L, L).  The sum over samples of the dyad estimates e1[p] e2[q]
+        is c1[:, p] @ R @ c2[:, q], with c = ``coefficients``."""
+        s, n, d = self.scaled_eigenvalues.ravel(), len(self), self.dim
+        # 1-d gathers at k d + m cost about half of s[obs, out]
+        prod = s.take(obs1 * d + out1)
+        prod *= s.take(obs2 * d + out2)
+        return np.bincount(obs1 * n + obs2, weights=prod,
+                           minlength=n * n).reshape(n, n)
 
 
 def _gell_mann_family(dim: int) -> list[np.ndarray]:

@@ -548,8 +548,8 @@ def sample_finite(
     in its own shape, ``np.cumsum(table).reshape(table.shape)``, built once
     per run; one uniform per sample.  The uniforms are sorted before the
     search, which then walks the running sum in order, so the samples come
-    in table order; their multiset, and so the joint counts, are those of
-    the unsorted draws.
+    in table order; their multiset, all that a block's observable-pair sums
+    depend on, is that of the unsorted draws.
     """
     cdf = cum_table.reshape(-1)
     u = stream.random(n)

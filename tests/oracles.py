@@ -303,14 +303,38 @@ def per_sample_sums(backend, blk, terms):
 
     e1.T @ (e2 @ comb) with e1, e2 the (samples, pairs) dyad estimates of the
     block's two modes, and the real denominator sum e1[:, i0] e2[:, j0]
-    (0.0 when ``terms`` has none): no chunks and no outcome counts.
+    (0.0 when ``terms`` has none): no chunks and no observable-pair sums.
     """
-    pairs1, pairs2, comb, den_cols = terms
+    pairs1, pairs2, comb, den_cols = terms[:4]
     e1 = backend.dyad_estimates(blk.out1, blk.set1, pairs1)
     e2 = backend.dyad_estimates(blk.out2, blk.set2, pairs2)
     den = (np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
            if den_cols else 0.0)
     return e1.T @ (e2 @ comb), den
+
+
+def exact_sums_by_outcomes(branches, weights, quorum, terms):
+    """Exact expectations of the estimator sums of ``terms`` and of their
+    denominator, one outcome pair at a time in matrix form.
+
+    T1.T @ (P @ (T2 @ comb)) with P[u, v] the joint probability of outcome u
+    of mode 1 and v of mode 2, each indexed k d + m (eigenvalue m of
+    observable k), and T the ``dyad_estimates`` of each mode's pairs at
+    every one of the L d outcomes; the denominator is T1[:, i0] @ P @
+    T2[:, j0] (0.0 when ``terms`` has none).
+    """
+    from optomo.sampling import joint_outcome_table
+
+    pairs1, pairs2, comb, den_cols = terms[:4]
+    n = len(quorum) * quorum.dim
+    prob = joint_outcome_table(branches, weights, quorum).transpose(
+        0, 2, 1, 3).reshape(n, n)
+    obs, out = np.divmod(np.arange(n), quorum.dim)
+    t1 = quorum.dyad_estimates(out, obs, pairs1)
+    t2 = quorum.dyad_estimates(out, obs, pairs2)
+    den = ((t1[:, den_cols[0]] @ prob @ t2[:, den_cols[1]]).real
+           if den_cols else 0.0)
+    return t1.T @ (prob @ (t2 @ comb)), den
 
 
 def render_rows_by_entry(values, std_errors, order: int) -> str:

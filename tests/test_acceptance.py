@@ -20,6 +20,7 @@ from optomo.estimation import (
     exact_pure_estimate,
     finalize_pure,
     mode2_combination,
+    pure_terms,
 )
 from optomo.maps import (
     KrausMap,
@@ -207,7 +208,8 @@ class TestCriterion7Heralding:
         blocks = make_finite_blocks([phi], [p], quorum, 50, n_trials // 50,
                                     seed=707, p_occ=p)
         coef, deficit = mode2_combination(psi, 1, 1)
-        est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, quorum), 0, 0,
+        terms = pure_terms(coef, 0, 0, quorum)
+        est = finalize_pure(accumulate_pure(blocks, terms, quorum), 0, 0,
                             deficit)
         sigma_bin = np.sqrt(0.5 * 0.5 / n_trials)
         herald_dev = abs(est.kappa.p_hat - 0.5)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +14,15 @@ from optomo.estimation import (
     accumulate_choi,
     accumulate_pure,
     align_to_truth,
+    block_terms,
+    choi_terms,
     exact_finite_joint,
     exact_pure_estimate,
     finalize_choi,
     finalize_pure,
     mode2_combination,
     phase_fix,
+    pure_terms,
     select_reference,
 )
 from optomo.maps import (
@@ -54,11 +58,16 @@ def make_finite_blocks(branches, weights, quorum, n_blocks, per_block, seed,
     return [_heralded_block(cfg, p_occ, b, draw) for b in range(n_blocks)]
 
 
+# traced peak of one d = 6, 17,000-sample Choi block reduction: 1.1 x the
+# 432 KB it reads (numpy 2.4); the (L d, L d) int64 joint counts of such a
+# block and their complex cast alone would take 1.1 MB
+PEAK_BOUND = 475_000
+
+
 class TestChunkedAccumulation:
-    """A block is reduced in chunks of DYAD_CHUNK heralded samples, or on a
-    finite quorum through its joint outcome counts once the samples
-    outnumber the dense work; either way the sums must match the one-shot
-    per-sample sums of the whole block."""
+    """A homodyne block is reduced in chunks of DYAD_CHUNK heralded samples,
+    a finite-quorum block through its observable-pair sums; either way the
+    sums must match the one-shot per-sample sums of the whole block."""
 
     CHUNK = estimation.DYAD_CHUNK
 
@@ -85,10 +94,16 @@ class TestChunkedAccumulation:
     @staticmethod
     def _accumulate(kind, blk, coef, backend):
         if kind == "pure":
-            terms = estimation._pure_terms(coef, 1, 0)
-            return terms, accumulate_pure([blk], coef, 1, 0, backend)
-        terms = estimation._choi_terms(coef)
-        return terms, accumulate_choi([blk], coef, backend)
+            terms = pure_terms(coef, 1, 0, backend)
+            return terms, accumulate_pure([blk], terms, backend)
+        terms = choi_terms(coef, backend)
+        return terms, accumulate_choi([blk], terms, backend)
+
+    @staticmethod
+    def _assert_close(acc, want, want_den):
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(acc.est_sums[0] - want)) <= 1e-12 * scale
+        assert abs(acc.den_sums[0] - want_den) <= 1e-12 * abs(want_den)
 
     @pytest.mark.parametrize("n_heralded",
                              [1, CHUNK - 1, CHUNK, int(2.5 * CHUNK)])
@@ -101,24 +116,18 @@ class TestChunkedAccumulation:
         blk = self._block(name, backend, n_heralded, 5)
         terms, acc = self._accumulate(kind, blk, coef, backend)
         want, want_den = per_sample_sums(backend, blk, terms)
-        # a finite block is reduced through its counts when (L d)^2 = 4096
-        # <= n (P1 + P2), with P1 + P2 = 7 (pure) or 25 (Choi): every n > 1
-        counts = name == "finite" and n_heralded > 1
-        assert bool(getattr(backend, "_alphabet_tables", {})) == counts
         assert acc.n_heralded[0] == n_heralded
-        if n_heralded <= self.CHUNK and not counts:
+        if name == "homodyne" and n_heralded <= self.CHUNK:
             # one chunk, per sample: the one-shot arithmetic
             assert np.array_equal(acc.est_sums[0], want)
             assert acc.den_sums[0] == want_den
         else:
-            scale = np.max(np.abs(want))
-            assert np.max(np.abs(acc.est_sums[0] - want)) <= 1e-12 * scale
-            assert abs(acc.den_sums[0] - want_den) <= 1e-12 * abs(want_den)
+            self._assert_close(acc, want, want_den)
 
     @pytest.mark.parametrize("kind", ["pure", "choi"])
-    def test_large_alphabet_small_block_stays_per_sample(self, kind):
-        # d = 12: (L d)^2 = 1728^2 outnumbers 500 samples x (P1 + P2) pairs,
-        # so the block is reduced per sample, exactly as the one-shot sums
+    def test_d12_small_block_matches_one_shot(self, kind):
+        # d = 12: 500 samples spread over L^2 = 20,736 observable pairs, so
+        # most pair sums hold one sample or none
         q = build_finite_quorum(12)
         rng = np.random.default_rng(9)
         obs = rng.integers(0, len(q), (2, 500))
@@ -127,10 +136,27 @@ class TestChunkedAccumulation:
         psi = twin_beam(1.0, 12, deficit_bound=1.0).psi
         coef, _ = mode2_combination(psi, 11, 11)
         terms, acc = self._accumulate(kind, blk, coef, q)
-        want, want_den = per_sample_sums(q, blk, terms)
-        assert q._alphabet_tables == {}
-        assert np.array_equal(acc.est_sums[0], want)
-        assert acc.den_sums[0] == want_den
+        self._assert_close(acc, *per_sample_sums(q, blk, terms))
+
+    def test_finite_choi_block_memory(self):
+        # one d = 6 block of 17,000 heralded samples, the size of a
+        # finite_choi benchmark block: the reduction holds a few
+        # sample-length vectors and (L, L) sums, no (L d, L d) counts
+        q = build_finite_quorum(6)
+        psi = twin_beam(1.0, 6, deficit_bound=1.0).psi
+        table = joint_outcome_table([psi / np.linalg.norm(psi)], [1.0], q)
+        cols = sample_finite(np.cumsum(table).reshape(table.shape), 17_000,
+                             substream(3, 0))
+        blk = SampleBlock(0, np.ones(17_000, dtype=bool), *cols)
+        coef, _ = mode2_combination(psi, 5, 5)
+        terms = choi_terms(coef, q)
+        tracemalloc.start()
+        try:
+            accumulate_choi([blk], terms, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_BOUND
 
 
 class TestMode2Combination:
@@ -213,8 +239,8 @@ class TestExactChain:
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
-        _, den = exact_finite_joint([phi], [p], q,
-                                    ([(0, 0)], [(0, 0)], np.eye(1), (0, 0)))
+        _, den = exact_finite_joint(
+            [phi], [p], q, block_terms([(0, 0)], [(0, 0)], np.eye(1), (0, 0), q))
         assert abs(den - 0.5) < 1e-12
         assert abs(np.sqrt(p / den) - np.sqrt(2.0)) < 1e-12
 
@@ -229,10 +255,31 @@ class TestExactChain:
         psi_inv = np.linalg.inv(psi)
         mean, _ = exact_finite_joint(
             [phi], [p], q,
-            ([(0, i) for i in range(2)], [(0, k) for k in range(2)], psi_inv,
-             None))
+            block_terms([(0, i) for i in range(2)],
+                        [(0, k) for k in range(2)], psi_inv, None, q))
         expect = np.conj(phi[0, 0]) * (phi @ psi_inv)
         assert np.max(np.abs(mean - expect)) < 1e-12
+
+
+    @pytest.mark.parametrize("kind", ["pure", "choi"])
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_pair_sums_match_outcome_sums(self, d, kind, rng):
+        # the observable-pair reduction against the (L d, L d) per-outcome
+        # one, on a two-branch output; verify unbiasedness stops at d = 3
+        from oracles import (exact_sums_by_outcomes, random_invertible_state,
+                             random_kraus_map)
+
+        q = build_finite_quorum(d)
+        psi = random_invertible_state(rng, d)
+        branches, weights = output_branches(
+            KrausMap(tuple(random_kraus_map(rng, d))), psi)
+        coef, _ = mode2_combination(psi, d - 1, d - 1)
+        terms = (pure_terms(coef, 0, 1, q) if kind == "pure"
+                 else choi_terms(coef, q))
+        est, den = exact_finite_joint(branches, weights, q, terms)
+        want, want_den = exact_sums_by_outcomes(branches, weights, q, terms)
+        assert np.max(np.abs(est - want)) <= 1e-12 * np.max(np.abs(want))
+        assert abs(den - want_den) <= 1e-12 * abs(want_den)
 
 
 class TestSampledPure:
@@ -242,8 +289,8 @@ class TestSampledPure:
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
         blocks = make_finite_blocks([phi], [p], q, 25, 800, seed=11)
         coef, deficit = mode2_combination(psi, 1, 1)
-        est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, q), 0, 0,
-                            deficit)
+        terms = pure_terms(coef, 0, 0, q)
+        est = finalize_pure(accumulate_pure(blocks, terms, q), 0, 0, deficit)
         aligned = align_to_truth(est, np.eye(2))
         dev = np.abs(aligned - np.eye(2))
         assert np.all(dev <= 4 * est.std_errors)
@@ -255,9 +302,10 @@ class TestSampledPure:
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
         blocks = make_finite_blocks([phi], [p], q, 8, 200, seed=13)
         coef, _ = mode2_combination(psi, 1, 1)
-        one_pass = accumulate_pure(blocks, coef, 0, 0, q)
-        first = accumulate_pure(blocks[:3], coef, 0, 0, q)
-        second = accumulate_pure(blocks[3:], coef, 0, 0, q)
+        terms = pure_terms(coef, 0, 0, q)
+        one_pass = accumulate_pure(blocks, terms, q)
+        first = accumulate_pure(blocks[:3], terms, q)
+        second = accumulate_pure(blocks[3:], terms, q)
         merged = second.merge(first)
         est_a = finalize_pure(one_pass, 0, 0, 0.0)
         est_b = finalize_pure(merged, 0, 0, 0.0)
@@ -272,7 +320,8 @@ class TestSampledPure:
         blocks = make_finite_blocks([phi], [p], q, 10, 300, seed=17)
         coef, deficit = mode2_combination(psi, 1, 1)
         with pytest.raises(ReferenceTooSmallError, match="choose different"):
-            finalize_pure(accumulate_pure(blocks, coef, 0, 1, q), 0, 1, deficit)
+            finalize_pure(accumulate_pure(blocks, pure_terms(coef, 0, 1, q), q),
+                          0, 1, deficit)
 
     def test_heralded_contraction(self):
         # A = diag(1, 0.5): p = (1 + 0.25)/2 = 0.625 on I/sqrt(2)
@@ -282,8 +331,8 @@ class TestSampledPure:
         phi, p = apply_pure(PureOperation(a), psi)
         blocks = make_finite_blocks([phi], [p], q, 30, 600, seed=19, p_occ=p)
         coef, deficit = mode2_combination(psi, 1, 1)
-        est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, q), 0, 0,
-                            deficit)
+        terms = pure_terms(coef, 0, 0, q)
+        est = finalize_pure(accumulate_pure(blocks, terms, q), 0, 0, deficit)
         assert abs(est.kappa.p_hat - 0.625) < 4 * est.kappa.p_hat_stderr
         aligned = align_to_truth(est, a)
         assert np.all(np.abs(aligned - a) <= 4 * est.std_errors)
@@ -299,12 +348,13 @@ class TestErrorBarCalibration:
         phi, p = apply_pure(PureOperation(a), psi)
         truth = a * np.exp(-1j * np.angle(phi[0, 0]))  # chain phase reference
         coef, deficit = mode2_combination(psi, 1, 1)
+        terms = pure_terms(coef, 0, 0, q)
         hits = 0
         total = 0
         for run in range(100):
             blocks = make_finite_blocks([phi], [p], q, 20, 400,
                                         seed=1000 + run, p_occ=p)
-            est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, q), 0, 0,
+            est = finalize_pure(accumulate_pure(blocks, terms, q), 0, 0,
                                 deficit)
             dev = np.abs(est.values - truth)
             hits += int(np.sum(dev <= est.std_errors))
@@ -327,7 +377,8 @@ class TestErrorBarCalibration:
             blocks.append(SampleBlock(b, np.ones(3000, dtype=bool),
                                       phi1, phi2, x1, x2))
         coef, deficit = mode2_combination(beam.psi, 5, 5)
-        est = finalize_pure(accumulate_pure(blocks, coef, 0, 0, kernel), 0, 0,
+        terms = pure_terms(coef, 0, 0, kernel)
+        est = finalize_pure(accumulate_pure(blocks, terms, kernel), 0, 0,
                             deficit)
         assert est.std_errors[:, 4:].mean() > est.std_errors[:, :2].mean()
 
@@ -345,7 +396,8 @@ class TestChoiEstimation:
         blocks = make_finite_blocks(*output_branches(KrausMap(ks), psi), q, 40,
                                     2500, seed=23)
         coef, deficit = mode2_combination(psi, 1, 1)
-        est = finalize_choi(accumulate_choi(blocks, coef, q), deficit)
+        est = finalize_choi(accumulate_choi(blocks, choi_terms(coef, q), q),
+                            deficit)
         truth = depolarizing_choi(0.5)
         dev = np.abs(est.values - truth)
         assert np.all(dev <= 3.5 * est.std_errors + 1e-12)

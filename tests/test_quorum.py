@@ -1,8 +1,4 @@
-import concurrent.futures
 import os
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -70,41 +66,17 @@ class TestFiniteQuorum:
         want = np.array([rho[b, a] for (a, b) in pairs])
         assert np.max(np.abs(got - want)) < 1e-12
 
-
-    def test_alphabet_table_built_once_under_thread_contention(self,
-                                                                monkeypatch):
-        # more workers than cores ask for one table at once, with a short
-        # switch interval and a slow build; a check-then-act race would
-        # build it more than once
+    def test_pair_sums_by_loops(self, rng):
+        # R[k, l] adds lambda_km1 / w_k x lambda_lm2 / w_l sample by sample
         q = build_finite_quorum(3)
-        pairs = [(a, b) for a in range(3) for b in range(3)]
-        builds = []
-        original = quorum.FiniteQuorum.dyad_estimates
-
-        def slow_build(self, out_idx, obs_idx, pairs):
-            builds.append(len(out_idx))
-            time.sleep(0.01)
-            return original(self, out_idx, obs_idx, pairs)
-
-        monkeypatch.setattr(quorum.FiniteQuorum, "dyad_estimates", slow_build)
-        n_workers = (os.cpu_count() or 1) + 2
-        start = threading.Barrier(n_workers)
-
-        def work(_):
-            start.wait(timeout=10)
-            return q.alphabet_estimates(pairs)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with concurrent.futures.ThreadPoolExecutor(n_workers) as pool:
-                futures = [pool.submit(work, i) for i in range(n_workers)]
-                tables = [f.result(timeout=30) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert builds == [q.alphabet_size]
-        assert all(t is tables[0] for t in tables)
-        assert tables[0].shape == (q.alphabet_size, len(pairs))
+        obs = rng.integers(0, len(q), (2, 300))
+        out = rng.integers(0, q.dim, (2, 300))
+        want = np.zeros((len(q), len(q)))
+        for k, l, m1, m2 in zip(*obs, *out):
+            want[k, l] += (q.eigenvalues[k, m1] / q.weights[k]
+                           * q.eigenvalues[l, m2] / q.weights[l])
+        got = q.pair_sums(out[0], obs[0], out[1], obs[1])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestGridSpec:

@@ -471,20 +471,23 @@ class TestSampleFinite:
             assert np.array_equal(g, w)
 
     def test_sorted_draws_keep_the_joint_counts(self, rng):
-        # d = 6: a 46,656-entry table; the block's joint counts, all that a
-        # counted block is reduced through, are those of the unsorted draws
+        # d = 6: a 46,656-entry table; sorting the uniforms reorders a
+        # block's samples but keeps the multiset of its (obs1, obs2, out1,
+        # out2) rows, all that its observable-pair sums depend on
         q = build_finite_quorum(6)
         table = joint_outcome_table(*eigen_branches(random_density(rng, 36)), q)
         cum = np.cumsum(table).reshape(table.shape)
         for block_id in (0, 1, 7, 123):
-            obs1, obs2, out1, out2 = sample_finite(cum, 17_000,
-                                                   substream(8, block_id))
-            flat = np.ravel_multi_index((obs1, obs2, out1, out2), table.shape)
+            got = np.stack(sample_finite(cum, 17_000, substream(8, block_id)))
+            flat = np.ravel_multi_index(tuple(got), table.shape)
             assert np.all(np.diff(flat) >= 0)
-            w1, w2, m1, m2 = np.unravel_index(self._unsorted_flat_draws(
-                table, 17_000, substream(8, block_id)), table.shape)
-            assert np.array_equal(q.joint_counts(out1, obs1, out2, obs2),
-                                  q.joint_counts(m1, w1, m2, w2))
+            want = np.stack(np.unravel_index(self._unsorted_flat_draws(
+                table, 17_000, substream(8, block_id)), table.shape))
+            rows, counts = np.unique(got, axis=1, return_counts=True)
+            want_rows, want_counts = np.unique(want, axis=1,
+                                               return_counts=True)
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(counts, want_counts)
 
     def test_outcome_table_normalised(self, rng):
         q = build_finite_quorum(3)
