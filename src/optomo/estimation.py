@@ -9,37 +9,32 @@ tomographically from the same data.  Choi-matrix entries come from the
 averaged over the unheralded output (trace-normalised by the occurrence
 estimate).
 
-Both measurement backends, HomodyneKernel (pattern functions on quadrature
-records) and FiniteQuorum (dual frame on finite-quorum outcomes), expose the
-same interface: ``max_index`` and ``dyad_estimates(outcomes, settings,
-pairs)``, fed straight from the columns of a ``SampleBlock``, which holds the
-heralded samples only: (out1, set1) for mode 1, (out2, set2) for mode 2,
-where a homodyne setting is the phasor e^{i phi} and a finite one the index
-of the observable.
-The estimator chain is written once against it.
+The chain is written once against the block-reduction interface both
+measurement backends share (HomodyneKernel, pattern functions on quadrature
+records; FiniteQuorum, the dual frame on finite-quorum outcomes):
+``max_index``, ``terms(pairs1, pairs2, comb, den_cols)`` and
+``block_sums(block, terms)``, which reduces one ``SampleBlock`` of heralded
+samples to its estimator sums and denominator sum.  How a backend evaluates
+or reduces its dyad estimates is its own; this module never looks at
+outcomes or settings.
 
 Pure and Choi entries are one two-mode average over different dyad pairs:
-``pure_terms`` and ``choi_terms`` give each kind's ``Terms``, and
-``finalize_choi`` puts Choi sums in the (i, j), (l, k) layout once.  On
-homodyne data a block is reduced by e1.T @ (e2 @ comb), summed over chunks
-of ``DYAD_CHUNK`` heralded samples.  On a finite quorum the dyad estimate
-from eigenvalue m of observable k is c[k, p] s[k, m], a dual coefficient
-times a per-outcome scalar, so a block depends on its samples only through
-the L x L sums R of s1 s2 per observable pair (``FiniteQuorum.pair_sums``)
-and is reduced by ``_reduce_pair_sums``, c1.T @ (R @ (c2 @ comb)), with c1,
-c2 and c2 @ comb built once per run in its ``Terms``; the exact path
-(``exact_*``) runs the same reduction with R summed over the exact joint
-probabilities, the outcome law the finite route samples:
-``joint_outcome_table`` of the output branches K_n psi and their weights.
+``pure_terms`` and ``choi_terms`` give each kind's dyad pairs per mode and
+mode-2 combination to the backend's ``terms``, and ``finalize_choi`` puts
+Choi sums in the (i, j), (l, k) layout once.  The exact path (``exact_*``)
+takes a finite quorum's ``exact_sums`` over the joint outcome law the
+finite route samples: ``joint_outcome_table`` of the output branches
+K_n psi and their weights.
 
 Error bars follow the block structure of the data: per-block means, standard
-error = std across block means / sqrt(blocks).  kappa uncertainty is reported
-separately and not folded into the per-entry bars.
+error = std across block means / sqrt(blocks), so fewer than two blocks
+with heralded samples raise ReferenceTooSmallError.  kappa uncertainty is
+reported separately and not folded into the per-entry bars.
 
 Values that depend only on the run, the mode-2 coefficient matrix
-``mode2_combination`` (one inversion of psi) and the ``Terms`` built from
-it, are computed once per run and passed to the per-block ``accumulate_*``
-calls.  Accumulation is per-block with no shared state; each call gives a
+``mode2_combination`` (one inversion of psi) and the backend's terms built
+from it, are computed once per run and passed to the per-block
+``accumulate_*`` calls.  Accumulation is per-block with no shared state; each call gives a
 BlockAccumulator of per-block rows, the rows of all blocks are merged once
 per run, and the final reduction is taken in block-index order so results
 are independent of worker scheduling.
@@ -48,19 +43,14 @@ are independent of worker scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from optomo.bipartite import inverse
 from optomo.errors import ReferenceTooSmallError
-from optomo.quorum import FiniteQuorum
 from optomo.sampling import joint_outcome_table
 
 REFERENCE_SIGMA_FACTOR = 2.0
-# heralded samples per dyad evaluation: the (samples, pairs) estimates of a
-# chunk stay in cache, and no block-sized array of them is allocated
-DYAD_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -102,25 +92,31 @@ class BlockAccumulator:
             for f in fields(self)
         ))
 
+    def blocks_with_data(self) -> np.ndarray:
+        """Mask of the blocks holding heralded samples.  Raises
+        ReferenceTooSmallError when fewer than two do: no spread across
+        blocks, and so no standard error, can be formed."""
+        keep = self.n_heralded > 0
+        nb = int(np.count_nonzero(keep))
+        if nb < 2:
+            raise ReferenceTooSmallError(
+                f"{nb} of {keep.size} blocks hold heralded samples; standard "
+                "errors need at least two: raise samples_per_block or blocks")
+        return keep
+
     def block_means(self) -> np.ndarray:
         """Per-block means of the estimator values (blocks with data only)."""
-        keep = self.n_heralded > 0
+        keep = self.blocks_with_data()
         return self.est_sums[keep] / self.n_heralded[keep, None, None]
 
     def block_stats(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Grand mean of the block means, its standard error and the number
-        of blocks with data; the error is infinite for a single block."""
+        of blocks with data."""
         means = self.block_means()
         nb = means.shape[0]
-        if nb == 0:
-            raise ReferenceTooSmallError("no blocks with heralded samples")
         grand = means.mean(axis=0)
-        if nb > 1:
-            stderr = np.sqrt(
-                np.sum(np.abs(means - grand) ** 2, axis=0) / (nb * (nb - 1))
-            )
-        else:
-            stderr = np.full(grand.shape, np.inf)
+        stderr = np.sqrt(
+            np.sum(np.abs(means - grand) ** 2, axis=0) / (nb * (nb - 1)))
         return grand, stderr, nb
 
     def occurrence(self) -> tuple[float, float]:
@@ -238,47 +234,25 @@ def mode2_combination(psi: np.ndarray, window: int, k_max: int):
     return kept, deficit
 
 
-class Terms(NamedTuple):
-    """One estimate kind's dyad pairs per mode, mode-2 combination, pair
-    columns (i0, j0) of the denominator (None without one) and, on a
-    FiniteQuorum, the dual coefficients c1, c2 of the pairs and c2 @ comb."""
-
-    pairs1: list
-    pairs2: list
-    comb: np.ndarray
-    den_cols: tuple | None
-    c1: np.ndarray | None = None
-    c2: np.ndarray | None = None
-    c2_comb: np.ndarray | None = None
-
-
-def block_terms(pairs1, pairs2, comb, den_cols, backend) -> Terms:
-    """``Terms`` of the given pairs, with the dual coefficients when
-    ``backend`` is a FiniteQuorum."""
-    if not isinstance(backend, FiniteQuorum):
-        return Terms(pairs1, pairs2, comb, den_cols)
-    c1, c2 = backend.coefficients(pairs1), backend.coefficients(pairs2)
-    return Terms(pairs1, pairs2, comb, den_cols, c1, c2, c2 @ comb)
-
-
-def pure_terms(coef: np.ndarray, i0: int, j0: int, backend) -> Terms:
-    """Terms of A_ij: mode-1 pairs |i0><i|, mode-2 pairs |j0><k| combined by
-    ``coef`` into |j0><psi^{-1*}(j)|, and the denominator columns (i0, j0)."""
+def pure_terms(coef: np.ndarray, i0: int, j0: int, backend):
+    """``backend.terms`` of A_ij: mode-1 pairs |i0><i|, mode-2 pairs |j0><k|
+    combined by ``coef`` into |j0><psi^{-1*}(j)|, and the denominator
+    columns (i0, j0)."""
     k1, w1 = coef.shape
-    return block_terms([(i0, i) for i in range(w1)],
-                       [(j0, k) for k in range(k1)], coef, (i0, j0), backend)
+    return backend.terms([(i0, i) for i in range(w1)],
+                         [(j0, k) for k in range(k1)], coef, (i0, j0))
 
 
-def choi_terms(coef: np.ndarray, backend) -> Terms:
-    """Terms of <<i,j|R(I)|l,k>>: mode-1 pairs |l><i|, mode-2 pairs |a><b|
-    combined into |psi^{-1*}(k)><psi^{-1*}(j)|; sums come out laid out
-    (l, i), (j, k), and there is no denominator."""
+def choi_terms(coef: np.ndarray, backend):
+    """``backend.terms`` of <<i,j|R(I)|l,k>>: mode-1 pairs |l><i|, mode-2
+    pairs |a><b| combined into |psi^{-1*}(k)><psi^{-1*}(j)|; sums come out
+    laid out (l, i), (j, k), and there is no denominator."""
     k1, w1 = coef.shape
     pairs1 = [(l, i) for l in range(w1) for i in range(w1)]
     pairs2 = [(a, b) for a in range(k1) for b in range(k1)]
     # est(j, k) = sum_ab conj(coef[a, k]) coef[b, j] dyad(a, b)
     comb = np.einsum("ak,bj->abjk", coef.conj(), coef).reshape(k1 * k1, w1 * w1)
-    return block_terms(pairs1, pairs2, comb, None, backend)
+    return backend.terms(pairs1, pairs2, comb, None)
 
 
 def _choi_layout(m: np.ndarray) -> np.ndarray:
@@ -287,55 +261,18 @@ def _choi_layout(m: np.ndarray) -> np.ndarray:
     return m.reshape((w1,) * 4).transpose(1, 2, 0, 3).reshape(m.shape)
 
 
-def _reduce_pair_sums(r: np.ndarray, terms: Terms):
-    """Estimator sums c1.T @ (r @ c2_comb) and the real denominator
-    c1[:, i0] @ r @ c2[:, j0] (0 without one) of the (L, L) observable-pair
-    sums r of a sampled block or of the exact outcome law."""
-    est = terms.c1.T @ (r @ terms.c2_comb)
-    if terms.den_cols is None:
-        return est, 0.0
-    i0, j0 = terms.den_cols
-    return est, (terms.c1[:, i0] @ r @ terms.c2[:, j0]).real
-
-
-def _accumulate(blocks, backend, terms: Terms) -> BlockAccumulator:
-    """One accumulator row per SampleBlock: the estimator sums of its
-    heralded samples and the denominator.
-
-    On a FiniteQuorum every block is reduced through its observable-pair
-    sums by ``_reduce_pair_sums``, at O(n + L^2 P) cost; the sums differ
-    from the per-sample ones by roundoff (about 1e-15 relative).  On a
-    homodyne kernel a block is reduced as e1.T @ (e2 @ comb), e1 and e2 the
-    dyad estimates of each mode, in chunks of DYAD_CHUNK samples, so no
-    (samples, pairs) array of a whole block is built.  Blocks of at most one
-    chunk give exactly the one-shot sums; longer blocks add the chunk sums
-    in order, which moves the sums by roundoff.
-    """
-    pairs1, pairs2, comb, den_cols = terms[:4]
-    est = np.zeros((len(blocks), len(pairs1), comb.shape[1]), dtype=complex)
-    den = np.zeros(len(blocks))
-    n_her = np.array([blk.set1.size for blk in blocks])
-    for r in np.flatnonzero(n_her):
-        blk = blocks[r]
-        if terms.c1 is not None:
-            est[r], den[r] = _reduce_pair_sums(backend.pair_sums(
-                blk.out1, blk.set1, blk.out2, blk.set2), terms)
-            continue
-        for lo in range(0, n_her[r], DYAD_CHUNK):
-            c = slice(lo, lo + DYAD_CHUNK)
-            e1 = backend.dyad_estimates(blk.out1[c], blk.set1[c], pairs1)
-            e2 = backend.dyad_estimates(blk.out2[c], blk.set2[c], pairs2)
-            est[r] += e1.T @ (e2 @ comb)
-            if den_cols is not None:
-                den[r] += np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
-            del e1, e2  # not alive while the next chunk's are formed
+def _accumulate(blocks, backend, terms) -> BlockAccumulator:
+    """One accumulator row per SampleBlock: ``backend.block_sums``, the
+    estimator sums of its heralded samples and the denominator sum."""
+    est, den = zip(*(backend.block_sums(blk, terms) for blk in blocks))
     return BlockAccumulator(
-        np.array([blk.block_id for blk in blocks]), est, den, n_her,
+        np.array([blk.block_id for blk in blocks]), np.array(est),
+        np.array(den), np.array([blk.set1.size for blk in blocks]),
         np.array([blk.herald.size for blk in blocks]),
     )
 
 
-def accumulate_pure(blocks, terms: Terms, backend) -> BlockAccumulator:
+def accumulate_pure(blocks, terms, backend) -> BlockAccumulator:
     """Per-block sums of the pure-operation entry estimators; ``terms`` is
     the run's ``pure_terms`` on ``backend``."""
     return _accumulate(blocks, backend, terms)
@@ -344,17 +281,15 @@ def accumulate_pure(blocks, terms: Terms, backend) -> BlockAccumulator:
 def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
     """kappa from herald statistics and the tomographic reference denominator.
 
-    Raises ReferenceTooSmallError when the denominator estimate is within
-    twice its own standard error of zero.
+    Raises ReferenceTooSmallError when fewer than two blocks hold heralded
+    samples, or when the denominator estimate is within twice its own
+    standard error of zero.
     """
+    keep = acc.blocks_with_data()
     p_hat, p_stderr = acc.occurrence()
-    if p_hat == 0.0:
-        raise ReferenceTooSmallError("no heralded samples")
-    keep = acc.n_heralded > 0
     dmeans = acc.den_sums[keep] / acc.n_heralded[keep]
-    nb = dmeans.size
     den = float(np.mean(dmeans))
-    den_stderr = float(np.std(dmeans, ddof=1) / np.sqrt(nb)) if nb > 1 else 0.0
+    den_stderr = float(np.std(dmeans, ddof=1) / np.sqrt(dmeans.size))
     if den <= REFERENCE_SIGMA_FACTOR * den_stderr or den <= 0.0:
         raise ReferenceTooSmallError(
             f"reference element ({i0},{j0}) too small: denominator "
@@ -387,7 +322,7 @@ def finalize_pure(acc: BlockAccumulator, i0: int, j0: int,
     )
 
 
-def accumulate_choi(blocks, terms: Terms, backend) -> BlockAccumulator:
+def accumulate_choi(blocks, terms, backend) -> BlockAccumulator:
     """Per-block sums of the Choi entry estimators; ``terms`` is the run's
     ``choi_terms`` on ``backend``.  The sums stay in their (l, i), (j, k)
     layout until ``finalize_choi``."""
@@ -429,21 +364,17 @@ def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
 # exact (no-sampling) expectations for the finite quorum
 
 
-def exact_finite_joint(branches, weights, quorum: FiniteQuorum, terms):
+def exact_finite_joint(branches, weights, quorum, terms):
     """Exact expectations of the estimator sums of ``terms`` (``pure_terms``
-    or ``choi_terms`` on ``quorum``) and of the denominator.
-
-    The reduction is a sampled block's, ``_reduce_pair_sums``, with the
-    observable-pair sums taken over the joint outcome law the finite route
-    samples, ``joint_outcome_table`` of the output branches.
-    """
-    table = joint_outcome_table(branches, weights, quorum)
-    s = quorum.scaled_eigenvalues
-    return _reduce_pair_sums(np.einsum("klab,ka,lb->kl", table, s, s), terms)
+    or ``choi_terms`` on the finite ``quorum``) and of the denominator: the
+    quorum's ``exact_sums`` over the joint outcome law the finite route
+    samples, ``joint_outcome_table`` of the output branches."""
+    return quorum.exact_sums(joint_outcome_table(branches, weights, quorum),
+                             terms)
 
 
 def exact_pure_estimate(branches, weights, psi: np.ndarray, i0: int, j0: int,
-                        quorum: FiniteQuorum) -> np.ndarray:
+                        quorum) -> np.ndarray:
     """The pure chain's ``pure_terms`` under the exact outcome law: the true
     A up to the global phase when the output is ``output_branches`` of the
     one-operator map (A,)."""
@@ -454,7 +385,7 @@ def exact_pure_estimate(branches, weights, psi: np.ndarray, i0: int, j0: int,
 
 
 def exact_choi_estimate(branches, weights, psi: np.ndarray,
-                        quorum: FiniteQuorum) -> np.ndarray:
+                        quorum) -> np.ndarray:
     """The Choi chain's ``choi_terms`` and ``_choi_layout`` under the exact
     outcome law of the output branches, times the occurrence probability
     sum(weights), hermitised."""

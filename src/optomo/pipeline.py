@@ -17,8 +17,7 @@ the mode-2 estimator coefficients and the estimator terms built from them,
 and the sampler record of the output branches: ``fock_tables`` on the Fock
 route, the joint outcome table and its running sum on the finite one, each
 built from ``(branches, weights)`` in one call) are built once, after the
-dry-run return, and shared read-only by all workers; the homodyne kernel's
-pair tables are built on first use and kept for the run.  Worker count only
+dry-run return, and shared read-only by all workers.  Worker count only
 affects wall-clock: block substreams and the ordered reduction make outputs
 byte-identical for any --threads value.
 """

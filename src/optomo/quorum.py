@@ -23,25 +23,31 @@ power recurrence e^{ik phi} = e^{i(k-1) phi} e^{i phi} (powers of
 e^{-i phi}, the exact conjugates, for k < 0).  This differs from a direct
 exponential by roughly |k| units of roundoff.
 
-Both backends evaluate dyad estimates through one interface,
-``dyad_estimates(outcomes, settings, pairs)``, outcome first: quadratures
-and phasors e^{i phi}, or eigenvalue and observable indices, of one mode.
-On the homodyne backend the pair-dependent table (the interpolation table
-[f_j | f_{j+1} - f_j] and the runs of phase offsets) is built by
-``_pair_table`` on the first call for a list of pairs and kept on the
-backend, which lives for one run, and ``estimation`` evaluates a block in
-chunks of ``DYAD_CHUNK`` samples without rebuilding it; the chunk sums add
-up to the one-shot reduction of the block up to roundoff (about 1e-15
-relative).  A finite quorum's estimate of |a><b| from eigenvalue m of
-observable k is a per-observable dual coefficient, ``coefficients(pairs)``,
-times a per-outcome scalar lambda_km / w_k, ``scaled_eigenvalues``; so
-``estimation`` reduces a block through the L x L sums of products of the
-two modes' scalars, ``pair_sums``, and never evaluates a per-sample dyad.
+Both backends have one interface, and each owns its run-only tables and
+its block reduction:
+- ``pair_table(pairs)``: the pair-dependent table of a list of dyads |a><b|;
+- ``dyad_estimates(outcomes, settings, table)``: per-sample estimates of
+  one mode, outcome first (quadratures and phasors e^{i phi}, or eigenvalue
+  and observable indices);
+- ``terms(pairs1, pairs2, comb, den_cols)``: one estimate kind's values,
+  built once per run;
+- ``block_sums(block, terms)``: the estimator sums and the denominator sum
+  of one block of heralded samples.
+On the homodyne backend the pair table is the interpolation table
+[f_j | f_{j+1} - f_j] with the runs of phase offsets, and a block is
+reduced by e1.T @ (e2 @ comb) in chunks of ``DYAD_CHUNK`` samples; the
+chunk sums add up to the one-shot reduction of the block up to roundoff
+(about 1e-15 relative).  A finite quorum's estimate of |a><b| from
+eigenvalue m of observable k is a per-observable dual coefficient (its
+pair table) times a per-outcome scalar lambda_km / w_k,
+``scaled_eigenvalues``; so a block is reduced through the L x L sums of
+products of the two modes' scalars, ``pair_sums``, and no per-sample dyad
+is evaluated.  ``exact_sums`` runs the same reduction on the joint outcome
+law.
 
 Kernel construction is a one-time single-threaded setup; the resulting
-objects are immutable apart from the homodyne pair-table memo, and
-shareable across concurrent workers (two workers may build the same pair
-table, and either copy is kept).  A finite quorum keeps no memo.
+objects and the terms built from them are immutable and shareable across
+concurrent workers.
 """
 
 from __future__ import annotations
@@ -63,6 +69,9 @@ BIORTHOGONALITY_TOL = 1e-8
 DEFAULT_RIDGE = 1e-10
 KERNEL_GATE_TOL = 5e-3
 DEFAULT_SPACING = 0.01
+# heralded samples per dyad evaluation: the (samples, pairs) estimates of a
+# chunk stay in cache, and no block-sized array of them is allocated
+DYAD_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +109,14 @@ class FiniteQuorum:
         estimate from eigenvalue m of observable k."""
         return self.eigenvalues / self.weights[:, None]
 
-    def coefficients(self, pairs) -> np.ndarray:
+    def pair_table(self, pairs) -> np.ndarray:
         """The dual coefficients <b|Q^dag(k)|a> = conj(Q_k[a, b]) of dyads
         |a><b|, shape (L, P)."""
         a, b = np.array(pairs).T
         return self.duals.conj()[:, a, b]
 
-    def dyad_estimates(self, out_idx, obs_idx, pairs) -> np.ndarray:
-        """Per-sample unbiased estimates of dyads |a><b|.
+    def dyad_estimates(self, out_idx, obs_idx, table) -> np.ndarray:
+        """Per-sample unbiased estimates of the dyads of a ``pair_table``.
 
         Outcome first, then setting, as ``HomodyneKernel.dyad_estimates``:
         for sample s with eigenvalue index m_s of observable k_s the estimate
@@ -115,19 +124,49 @@ class FiniteQuorum:
         (n_samples, n_pairs).
         """
         lam = self.scaled_eigenvalues[obs_idx, out_idx]  # (S,)
-        return self.coefficients(pairs)[obs_idx] * lam[:, None]
+        return table[obs_idx] * lam[:, None]
+
+    def terms(self, pairs1, pairs2, comb, den_cols):
+        """The run-only values of one estimate kind: the pair tables c1, c2
+        of the two modes' pairs, c2 @ comb and the denominator columns."""
+        c1, c2 = self.pair_table(pairs1), self.pair_table(pairs2)
+        return c1, c2, c2 @ comb, den_cols
 
     def pair_sums(self, out1, obs1, out2, obs2) -> np.ndarray:
         """R[k, l], the sum of s1 s2 over the paired samples of observables
         (k, l), with s = ``scaled_eigenvalues`` at each mode's outcome;
         shape (L, L).  The sum over samples of the dyad estimates e1[p] e2[q]
-        is c1[:, p] @ R @ c2[:, q], with c = ``coefficients``."""
+        is c1[:, p] @ R @ c2[:, q], with c = ``pair_table``."""
         s, n, d = self.scaled_eigenvalues.ravel(), len(self), self.dim
         # 1-d gathers at k d + m cost about half of s[obs, out]
         prod = s.take(obs1 * d + out1)
         prod *= s.take(obs2 * d + out2)
         return np.bincount(obs1 * n + obs2, weights=prod,
                            minlength=n * n).reshape(n, n)
+
+    def exact_sums(self, table, terms):
+        """Expectations per sample of ``block_sums`` under the joint outcome
+        law ``table`` (shape (L, L, d, d), as ``joint_outcome_table``): the
+        same reduction with R summed over the outcome probabilities."""
+        s = self.scaled_eigenvalues
+        return self._reduce(np.einsum("klab,ka,lb->kl", table, s, s), terms)
+
+    def block_sums(self, block, terms):
+        """The estimator sums c1.T @ (R @ (c2 @ comb)) of a block's heralded
+        samples and the real denominator c1[:, i0] @ R @ c2[:, j0] (0.0
+        without one), through the block's ``pair_sums`` R: O(n + L^2 P), and
+        within roundoff (about 1e-15 relative) of the per-sample sums."""
+        return self._reduce(self.pair_sums(
+            block.out1, block.set1, block.out2, block.set2), terms)
+
+    @staticmethod
+    def _reduce(r, terms):
+        c1, c2, c2_comb, den_cols = terms
+        est = c1.T @ (r @ c2_comb)
+        if den_cols is None:
+            return est, 0.0
+        i0, j0 = den_cols
+        return est, (c1[:, i0] @ r @ c2[:, j0]).real
 
 
 def _gell_mann_family(dim: int) -> list[np.ndarray]:
@@ -219,8 +258,6 @@ class HomodyneKernel:
     x: np.ndarray = field(repr=False)
     tables: dict = field(repr=False)  # delta -> (rows, len(x))
     recovery: dict = field(repr=False)  # delta -> (dim_cut - delta, rows)
-    _pair_tables: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
 
     def pattern(self, n: int, m: int) -> np.ndarray:
         """Tabulated f_nm on the grid (real)."""
@@ -230,8 +267,8 @@ class HomodyneKernel:
             raise KeyError(f"kernel row ({n}, {m}) not built; max_index={self.max_index}")
         return self.tables[delta][lo]
 
-    def _pair_table(self, pairs) -> tuple[np.ndarray, int, int, list]:
-        """The interpolation table of ``pairs`` pair-major, built on first use.
+    def pair_table(self, pairs) -> tuple[np.ndarray, int, int, list]:
+        """The interpolation table of ``pairs``, pair-major.
 
         Column j of the table is [f_j | f_{j+1} - f_j] over the pattern rows
         f = f_{b,a} of the P pairs, shape (2P, G - 1), so one gather of
@@ -241,29 +278,27 @@ class HomodyneKernel:
         whose offsets step down by one: the phase rows are laid out from
         k_hi down to k_lo, so a run meets a contiguous block of them.
         """
-        key = tuple(map(tuple, pairs))
-        if key not in self._pair_tables:
-            rows = np.stack([self.pattern(b, a) for (a, b) in key])
-            table = np.concatenate([rows[:, :-1], np.diff(rows, axis=1)])
-            offsets = [a - b for (a, b) in key]
-            k_lo, k_hi = min(*offsets, 0), max(*offsets, 0)
-            runs = []
-            for p, k in enumerate(offsets):
-                if p and k == offsets[p - 1] - 1:
-                    runs[-1][1] = p + 1
-                else:
-                    runs.append([p, p + 1, k_hi - k])
-            self._pair_tables[key] = table, k_lo, k_hi, runs
-        return self._pair_tables[key]
+        rows = np.stack([self.pattern(b, a) for (a, b) in pairs])
+        table = np.concatenate([rows[:, :-1], np.diff(rows, axis=1)])
+        offsets = [a - b for (a, b) in pairs]
+        k_lo, k_hi = min(*offsets, 0), max(*offsets, 0)
+        runs = []
+        for p, k in enumerate(offsets):
+            if p and k == offsets[p - 1] - 1:
+                runs[-1][1] = p + 1
+            else:
+                runs.append([p, p + 1, k_hi - k])
+        return table, k_lo, k_hi, runs
 
-    def dyad_estimates(self, x, e, pairs) -> np.ndarray:
-        """Per-sample unbiased estimates of dyads |a><b| from quadrature data.
+    def dyad_estimates(self, x, e, table) -> np.ndarray:
+        """Per-sample unbiased estimates of the dyads |a><b| of a
+        ``pair_table`` from quadrature data.
 
         Outcome first, then setting, as ``FiniteQuorum.dyad_estimates``: the
         quadratures x and the phasors e = e^{i phi} of their phases.  The
         estimate of <|a><b|> = rho_ba from a sample (x, e^{i phi}) is
         f_{b,a}(x) e^{i(a-b) phi}, with f_{b,a} interpolated linearly between
-        grid nodes as a + w Delta from one gather of the ``_pair_table``
+        grid nodes as a + w Delta from one gather of the ``pair_table``
         column [f_j | f_{j+1} - f_j] (held at the end nodes outside the
         grid).  The interpolation index and weight are computed once per
         sample for all pairs.  e^{ik phi} comes from e by the power
@@ -273,14 +308,14 @@ class HomodyneKernel:
         pair-major array, returned as its transpose, shape (n_samples,
         n_pairs).
         """
-        table, k_lo, k_hi, runs = self._pair_table(pairs)
+        interp, k_lo, k_hi, runs = table
         x = np.asarray(x, dtype=float)
         e = np.asarray(e, dtype=complex)
         g = self.x
         dx = self.grid.spacing
         idx = np.clip(((x - g[0]) / dx).astype(np.int64), 0, g.size - 2)
         w = np.clip((x - g[idx]) / dx, 0.0, 1.0)
-        ad = np.take(table, idx, axis=1)  # (2P, S): a over Delta
+        ad = np.take(interp, idx, axis=1)  # (2P, S): a over Delta
         n_pairs = ad.shape[0] // 2
         out = np.empty((n_pairs, x.size), dtype=complex)
         f, f_im = out.real, out.imag
@@ -300,6 +335,37 @@ class HomodyneKernel:
             np.multiply(f[lo:hi], rot.imag, out=f_im[lo:hi])
             np.multiply(f[lo:hi], rot.real, out=f[lo:hi])
         return out.T
+
+    def terms(self, pairs1, pairs2, comb, den_cols):
+        """The run-only values of one estimate kind: the pair tables of the
+        two modes' pairs (one table when the pairs are equal), comb and the
+        denominator columns."""
+        t1 = self.pair_table(pairs1)
+        t2 = t1 if pairs2 == pairs1 else self.pair_table(pairs2)
+        return t1, t2, comb, den_cols
+
+    def block_sums(self, block, terms):
+        """The estimator sums e1.T @ (e2 @ comb) of a block's heralded
+        samples and the real denominator sum of e1[:, i0] e2[:, j0] (0.0
+        without one), e1 and e2 the ``dyad_estimates`` of each mode.
+
+        The sums are taken in chunks of ``DYAD_CHUNK`` samples, so no
+        (samples, pairs) array of a whole block is built.  A block of at most
+        one chunk gives exactly the one-shot sums; a longer one adds the
+        chunk sums in order, which moves them by roundoff.
+        """
+        t1, t2, comb, den_cols = terms
+        est = np.zeros((t1[0].shape[0] // 2, comb.shape[1]), dtype=complex)
+        den = 0.0
+        for lo in range(0, block.set1.size, DYAD_CHUNK):
+            c = slice(lo, lo + DYAD_CHUNK)
+            e1 = self.dyad_estimates(block.out1[c], block.set1[c], t1)
+            e2 = self.dyad_estimates(block.out2[c], block.set2[c], t2)
+            est += e1.T @ (e2 @ comb)
+            if den_cols is not None:
+                den += np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
+            del e1, e2  # not alive while the next chunk's are formed
+        return est, den
 
     def cache_key(self) -> str:
         raw = (

@@ -388,6 +388,23 @@ class TestOperationErrors:
         assert calls == []
         assert not (tmp_path / "k.result.txt").exists()
 
+    def test_one_block_with_data_exit_3(self, tmp_path, capsys):
+        # p_occ = 2 x 0.07^2 = 0.0098 over 2 x 60 trials: at seed 1 fewer
+        # than two blocks hold a heralded sample, so there is no spread to
+        # give a standard error
+        ks = 0.07 * np.stack([np.eye(4), np.diag([1.0, -1.0, 1.0, -1.0])])
+        cfg = _kraus_config(tmp_path, ks.astype(complex), "finite")
+        cfg.write_text(cfg.read_text().replace("n_max = 1", "n_max = 2")
+                       .replace("samples_per_block = 200",
+                                "samples_per_block = 60")
+                       .replace("master_seed = 3", "master_seed = 1"))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "ReferenceTooSmall" in err
+        assert "of 2 blocks hold heralded samples" in err
+        assert not (tmp_path / "k.result.txt").exists()
+
     @pytest.mark.parametrize("fault", ["missing", "exceeds_identity",
                                        "npz_archive"])
     def test_bad_kraus_file_exit_2(self, tmp_path, capsys, fault):

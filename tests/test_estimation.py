@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from optomo import estimation
 from optomo.bipartite import phase_align, vec
 from optomo.config import ExperimentConfig
 from optomo.errors import NonInvertibleEntanglerError, ReferenceTooSmallError
@@ -14,7 +13,6 @@ from optomo.estimation import (
     accumulate_choi,
     accumulate_pure,
     align_to_truth,
-    block_terms,
     choi_terms,
     exact_finite_joint,
     exact_pure_estimate,
@@ -33,7 +31,8 @@ from optomo.maps import (
     output_branches,
     twin_beam,
 )
-from optomo.quorum import GridSpec, build_finite_quorum, build_homodyne_kernel
+from optomo.quorum import (DYAD_CHUNK, GridSpec, build_finite_quorum,
+                           build_homodyne_kernel)
 from optomo.pipeline import _heralded_block
 from optomo.sampling import (
     SampleBlock,
@@ -58,6 +57,17 @@ def make_finite_blocks(branches, weights, quorum, n_blocks, per_block, seed,
     return [_heralded_block(cfg, p_occ, b, draw) for b in range(n_blocks)]
 
 
+class PairLists:
+    """A stand-in backend whose ``terms`` are its arguments: the pair lists,
+    mode-2 combination and denominator columns that ``pure_terms`` and
+    ``choi_terms`` hand a backend, for the oracles to evaluate their own
+    way."""
+
+    @staticmethod
+    def terms(*args):
+        return args
+
+
 # traced peak of one d = 6, 17,000-sample Choi block reduction: 1.1 x the
 # 432 KB it reads (numpy 2.4); the (L d, L d) int64 joint counts of such a
 # block and their complex cast alone would take 1.1 MB
@@ -69,7 +79,7 @@ class TestChunkedAccumulation:
     a finite-quorum block through its observable-pair sums; either way the
     sums must match the one-shot per-sample sums of the whole block."""
 
-    CHUNK = estimation.DYAD_CHUNK
+    CHUNK = DYAD_CHUNK
 
     @pytest.fixture(scope="class")
     def kernel(self):
@@ -93,11 +103,15 @@ class TestChunkedAccumulation:
 
     @staticmethod
     def _accumulate(kind, blk, coef, backend):
+        """The (pairs1, pairs2, comb, den_cols) of the kind, for
+        ``per_sample_sums``, and the block's accumulator row."""
         if kind == "pure":
-            terms = pure_terms(coef, 1, 0, backend)
-            return terms, accumulate_pure([blk], terms, backend)
-        terms = choi_terms(coef, backend)
-        return terms, accumulate_choi([blk], terms, backend)
+            make, accumulate = (lambda b: pure_terms(coef, 1, 0, b),
+                                accumulate_pure)
+        else:
+            make, accumulate = (lambda b: choi_terms(coef, b),
+                                accumulate_choi)
+        return make(PairLists), accumulate([blk], make(backend), backend)
 
     @staticmethod
     def _assert_close(acc, want, want_den):
@@ -106,7 +120,7 @@ class TestChunkedAccumulation:
         assert abs(acc.den_sums[0] - want_den) <= 1e-12 * abs(want_den)
 
     @pytest.mark.parametrize("n_heralded",
-                             [1, CHUNK - 1, CHUNK, int(2.5 * CHUNK)])
+                             [0, 1, CHUNK - 1, CHUNK, int(2.5 * CHUNK)])
     @pytest.mark.parametrize("name", ["homodyne", "finite"])
     @pytest.mark.parametrize("kind", ["pure", "choi"])
     def test_chunk_sums_match_one_shot(self, kernel, name, kind, n_heralded):
@@ -114,10 +128,12 @@ class TestChunkedAccumulation:
         psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
         coef, _ = mode2_combination(psi, 2, 3)
         blk = self._block(name, backend, n_heralded, 5)
-        terms, acc = self._accumulate(kind, blk, coef, backend)
-        want, want_den = per_sample_sums(backend, blk, terms)
+        args, acc = self._accumulate(kind, blk, coef, backend)
+        want, want_den = per_sample_sums(backend, blk, *args)
         assert acc.n_heralded[0] == n_heralded
-        if name == "homodyne" and n_heralded <= self.CHUNK:
+        if n_heralded == 0:
+            assert np.all(acc.est_sums[0] == 0) and acc.den_sums[0] == 0
+        elif name == "homodyne" and n_heralded <= self.CHUNK:
             # one chunk, per sample: the one-shot arithmetic
             assert np.array_equal(acc.est_sums[0], want)
             assert acc.den_sums[0] == want_den
@@ -135,8 +151,8 @@ class TestChunkedAccumulation:
         blk = SampleBlock(0, np.ones(500, dtype=bool), *obs, *out)
         psi = twin_beam(1.0, 12, deficit_bound=1.0).psi
         coef, _ = mode2_combination(psi, 11, 11)
-        terms, acc = self._accumulate(kind, blk, coef, q)
-        self._assert_close(acc, *per_sample_sums(q, blk, terms))
+        args, acc = self._accumulate(kind, blk, coef, q)
+        self._assert_close(acc, *per_sample_sums(q, blk, *args))
 
     def test_finite_choi_block_memory(self):
         # one d = 6 block of 17,000 heralded samples, the size of a
@@ -157,6 +173,37 @@ class TestChunkedAccumulation:
         finally:
             tracemalloc.stop()
         assert peak <= PEAK_BOUND
+
+
+class TestBackendInterface:
+    def test_chain_asks_only_terms_and_block_sums(self):
+        # a backend with max_index, terms and block_sums and nothing else:
+        # block b sums to (b + 1) per heralded sample and its denominator
+        # to 1 per sample, so kappa = 1 and the grand mean is 2
+        class Stub:
+            max_index = 1
+
+            def terms(self, pairs1, pairs2, comb, den_cols):
+                assert den_cols == (0, 1)
+                return len(pairs1), comb.shape[1]
+
+            def block_sums(self, block, terms):
+                n = block.set1.size
+                return (np.full(terms, (block.block_id + 1.0) * n + 0j),
+                        float(n))
+
+        stub = Stub()
+        coef, deficit = mode2_combination(np.eye(2) / np.sqrt(2), 1,
+                                          stub.max_index)
+        blocks = [SampleBlock(b, np.ones(4, dtype=bool), *np.zeros((4, 4)))
+                  for b in range(3)]
+        terms = pure_terms(coef, 0, 1, stub)
+        est = finalize_pure(accumulate_pure(blocks, terms, stub), 0, 1,
+                            deficit)
+        assert est.kappa.kappa == 1.0 and est.n_blocks == 3
+        assert np.array_equal(est.values, np.full((2, 2), 2.0 + 0j))
+        np.testing.assert_allclose(est.std_errors, np.sqrt(1.0 / 3.0),
+                                   rtol=1e-15)
 
 
 class TestMode2Combination:
@@ -222,6 +269,17 @@ class TestBlockAccumulator:
         grand, stderr, nb = a.block_stats()
         assert (grand[0, 0], stderr[0, 0], nb) == (2.0, 0.0, 2)
 
+    @pytest.mark.parametrize("n_heralded", [[0, 0, 0], [0, 5, 0]])
+    def test_fewer_than_two_blocks_with_data_raise(self, n_heralded):
+        a = BlockAccumulator([0, 1, 2], np.ones((3, 1, 1)), [1.0, 1.0, 1.0],
+                             n_heralded, [5, 5, 5])
+        n = np.count_nonzero(n_heralded)
+        for reduce in (a.block_stats, lambda: finalize_pure(a, 0, 0, 0.0),
+                       lambda: finalize_choi(a, 0.0)):
+            with pytest.raises(ReferenceTooSmallError,
+                               match=f"{n} of 3 blocks hold heralded"):
+                reduce()
+
 
 class TestExactChain:
     def test_identity_maximally_entangled_exact(self):
@@ -240,7 +298,7 @@ class TestExactChain:
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
         _, den = exact_finite_joint(
-            [phi], [p], q, block_terms([(0, 0)], [(0, 0)], np.eye(1), (0, 0), q))
+            [phi], [p], q, q.terms([(0, 0)], [(0, 0)], np.eye(1), (0, 0)))
         assert abs(den - 0.5) < 1e-12
         assert abs(np.sqrt(p / den) - np.sqrt(2.0)) < 1e-12
 
@@ -255,8 +313,8 @@ class TestExactChain:
         psi_inv = np.linalg.inv(psi)
         mean, _ = exact_finite_joint(
             [phi], [p], q,
-            block_terms([(0, i) for i in range(2)],
-                        [(0, k) for k in range(2)], psi_inv, None, q))
+            q.terms([(0, i) for i in range(2)],
+                    [(0, k) for k in range(2)], psi_inv, None))
         expect = np.conj(phi[0, 0]) * (phi @ psi_inv)
         assert np.max(np.abs(mean - expect)) < 1e-12
 
@@ -274,10 +332,11 @@ class TestExactChain:
         branches, weights = output_branches(
             KrausMap(tuple(random_kraus_map(rng, d))), psi)
         coef, _ = mode2_combination(psi, d - 1, d - 1)
-        terms = (pure_terms(coef, 0, 1, q) if kind == "pure"
-                 else choi_terms(coef, q))
-        est, den = exact_finite_joint(branches, weights, q, terms)
-        want, want_den = exact_sums_by_outcomes(branches, weights, q, terms)
+        make = ((lambda b: pure_terms(coef, 0, 1, b)) if kind == "pure"
+                else (lambda b: choi_terms(coef, b)))
+        est, den = exact_finite_joint(branches, weights, q, make(q))
+        want, want_den = exact_sums_by_outcomes(branches, weights, q,
+                                                *make(PairLists))
         assert np.max(np.abs(est - want)) <= 1e-12 * np.max(np.abs(want))
         assert abs(den - want_den) <= 1e-12 * abs(want_den)
 

@@ -11,6 +11,7 @@ from optomo.config import ExperimentConfig, load_preset
 from optomo.errors import NonInvertibleEntanglerError
 from optomo.estimation import align_to_truth
 from optomo.pipeline import displacement_theory, emit_plotdata, run_simulate
+from optomo.quorum import DYAD_CHUNK
 
 
 def _two_kraus_file(path, dim_cut):
@@ -29,7 +30,7 @@ class TestGaussianRoute:
         cfg = ExperimentConfig(
             operation="displacement", z=0.5 + 0.0j, nbar=1.0, eta=0.9,
             n_max=3, blocks=4,
-            samples_per_block=int(2.5 * estimation.DYAD_CHUNK),
+            samples_per_block=int(2.5 * DYAD_CHUNK),
             master_seed=41, out_prefix="inv",
         )
         run_simulate(cfg, threads=1, out_dir=tmp_path / "a")

@@ -61,7 +61,8 @@ class TestFiniteQuorum:
             evals, evecs = q.eigenvalues[k], q.eigenvectors[k]
             born = np.real(np.einsum("im,ij,jm->m", evecs.conj(), rho, evecs))
             for m in range(d):
-                est = q.dyad_estimates(np.array([m]), np.array([k]), pairs)[0]
+                est = q.dyad_estimates(np.array([m]), np.array([k]),
+                                       q.pair_table(pairs))[0]
                 got += q.weights[k] * born[m] * est
         want = np.array([rho[b, a] for (a, b) in pairs])
         assert np.max(np.abs(got - want)) < 1e-12
@@ -111,8 +112,8 @@ class TestHomodyneKernel:
     def test_dyad_estimates_phase_factor(self, kernel):
         x = np.array([0.3, -1.2])
         phi = np.array([0.7, 2.1])
-        vals = kernel.dyad_estimates(x, np.exp(1j * phi),
-                                     [(2, 0), (0, 2), (1, 1)])
+        vals = kernel.dyad_estimates(
+            x, np.exp(1j * phi), kernel.pair_table([(2, 0), (0, 2), (1, 1)]))
         f02 = np.interp(x, kernel.x, kernel.pattern(0, 2))
         assert np.allclose(vals[:, 0], f02 * np.exp(2j * phi))
         assert np.allclose(vals[:, 1], f02 * np.exp(-2j * phi))
@@ -131,10 +132,9 @@ class TestHomodyneKernel:
                             kernel.x[[0, 1, 500, -2, -1]], [-30.0, 30.0]])
         phi = rng.uniform(0.0, 2.0 * np.pi, x.size)
         want = homodyne_dyads_by_pairs(kernel, x, phi, pairs)
-        got = kernel.dyad_estimates(x, np.exp(1j * phi), pairs)
+        got = kernel.dyad_estimates(x, np.exp(1j * phi),
+                                    kernel.pair_table(pairs))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        # the pair table is built once and reused by later calls
-        assert kernel._pair_table(pairs) is kernel._pair_table(list(pairs))
 
     def test_missing_row_raises(self, kernel):
         with pytest.raises(KeyError):
