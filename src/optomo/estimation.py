@@ -12,18 +12,21 @@ estimate).
 The chain is written once against the block-reduction interface both
 measurement backends share (HomodyneKernel, pattern functions on quadrature
 records; FiniteQuorum, the dual frame on finite-quorum outcomes):
-``max_index``, ``terms(pairs1, pairs2, comb, den_cols)`` and
-``block_sums(block, terms)``, which reduces one ``SampleBlock`` of heralded
-samples to its estimator sums and denominator sum.  How a backend evaluates
-or reduces its dyad estimates is its own; this module never looks at
-outcomes or settings.
+``max_index``, ``pair_table(pairs)`` and ``block_sums(block, tables)``,
+which reduces one ``SampleBlock`` of heralded samples to its dyad moment
+matrix M[p, q] = sum_s e1[s, p] e2[s, q] (e1, e2 the two modes' dyad
+estimates).  This module never looks at outcomes or settings, and the
+backends know nothing of the estimator.
 
-Pure and Choi entries are one two-mode average over different dyad pairs:
-``pure_terms`` and ``choi_terms`` give each kind's dyad pairs per mode and
-mode-2 combination to the backend's ``terms``, and ``finalize_choi`` puts
-Choi sums in the (i, j), (l, k) layout once.  The exact path (``exact_*``)
-takes a finite quorum's ``exact_sums`` over the joint outcome law the
-finite route samples: ``joint_outcome_table`` of the output branches
+Pure and Choi entries are fixed linear combinations of dyad moments:
+``pure_terms`` and ``choi_terms`` give each kind's two pair tables (one
+table when the modes' pair lists are equal), mode-2 combination ``comb``
+and denominator columns (i0, j0) (None for Choi).  A block's estimator
+sums are M @ comb and its denominator sum M[i0, j0].real, formed in
+``_accumulate`` and the exact path only; ``finalize_choi`` puts Choi sums
+in the (i, j), (l, k) layout once.  The exact path (``exact_*``) takes a
+finite quorum's ``exact_sums``, M per sample under the joint outcome law
+the finite route samples: ``joint_outcome_table`` of the output branches
 K_n psi and their weights.
 
 Error bars follow the block structure of the data: per-block means, standard
@@ -32,8 +35,8 @@ with heralded samples raise ReferenceTooSmallError.  kappa uncertainty is
 reported separately and not folded into the per-entry bars.
 
 Values that depend only on the run, the mode-2 coefficient matrix
-``mode2_combination`` (one inversion of psi) and the backend's terms built
-from it, are computed once per run and passed to the per-block
+``mode2_combination`` (one inversion of psi) and the terms built from it,
+are computed once per run and passed to the per-block
 ``accumulate_*`` calls.  Accumulation is per-block with no shared state; each call gives a
 BlockAccumulator of per-block rows, the rows of all blocks are merged once
 per run, and the final reduction is taken in block-index order so results
@@ -234,25 +237,34 @@ def mode2_combination(psi: np.ndarray, window: int, k_max: int):
     return kept, deficit
 
 
+def _terms(backend, pairs1, pairs2, comb, den_cols):
+    """The run-only values of one estimate kind: the pair tables of the two
+    modes' pairs (one table when the pair lists are equal), ``comb`` and
+    the denominator columns."""
+    t1 = backend.pair_table(pairs1)
+    t2 = t1 if pairs2 == pairs1 else backend.pair_table(pairs2)
+    return (t1, t2), comb, den_cols
+
+
 def pure_terms(coef: np.ndarray, i0: int, j0: int, backend):
-    """``backend.terms`` of A_ij: mode-1 pairs |i0><i|, mode-2 pairs |j0><k|
+    """The terms of A_ij: mode-1 pairs |i0><i|, mode-2 pairs |j0><k|
     combined by ``coef`` into |j0><psi^{-1*}(j)|, and the denominator
     columns (i0, j0)."""
     k1, w1 = coef.shape
-    return backend.terms([(i0, i) for i in range(w1)],
-                         [(j0, k) for k in range(k1)], coef, (i0, j0))
+    return _terms(backend, [(i0, i) for i in range(w1)],
+                  [(j0, k) for k in range(k1)], coef, (i0, j0))
 
 
 def choi_terms(coef: np.ndarray, backend):
-    """``backend.terms`` of <<i,j|R(I)|l,k>>: mode-1 pairs |l><i|, mode-2
-    pairs |a><b| combined into |psi^{-1*}(k)><psi^{-1*}(j)|; sums come out
-    laid out (l, i), (j, k), and there is no denominator."""
+    """The terms of <<i,j|R(I)|l,k>>: mode-1 pairs |l><i|, mode-2 pairs
+    |a><b| combined into |psi^{-1*}(k)><psi^{-1*}(j)|; sums come out laid
+    out (l, i), (j, k), and there is no denominator."""
     k1, w1 = coef.shape
     pairs1 = [(l, i) for l in range(w1) for i in range(w1)]
     pairs2 = [(a, b) for a in range(k1) for b in range(k1)]
     # est(j, k) = sum_ab conj(coef[a, k]) coef[b, j] dyad(a, b)
     comb = np.einsum("ak,bj->abjk", coef.conj(), coef).reshape(k1 * k1, w1 * w1)
-    return backend.terms(pairs1, pairs2, comb, None)
+    return _terms(backend, pairs1, pairs2, comb, None)
 
 
 def _choi_layout(m: np.ndarray) -> np.ndarray:
@@ -262,12 +274,16 @@ def _choi_layout(m: np.ndarray) -> np.ndarray:
 
 
 def _accumulate(blocks, backend, terms) -> BlockAccumulator:
-    """One accumulator row per SampleBlock: ``backend.block_sums``, the
-    estimator sums of its heralded samples and the denominator sum."""
-    est, den = zip(*(backend.block_sums(blk, terms) for blk in blocks))
+    """One accumulator row per SampleBlock: from its dyad moments M
+    (``backend.block_sums``), the estimator sums M @ comb of its heralded
+    samples and the denominator sum M[i0, j0].real (0.0 without one)."""
+    tables, comb, den_cols = terms
+    m = np.array([backend.block_sums(blk, tables) for blk in blocks])
+    den = (m[:, den_cols[0], den_cols[1]].real if den_cols
+           else np.zeros(len(blocks)))
     return BlockAccumulator(
-        np.array([blk.block_id for blk in blocks]), np.array(est),
-        np.array(den), np.array([blk.set1.size for blk in blocks]),
+        np.array([blk.block_id for blk in blocks]), m @ comb, den,
+        np.array([blk.set1.size for blk in blocks]),
         np.array([blk.herald.size for blk in blocks]),
     )
 
@@ -364,24 +380,16 @@ def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
 # exact (no-sampling) expectations for the finite quorum
 
 
-def exact_finite_joint(branches, weights, quorum, terms):
-    """Exact expectations of the estimator sums of ``terms`` (``pure_terms``
-    or ``choi_terms`` on the finite ``quorum``) and of the denominator: the
-    quorum's ``exact_sums`` over the joint outcome law the finite route
-    samples, ``joint_outcome_table`` of the output branches."""
-    return quorum.exact_sums(joint_outcome_table(branches, weights, quorum),
-                             terms)
-
-
 def exact_pure_estimate(branches, weights, psi: np.ndarray, i0: int, j0: int,
                         quorum) -> np.ndarray:
     """The pure chain's ``pure_terms`` under the exact outcome law: the true
     A up to the global phase when the output is ``output_branches`` of the
     one-operator map (A,)."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
-    est, den = exact_finite_joint(branches, weights, quorum,
-                                  pure_terms(coef, i0, j0, quorum))
-    return np.sqrt(sum(weights) / den) * est
+    tables, comb, _ = pure_terms(coef, i0, j0, quorum)
+    m = quorum.exact_sums(joint_outcome_table(branches, weights, quorum),
+                          tables)
+    return np.sqrt(sum(weights) / m[i0, j0].real) * (m @ comb)
 
 
 def exact_choi_estimate(branches, weights, psi: np.ndarray,
@@ -390,7 +398,8 @@ def exact_choi_estimate(branches, weights, psi: np.ndarray,
     outcome law of the output branches, times the occurrence probability
     sum(weights), hermitised."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
-    est, _ = exact_finite_joint(branches, weights, quorum,
-                                choi_terms(coef, quorum))
-    r_est = sum(weights) * _choi_layout(est)
+    tables, comb, _ = choi_terms(coef, quorum)
+    m = quorum.exact_sums(joint_outcome_table(branches, weights, quorum),
+                          tables)
+    r_est = sum(weights) * _choi_layout(m @ comb)
     return (r_est + r_est.conj().T) / 2.0

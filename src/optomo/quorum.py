@@ -23,31 +23,30 @@ power recurrence e^{ik phi} = e^{i(k-1) phi} e^{i phi} (powers of
 e^{-i phi}, the exact conjugates, for k < 0).  This differs from a direct
 exponential by roughly |k| units of roundoff.
 
-Both backends have one interface, and each owns its run-only tables and
-its block reduction:
+Both backends have one interface and know nothing of the estimator: each
+reduces a block of heralded samples to the sums of products of its two
+modes' dyad estimates, from which the estimation chain forms every estimate.
 - ``pair_table(pairs)``: the pair-dependent table of a list of dyads |a><b|;
 - ``dyad_estimates(outcomes, settings, table)``: per-sample estimates of
   one mode, outcome first (quadratures and phasors e^{i phi}, or eigenvalue
   and observable indices);
-- ``terms(pairs1, pairs2, comb, den_cols)``: one estimate kind's values,
-  built once per run;
-- ``block_sums(block, terms)``: the estimator sums and the denominator sum
-  of one block of heralded samples.
+- ``block_sums(block, tables)``: the dyad moment matrix
+  M[p, q] = sum_s e1[s, p] e2[s, q] of one block, with e1, e2 the two
+  modes' dyad estimates of the pair tables ``tables`` = (table1, table2).
 On the homodyne backend the pair table is the interpolation table
-[f_j | f_{j+1} - f_j] with the runs of phase offsets, and a block is
-reduced by e1.T @ (e2 @ comb) in chunks of ``DYAD_CHUNK`` samples; the
-chunk sums add up to the one-shot reduction of the block up to roundoff
-(about 1e-15 relative).  A finite quorum's estimate of |a><b| from
-eigenvalue m of observable k is a per-observable dual coefficient (its
-pair table) times a per-outcome scalar lambda_km / w_k,
-``scaled_eigenvalues``; so a block is reduced through the L x L sums of
-products of the two modes' scalars, ``pair_sums``, and no per-sample dyad
-is evaluated.  ``exact_sums`` runs the same reduction on the joint outcome
-law.
+[f_j | f_{j+1} - f_j] with the runs of phase offsets, and M is the sum of
+e1.T @ e2 over chunks of ``DYAD_CHUNK`` samples; the chunk sums add up to
+the one-shot reduction of the block up to roundoff (about 1e-15 relative).
+A finite quorum's estimate of |a><b| from eigenvalue m of observable k is a
+per-observable dual coefficient (its pair table) times a per-outcome scalar
+lambda_km / w_k, ``scaled_eigenvalues``; so M is c1.T @ R @ c2, through the
+L x L sums R of products of the two modes' scalars, ``pair_sums``, and no
+per-sample dyad is evaluated.  ``exact_sums`` gives the same M per sample
+under the joint outcome law.
 
 Kernel construction is a one-time single-threaded setup; the resulting
-objects and the terms built from them are immutable and shareable across
-concurrent workers.
+objects and the pair tables built from them are immutable and shareable
+across concurrent workers.
 """
 
 from __future__ import annotations
@@ -115,22 +114,17 @@ class FiniteQuorum:
         a, b = np.array(pairs).T
         return self.duals.conj()[:, a, b]
 
-    def dyad_estimates(self, out_idx, obs_idx, table) -> np.ndarray:
+    def dyad_estimates(self, outcomes, settings, table) -> np.ndarray:
         """Per-sample unbiased estimates of the dyads of a ``pair_table``.
 
         Outcome first, then setting, as ``HomodyneKernel.dyad_estimates``:
-        for sample s with eigenvalue index m_s of observable k_s the estimate
-        of <|a><b|> is <b|Q^dag(k_s)|a> lambda_{m_s} / w_{k_s}.  Returns shape
+        for sample s with eigenvalue index m_s (``outcomes``) of observable
+        k_s (``settings``) the estimate of <|a><b|> is
+        <b|Q^dag(k_s)|a> lambda_{m_s} / w_{k_s}.  Returns shape
         (n_samples, n_pairs).
         """
-        lam = self.scaled_eigenvalues[obs_idx, out_idx]  # (S,)
-        return table[obs_idx] * lam[:, None]
-
-    def terms(self, pairs1, pairs2, comb, den_cols):
-        """The run-only values of one estimate kind: the pair tables c1, c2
-        of the two modes' pairs, c2 @ comb and the denominator columns."""
-        c1, c2 = self.pair_table(pairs1), self.pair_table(pairs2)
-        return c1, c2, c2 @ comb, den_cols
+        lam = self.scaled_eigenvalues[settings, outcomes]  # (S,)
+        return table[settings] * lam[:, None]
 
     def pair_sums(self, out1, obs1, out2, obs2) -> np.ndarray:
         """R[k, l], the sum of s1 s2 over the paired samples of observables
@@ -144,29 +138,21 @@ class FiniteQuorum:
         return np.bincount(obs1 * n + obs2, weights=prod,
                            minlength=n * n).reshape(n, n)
 
-    def exact_sums(self, table, terms):
-        """Expectations per sample of ``block_sums`` under the joint outcome
+    def exact_sums(self, table, tables) -> np.ndarray:
+        """Expectation per sample of ``block_sums`` under the joint outcome
         law ``table`` (shape (L, L, d, d), as ``joint_outcome_table``): the
         same reduction with R summed over the outcome probabilities."""
+        c1, c2 = tables
         s = self.scaled_eigenvalues
-        return self._reduce(np.einsum("klab,ka,lb->kl", table, s, s), terms)
+        return (c1.T @ np.einsum("klab,ka,lb->kl", table, s, s)) @ c2
 
-    def block_sums(self, block, terms):
-        """The estimator sums c1.T @ (R @ (c2 @ comb)) of a block's heralded
-        samples and the real denominator c1[:, i0] @ R @ c2[:, j0] (0.0
-        without one), through the block's ``pair_sums`` R: O(n + L^2 P), and
+    def block_sums(self, block, tables) -> np.ndarray:
+        """The dyad moment matrix c1.T @ R @ c2 of a block's heralded
+        samples, through the block's ``pair_sums`` R: O(n + L^2 P), and
         within roundoff (about 1e-15 relative) of the per-sample sums."""
-        return self._reduce(self.pair_sums(
-            block.out1, block.set1, block.out2, block.set2), terms)
-
-    @staticmethod
-    def _reduce(r, terms):
-        c1, c2, c2_comb, den_cols = terms
-        est = c1.T @ (r @ c2_comb)
-        if den_cols is None:
-            return est, 0.0
-        i0, j0 = den_cols
-        return est, (c1[:, i0] @ r @ c2[:, j0]).real
+        c1, c2 = tables
+        return (c1.T @ self.pair_sums(
+            block.out1, block.set1, block.out2, block.set2)) @ c2
 
 
 def _gell_mann_family(dim: int) -> list[np.ndarray]:
@@ -290,27 +276,27 @@ class HomodyneKernel:
                 runs.append([p, p + 1, k_hi - k])
         return table, k_lo, k_hi, runs
 
-    def dyad_estimates(self, x, e, table) -> np.ndarray:
+    def dyad_estimates(self, outcomes, settings, table) -> np.ndarray:
         """Per-sample unbiased estimates of the dyads |a><b| of a
         ``pair_table`` from quadrature data.
 
         Outcome first, then setting, as ``FiniteQuorum.dyad_estimates``: the
-        quadratures x and the phasors e = e^{i phi} of their phases.  The
-        estimate of <|a><b|> = rho_ba from a sample (x, e^{i phi}) is
-        f_{b,a}(x) e^{i(a-b) phi}, with f_{b,a} interpolated linearly between
-        grid nodes as a + w Delta from one gather of the ``pair_table``
-        column [f_j | f_{j+1} - f_j] (held at the end nodes outside the
-        grid).  The interpolation index and weight are computed once per
-        sample for all pairs.  e^{ik phi} comes from e by the power
-        recurrence (powers of e^{-i phi} for k < 0), so an offset k carries
-        about |k| ulp more roundoff than np.exp(1j * k * phi).  The products
-        f e^{ik phi} are written into the real and imaginary parts of one
-        pair-major array, returned as its transpose, shape (n_samples,
-        n_pairs).
+        quadratures x (``outcomes``) and the phasors e = e^{i phi} of their
+        phases (``settings``).  The estimate of <|a><b|> = rho_ba from a
+        sample (x, e^{i phi}) is f_{b,a}(x) e^{i(a-b) phi}, with f_{b,a}
+        interpolated linearly between grid nodes as a + w Delta from one
+        gather of the ``pair_table`` column [f_j | f_{j+1} - f_j] (held at
+        the end nodes outside the grid).  The interpolation index and weight
+        are computed once per sample for all pairs.  e^{ik phi} comes from e
+        by the power recurrence (powers of e^{-i phi} for k < 0), so an
+        offset k carries about |k| ulp more roundoff than
+        np.exp(1j * k * phi).  The products f e^{ik phi} are written into the
+        real and imaginary parts of one pair-major array, returned as its
+        transpose, shape (n_samples, n_pairs).
         """
         interp, k_lo, k_hi, runs = table
-        x = np.asarray(x, dtype=float)
-        e = np.asarray(e, dtype=complex)
+        x = np.asarray(outcomes, dtype=float)
+        e = np.asarray(settings, dtype=complex)
         g = self.x
         dx = self.grid.spacing
         idx = np.clip(((x - g[0]) / dx).astype(np.int64), 0, g.size - 2)
@@ -336,36 +322,25 @@ class HomodyneKernel:
             np.multiply(f[lo:hi], rot.real, out=f[lo:hi])
         return out.T
 
-    def terms(self, pairs1, pairs2, comb, den_cols):
-        """The run-only values of one estimate kind: the pair tables of the
-        two modes' pairs (one table when the pairs are equal), comb and the
-        denominator columns."""
-        t1 = self.pair_table(pairs1)
-        t2 = t1 if pairs2 == pairs1 else self.pair_table(pairs2)
-        return t1, t2, comb, den_cols
-
-    def block_sums(self, block, terms):
-        """The estimator sums e1.T @ (e2 @ comb) of a block's heralded
-        samples and the real denominator sum of e1[:, i0] e2[:, j0] (0.0
-        without one), e1 and e2 the ``dyad_estimates`` of each mode.
+    def block_sums(self, block, tables) -> np.ndarray:
+        """The dyad moment matrix e1.T @ e2 of a block's heralded samples,
+        e1 and e2 the ``dyad_estimates`` of each mode's pair table in
+        ``tables``.
 
         The sums are taken in chunks of ``DYAD_CHUNK`` samples, so no
         (samples, pairs) array of a whole block is built.  A block of at most
         one chunk gives exactly the one-shot sums; a longer one adds the
         chunk sums in order, which moves them by roundoff.
         """
-        t1, t2, comb, den_cols = terms
-        est = np.zeros((t1[0].shape[0] // 2, comb.shape[1]), dtype=complex)
-        den = 0.0
+        t1, t2 = tables
+        m = np.zeros((t1[0].shape[0] // 2, t2[0].shape[0] // 2), dtype=complex)
         for lo in range(0, block.set1.size, DYAD_CHUNK):
             c = slice(lo, lo + DYAD_CHUNK)
             e1 = self.dyad_estimates(block.out1[c], block.set1[c], t1)
             e2 = self.dyad_estimates(block.out2[c], block.set2[c], t2)
-            est += e1.T @ (e2 @ comb)
-            if den_cols is not None:
-                den += np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
+            m += e1.T @ e2
             del e1, e2  # not alive while the next chunk's are formed
-        return est, den
+        return m
 
     def cache_key(self) -> str:
         raw = (
@@ -497,7 +472,7 @@ def build_homodyne_kernel(
                 delta,
                 f"kernel unbiasedness defect {defect:.3e} > {KERNEL_GATE_TOL:.0e} "
                 f"within window on diagonal delta={delta}; "
-                "reduce dim_cut or raise eta",
+                "reduce dim_cut, raise eta or widen grid_half_width",
             )
         tables[delta] = np.ascontiguousarray(f.T)
         recovery[delta] = recov

@@ -86,6 +86,10 @@ def render_result(cfg: ExperimentConfig, estimate: MatrixEstimate,
 
 
 def parse_result(text: str) -> ResultDoc:
+    """Parse a result document; raises ValueError on a malformed one: a bad
+    header, an unknown estimate kind, a summary without i0, j0 and window
+    or with (i0, j0) outside the window, or matrix rows that do not give
+    every index of the window exactly once."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("optomo-result"):
         raise ValueError("missing 'optomo-result v<N>' header")
@@ -110,21 +114,31 @@ def parse_result(text: str) -> ResultDoc:
         elif section == "[matrix]":
             rows.append(stripped.split())
     cfg = parse_config("\n".join(config_lines))
-    kind = summary.get("estimate_kind", "pure")
+    kind = summary.get("estimate_kind")
+    if kind not in _INDEX_NAMES:
+        raise ValueError(f"unknown estimate_kind {kind!r}")
+    missing = [k for k in ("i0", "j0", "window") if k not in summary]
+    if missing:
+        raise ValueError(f"[summary] lacks {', '.join(missing)}")
+    w1 = int(summary["window"]) + 1
+    if not all(0 <= int(summary[k]) < w1 for k in ("i0", "j0")):
+        raise ValueError("[summary] needs 0 <= i0, j0 <= window")
     order = len(_INDEX_NAMES[kind])
     table = np.array(rows, dtype=float)
     if table.ndim != 2 or table.shape[1] != order + 3:
         raise ValueError(f"[matrix] needs rows of {order + 3} columns")
-    idx = tuple(table[:, :order].astype(int).T)
-    shape = (int(table[:, :order].max()) + 1,) * order
-    vals = np.zeros(shape, dtype=complex)
-    errs = np.zeros(shape)
-    vals[idx] = table[:, order] + 1j * table[:, order + 1]
-    errs[idx] = table[:, order + 2]
-    side = shape[0] ** (order // 2)
+    idx = table[:, :order].astype(int)
+    flat = idx @ w1 ** np.arange(order - 1, -1, -1)  # row-major entry
+    side = w1 ** (order // 2)
+    if not (np.all((idx >= 0) & (idx < w1))
+            and np.array_equal(np.sort(flat), np.arange(side * side))):
+        raise ValueError(f"[matrix] rows must give every index of window "
+                         f"{w1 - 1} exactly once")
+    table = table[np.argsort(flat)]
     return ResultDoc(config=cfg, kind=kind, summary=summary,
-                     values=vals.reshape(side, side),
-                     std_errors=errs.reshape(side, side))
+                     values=(table[:, order] + 1j * table[:, order + 1]
+                             ).reshape(side, side),
+                     std_errors=table[:, order + 2].reshape(side, side))
 
 
 def render_plotdata_diagonal(values, std_errors, theory) -> str:

@@ -298,31 +298,26 @@ def homodyne_dyads_by_pairs(kernel, x, phi, pairs) -> np.ndarray:
     return out
 
 
-def per_sample_sums(backend, blk, pairs1, pairs2, comb, den_cols):
-    """A block's estimator sums from every heralded sample at once.
+def per_sample_sums(backend, blk, tables):
+    """A block's dyad moment matrix from every heralded sample at once.
 
-    e1.T @ (e2 @ comb) with e1, e2 the (samples, pairs) dyad estimates of the
-    block's two modes, each evaluated through the backend's ``pair_table``
-    of its own pairs, and the real denominator sum e1[:, i0] e2[:, j0] (0.0
-    when ``den_cols`` is None): no chunks and no observable-pair sums.
+    e1.T @ e2 with e1, e2 the (samples, pairs) dyad estimates of the block's
+    two modes, evaluated through the backend's ``dyad_estimates`` of the
+    pair tables ``tables``: no chunks and no observable-pair sums.
     """
-    e1 = backend.dyad_estimates(blk.out1, blk.set1, backend.pair_table(pairs1))
-    e2 = backend.dyad_estimates(blk.out2, blk.set2, backend.pair_table(pairs2))
-    den = (np.sum(e1[:, den_cols[0]] * e2[:, den_cols[1]]).real
-           if den_cols else 0.0)
-    return e1.T @ (e2 @ comb), den
+    e1 = backend.dyad_estimates(blk.out1, blk.set1, tables[0])
+    e2 = backend.dyad_estimates(blk.out2, blk.set2, tables[1])
+    return e1.T @ e2
 
 
-def exact_sums_by_outcomes(branches, weights, quorum, pairs1, pairs2, comb,
-                           den_cols):
-    """Exact expectations of the estimator sums of the given pairs and of
-    their denominator, one outcome pair at a time in matrix form.
+def exact_sums_by_outcomes(branches, weights, quorum, tables):
+    """Exact expectation per sample of the dyad moment matrix of the pair
+    tables ``tables``, one outcome pair at a time in matrix form.
 
-    T1.T @ (P @ (T2 @ comb)) with P[u, v] the joint probability of outcome u
-    of mode 1 and v of mode 2, each indexed k d + m (eigenvalue m of
-    observable k), and T the ``dyad_estimates`` of each mode's pairs at
-    every one of the L d outcomes; the denominator is T1[:, i0] @ P @
-    T2[:, j0] (0.0 when ``den_cols`` is None).
+    T1.T @ P @ T2 with P[u, v] the joint probability of outcome u of mode 1
+    and v of mode 2, each indexed k d + m (eigenvalue m of observable k),
+    and T the ``dyad_estimates`` of each mode's pair table at every one of
+    the L d outcomes.
     """
     from optomo.sampling import joint_outcome_table
 
@@ -330,11 +325,9 @@ def exact_sums_by_outcomes(branches, weights, quorum, pairs1, pairs2, comb,
     prob = joint_outcome_table(branches, weights, quorum).transpose(
         0, 2, 1, 3).reshape(n, n)
     obs, out = np.divmod(np.arange(n), quorum.dim)
-    t1 = quorum.dyad_estimates(out, obs, quorum.pair_table(pairs1))
-    t2 = quorum.dyad_estimates(out, obs, quorum.pair_table(pairs2))
-    den = ((t1[:, den_cols[0]] @ prob @ t2[:, den_cols[1]]).real
-           if den_cols else 0.0)
-    return t1.T @ (prob @ (t2 @ comb)), den
+    t1 = quorum.dyad_estimates(out, obs, tables[0])
+    t2 = quorum.dyad_estimates(out, obs, tables[1])
+    return t1.T @ prob @ t2
 
 
 def render_rows_by_entry(values, std_errors, order: int) -> str:

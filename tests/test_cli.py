@@ -239,7 +239,9 @@ class TestEmitPlotdata:
     def test_missing_file_exit_2(self, capsys):
         assert main(["emit-plotdata", "--from", "missing.result.txt"]) == 2
 
-    @pytest.mark.parametrize("fault", ["bad_version", "cut_after_matrix"])
+    @pytest.mark.parametrize("fault", [
+        "bad_version", "cut_after_matrix", "unknown_kind", "no_i0",
+        "cut_last_rows", "row_deleted"])
     def test_malformed_document_exit_2(self, tmp_path, capsys, fault):
         good = np.diag([1.0, 0.8, 0.0]).astype(complex)[None]
         cfg = _kraus_config(tmp_path, good, "finite")
@@ -247,10 +249,21 @@ class TestEmitPlotdata:
                      "--out-dir", str(tmp_path)]) == 0
         doc = tmp_path / "k.result.txt"
         text = doc.read_text()
+        # a window-1 pure document: rows 0 0, 0 1, 1 0, 1 1
         if fault == "bad_version":
             text = text.replace("optomo-result v", "optomo-result vX", 1)
-        else:
+        elif fault == "cut_after_matrix":
             text = text[: text.index("[matrix]") + len("[matrix]\n")]
+        elif fault == "unknown_kind":
+            text = text.replace("estimate_kind = pure", "estimate_kind = foo")
+        elif fault == "no_i0":
+            text = text.replace("\ni0 = ", "\nx0 = ")
+        elif fault == "cut_last_rows":
+            text = "".join(text.splitlines(keepends=True)[:-2])
+        else:
+            row = next(ln for ln in text.splitlines(keepends=True)
+                       if ln.startswith("1 0 "))
+            text = text.replace(row, "")
         doc.write_text(text)
         capsys.readouterr()
         assert main(["emit-plotdata", "--from", str(doc),

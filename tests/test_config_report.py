@@ -194,6 +194,33 @@ class TestResultDocument:
         assert doc.summary["hermiticity_defect"] == "5.00e-02"
 
 
+    @pytest.mark.parametrize("fault", ["unknown_kind", "no_i0",
+                                       "i0_outside_window", "cut_last_rows",
+                                       "row_deleted", "row_repeated"])
+    def test_malformed_document_raises(self, fault):
+        # a window-3 pure document: 16 rows, one per entry
+        text = render_result(ExperimentConfig(), _fake_estimate(4), "pure")
+        lines = text.splitlines(keepends=True)
+        row_23 = next(ln for ln in lines if ln.startswith("2 3 "))
+        if fault == "unknown_kind":
+            text = text.replace("estimate_kind = pure", "estimate_kind = foo")
+        elif fault == "no_i0":
+            text = text.replace("i0 = 0\n", "")
+        elif fault == "i0_outside_window":
+            text = text.replace("i0 = 0\n", "i0 = 4\n")
+        elif fault == "cut_last_rows":
+            text = "".join(lines[:-9])
+        elif fault == "row_deleted":
+            text = text.replace(row_23, "")
+        else:
+            text = text.replace(row_23, row_23 + row_23).replace(
+                next(ln for ln in lines if ln.startswith("3 3 ")), "")
+        match = {"unknown_kind": "estimate_kind", "no_i0": "lacks i0",
+                 "i0_outside_window": "i0, j0 <= window"}
+        with pytest.raises(ValueError, match=match.get(fault, "exactly once")):
+            parse_result(text)
+
+
 def _matrix_section(text):
     return text.partition(" re im stderr\n")[2]
 

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ from optomo.estimation import (
     accumulate_pure,
     align_to_truth,
     choi_terms,
-    exact_finite_joint,
     exact_pure_estimate,
     finalize_choi,
     finalize_pure,
@@ -31,8 +31,8 @@ from optomo.maps import (
     output_branches,
     twin_beam,
 )
-from optomo.quorum import (DYAD_CHUNK, GridSpec, build_finite_quorum,
-                           build_homodyne_kernel)
+from optomo.quorum import (DYAD_CHUNK, FiniteQuorum, GridSpec, HomodyneKernel,
+                           build_finite_quorum, build_homodyne_kernel)
 from optomo.pipeline import _heralded_block
 from optomo.sampling import (
     SampleBlock,
@@ -57,17 +57,6 @@ def make_finite_blocks(branches, weights, quorum, n_blocks, per_block, seed,
     return [_heralded_block(cfg, p_occ, b, draw) for b in range(n_blocks)]
 
 
-class PairLists:
-    """A stand-in backend whose ``terms`` are its arguments: the pair lists,
-    mode-2 combination and denominator columns that ``pure_terms`` and
-    ``choi_terms`` hand a backend, for the oracles to evaluate their own
-    way."""
-
-    @staticmethod
-    def terms(*args):
-        return args
-
-
 # traced peak of one d = 6, 17,000-sample Choi block reduction: 1.1 x the
 # 432 KB it reads (numpy 2.4); the (L d, L d) int64 joint counts of such a
 # block and their complex cast alone would take 1.1 MB
@@ -76,8 +65,9 @@ PEAK_BOUND = 475_000
 
 class TestChunkedAccumulation:
     """A homodyne block is reduced in chunks of DYAD_CHUNK heralded samples,
-    a finite-quorum block through its observable-pair sums; either way the
-    sums must match the one-shot per-sample sums of the whole block."""
+    a finite-quorum block through its observable-pair sums; either way its
+    dyad moments must match the one-shot per-sample sums of the whole
+    block."""
 
     CHUNK = DYAD_CHUNK
 
@@ -102,22 +92,17 @@ class TestChunkedAccumulation:
         return SampleBlock(0, herald, *(c[herald] for c in cols))
 
     @staticmethod
-    def _accumulate(kind, blk, coef, backend):
-        """The (pairs1, pairs2, comb, den_cols) of the kind, for
-        ``per_sample_sums``, and the block's accumulator row."""
-        if kind == "pure":
-            make, accumulate = (lambda b: pure_terms(coef, 1, 0, b),
-                                accumulate_pure)
-        else:
-            make, accumulate = (lambda b: choi_terms(coef, b),
-                                accumulate_choi)
-        return make(PairLists), accumulate([blk], make(backend), backend)
+    def _terms(kind, coef, backend):
+        return (pure_terms(coef, 1, 0, backend) if kind == "pure"
+                else choi_terms(coef, backend))
 
     @staticmethod
-    def _assert_close(acc, want, want_den):
-        scale = np.max(np.abs(want))
-        assert np.max(np.abs(acc.est_sums[0] - want)) <= 1e-12 * scale
-        assert abs(acc.den_sums[0] - want_den) <= 1e-12 * abs(want_den)
+    def _assert_close(got, want, den_cols):
+        # the denominator entry to its own scale, as kappa reads it
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if den_cols:
+            den, want_den = got[den_cols].real, want[den_cols].real
+            assert abs(den - want_den) <= 1e-12 * abs(want_den)
 
     @pytest.mark.parametrize("n_heralded",
                              [0, 1, CHUNK - 1, CHUNK, int(2.5 * CHUNK)])
@@ -128,17 +113,17 @@ class TestChunkedAccumulation:
         psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
         coef, _ = mode2_combination(psi, 2, 3)
         blk = self._block(name, backend, n_heralded, 5)
-        args, acc = self._accumulate(kind, blk, coef, backend)
-        want, want_den = per_sample_sums(backend, blk, *args)
-        assert acc.n_heralded[0] == n_heralded
+        tables, _, den_cols = self._terms(kind, coef, backend)
+        got = backend.block_sums(blk, tables)
+        want = per_sample_sums(backend, blk, tables)
+        assert blk.set1.size == n_heralded and got.shape == want.shape
         if n_heralded == 0:
-            assert np.all(acc.est_sums[0] == 0) and acc.den_sums[0] == 0
+            assert np.all(got == 0)
         elif name == "homodyne" and n_heralded <= self.CHUNK:
             # one chunk, per sample: the one-shot arithmetic
-            assert np.array_equal(acc.est_sums[0], want)
-            assert acc.den_sums[0] == want_den
+            assert np.array_equal(got, want)
         else:
-            self._assert_close(acc, want, want_den)
+            self._assert_close(got, want, den_cols)
 
     @pytest.mark.parametrize("kind", ["pure", "choi"])
     def test_d12_small_block_matches_one_shot(self, kind):
@@ -151,8 +136,32 @@ class TestChunkedAccumulation:
         blk = SampleBlock(0, np.ones(500, dtype=bool), *obs, *out)
         psi = twin_beam(1.0, 12, deficit_bound=1.0).psi
         coef, _ = mode2_combination(psi, 11, 11)
-        args, acc = self._accumulate(kind, blk, coef, q)
-        self._assert_close(acc, *per_sample_sums(q, blk, *args))
+        tables, _, den_cols = self._terms(kind, coef, q)
+        self._assert_close(q.block_sums(blk, tables),
+                           per_sample_sums(q, blk, tables), den_cols)
+
+    @pytest.mark.parametrize("name", ["homodyne", "finite"])
+    @pytest.mark.parametrize("kind", ["pure", "choi"])
+    def test_accumulated_rows_are_moments_times_comb(self, kernel, name,
+                                                     kind):
+        # every row of the accumulator is M @ comb and M[i0, j0].real (0.0
+        # on a Choi estimate) of its block's one-shot dyad moments M
+        backend = kernel if name == "homodyne" else build_finite_quorum(4)
+        psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
+        coef, _ = mode2_combination(psi, 2, 3)
+        blocks = [replace(self._block(name, backend, n, seed), block_id=b)
+                  for b, (n, seed) in enumerate([(700, 5), (1, 6), (0, 7)])]
+        terms = self._terms(kind, coef, backend)
+        tables, comb, den_cols = terms
+        accumulate = accumulate_pure if kind == "pure" else accumulate_choi
+        acc = accumulate(blocks, terms, backend)
+        for b, blk in enumerate(blocks):
+            m = per_sample_sums(backend, blk, tables)
+            want = m @ comb
+            assert np.max(np.abs(acc.est_sums[b] - want)) <= (
+                1e-12 * np.max(np.abs(want)))
+            want_den = m[den_cols].real if den_cols else 0.0
+            assert abs(acc.den_sums[b] - want_den) <= 1e-12 * abs(want_den)
 
     def test_finite_choi_block_memory(self):
         # one d = 6 block of 17,000 heralded samples, the size of a
@@ -176,34 +185,44 @@ class TestChunkedAccumulation:
 
 
 class TestBackendInterface:
-    def test_chain_asks_only_terms_and_block_sums(self):
-        # a backend with max_index, terms and block_sums and nothing else:
-        # block b sums to (b + 1) per heralded sample and its denominator
-        # to 1 per sample, so kappa = 1 and the grand mean is 2
+    @pytest.mark.parametrize("method",
+                             ["pair_table", "dyad_estimates", "block_sums"])
+    def test_backends_share_parameter_names(self, method):
+        homodyne, finite = (
+            list(inspect.signature(getattr(cls, method)).parameters)
+            for cls in (HomodyneKernel, FiniteQuorum))
+        assert homodyne == finite
+
+    def test_chain_asks_only_pair_table_and_block_sums(self):
+        # a backend with max_index, pair_table and block_sums and nothing
+        # else: block b of n samples has dyad moments (b + 1) n at every
+        # pair but the denominator's (0, 1), which is n; so kappa = 1 and,
+        # with the identity mode-2 combination, the estimate is the grand
+        # mean of the block moments per sample
         class Stub:
             max_index = 1
 
-            def terms(self, pairs1, pairs2, comb, den_cols):
-                assert den_cols == (0, 1)
-                return len(pairs1), comb.shape[1]
+            def pair_table(self, pairs):
+                return len(pairs)
 
-            def block_sums(self, block, terms):
+            def block_sums(self, block, tables):
                 n = block.set1.size
-                return (np.full(terms, (block.block_id + 1.0) * n + 0j),
-                        float(n))
+                m = np.full(tables, (block.block_id + 1.0) * n + 0j)
+                m[0, 1] = n
+                return m
 
         stub = Stub()
-        coef, deficit = mode2_combination(np.eye(2) / np.sqrt(2), 1,
-                                          stub.max_index)
+        coef, deficit = mode2_combination(np.eye(2), 1, stub.max_index)
         blocks = [SampleBlock(b, np.ones(4, dtype=bool), *np.zeros((4, 4)))
                   for b in range(3)]
         terms = pure_terms(coef, 0, 1, stub)
         est = finalize_pure(accumulate_pure(blocks, terms, stub), 0, 1,
                             deficit)
         assert est.kappa.kappa == 1.0 and est.n_blocks == 3
-        assert np.array_equal(est.values, np.full((2, 2), 2.0 + 0j))
-        np.testing.assert_allclose(est.std_errors, np.sqrt(1.0 / 3.0),
-                                   rtol=1e-15)
+        assert np.array_equal(est.values, [[2.0, 1.0], [2.0, 2.0]])
+        np.testing.assert_allclose(
+            est.std_errors, np.sqrt(1.0 / 3.0) * np.array([[1, 0], [1, 1]]),
+            rtol=1e-15)
 
 
 class TestMode2Combination:
@@ -297,8 +316,9 @@ class TestExactChain:
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
-        _, den = exact_finite_joint(
-            [phi], [p], q, q.terms([(0, 0)], [(0, 0)], np.eye(1), (0, 0)))
+        tables, _, _ = pure_terms(np.eye(1), 0, 0, q)
+        m = q.exact_sums(joint_outcome_table([phi], [p], q), tables)
+        den = m[0, 0].real
         assert abs(den - 0.5) < 1e-12
         assert abs(np.sqrt(p / den) - np.sqrt(2.0)) < 1e-12
 
@@ -311,10 +331,8 @@ class TestExactChain:
         psi = psi / np.linalg.norm(psi)
         phi, p = apply_pure(PureOperation(a), psi)
         psi_inv = np.linalg.inv(psi)
-        mean, _ = exact_finite_joint(
-            [phi], [p], q,
-            q.terms([(0, i) for i in range(2)],
-                    [(0, k) for k in range(2)], psi_inv, None))
+        tables, comb, _ = pure_terms(psi_inv, 0, 0, q)
+        mean = q.exact_sums(joint_outcome_table([phi], [p], q), tables) @ comb
         expect = np.conj(phi[0, 0]) * (phi @ psi_inv)
         assert np.max(np.abs(mean - expect)) < 1e-12
 
@@ -332,13 +350,17 @@ class TestExactChain:
         branches, weights = output_branches(
             KrausMap(tuple(random_kraus_map(rng, d))), psi)
         coef, _ = mode2_combination(psi, d - 1, d - 1)
-        make = ((lambda b: pure_terms(coef, 0, 1, b)) if kind == "pure"
-                else (lambda b: choi_terms(coef, b)))
-        est, den = exact_finite_joint(branches, weights, q, make(q))
-        want, want_den = exact_sums_by_outcomes(branches, weights, q,
-                                                *make(PairLists))
-        assert np.max(np.abs(est - want)) <= 1e-12 * np.max(np.abs(want))
-        assert abs(den - want_den) <= 1e-12 * abs(want_den)
+        tables, comb, den_cols = (pure_terms(coef, 0, 1, q) if kind == "pure"
+                                  else choi_terms(coef, q))
+        m = q.exact_sums(joint_outcome_table(branches, weights, q), tables)
+        want = exact_sums_by_outcomes(branches, weights, q, tables)
+        # the sums of the estimators and the denominator to their own scales
+        est, want_est = m @ comb, want @ comb
+        assert np.max(np.abs(est - want_est)) <= (
+            1e-12 * np.max(np.abs(want_est)))
+        if den_cols:
+            assert abs(m[den_cols].real - want[den_cols].real) <= (
+                1e-12 * abs(want[den_cols].real))
 
 
 class TestSampledPure:

@@ -149,6 +149,13 @@ class TestHomodyneKernel:
             build_homodyne_kernel(32, 0.505, GridSpec(12.0), max_index=16)
         assert err.value.delta >= 0
 
+    def test_narrow_grid_trips_gate_naming_grid(self):
+        # at dim_cut 16 and eta 0.9 a half-width of 6 passes the gate and one
+        # of 2.5 cuts the pattern functions off: the message names the grid
+        build_homodyne_kernel(16, 0.9, GridSpec(6.0))
+        with pytest.raises(IllConditionedKernelError, match="grid_half_width"):
+            build_homodyne_kernel(16, 0.9, GridSpec(2.5))
+
     def test_cache_roundtrip(self, kernel, tmp_path):
         kernel.save(tmp_path / "k.npz")
         loaded = load_homodyne_kernel(tmp_path / "k.npz")
