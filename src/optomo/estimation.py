@@ -19,15 +19,16 @@ estimates).  This module never looks at outcomes or settings, and the
 backends know nothing of the estimator.
 
 Pure and Choi entries are fixed linear combinations of dyad moments:
-``pure_terms`` and ``choi_terms`` give each kind's two pair tables (one
-table when the modes' pair lists are equal), mode-2 combination ``comb``
-and denominator columns (i0, j0) (None for Choi).  A block's estimator
-sums are M @ comb and its denominator sum M[i0, j0].real, formed in
-``_accumulate`` and the exact path only; ``finalize_choi`` puts Choi sums
-in the (i, j), (l, k) layout once.  The exact path (``exact_*``) takes a
-finite quorum's ``exact_sums``, M per sample under the joint outcome law
-the finite route samples: ``joint_outcome_table`` of the output branches
-K_n psi and their weights.
+``pure_terms`` and ``choi_terms`` give each kind's ``(tables, comb)``, the
+two pair tables (one table when the modes' pair lists are equal) and the
+mode-2 combination.  The block accumulator keeps each block's M and knows
+nothing of the estimate kind; the block means (M @ comb) / n and the pure
+denominator M[i0, j0].real / n are formed only in ``finalize_pure`` and
+``finalize_choi`` (the means by ``block_stats(comb)``) and on the exact
+path, and ``finalize_choi`` puts Choi means in the (i, j), (l, k) layout
+once.  The exact path (``exact_*``) takes a finite quorum's ``exact_sums``,
+M per sample under the joint outcome law the finite route samples:
+``joint_outcome_table`` of the output branches K_n psi and their weights.
 
 Error bars follow the block structure of the data: per-block means, standard
 error = std across block means / sqrt(blocks), so fewer than two blocks
@@ -36,11 +37,12 @@ reported separately and not folded into the per-entry bars.
 
 Values that depend only on the run, the mode-2 coefficient matrix
 ``mode2_combination`` (one inversion of psi) and the terms built from it,
-are computed once per run and passed to the per-block
-``accumulate_*`` calls.  Accumulation is per-block with no shared state; each call gives a
-BlockAccumulator of per-block rows, the rows of all blocks are merged once
-per run, and the final reduction is taken in block-index order so results
-are independent of worker scheduling.
+are computed once per run: the pair tables go to the per-block
+``accumulate_*`` calls, ``comb`` to the finalizer.  Accumulation is
+per-block with no shared state; each call gives a BlockAccumulator of
+per-block rows, the rows of all blocks are merged once per run, and the
+final reduction is taken in block-index order so results are independent
+of worker scheduling.
 """
 
 from __future__ import annotations
@@ -62,18 +64,17 @@ REFERENCE_SIGMA_FACTOR = 2.0
 
 @dataclass(frozen=True)
 class BlockAccumulator:
-    """Per-block sums of the estimator values, one row per block.
+    """Per-block dyad moments, one row per block.
 
-    ``est_sums`` has one estimator-sum matrix per block, ``den_sums`` the
-    real part of the reference-denominator sum; ``n_heralded`` and
-    ``n_trials`` count the heralded samples and the trials.  Rows are kept
-    in block-id order, and a repeated block id is rejected, so every
-    reduction is independent of the order in which blocks were accumulated.
+    ``moments`` has one dyad moment matrix M per block, as the backend's
+    ``block_sums`` returns it; ``n_heralded`` and ``n_trials`` count the
+    heralded samples and the trials.  Rows are kept in block-id order, and
+    a repeated block id is rejected, so every reduction is independent of
+    the order in which blocks were accumulated.
     """
 
     block_ids: np.ndarray
-    est_sums: np.ndarray
-    den_sums: np.ndarray
+    moments: np.ndarray
     n_heralded: np.ndarray
     n_trials: np.ndarray
 
@@ -107,15 +108,11 @@ class BlockAccumulator:
                 "errors need at least two: raise samples_per_block or blocks")
         return keep
 
-    def block_means(self) -> np.ndarray:
-        """Per-block means of the estimator values (blocks with data only)."""
+    def block_stats(self, comb) -> tuple[np.ndarray, np.ndarray, int]:
+        """Grand mean of the block means (M @ comb) / n of the blocks with
+        data, its standard error and the number of those blocks."""
         keep = self.blocks_with_data()
-        return self.est_sums[keep] / self.n_heralded[keep, None, None]
-
-    def block_stats(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Grand mean of the block means, its standard error and the number
-        of blocks with data."""
-        means = self.block_means()
+        means = (self.moments[keep] @ comb) / self.n_heralded[keep, None, None]
         nb = means.shape[0]
         grand = means.mean(axis=0)
         stderr = np.sqrt(
@@ -168,9 +165,9 @@ class MatrixEstimate:
 def select_reference(magnitudes: np.ndarray) -> tuple[int, int]:
     """Reference indices (i0, j0) maximising |phi|, row-major tie-break.
 
-    ``magnitudes`` is an exact or pilot-estimated table of |phi_ij|.  An
-    all-zero table raises ReferenceTooSmallError: every reference
-    denominator would vanish.
+    ``magnitudes`` is the table of |phi_ij| over the window, which a run
+    takes from its exact output.  An all-zero table raises
+    ReferenceTooSmallError: every reference denominator would vanish.
     """
     mags = np.abs(np.asarray(magnitudes))
     if not np.any(mags > 0):
@@ -237,22 +234,22 @@ def mode2_combination(psi: np.ndarray, window: int, k_max: int):
     return kept, deficit
 
 
-def _terms(backend, pairs1, pairs2, comb, den_cols):
-    """The run-only values of one estimate kind: the pair tables of the two
-    modes' pairs (one table when the pair lists are equal), ``comb`` and
-    the denominator columns."""
+def _terms(backend, pairs1, pairs2, comb):
+    """The run-only values ``(tables, comb)`` of one estimate kind: the pair
+    tables of the two modes' pairs (one table when the pair lists are
+    equal) and the mode-2 combination."""
     t1 = backend.pair_table(pairs1)
     t2 = t1 if pairs2 == pairs1 else backend.pair_table(pairs2)
-    return (t1, t2), comb, den_cols
+    return (t1, t2), comb
 
 
 def pure_terms(coef: np.ndarray, i0: int, j0: int, backend):
     """The terms of A_ij: mode-1 pairs |i0><i|, mode-2 pairs |j0><k|
-    combined by ``coef`` into |j0><psi^{-1*}(j)|, and the denominator
-    columns (i0, j0)."""
+    combined by ``coef`` into |j0><psi^{-1*}(j)|.  The reference
+    denominator is the moment at (i0, j0)."""
     k1, w1 = coef.shape
     return _terms(backend, [(i0, i) for i in range(w1)],
-                  [(j0, k) for k in range(k1)], coef, (i0, j0))
+                  [(j0, k) for k in range(k1)], coef)
 
 
 def choi_terms(coef: np.ndarray, backend):
@@ -264,7 +261,7 @@ def choi_terms(coef: np.ndarray, backend):
     pairs2 = [(a, b) for a in range(k1) for b in range(k1)]
     # est(j, k) = sum_ab conj(coef[a, k]) coef[b, j] dyad(a, b)
     comb = np.einsum("ak,bj->abjk", coef.conj(), coef).reshape(k1 * k1, w1 * w1)
-    return _terms(backend, pairs1, pairs2, comb, None)
+    return _terms(backend, pairs1, pairs2, comb)
 
 
 def _choi_layout(m: np.ndarray) -> np.ndarray:
@@ -273,37 +270,37 @@ def _choi_layout(m: np.ndarray) -> np.ndarray:
     return m.reshape((w1,) * 4).transpose(1, 2, 0, 3).reshape(m.shape)
 
 
-def _accumulate(blocks, backend, terms) -> BlockAccumulator:
-    """One accumulator row per SampleBlock: from its dyad moments M
-    (``backend.block_sums``), the estimator sums M @ comb of its heralded
-    samples and the denominator sum M[i0, j0].real (0.0 without one)."""
-    tables, comb, den_cols = terms
-    m = np.array([backend.block_sums(blk, tables) for blk in blocks])
-    den = (m[:, den_cols[0], den_cols[1]].real if den_cols
-           else np.zeros(len(blocks)))
+def _accumulate(blocks, backend, tables) -> BlockAccumulator:
+    """One accumulator row per SampleBlock: its dyad moments M
+    (``backend.block_sums``) and its sample counts."""
     return BlockAccumulator(
-        np.array([blk.block_id for blk in blocks]), m @ comb, den,
+        np.array([blk.block_id for blk in blocks]),
+        np.array([backend.block_sums(blk, tables) for blk in blocks]),
         np.array([blk.set1.size for blk in blocks]),
         np.array([blk.herald.size for blk in blocks]),
     )
 
 
 def accumulate_pure(blocks, terms, backend) -> BlockAccumulator:
-    """Per-block sums of the pure-operation entry estimators; ``terms`` is
-    the run's ``pure_terms`` on ``backend``."""
-    return _accumulate(blocks, backend, terms)
+    """Per-block dyad moments of the pure-operation pairs; ``terms`` is the
+    run's ``pure_terms`` on ``backend``."""
+    return _accumulate(blocks, backend, terms[0])
 
 
-def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
-    """kappa from herald statistics and the tomographic reference denominator.
+def finalize_pure(acc: BlockAccumulator, comb: np.ndarray, i0: int, j0: int,
+                  deficit: float) -> MatrixEstimate:
+    """Reduce accumulated blocks (in block-index order) to a MatrixEstimate.
 
+    The entries are the block means (M @ comb) / n, ``comb`` the run's
+    ``pure_terms`` combination, scaled by kappa = sqrt(p_hat / den): the
+    herald frequency over the reference denominator, the mean of
+    M[i0, j0].real / n.  ``deficit`` is the run's total truncation deficit.
     Raises ReferenceTooSmallError when fewer than two blocks hold heralded
-    samples, or when the denominator estimate is within twice its own
-    standard error of zero.
+    samples, or when den is within twice its own standard error of zero.
     """
     keep = acc.blocks_with_data()
     p_hat, p_stderr = acc.occurrence()
-    dmeans = acc.den_sums[keep] / acc.n_heralded[keep]
+    dmeans = acc.moments[keep, i0, j0].real / acc.n_heralded[keep]
     den = float(np.mean(dmeans))
     den_stderr = float(np.std(dmeans, ddof=1) / np.sqrt(dmeans.size))
     if den <= REFERENCE_SIGMA_FACTOR * den_stderr or den <= 0.0:
@@ -313,25 +310,15 @@ def estimate_kappa(acc: BlockAccumulator, i0: int, j0: int) -> KappaEstimate:
         )
     kappa = float(np.sqrt(p_hat / den))
     rel = 0.5 * np.sqrt((p_stderr / p_hat) ** 2 + (den_stderr / den) ** 2)
-    return KappaEstimate(
-        kappa=kappa, kappa_stderr=float(kappa * rel),
-        p_hat=float(p_hat), p_hat_stderr=p_stderr,
-        denominator=den, denominator_stderr=den_stderr,
-    )
-
-
-def finalize_pure(acc: BlockAccumulator, i0: int, j0: int,
-                  deficit: float) -> MatrixEstimate:
-    """Reduce accumulated blocks (in block-index order) to a MatrixEstimate.
-
-    ``deficit`` is the run's total truncation deficit.
-    """
-    kap = estimate_kappa(acc, i0, j0)
-    grand, stderr, nb = acc.block_stats()
+    grand, stderr, nb = acc.block_stats(comb)
     return MatrixEstimate(
-        values=kap.kappa * grand,
-        std_errors=kap.kappa * stderr,
-        kappa=kap,
+        values=kappa * grand,
+        std_errors=kappa * stderr,
+        kappa=KappaEstimate(
+            kappa=kappa, kappa_stderr=float(kappa * rel),
+            p_hat=float(p_hat), p_hat_stderr=p_stderr,
+            denominator=den, denominator_stderr=den_stderr,
+        ),
         i0=i0, j0=j0,
         n_blocks=nb,
         truncation_deficit=deficit,
@@ -339,24 +326,25 @@ def finalize_pure(acc: BlockAccumulator, i0: int, j0: int,
 
 
 def accumulate_choi(blocks, terms, backend) -> BlockAccumulator:
-    """Per-block sums of the Choi entry estimators; ``terms`` is the run's
-    ``choi_terms`` on ``backend``.  The sums stay in their (l, i), (j, k)
-    layout until ``finalize_choi``."""
-    return _accumulate(blocks, backend, terms)
+    """Per-block dyad moments of the Choi pairs; ``terms`` is the run's
+    ``choi_terms`` on ``backend``."""
+    return _accumulate(blocks, backend, terms[0])
 
 
-def finalize_choi(acc: BlockAccumulator, deficit: float) -> MatrixEstimate:
+def finalize_choi(acc: BlockAccumulator, comb: np.ndarray,
+                  deficit: float) -> MatrixEstimate:
     """Reduce Choi accumulation; scales by the occurrence estimate and hermitises.
 
     The ensemble averages of the 4-index estimators refer to the unnormalised
     output R(psi) (trace = occurrence probability); sample means over heralded
     data are therefore multiplied by the herald frequency p_hat before
-    inversion to R(I).  The block means and their errors are put in the
-    (i, j), (l, k) layout here, once.  ``deficit`` is the run's total
-    truncation deficit.
+    inversion to R(I).  ``comb`` is the run's ``choi_terms`` combination;
+    the block means come out laid out (l, i), (j, k) and are put, with
+    their errors, in the (i, j), (l, k) layout here, once.  ``deficit`` is
+    the run's total truncation deficit.
     """
     p_hat, p_hat_stderr = acc.occurrence()
-    mean, stderr, nb = acc.block_stats()
+    mean, stderr, nb = acc.block_stats(comb)
     grand, spread = _choi_layout(mean) * p_hat, p_hat * _choi_layout(stderr)
     defect = float(np.max(np.abs(grand - grand.conj().T)))
     herm = (grand + grand.conj().T) / 2.0
@@ -386,7 +374,7 @@ def exact_pure_estimate(branches, weights, psi: np.ndarray, i0: int, j0: int,
     A up to the global phase when the output is ``output_branches`` of the
     one-operator map (A,)."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
-    tables, comb, _ = pure_terms(coef, i0, j0, quorum)
+    tables, comb = pure_terms(coef, i0, j0, quorum)
     m = quorum.exact_sums(joint_outcome_table(branches, weights, quorum),
                           tables)
     return np.sqrt(sum(weights) / m[i0, j0].real) * (m @ comb)
@@ -398,7 +386,7 @@ def exact_choi_estimate(branches, weights, psi: np.ndarray,
     outcome law of the output branches, times the occurrence probability
     sum(weights), hermitised."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
-    tables, comb, _ = choi_terms(coef, quorum)
+    tables, comb = choi_terms(coef, quorum)
     m = quorum.exact_sums(joint_outcome_table(branches, weights, quorum),
                           tables)
     r_est = sum(weights) * _choi_layout(m @ comb)

@@ -8,7 +8,7 @@ one model of the output, which every route and the exact path sample or
 tabulate), and the measurement backend from a config, samples records block by
 block (each block on its own RNG substream, through one heralded-block
 sampler; the routes differ only in how they draw the heralded samples),
-accumulates the estimator sums, merges the blocks once, and writes the
+accumulates each block's dyad moments, merges the blocks once and writes the
 result document plus plot-data files.  Every block is one ``SampleBlock``
 of heralded samples, dropped once accumulated; the optional sample dump
 draws the blocks again, one at a time.
@@ -203,14 +203,12 @@ def run_simulate(
     routes differ only in the entangler (the finite route renormalises the
     truncated twin beam, so it carries no truncation deficit), in the
     measurement backend (homodyne kernel or finite quorum) and in how the
-    heralded samples of a block are drawn.  Backends, sampler tables, the
-    mode-2 coefficients and the estimator terms are built once per run,
-    after the dry-run return.
+    heralded samples of a block are drawn.  ``out_dir``, backends, sampler
+    tables, the mode-2 coefficients and the estimator terms are made once
+    per run, after the dry-run return: a dry run writes nothing.
     """
     cfg.validate()
     t0 = time.perf_counter()
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     route = cfg.resolved_route()
     window = cfg.n_max
     dim_cut = cfg.resolved_dim_cut()
@@ -253,6 +251,7 @@ def run_simulate(
                          wall_seconds=time.perf_counter() - t0,
                          dry_report=lines)
 
+    out_dir = _make_dir(out_dir)
     if route == "finite":
         backend = build_finite_quorum(dim_cut)
         table = joint_outcome_table(branches, weights, backend)
@@ -286,15 +285,27 @@ def run_simulate(
     acc = _map_blocks(make_block, accumulate_one, list(range(cfg.blocks)),
                       threads)
     total_deficit = coef_deficit + deficit
+    comb = terms[1]
     if kind == "pure":
         estimate = estimation.phase_fix(
-            estimation.finalize_pure(acc, i0, j0, total_deficit))
+            estimation.finalize_pure(acc, comb, i0, j0, total_deficit))
     else:
-        estimate = estimation.finalize_choi(acc, total_deficit)
+        estimate = estimation.finalize_choi(acc, comb, total_deficit)
 
     paths = _write_outputs(cfg, estimate, kind, theory, out_dir, make_block)
     return SimResult(estimate=estimate, kind=kind, theory=theory, paths=paths,
                      wall_seconds=time.perf_counter() - t0)
+
+
+def _make_dir(out_dir) -> pathlib.Path:
+    """Create ``out_dir`` and its parents; a path that cannot be a directory
+    raises a ConfigError naming it."""
+    out_dir = pathlib.Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir}: {exc}") from exc
+    return out_dir
 
 
 def _write_outputs(cfg, estimate, kind, theory, out_dir, make_block):
@@ -340,19 +351,16 @@ def emit_plotdata(result_path, out_dir=".") -> list:
     from the originals in the last digit.
     """
     result_path = pathlib.Path(result_path)
-    if not result_path.exists():
-        raise ConfigError(f"result document {result_path} does not exist")
     try:
         doc = report.parse_result(result_path.read_text())
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not text, malformed
         raise ConfigError(f"result document {result_path}: {exc}") from exc
     if doc.kind != "pure":
         raise ConfigError(
             "plot data is defined for pure-operation results; this document "
             "holds a Choi-matrix estimate"
         )
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(out_dir)
     cfg = doc.config
     theory = theory_matrix(cfg, build_operation(cfg, cfg.resolved_dim_cut()),
                            doc.values.shape[0] - 1)
@@ -550,12 +558,15 @@ def run_verify(suite: str, **kwargs) -> list:
 
 
 def load_config_or_preset(name_or_path: str) -> ExperimentConfig:
-    """Treat the argument as a preset name first, then as a config file path."""
+    """Treat the argument as a preset name first, then as a config file path;
+    a path that is no readable text file raises a ConfigError naming it."""
     from optomo.config import PRESETS, parse_config
 
     if name_or_path in PRESETS:
         return load_preset(name_or_path)
-    path = pathlib.Path(name_or_path)
-    if not path.exists():
-        raise ConfigError(f"no preset or config file named {name_or_path!r}")
-    return parse_config(path.read_text())
+    try:
+        text = pathlib.Path(name_or_path).read_text()
+    except (OSError, ValueError) as exc:  # missing, a directory, not text
+        raise ConfigError(f"no preset or readable config file named "
+                          f"{name_or_path!r}: {exc}") from exc
+    return parse_config(text)

@@ -272,6 +272,21 @@ def random_kraus_map(rng, d: int, n_ops: int = 2, trace_preserving: bool = False
     return [k / np.sqrt(top * 1.1) for k in ks]
 
 
+def loss_kraus(tau: float, d: int, k_max: int) -> list:
+    """Kraus operators A_k, k <= k_max, of the bosonic loss channel of
+    transmissivity tau on a d-level Fock space, entry by entry:
+    A_k = sum_n sqrt(C(n, k) tau^(n-k) (1-tau)^k) |n-k><n|."""
+    from math import comb
+
+    ops = []
+    for k in range(k_max + 1):
+        a = np.zeros((d, d), dtype=complex)
+        for n in range(k, d):
+            a[n - k, n] = np.sqrt(comb(n, k) * tau ** (n - k) * (1 - tau) ** k)
+        ops.append(a)
+    return ops
+
+
 def depolarizing_choi(q: float) -> np.ndarray:
     """Analytic Choi matrix (unnormalised |I>> convention) of the qubit
     depolarizing channel rho -> (1-q) rho + q I/2."""

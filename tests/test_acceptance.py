@@ -209,8 +209,8 @@ class TestCriterion7Heralding:
                                     seed=707, p_occ=p)
         coef, deficit = mode2_combination(psi, 1, 1)
         terms = pure_terms(coef, 0, 0, quorum)
-        est = finalize_pure(accumulate_pure(blocks, terms, quorum), 0, 0,
-                            deficit)
+        est = finalize_pure(accumulate_pure(blocks, terms, quorum), terms[1],
+                            0, 0, deficit)
         sigma_bin = np.sqrt(0.5 * 0.5 / n_trials)
         herald_dev = abs(est.kappa.p_hat - 0.5)
         herald_ok = herald_dev <= 4.0 * sigma_bin

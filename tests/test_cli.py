@@ -55,7 +55,7 @@ class TestSimulate:
         assert code == 0
         out = capsys.readouterr().out
         assert "dry run" in out
-        assert not (tmp_path / "dry" / "tiny.result.txt").exists()
+        assert not (tmp_path / "dry").exists()  # not even the out dir
 
     def test_dump_samples(self, tmp_path):
         cfg = tmp_path / "dump.cfg"
@@ -151,6 +151,25 @@ class TestSimulate:
     def test_missing_config_exit_2(self, capsys):
         assert main(["simulate", "--config", "nope.cfg"]) == 2
 
+    @pytest.mark.parametrize("fault", ["directory", "binary"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, fault):
+        path = tmp_path / "bad.cfg"
+        if fault == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"optomo-config v1\n\x89\xff\xfe\n")
+        assert main(["simulate", "--config", str(path), "--dry-run"]) == 2
+        assert (f"config error: no preset or readable config file named "
+                f"{str(path)!r}") in capsys.readouterr().err
+
+    def test_out_dir_is_a_file_exit_2(self, tiny_cfg, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["simulate", "--config", str(tiny_cfg),
+                     "--out-dir", str(taken)]) == 2
+        assert (f"config error: output directory {taken}"
+                in capsys.readouterr().err)
+
     def test_numerical_error_exit_3(self, tiny_cfg, tmp_path, capsys):
         # reference pinned on a structurally-zero element of an identity run
         cfg = tmp_path / "ref.cfg"
@@ -238,6 +257,23 @@ class TestEmitPlotdata:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["emit-plotdata", "--from", "missing.result.txt"]) == 2
+
+    def test_from_directory_exit_2(self, tmp_path, capsys):
+        assert main(["emit-plotdata", "--from", str(tmp_path)]) == 2
+        assert (f"config error: result document {tmp_path}"
+                in capsys.readouterr().err)
+
+    def test_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        cfg = _kraus_config(tmp_path, np.eye(2, dtype=complex)[None],
+                            "finite")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["emit-plotdata", "--from", str(tmp_path / "k.result.txt"),
+                     "--out-dir", str(taken)]) == 2
+        assert (f"config error: output directory {taken}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("fault", [
         "bad_version", "cut_after_matrix", "unknown_kind", "no_i0",

@@ -70,6 +70,7 @@ class TestChunkedAccumulation:
     block."""
 
     CHUNK = DYAD_CHUNK
+    REF = (1, 0)    # the pure estimate's reference (i0, j0)
 
     @pytest.fixture(scope="class")
     def kernel(self):
@@ -91,17 +92,15 @@ class TestChunkedAccumulation:
         herald[[0, n // 2, n - 1]] = False
         return SampleBlock(0, herald, *(c[herald] for c in cols))
 
-    @staticmethod
-    def _terms(kind, coef, backend):
-        return (pure_terms(coef, 1, 0, backend) if kind == "pure"
+    def _terms(self, kind, coef, backend):
+        return (pure_terms(coef, *self.REF, backend) if kind == "pure"
                 else choi_terms(coef, backend))
 
-    @staticmethod
-    def _assert_close(got, want, den_cols):
+    def _assert_close(self, got, want, kind):
         # the denominator entry to its own scale, as kappa reads it
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        if den_cols:
-            den, want_den = got[den_cols].real, want[den_cols].real
+        if kind == "pure":
+            den, want_den = got[self.REF].real, want[self.REF].real
             assert abs(den - want_den) <= 1e-12 * abs(want_den)
 
     @pytest.mark.parametrize("n_heralded",
@@ -113,7 +112,7 @@ class TestChunkedAccumulation:
         psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
         coef, _ = mode2_combination(psi, 2, 3)
         blk = self._block(name, backend, n_heralded, 5)
-        tables, _, den_cols = self._terms(kind, coef, backend)
+        tables, _ = self._terms(kind, coef, backend)
         got = backend.block_sums(blk, tables)
         want = per_sample_sums(backend, blk, tables)
         assert blk.set1.size == n_heralded and got.shape == want.shape
@@ -123,7 +122,7 @@ class TestChunkedAccumulation:
             # one chunk, per sample: the one-shot arithmetic
             assert np.array_equal(got, want)
         else:
-            self._assert_close(got, want, den_cols)
+            self._assert_close(got, want, kind)
 
     @pytest.mark.parametrize("kind", ["pure", "choi"])
     def test_d12_small_block_matches_one_shot(self, kind):
@@ -136,32 +135,69 @@ class TestChunkedAccumulation:
         blk = SampleBlock(0, np.ones(500, dtype=bool), *obs, *out)
         psi = twin_beam(1.0, 12, deficit_bound=1.0).psi
         coef, _ = mode2_combination(psi, 11, 11)
-        tables, _, den_cols = self._terms(kind, coef, q)
+        tables, _ = self._terms(kind, coef, q)
         self._assert_close(q.block_sums(blk, tables),
-                           per_sample_sums(q, blk, tables), den_cols)
+                           per_sample_sums(q, blk, tables), kind)
 
     @pytest.mark.parametrize("name", ["homodyne", "finite"])
     @pytest.mark.parametrize("kind", ["pure", "choi"])
     def test_accumulated_rows_are_moments_times_comb(self, kernel, name,
                                                      kind):
-        # every row of the accumulator is M @ comb and M[i0, j0].real (0.0
-        # on a Choi estimate) of its block's one-shot dyad moments M
+        # every row of the accumulator is its block's dyad moments M: M @
+        # comb and, on a pure estimate, M[i0, j0].real match those of the
+        # one-shot per-sample moments
         backend = kernel if name == "homodyne" else build_finite_quorum(4)
         psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
         coef, _ = mode2_combination(psi, 2, 3)
         blocks = [replace(self._block(name, backend, n, seed), block_id=b)
                   for b, (n, seed) in enumerate([(700, 5), (1, 6), (0, 7)])]
         terms = self._terms(kind, coef, backend)
-        tables, comb, den_cols = terms
+        tables, comb = terms
         accumulate = accumulate_pure if kind == "pure" else accumulate_choi
         acc = accumulate(blocks, terms, backend)
         for b, blk in enumerate(blocks):
             m = per_sample_sums(backend, blk, tables)
             want = m @ comb
-            assert np.max(np.abs(acc.est_sums[b] - want)) <= (
+            assert np.max(np.abs(acc.moments[b] @ comb - want)) <= (
                 1e-12 * np.max(np.abs(want)))
-            want_den = m[den_cols].real if den_cols else 0.0
-            assert abs(acc.den_sums[b] - want_den) <= 1e-12 * abs(want_den)
+            if kind == "pure":
+                den, want_den = acc.moments[b][self.REF].real, m[self.REF].real
+                assert abs(den - want_den) <= 1e-12 * abs(want_den)
+
+    @pytest.mark.parametrize("name", ["homodyne", "finite"])
+    @pytest.mark.parametrize("kind", ["pure", "choi"])
+    def test_stacked_reduction_matches_per_block(self, kernel, name, kind):
+        # the rows are the backend's block_sums bit for bit, and the
+        # finalizers' stacked (moments @ comb) / n gives the same bits as a
+        # reduction that forms (M_b @ comb) one block at a time: such rows
+        # reduced through the identity combination
+        backend = kernel if name == "homodyne" else build_finite_quorum(4)
+        psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
+        coef, _ = mode2_combination(psi, 2, 3)
+        blocks = [replace(self._block(name, backend, 300 + 50 * b, 20 + b),
+                          block_id=b) for b in range(5)]
+        # (0, 0): the largest twin-beam entry, as kappa needs
+        terms = (pure_terms(coef, 0, 0, backend) if kind == "pure"
+                 else choi_terms(coef, backend))
+        tables, comb = terms
+        accumulate = accumulate_pure if kind == "pure" else accumulate_choi
+        acc = accumulate(blocks, terms, backend)
+        for b, blk in enumerate(blocks):
+            assert np.array_equal(acc.moments[b],
+                                  backend.block_sums(blk, tables))
+        per_block = replace(acc, moments=np.array([m @ comb
+                                                   for m in acc.moments]))
+        unit = np.eye(comb.shape[1])
+        if kind == "pure":
+            est = finalize_pure(acc, comb, 0, 0, 0.0)
+            grand, stderr, _ = per_block.block_stats(unit)
+            want = (est.kappa.kappa * grand, est.kappa.kappa * stderr)
+        else:
+            est = finalize_choi(acc, comb, 0.0)
+            ref = finalize_choi(per_block, unit, 0.0)
+            want = (ref.values, ref.std_errors)
+        assert np.array_equal(est.values, want[0])
+        assert np.array_equal(est.std_errors, want[1])
 
     def test_finite_choi_block_memory(self):
         # one d = 6 block of 17,000 heralded samples, the size of a
@@ -216,8 +252,8 @@ class TestBackendInterface:
         blocks = [SampleBlock(b, np.ones(4, dtype=bool), *np.zeros((4, 4)))
                   for b in range(3)]
         terms = pure_terms(coef, 0, 1, stub)
-        est = finalize_pure(accumulate_pure(blocks, terms, stub), 0, 1,
-                            deficit)
+        est = finalize_pure(accumulate_pure(blocks, terms, stub), terms[1],
+                            0, 1, deficit)
         assert est.kappa.kappa == 1.0 and est.n_blocks == 3
         assert np.array_equal(est.values, [[2.0, 1.0], [2.0, 2.0]])
         np.testing.assert_allclose(
@@ -259,42 +295,43 @@ class TestMode2Combination:
 
 class TestBlockAccumulator:
     def test_merge_disjoint(self):
-        a = BlockAccumulator([2], 3 * np.ones((1, 2, 2)), [3.0], [10], [10])
-        b = BlockAccumulator([0], np.ones((1, 2, 2)), [1.0], [10], [10])
-        c = BlockAccumulator([1], 2 * np.ones((1, 2, 2)), [2.0], [10], [10])
+        a = BlockAccumulator([2], 3 * np.ones((1, 2, 2)), [10], [10])
+        b = BlockAccumulator([0], np.ones((1, 2, 2)), [10], [10])
+        c = BlockAccumulator([1], 2 * np.ones((1, 2, 2)), [10], [10])
         merged = a.merge(b, c)
         assert merged.block_ids.tolist() == [0, 1, 2]
-        assert merged.den_sums.tolist() == [1.0, 2.0, 3.0]
-        assert merged.est_sums[:, 0, 0].tolist() == [1.0, 2.0, 3.0]
+        assert merged.moments[:, 0, 0].tolist() == [1.0, 2.0, 3.0]
         assert (merged.n_heralded.sum(), merged.n_trials.sum()) == (30, 30)
 
     def test_merge_overlap_rejected(self):
-        a = BlockAccumulator([0], np.ones((1, 2, 2)), [1.0], [10], [10])
-        b = BlockAccumulator([0], np.ones((1, 2, 2)), [1.0], [10], [10])
+        a = BlockAccumulator([0], np.ones((1, 2, 2)), [10], [10])
+        b = BlockAccumulator([0], np.ones((1, 2, 2)), [10], [10])
         with pytest.raises(ValueError, match="more than once"):
             a.merge(b)
 
     def test_duplicate_block_rejected(self):
         with pytest.raises(ValueError, match="more than once"):
-            BlockAccumulator([0, 0], np.ones((2, 2, 2)), [1.0, 1.0],
-                             [10, 10], [10, 10])
+            BlockAccumulator([0, 0], np.ones((2, 2, 2)), [10, 10], [10, 10])
 
     def test_block_means_ordered_and_skip_empty(self):
-        a = BlockAccumulator([1, 0, 2], [[[4.0]], [[2.0]], [[0.0]]],
-                             [0.0, 0.0, 0.0], [2, 1, 0], [2, 2, 2])
-        means = a.block_means()
-        assert means.shape[0] == 2
-        assert means[0, 0, 0] == 2.0 and means[1, 0, 0] == 2.0
-        grand, stderr, nb = a.block_stats()
+        # block means (M @ comb) / n: block 1 has (4, 8) over 2 samples,
+        # block 0 (2, 4) over 1, block 2 none; comb sums M's two columns
+        a = BlockAccumulator([1, 0, 2], [[[4.0, 8.0]], [[2.0, 4.0]],
+                                         [[0.0, 0.0]]], [2, 1, 0], [2, 2, 2])
+        grand, stderr, nb = a.block_stats(np.ones((2, 1)))
+        assert (grand[0, 0], stderr[0, 0], nb) == (6.0, 0.0, 2)
+        grand, stderr, nb = a.block_stats(np.array([[1.0], [0.0]]))
         assert (grand[0, 0], stderr[0, 0], nb) == (2.0, 0.0, 2)
 
     @pytest.mark.parametrize("n_heralded", [[0, 0, 0], [0, 5, 0]])
     def test_fewer_than_two_blocks_with_data_raise(self, n_heralded):
-        a = BlockAccumulator([0, 1, 2], np.ones((3, 1, 1)), [1.0, 1.0, 1.0],
-                             n_heralded, [5, 5, 5])
+        a = BlockAccumulator([0, 1, 2], np.ones((3, 1, 1)), n_heralded,
+                             [5, 5, 5])
         n = np.count_nonzero(n_heralded)
-        for reduce in (a.block_stats, lambda: finalize_pure(a, 0, 0, 0.0),
-                       lambda: finalize_choi(a, 0.0)):
+        comb = np.ones((1, 1))
+        for reduce in (lambda: a.block_stats(comb),
+                       lambda: finalize_pure(a, comb, 0, 0, 0.0),
+                       lambda: finalize_choi(a, comb, 0.0)):
             with pytest.raises(ReferenceTooSmallError,
                                match=f"{n} of 3 blocks hold heralded"):
                 reduce()
@@ -316,7 +353,7 @@ class TestExactChain:
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(PureOperation(np.eye(2)), psi)
-        tables, _, _ = pure_terms(np.eye(1), 0, 0, q)
+        tables, _ = pure_terms(np.eye(1), 0, 0, q)
         m = q.exact_sums(joint_outcome_table([phi], [p], q), tables)
         den = m[0, 0].real
         assert abs(den - 0.5) < 1e-12
@@ -331,7 +368,7 @@ class TestExactChain:
         psi = psi / np.linalg.norm(psi)
         phi, p = apply_pure(PureOperation(a), psi)
         psi_inv = np.linalg.inv(psi)
-        tables, comb, _ = pure_terms(psi_inv, 0, 0, q)
+        tables, comb = pure_terms(psi_inv, 0, 0, q)
         mean = q.exact_sums(joint_outcome_table([phi], [p], q), tables) @ comb
         expect = np.conj(phi[0, 0]) * (phi @ psi_inv)
         assert np.max(np.abs(mean - expect)) < 1e-12
@@ -350,17 +387,17 @@ class TestExactChain:
         branches, weights = output_branches(
             KrausMap(tuple(random_kraus_map(rng, d))), psi)
         coef, _ = mode2_combination(psi, d - 1, d - 1)
-        tables, comb, den_cols = (pure_terms(coef, 0, 1, q) if kind == "pure"
-                                  else choi_terms(coef, q))
+        tables, comb = (pure_terms(coef, 0, 1, q) if kind == "pure"
+                        else choi_terms(coef, q))
         m = q.exact_sums(joint_outcome_table(branches, weights, q), tables)
         want = exact_sums_by_outcomes(branches, weights, q, tables)
         # the sums of the estimators and the denominator to their own scales
         est, want_est = m @ comb, want @ comb
         assert np.max(np.abs(est - want_est)) <= (
             1e-12 * np.max(np.abs(want_est)))
-        if den_cols:
-            assert abs(m[den_cols].real - want[den_cols].real) <= (
-                1e-12 * abs(want[den_cols].real))
+        if kind == "pure":
+            assert abs(m[0, 1].real - want[0, 1].real) <= (
+                1e-12 * abs(want[0, 1].real))
 
 
 class TestSampledPure:
@@ -371,7 +408,8 @@ class TestSampledPure:
         blocks = make_finite_blocks([phi], [p], q, 25, 800, seed=11)
         coef, deficit = mode2_combination(psi, 1, 1)
         terms = pure_terms(coef, 0, 0, q)
-        est = finalize_pure(accumulate_pure(blocks, terms, q), 0, 0, deficit)
+        est = finalize_pure(accumulate_pure(blocks, terms, q), terms[1], 0, 0,
+                            deficit)
         aligned = align_to_truth(est, np.eye(2))
         dev = np.abs(aligned - np.eye(2))
         assert np.all(dev <= 4 * est.std_errors)
@@ -388,8 +426,8 @@ class TestSampledPure:
         first = accumulate_pure(blocks[:3], terms, q)
         second = accumulate_pure(blocks[3:], terms, q)
         merged = second.merge(first)
-        est_a = finalize_pure(one_pass, 0, 0, 0.0)
-        est_b = finalize_pure(merged, 0, 0, 0.0)
+        est_a = finalize_pure(one_pass, terms[1], 0, 0, 0.0)
+        est_b = finalize_pure(merged, terms[1], 0, 0, 0.0)
         assert np.array_equal(est_a.values, est_b.values)
         assert np.array_equal(est_a.std_errors, est_b.std_errors)
 
@@ -401,8 +439,9 @@ class TestSampledPure:
         blocks = make_finite_blocks([phi], [p], q, 10, 300, seed=17)
         coef, deficit = mode2_combination(psi, 1, 1)
         with pytest.raises(ReferenceTooSmallError, match="choose different"):
-            finalize_pure(accumulate_pure(blocks, pure_terms(coef, 0, 1, q), q),
-                          0, 1, deficit)
+            terms = pure_terms(coef, 0, 1, q)
+            finalize_pure(accumulate_pure(blocks, terms, q), terms[1], 0, 1,
+                          deficit)
 
     def test_heralded_contraction(self):
         # A = diag(1, 0.5): p = (1 + 0.25)/2 = 0.625 on I/sqrt(2)
@@ -413,7 +452,8 @@ class TestSampledPure:
         blocks = make_finite_blocks([phi], [p], q, 30, 600, seed=19, p_occ=p)
         coef, deficit = mode2_combination(psi, 1, 1)
         terms = pure_terms(coef, 0, 0, q)
-        est = finalize_pure(accumulate_pure(blocks, terms, q), 0, 0, deficit)
+        est = finalize_pure(accumulate_pure(blocks, terms, q), terms[1], 0, 0,
+                            deficit)
         assert abs(est.kappa.p_hat - 0.625) < 4 * est.kappa.p_hat_stderr
         aligned = align_to_truth(est, a)
         assert np.all(np.abs(aligned - a) <= 4 * est.std_errors)
@@ -435,8 +475,8 @@ class TestErrorBarCalibration:
         for run in range(100):
             blocks = make_finite_blocks([phi], [p], q, 20, 400,
                                         seed=1000 + run, p_occ=p)
-            est = finalize_pure(accumulate_pure(blocks, terms, q), 0, 0,
-                                deficit)
+            est = finalize_pure(accumulate_pure(blocks, terms, q), terms[1],
+                                0, 0, deficit)
             dev = np.abs(est.values - truth)
             hits += int(np.sum(dev <= est.std_errors))
             total += dev.size
@@ -459,8 +499,8 @@ class TestErrorBarCalibration:
                                       phi1, phi2, x1, x2))
         coef, deficit = mode2_combination(beam.psi, 5, 5)
         terms = pure_terms(coef, 0, 0, kernel)
-        est = finalize_pure(accumulate_pure(blocks, terms, kernel), 0, 0,
-                            deficit)
+        est = finalize_pure(accumulate_pure(blocks, terms, kernel), terms[1],
+                            0, 0, deficit)
         assert est.std_errors[:, 4:].mean() > est.std_errors[:, :2].mean()
 
 
@@ -477,7 +517,8 @@ class TestChoiEstimation:
         blocks = make_finite_blocks(*output_branches(KrausMap(ks), psi), q, 40,
                                     2500, seed=23)
         coef, deficit = mode2_combination(psi, 1, 1)
-        est = finalize_choi(accumulate_choi(blocks, choi_terms(coef, q), q),
+        terms = choi_terms(coef, q)
+        est = finalize_choi(accumulate_choi(blocks, terms, q), terms[1],
                             deficit)
         truth = depolarizing_choi(0.5)
         dev = np.abs(est.values - truth)

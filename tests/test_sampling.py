@@ -7,6 +7,7 @@ from oracles import (
     fock_draw_by_batches,
     fock_marginal_cdf,
     hermite_functions,
+    loss_kraus,
     outcome_table_by_loops,
     random_density,
 )
@@ -257,6 +258,33 @@ class TestSampleFockGeneral:
         cos12 = np.real(e1 * e2)  # cos(phi1 + phi2)
         assert abs(np.mean(x1**2) - var_fock) < tol_var
         assert abs(np.mean(x1 * x2 * cos12) - corr_fock) < tol_corr
+
+    def test_loss_channel_moments_at_fig2_dimensions(self):
+        # mode 1 of a twin beam (nbar = 5, d = 48) through the bosonic loss
+        # channel, tau = 0.7, Kraus operators A_0..A_24: the output is
+        # Gaussian, with mode-1 variance tau v + (1 - tau) / 4, mode-2
+        # variance v and cross term sqrt(tau) c12 (v = (2 nbar + 1) / 4,
+        # c12 = sqrt(nbar (nbar + 1)) / 2), so that at eta = 1
+        # var x1 = 2.0, var x2 = 2.75 and E[x1 x2 cos(phi1 + phi2)] =
+        # sqrt(tau) c12 / 2.  A map that removes at most one photon gives
+        # var x1 near 2.45.
+        from optomo.maps import KrausMap, output_branches, twin_beam
+
+        nbar, d, tau, n = 5.0, 48, 0.7, 15 * 10**4
+        branches, weights = output_branches(
+            KrausMap(tuple(loss_kraus(tau, d, 24))), twin_beam(nbar, d).psi)
+        e1, e2, x1, x2 = sample_fock_general(
+            fock_tables(branches, weights, fock_grid(d)), 1.0, n,
+            substream(6, 0))
+        v1, v2 = 2.0, 2.75
+        c12 = np.sqrt(tau * nbar * (nbar + 1.0)) / 2.0
+        # 4 sigma: var(x^2) = 2 v^2, var(x1 x2 cos) = (v1 v2 + c12^2) / 2
+        for got, want, var in (
+                (np.mean(x1**2), v1, 2.0 * v1**2),
+                (np.mean(x2**2), v2, 2.0 * v2**2),
+                (np.mean(x1 * x2 * np.real(e1 * e2)), c12 / 2.0,
+                 (v1 * v2 + c12**2) / 2.0)):
+            assert abs(got - want) < 4.0 * np.sqrt(var / n)
 
     def test_phasors_are_exp_of_redrawn_phases(self):
         # two branches and a branch with two batches: the phasors are
