@@ -7,8 +7,10 @@ the orthonormal wavefunctions
     Psi_0(x) = (2/pi)^{1/4} exp(-x^2),
     Psi_{n+1}(x) = (2x/sqrt(n+1)) Psi_n(x) - sqrt(n/(n+1)) Psi_{n-1}(x),
 
-and <x|n>_phi = e^{i n phi} Psi_n(x).  Detector efficiency eta < 1 smears the
-quadrature distribution with a zero-mean Gaussian of variance (1-eta)/(4 eta).
+and <x|n>_phi = e^{i n phi} Psi_n(x).  The phase factors e^{i k phi} of the
+Fock sampler and of the homodyne dyad estimates come from ``phase_powers``.
+Detector efficiency eta < 1 smears the quadrature distribution with a
+zero-mean Gaussian of variance (1-eta)/(4 eta).
 
 A kernel build forms the Psi table of its grid once and hands it to
 ``smeared_pair_table`` for every offset, which convolves the pair products
@@ -33,6 +35,19 @@ def noise_sigma2(eta: float) -> float:
             f"quantum efficiency must be in (0.5, 1], got {eta}"
         )
     return (1.0 - eta) / (4.0 * eta)
+
+
+def phase_powers(e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows e^k, k < len(out), of the phasors e = e^{i phi}, written into
+    ``out`` (shape (len(out), len(e))) and returned.
+
+    Row 0 is 1 and row k is row k - 1 times e, so row k carries about k ulp
+    more roundoff than np.exp(1j * k * phi).
+    """
+    out[0] = 1.0
+    for k in range(1, out.shape[0]):
+        np.multiply(out[k - 1], e, out=out[k])
+    return out
 
 
 def quadrature_wavefunctions(nmax: int, x: np.ndarray) -> np.ndarray:

@@ -64,8 +64,9 @@ class KrausMap:
         if not ops:
             raise ValueError("need at least one Kraus operator")
         d = ops[0].shape[0]
-        if any(k.shape != (d, d) for k in ops):
-            raise ValueError("all Kraus operators must be square with equal dims")
+        if d == 0 or any(k.shape != (d, d) for k in ops):
+            raise ValueError("all Kraus operators must be square with equal "
+                             "nonzero dims")
         if not all(np.isfinite(k).all() for k in ops):
             raise ValueError("Kraus operators must be finite")
         object.__setattr__(self, "kraus", ops)

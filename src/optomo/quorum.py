@@ -18,10 +18,9 @@ a kernel is interpolated linearly as a + w Delta, from the node value a and
 the difference Delta to the next node, tabulated together.  The phase
 factor e^{i(m-n) phi} is handled analytically: the phasor e^{i phi} comes
 with the sample (the homodyne samplers form it once, from the cos and sin
-they already need), and e^{ik phi} for 1 < |k| <= max|m - n| comes from the
-power recurrence e^{ik phi} = e^{i(k-1) phi} e^{i phi} (powers of
-e^{-i phi}, the exact conjugates, for k < 0).  This differs from a direct
-exponential by roughly |k| units of roundoff.
+they already need), and e^{ik phi} for 1 < |k| <= max|m - n| comes from its
+powers, ``fock.phase_powers`` (powers of e^{-i phi}, the exact conjugates,
+for k < 0).
 
 Both backends have one interface and know nothing of the estimator: each
 reduces a block of heralded samples to the sums of products of its two
@@ -60,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from optomo.errors import IllConditionedKernelError
-from optomo.fock import (noise_sigma2, quadrature_wavefunctions,
+from optomo.fock import (noise_sigma2, phase_powers, quadrature_wavefunctions,
                          smeared_pair_table)
 
 KERNEL_CACHE_VERSION = 1
@@ -288,11 +287,10 @@ class HomodyneKernel:
         gather of the ``pair_table`` column [f_j | f_{j+1} - f_j] (held at
         the end nodes outside the grid).  The interpolation index and weight
         are computed once per sample for all pairs.  e^{ik phi} comes from e
-        by the power recurrence (powers of e^{-i phi} for k < 0), so an
-        offset k carries about |k| ulp more roundoff than
-        np.exp(1j * k * phi).  The products f e^{ik phi} are written into the
-        real and imaginary parts of one pair-major array, returned as its
-        transpose, shape (n_samples, n_pairs).
+        by ``fock.phase_powers``, as powers of e^{-i phi} for k < 0.  The
+        products f e^{ik phi} are written into the real and imaginary parts
+        of one pair-major array, returned as its transpose, shape
+        (n_samples, n_pairs).
         """
         interp, k_lo, k_hi, runs = table
         x = np.asarray(outcomes, dtype=float)
@@ -311,11 +309,8 @@ class HomodyneKernel:
         # row k_hi - k holds e^{ik phi}; both sides of k = 0 are powers of
         # e^{+-i phi}, and (e^{-i phi})^k = conj(e^{ik phi}) exactly
         phase = np.empty((k_hi - k_lo + 1, x.size), dtype=complex)
-        for powers, base, n in ((phase[k_hi::-1], e, k_hi),
-                                (phase[k_hi:], e.conj(), -k_lo)):
-            powers[0] = 1.0
-            for k in range(1, n + 1):
-                np.multiply(powers[k - 1], base, out=powers[k])
+        phase_powers(e, phase[k_hi::-1])
+        phase_powers(e.conj(), phase[k_hi:])
         for lo, hi, row in runs:
             rot = phase[row:row + hi - lo]
             np.multiply(f[lo:hi], rot.imag, out=f_im[lo:hi])

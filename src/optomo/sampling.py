@@ -12,9 +12,9 @@ Three sampling paths share one RNG contract:
   by one two-level search, first over the grid's blocks by their masses,
   then over the nodes of one block; each grid node's mass sits on the cell
   centred on it, so draws carry no half-cell shift; a block's draws are
-  made first, and the phase rotations (by power recurrence), the
-  wavefunctions at x1 and the x2 search then run once over its samples,
-  the x1 search and the conditional amplitude once per branch,
+  made first, and the phase rotations (``fock.phase_powers`` of the
+  phasors), the wavefunctions at x1 and the x2 search then run once over
+  its samples, the x1 search and the conditional amplitude once per branch,
 * exact-distribution outcome sampling for finite-dimensional quorums, by
   inverse CDF on the joint outcome table of the same output branches the
   Fock route draws from (``joint_outcome_table``, a weighted sum of squared
@@ -27,10 +27,10 @@ variance (1-eta)/(4 eta) per mode.
 
 Every sampler returns four columns, settings then outcomes: (e^{i phi1},
 e^{i phi2}, x1, x2) or (obs1, obs2, out1, out2).  A homodyne setting is the
-unit phasor of its phase, formed once per sample from what the sampler
-computes anyway (cos and sin on the Gaussian path, the order-1 phase
-rotation on the Fock path), so the dyad estimates never evaluate a
-trigonometric function; the sample dump writes phi back as
+unit phasor of its phase, np.cos and np.sin written into one complex array
+(``_phasor``) once per sample; both homodyne samplers need cos and sin
+anyway, and the dyad estimates never evaluate a trigonometric function.
+The sample dump writes phi back as
 angle(e^{i phi}) mod 2 pi.  A block of them is one ``SampleBlock``,
 which holds the heralded samples only and one herald flag per trial.
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from optomo.errors import TruncationError
-from optomo.fock import noise_sigma2, quadrature_wavefunctions
+from optomo.fock import noise_sigma2, phase_powers, quadrature_wavefunctions
 from optomo.quorum import FiniteQuorum
 
 SYMPLECTIC_TOL = 1e-9
@@ -141,44 +141,6 @@ def _phasor(phi: np.ndarray) -> np.ndarray:
     return e
 
 
-def _sum_of_products(terms, tmp) -> np.ndarray:
-    """sum_t prod(t) in a new array, each product and the sum taken left to
-    right; ``tmp`` holds the products after the first."""
-    out = None
-    for first, second, *rest in terms:
-        prod = np.multiply(first, second, out=None if out is None else tmp)
-        for factor in rest:
-            prod *= factor
-        if out is None:
-            out = prod
-        else:
-            out += prod
-    return out
-
-
-def _quadrature_projection(state: GaussianState, e1, e2):
-    """Mean and 2x2 covariance of (X_phi1 (x) X_phi2) for each phasor pair.
-
-    cos phi and sin phi are the real and imaginary parts of the phasors
-    e^{i phi}.  Each entry is a sum of products such as c1 c1 v00 +
-    2 c1 s1 v01 + s1 s1 v11, formed in place in its own array.
-    """
-    c1, s1, c2, s2 = e1.real, e1.imag, e2.real, e2.imag
-    v = state.cov
-    mu = state.mean
-    tmp = np.empty(c1.size)
-    return (
-        _sum_of_products(((c1, mu[0]), (s1, mu[1])), tmp),
-        _sum_of_products(((c2, mu[2]), (s2, mu[3])), tmp),
-        _sum_of_products(((c1, c1, v[0, 0]), (2, c1, s1, v[0, 1]),
-                          (s1, s1, v[1, 1])), tmp),
-        _sum_of_products(((c2, c2, v[2, 2]), (2, c2, s2, v[2, 3]),
-                          (s2, s2, v[3, 3])), tmp),
-        _sum_of_products(((c1, c2, v[0, 2]), (c1, s2, v[0, 3]),
-                          (s1, c2, v[1, 2]), (s1, s2, v[1, 3])), tmp),
-    )
-
-
 def sample_quadratures(
     state: GaussianState,
     eta: float,
@@ -190,12 +152,14 @@ def sample_quadratures(
     efficiency eta.
 
     Draw order (fixed for reproducibility): phi1, phi2, two standard normals
-    for the exact bivariate law, two standard normals for efficiency noise.
-    Each phase is returned as its phasor np.cos(phi) + 1j np.sin(phi), whose
-    parts the projection reads.  ``phases`` overrides the random phases with
-    fixed values (test hook).  The arithmetic runs in place, in the order of
-    the formulas below, and each draw is made when it is first needed (no
-    other draw comes between), so few sample-sized arrays are alive at once.
+    z1, z2 for the exact bivariate law, two standard normals g1, g2 for
+    efficiency noise.  Each phase is returned as its phasor np.cos(phi) +
+    1j np.sin(phi), whose parts c and s give the means m1, m2 and the
+    covariance entries v11, v22, v12 of (X_phi1, X_phi2); then
+    x1 = m1 + sqrt(v11) z1 and
+    x2 = m2 + (v12 / sqrt(v11)) z1 + sqrt(max(v22 - v12^2 / v11, 0)) z2,
+    each plus sqrt((1-eta)/(4 eta)) g.  ``phases`` fixes both phases to
+    the given values instead of drawing them (no phase is drawn then).
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -206,33 +170,24 @@ def sample_quadratures(
     else:
         e1 = _phasor(np.full(n, float(phases[0])))
         e2 = _phasor(np.full(n, float(phases[1])))
-    x1, x2, v11, v22, v12 = _quadrature_projection(state, e1, e2)
+    c1, s1, c2, s2 = e1.real, e1.imag, e2.real, e2.imag
+    v, mu = state.cov, state.mean
+    m1 = c1 * mu[0] + s1 * mu[1]
+    m2 = c2 * mu[2] + s2 * mu[3]
+    v11 = c1 * c1 * v[0, 0] + 2 * c1 * s1 * v[0, 1] + s1 * s1 * v[1, 1]
+    v22 = c2 * c2 * v[2, 2] + 2 * c2 * s2 * v[2, 3] + s2 * s2 * v[3, 3]
+    v12 = (c1 * c2 * v[0, 2] + c1 * s2 * v[0, 3]
+           + s1 * c2 * v[1, 2] + s1 * s2 * v[1, 3])
     z1 = stream.standard_normal(n)
     z2 = stream.standard_normal(n)
-    # x2 = m2 + (v12 / sqrt(v11)) z1 + sqrt(max(v22 - v12^2 / v11, 0)) z2,
-    # its last term first, into v22
-    sq = np.multiply(v12, v12)
-    sq /= v11
-    np.subtract(v22, sq, out=v22)
-    del sq
-    np.maximum(v22, 0.0, out=v22)
-    np.sqrt(v22, out=v22)
-    v22 *= z2
-    del z2
-    np.sqrt(v11, out=v11)
-    np.divide(v12, v11, out=v12)
-    v12 *= z1
-    x2 += v12
-    x2 += v22
-    # x1 = m1 + sqrt(v11) z1
-    v11 *= z1
-    x1 += v11
-    # efficiency noise: x_j + sqrt(sig2) g_j
-    for x in (x1, x2):
-        g = stream.standard_normal(n)
-        if sig2 > 0.0:
-            g *= np.sqrt(sig2)
-            x += g
+    x1 = m1 + np.sqrt(v11) * z1
+    x2 = (m2 + (v12 / np.sqrt(v11)) * z1
+          + np.sqrt(np.maximum(v22 - v12**2 / v11, 0.0)) * z2)
+    g1 = stream.standard_normal(n)
+    g2 = stream.standard_normal(n)
+    if sig2 > 0.0:
+        x1 += np.sqrt(sig2) * g1
+        x2 += np.sqrt(sig2) * g2
     return e1, e2, x1, x2
 
 
@@ -409,36 +364,23 @@ def _draw_x2(grid: FockGrid, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _grid_draw(grid, masses, running, u)
 
 
-def _rotations(phi: np.ndarray, d: int) -> np.ndarray:
-    """e^{i a phi} for a < d, laid out (d, s): row 1 is np.cos(phi) and
-    np.sin(phi) written into its parts, row a > 1 the power recurrence
-    row (a - 1) times row 1 (as ``HomodyneKernel.dyad_estimates``)."""
-    rot = np.empty((d, phi.size), dtype=complex)
-    rot[0] = 1.0
-    np.cos(phi, out=rot[1].real)
-    np.sin(phi, out=rot[1].imag)
-    for a in range(2, d):
-        np.multiply(rot[a - 1], rot[1], out=rot[a])
-    return rot
-
-
 def _fock_draw(tables: FockTables, branch_idx, p1, p2, u1, u2):
     """Phasors and noise-free quadratures (e^{i phi1}, e^{i phi2}, x1, x2)
     for rows of phases and uniforms, row r drawn from branch branch_idx[r].
 
-    The phase rotations rot_j = e^{i a phi_j}, a < d (d >= 2), the
-    Psi_a(x1) recursion and the x2 search run once over all rows; the x1
-    search and the conditional amplitude run once per branch.  x1 is drawn
-    from the branch's marginal table with trig1 = [cos a phi1 | sin a phi1]:
-    the block masses are trig1 times the table's columns at the blocks'
-    last nodes, the running mass over one block trig1 times that block's
-    columns.  x2 is drawn from the exact conditional given x1.  The phasors
-    are the order-1 rows of rot_j.
+    The phase rotations rot_j = e^{i a phi_j}, a < d (d >= 2), the powers
+    (``phase_powers``) of the phasor of phi_j, the Psi_a(x1) recursion and
+    the x2 search run once over all rows; the x1 search and the conditional
+    amplitude run once per branch.  x1 is drawn from the branch's marginal
+    table with trig1 = [cos a phi1 | sin a phi1]: the block masses are trig1
+    times the table's columns at the blocks' last nodes, the running mass
+    over one block trig1 times that block's columns.  x2 is drawn from the
+    exact conditional given x1.  The phasors are the order-1 rows of rot_j.
     """
     grid, size = tables.grid, tables.grid.block
     d = tables.branches.shape[1]
-    rot1 = _rotations(p1, d)
-    rot2 = _rotations(p2, d)
+    rot1 = phase_powers(_phasor(p1), np.empty((d, p1.size), dtype=complex))
+    rot2 = phase_powers(_phasor(p2), np.empty((d, p2.size), dtype=complex))
     trig1 = np.concatenate([rot1.real.T, rot1.imag.T], axis=1)  # (s, 2d)
     rows_of = [np.flatnonzero(branch_idx == b)
                for b in range(len(tables.branches))]

@@ -455,7 +455,7 @@ class TestOperationErrors:
         assert not (tmp_path / "k.result.txt").exists()
 
     @pytest.mark.parametrize("fault", ["missing", "exceeds_identity",
-                                       "npz_archive"])
+                                       "npz_archive", "zero_dim"])
     def test_bad_kraus_file_exit_2(self, tmp_path, capsys, fault):
         good = np.diag([1.0, 0.8, 0.0]).astype(complex)[None]
         cfg = _kraus_config(tmp_path, good, "finite")
@@ -467,6 +467,8 @@ class TestOperationErrors:
         elif fault == "npz_archive":
             with open(kraus_path, "wb") as f:
                 np.savez(f, k=good)
+        elif fault == "zero_dim":
+            np.save(kraus_path, np.zeros((2, 0, 0)))
         else:
             np.save(kraus_path, 1.5 * good)
         capsys.readouterr()

@@ -136,12 +136,27 @@ class TestSampleQuadratures:
         assert phi1.min() >= 0.0 and phi1.max() < 2 * np.pi
         assert abs(np.mean(phi1) - np.pi) < 0.1
 
-    @pytest.mark.parametrize("eta", [1.0, 0.7])
-    def test_phasors_and_quadratures_from_redrawn_stream(self, eta):
+    @pytest.mark.parametrize("eta, generic", [
+        pytest.param(1.0, False, id="1.0"),
+        pytest.param(0.7, False, id="0.7"),
+        pytest.param(1.0, True, id="generic-1.0"),
+        pytest.param(0.7, True, id="generic-0.7")])
+    def test_phasors_and_quadratures_from_redrawn_stream(self, eta, generic):
         # the phasors are np.cos / np.sin of the phases the substream draws
         # first, bitwise; the quadratures equal the sampler's formulas
-        # evaluated out of place on the same draws, bitwise
-        st = displaced_twinbeam_gaussian(1.0 + 0.3j, 3.0)
+        # evaluated out of place on the same draws, bitwise.  The twin beam
+        # has v[0, 3] = v[1, 2] = v[0, 1] = v[2, 3] = 0 and mu[2] = mu[3] =
+        # 0, so a formula that reads a wrong one of them passes on it; the
+        # generic state has every mean and covariance entry distinct.
+        if generic:
+            rng = np.random.default_rng(11)
+            b = rng.normal(size=(4, 4))
+            st = GaussianState(mean=rng.normal(size=4),
+                               cov=np.eye(4) / 4 + b @ b.T)
+            entries = np.concatenate([st.mean, st.cov[np.triu_indices(4)]])
+            assert np.unique(entries).size == entries.size
+        else:
+            st = displaced_twinbeam_gaussian(1.0 + 0.3j, 3.0)
         n = 5000
         e1, e2, x1, x2 = sample_quadratures(st, eta, n, substream(9, 4))
         rng = substream(9, 4)
@@ -267,24 +282,41 @@ class TestSampleFockGeneral:
         # c12 = sqrt(nbar (nbar + 1)) / 2), so that at eta = 1
         # var x1 = 2.0, var x2 = 2.75 and E[x1 x2 cos(phi1 + phi2)] =
         # sqrt(tau) c12 / 2.  A map that removes at most one photon gives
-        # var x1 near 2.45.
+        # var x1 near 2.45.  The Gaussian sampler on that output is checked
+        # against the same closed forms and against the Fock sampler.
         from optomo.maps import KrausMap, output_branches, twin_beam
 
         nbar, d, tau, n = 5.0, 48, 0.7, 15 * 10**4
         branches, weights = output_branches(
             KrausMap(tuple(loss_kraus(tau, d, 24))), twin_beam(nbar, d).psi)
-        e1, e2, x1, x2 = sample_fock_general(
+        fock = sample_fock_general(
             fock_tables(branches, weights, fock_grid(d)), 1.0, n,
             substream(6, 0))
+        # the same output as a GaussianState: mode-1 block tau V +
+        # (1 - tau) / 4 I, cross block sqrt(tau) C, mode-2 block V
+        v = (2.0 * nbar + 1.0) / 4.0
+        c = np.sqrt(nbar * (nbar + 1.0)) / 2.0
+        cov = np.block([
+            [(tau * v + (1.0 - tau) / 4.0) * np.eye(2),
+             np.sqrt(tau) * np.diag([c, -c])],
+            [np.sqrt(tau) * np.diag([c, -c]), v * np.eye(2)]])
+        gauss = sample_quadratures(GaussianState(mean=np.zeros(4), cov=cov),
+                                   1.0, n, substream(6, 2))
         v1, v2 = 2.0, 2.75
         c12 = np.sqrt(tau * nbar * (nbar + 1.0)) / 2.0
-        # 4 sigma: var(x^2) = 2 v^2, var(x1 x2 cos) = (v1 v2 + c12^2) / 2
-        for got, want, var in (
-                (np.mean(x1**2), v1, 2.0 * v1**2),
-                (np.mean(x2**2), v2, 2.0 * v2**2),
-                (np.mean(x1 * x2 * np.real(e1 * e2)), c12 / 2.0,
-                 (v1 * v2 + c12**2) / 2.0)):
-            assert abs(got - want) < 4.0 * np.sqrt(var / n)
+
+        def moments(e1, e2, x1, x2):
+            return (np.mean(x1**2), np.mean(x2**2),
+                    np.mean(x1 * x2 * np.real(e1 * e2)))
+
+        # 4 sigma: var(x^2) = 2 v^2, var(x1 x2 cos) = (v1 v2 + c12^2) / 2;
+        # the two samplers differ by 4 combined standard errors at most
+        for got_f, got_g, want, var in zip(
+                moments(*fock), moments(*gauss), (v1, v2, c12 / 2.0),
+                (2.0 * v1**2, 2.0 * v2**2, (v1 * v2 + c12**2) / 2.0)):
+            assert abs(got_f - want) < 4.0 * np.sqrt(var / n)
+            assert abs(got_g - want) < 4.0 * np.sqrt(var / n)
+            assert abs(got_f - got_g) < 4.0 * np.sqrt(2.0 * var / n)
 
     def test_phasors_are_exp_of_redrawn_phases(self):
         # two branches and a branch with two batches: the phasors are
