@@ -134,12 +134,12 @@ class ExperimentConfig:
         """Fock cutoff of the run: ``dim_cut``, else a per-route default.
 
         The radiation-mode routes default to max(16, ceil(8 (nbar + 1)));
-        the finite route defaults to the window dimension n_max + 1.
+        the finite route to the window dimension n_max + 1, at least 2.
         """
         if self.dim_cut > 0:
             return self.dim_cut
         if self.resolved_route() == "finite":
-            return self.n_max + 1
+            return max(2, self.n_max + 1)
         return max(16, int(np.ceil(8.0 * (self.nbar + 1.0))))
 
     def resolved_half_width(self) -> float:

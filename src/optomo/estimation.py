@@ -276,7 +276,7 @@ def _accumulate(blocks, backend, tables) -> BlockAccumulator:
     return BlockAccumulator(
         np.array([blk.block_id for blk in blocks]),
         np.array([backend.block_sums(blk, tables) for blk in blocks]),
-        np.array([blk.set1.size for blk in blocks]),
+        np.array([blk.columns[0].size for blk in blocks]),
         np.array([blk.herald.size for blk in blocks]),
     )
 

@@ -162,12 +162,12 @@ class SimResult:
 def _heralded_block(cfg, p_occ, block_id, draw):
     """One SampleBlock on the block's own substream.
 
-    Heralds are drawn first; ``draw(n_heralded, rng)`` then returns the four
-    columns of the heralded samples, settings then outcomes.
+    Heralds are drawn first; ``draw(n_heralded, rng)`` then returns the
+    columns of the heralded samples, kept as the block's ``columns``.
     """
     rng = substream(cfg.master_seed, block_id)
     herald = draw_heralds(p_occ, cfg.samples_per_block, rng)
-    return SampleBlock(block_id, herald, *draw(int(herald.sum()), rng))
+    return SampleBlock(block_id, herald, draw(int(herald.sum()), rng))
 
 
 def _map_blocks(make_block, accumulate_one, block_ids, threads):
@@ -254,9 +254,8 @@ def run_simulate(
     out_dir = _make_dir(out_dir)
     if route == "finite":
         backend = build_finite_quorum(dim_cut)
-        table = joint_outcome_table(branches, weights, backend)
-        cum_table = np.cumsum(table).reshape(table.shape)
-        draw = lambda n, rng: sample_finite(cum_table, n, rng)
+        cdf = np.cumsum(joint_outcome_table(branches, weights, backend))
+        draw = lambda n, rng: sample_finite(cdf, n, rng)
     else:
         grid = GridSpec(cfg.resolved_half_width(), cfg.grid_spacing)
         backend = build_homodyne_kernel(

@@ -39,9 +39,9 @@ the one-shot reduction of the block up to roundoff (about 1e-15 relative).
 A finite quorum's estimate of |a><b| from eigenvalue m of observable k is a
 per-observable dual coefficient (its pair table) times a per-outcome scalar
 lambda_km / w_k, ``scaled_eigenvalues``; so M is c1.T @ R @ c2, through the
-L x L sums R of products of the two modes' scalars, ``pair_sums``, and no
-per-sample dyad is evaluated.  ``exact_sums`` gives the same M per sample
-under the joint outcome law.
+L x L sums R of ``cell_products``, the two modes' scalars at each joint
+outcome, over a block's cells; no per-sample dyad is evaluated.
+``exact_sums`` gives the same M per sample under the joint outcome law.
 
 Kernel construction is a one-time single-threaded setup; the resulting
 objects and the pair tables built from them are immutable and shareable
@@ -86,12 +86,18 @@ class FiniteQuorum:
     weights: np.ndarray  # (L,) strictly positive, sums to 1
     eigenvalues: np.ndarray  # (L, d)
     eigenvectors: np.ndarray  # (L, d, d), columns are eigenvectors
+    # s[k, a] s[l, b] at the flat cell ((k L + l) d + a) d + b of the
+    # (L, L, d, d) joint outcome table, s = scaled_eigenvalues
+    cell_products: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         bio = np.einsum("iab,jab->ij", self.duals.conj(), self.observables)
         defect = np.max(np.abs(bio - np.eye(len(self.observables))))
         if defect > BIORTHOGONALITY_TOL:
             raise ValueError(f"dual frame not biorthogonal: defect {defect:.3e}")
+        s = self.scaled_eigenvalues
+        object.__setattr__(self, "cell_products",
+                           (s[:, None, :, None] * s[None, :, None, :]).ravel())
 
     def __len__(self) -> int:
         return len(self.observables)
@@ -125,33 +131,25 @@ class FiniteQuorum:
         lam = self.scaled_eigenvalues[settings, outcomes]  # (S,)
         return table[settings] * lam[:, None]
 
-    def pair_sums(self, out1, obs1, out2, obs2) -> np.ndarray:
-        """R[k, l], the sum of s1 s2 over the paired samples of observables
-        (k, l), with s = ``scaled_eigenvalues`` at each mode's outcome;
-        shape (L, L).  The sum over samples of the dyad estimates e1[p] e2[q]
-        is c1[:, p] @ R @ c2[:, q], with c = ``pair_table``."""
-        s, n, d = self.scaled_eigenvalues.ravel(), len(self), self.dim
-        # 1-d gathers at k d + m cost about half of s[obs, out]
-        prod = s.take(obs1 * d + out1)
-        prod *= s.take(obs2 * d + out2)
-        return np.bincount(obs1 * n + obs2, weights=prod,
-                           minlength=n * n).reshape(n, n)
-
     def exact_sums(self, table, tables) -> np.ndarray:
         """Expectation per sample of ``block_sums`` under the joint outcome
-        law ``table`` (shape (L, L, d, d), as ``joint_outcome_table``): the
-        same reduction with R summed over the outcome probabilities."""
+        law ``table`` (shape (L, L, d, d), as ``joint_outcome_table``): R
+        sums ``cell_products`` times the probability of each cell."""
         c1, c2 = tables
-        s = self.scaled_eigenvalues
-        return (c1.T @ np.einsum("klab,ka,lb->kl", table, s, s)) @ c2
+        n = len(self)
+        r = (table.reshape(-1) * self.cell_products).reshape(n, n, -1)
+        return (c1.T @ r.sum(axis=2)) @ c2
 
     def block_sums(self, block, tables) -> np.ndarray:
-        """The dyad moment matrix c1.T @ R @ c2 of a block's heralded
-        samples, through the block's ``pair_sums`` R: O(n + L^2 P), and
-        within roundoff (about 1e-15 relative) of the per-sample sums."""
+        """The dyad moment matrix c1.T @ R @ c2 of a block's heralded cells,
+        R[k, l] the sum of ``cell_products`` over its cells of observables
+        (k, l): O(n + L^2 P), within roundoff of the per-sample sums."""
         c1, c2 = tables
-        return (c1.T @ self.pair_sums(
-            block.out1, block.set1, block.out2, block.set2)) @ c2
+        (cells,) = block.columns
+        n = len(self)
+        r = np.bincount(cells // self.dim**2, minlength=n * n,
+                        weights=self.cell_products.take(cells))
+        return (c1.T @ r.reshape(n, n)) @ c2
 
 
 def _gell_mann_family(dim: int) -> list[np.ndarray]:
@@ -328,11 +326,12 @@ class HomodyneKernel:
         chunk sums in order, which moves them by roundoff.
         """
         t1, t2 = tables
+        set1, set2, out1, out2 = block.columns
         m = np.zeros((t1[0].shape[0] // 2, t2[0].shape[0] // 2), dtype=complex)
-        for lo in range(0, block.set1.size, DYAD_CHUNK):
+        for lo in range(0, set1.size, DYAD_CHUNK):
             c = slice(lo, lo + DYAD_CHUNK)
-            e1 = self.dyad_estimates(block.out1[c], block.set1[c], t1)
-            e2 = self.dyad_estimates(block.out2[c], block.set2[c], t2)
+            e1 = self.dyad_estimates(out1[c], set1[c], t1)
+            e2 = self.dyad_estimates(out2[c], set2[c], t2)
             m += e1.T @ e2
             del e1, e2  # not alive while the next chunk's are formed
         return m
@@ -467,7 +466,8 @@ def build_homodyne_kernel(
                 delta,
                 f"kernel unbiasedness defect {defect:.3e} > {KERNEL_GATE_TOL:.0e} "
                 f"within window on diagonal delta={delta}; "
-                "reduce dim_cut, raise eta or widen grid_half_width",
+                "reduce dim_cut, raise eta, widen grid_half_width "
+                "or refine grid_spacing",
             )
         tables[delta] = np.ascontiguousarray(f.T)
         recovery[delta] = recov

@@ -25,14 +25,14 @@ Quadrature units follow X_phi = (a^dag e^{i phi} + a e^{-i phi})/2 (vacuum
 variance 1/4); detector efficiency adds independent Gaussian noise of
 variance (1-eta)/(4 eta) per mode.
 
-Every sampler returns four columns, settings then outcomes: (e^{i phi1},
-e^{i phi2}, x1, x2) or (obs1, obs2, out1, out2).  A homodyne setting is the
-unit phasor of its phase, np.cos and np.sin written into one complex array
-(``_phasor``) once per sample; both homodyne samplers need cos and sin
-anyway, and the dyad estimates never evaluate a trigonometric function.
-The sample dump writes phi back as
-angle(e^{i phi}) mod 2 pi.  A block of them is one ``SampleBlock``,
-which holds the heralded samples only and one herald flag per trial.
+A homodyne sampler returns four columns, settings then outcomes:
+(e^{i phi1}, e^{i phi2}, x1, x2); a setting is the unit phasor of its
+phase, np.cos and np.sin written into one complex array (``_phasor``) once
+per sample, so the dyad estimates never evaluate a trigonometric function,
+and the sample dump writes phi back as angle(e^{i phi}) mod 2 pi.  The
+finite sampler returns ``(cells,)``, flat indices into the joint outcome
+table.  A ``SampleBlock`` holds a block's sampler columns, heralded samples
+only, and one herald flag per trial.
 
 Determinism: every block owns the generator ``substream(master_seed,
 block_index)``; block data never depends on scheduling order or worker count.
@@ -118,18 +118,15 @@ def displaced_twinbeam_gaussian(z: complex, nbar: float) -> GaussianState:
 class SampleBlock:
     """One block of joint measurement records.
 
-    ``herald`` flags the trials in which the operation occurred.  The four
-    columns hold the heralded samples only, in the order the samplers return
-    them: settings (phasors e^{i phi1}, e^{i phi2}, or observable indices),
-    then outcomes (quadratures x1, x2, or eigenvalue indices).
+    ``herald`` flags the trials in which the operation occurred.
+    ``columns`` holds the heralded samples only, as the sampler returns
+    them: (e^{i phi1}, e^{i phi2}, x1, x2) from a homodyne sampler, or
+    ``(cells,)`` from ``sample_finite``.
     """
 
     block_id: int
     herald: np.ndarray
-    set1: np.ndarray
-    set2: np.ndarray
-    out1: np.ndarray
-    out2: np.ndarray
+    columns: tuple
 
 
 def _phasor(phi: np.ndarray) -> np.ndarray:
@@ -480,26 +477,23 @@ def joint_outcome_table(branches, weights, quorum: FiniteQuorum) -> np.ndarray:
 
 
 def sample_finite(
-    cum_table: np.ndarray,
+    cdf: np.ndarray,
     n: int,
     stream: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Joint finite-quorum outcomes (obs1, obs2, out1, out2).
+) -> tuple[np.ndarray]:
+    """Joint finite-quorum outcomes ``(cells,)``, flat indices into the
+    (L, L, d, d) ``joint_outcome_table``.
 
-    ``cum_table`` is the running sum of the per-run ``joint_outcome_table``
-    in its own shape, ``np.cumsum(table).reshape(table.shape)``, built once
-    per run; one uniform per sample.  The uniforms are sorted before the
-    search, which then walks the running sum in order, so the samples come
-    in table order; their multiset, all that a block's observable-pair sums
-    depend on, is that of the unsorted draws.
+    ``cdf`` is the table's flat running sum ``np.cumsum(table)``, built
+    once per run; one uniform per sample.  The uniforms are sorted before
+    the search, which then walks the running sum in order, so the cells
+    come in table order; their multiset, all that a block's reduction
+    depends on, is that of the unsorted draws.
     """
-    cdf = cum_table.reshape(-1)
     u = stream.random(n)
     u.sort()
-    draws = np.searchsorted(cdf, u * cdf[-1], side="right")
-    draws = np.minimum(draws, cdf.size - 1)
-    obs1, obs2, out1, out2 = np.unravel_index(draws, cum_table.shape)
-    return obs1, obs2, out1, out2
+    cells = np.searchsorted(cdf, u * cdf[-1], side="right")
+    return (np.minimum(cells, cdf.size - 1),)
 
 
 def draw_heralds(p: float, n: int, stream: np.random.Generator) -> np.ndarray:
@@ -524,10 +518,11 @@ def write_sample_dump(path, blocks) -> None:
     with open(path, "w") as fh:
         fh.write("# block_id, phi1, phi2, x1, x2, herald\n")
         for blk in blocks:
+            e1, e2, q1, q2 = blk.columns
             rows = np.zeros((blk.herald.size, 4))
             rows[blk.herald] = np.column_stack(
-                (np.angle(blk.set1) % (2.0 * np.pi),
-                 np.angle(blk.set2) % (2.0 * np.pi), blk.out1, blk.out2))
+                (np.angle(e1) % (2.0 * np.pi), np.angle(e2) % (2.0 * np.pi),
+                 q1, q2))
             for (phi1, phi2, x1, x2), h in zip(rows, blk.herald):
                 fh.write(f"{blk.block_id}, {phi1:.9g}, {phi2:.9g}, "
                          f"{x1:.9g}, {x2:.9g}, {int(h)}\n")

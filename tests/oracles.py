@@ -318,10 +318,16 @@ def per_sample_sums(backend, blk, tables):
 
     e1.T @ e2 with e1, e2 the (samples, pairs) dyad estimates of the block's
     two modes, evaluated through the backend's ``dyad_estimates`` of the
-    pair tables ``tables``: no chunks and no observable-pair sums.
+    pair tables ``tables``: no chunks and no observable-pair sums.  A finite
+    block's cells are decoded to (obs1, obs2, out1, out2) first.
     """
-    e1 = backend.dyad_estimates(blk.out1, blk.set1, tables[0])
-    e2 = backend.dyad_estimates(blk.out2, blk.set2, tables[1])
+    if len(blk.columns) == 1:
+        shape = (len(backend),) * 2 + (backend.dim,) * 2
+        set1, set2, out1, out2 = np.unravel_index(blk.columns[0], shape)
+    else:
+        set1, set2, out1, out2 = blk.columns
+    e1 = backend.dyad_estimates(out1, set1, tables[0])
+    e2 = backend.dyad_estimates(out2, set2, tables[1])
     return e1.T @ e2
 
 

@@ -77,7 +77,8 @@ def test_dyad_hook_counts_heralded_choi_pair_samples(tracer, tmp_path):
     # a finite-route Choi run with p_occ < 1: every block is reduced through
     # its observable-pair sums with dual coefficients built once per run,
     # so the hooked dyad_estimates, a per-sample evaluation, is never called
-    # and quorum.dyad_pair_samples reads 0 on this route
+    # and quorum.dyad_pair_samples reads 0 on this route; the hooked
+    # sample_finite counts each heralded sample once, from its one column
     from optomo.config import ExperimentConfig
 
     ks = np.zeros((2, 3, 3), dtype=complex)
@@ -92,6 +93,7 @@ def test_dyad_hook_counts_heralded_choi_pair_samples(tracer, tmp_path):
     heralded, spans = _traced_run(tracer, cfg, tmp_path)
     assert 0 < heralded < cfg.blocks * cfg.samples_per_block
     assert _counted(spans, "quorum.dyad") == 0
+    assert _counted(spans, "sampling.finite") == heralded
 
 
 def test_fock_hook_counts_every_heralded_sample(tracer, tmp_path):

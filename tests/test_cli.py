@@ -67,6 +67,19 @@ class TestSimulate:
         assert len(dump) == 1 + 6 * 400
         assert dump[0] == "# block_id, phi1, phi2, x1, x2, herald"
 
+    def test_finite_default_dim_cut_at_zero_window(self, tmp_path, capsys):
+        # n_max = 0 on the finite route: the default dim_cut is the window
+        # dimension 1, raised to the smallest finite quorum's 2
+        cfg = tmp_path / "w0.cfg"
+        cfg.write_text(
+            "optomo-config v1\noperation = identity\nroute = finite\n"
+            "nbar = 1.0\nn_max = 0\nblocks = 2\nsamples_per_block = 100\n"
+            "out_prefix = w0\n"
+        )
+        assert main(["simulate", "--config", str(cfg), "--dry-run",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert "dim_cut = 2" in capsys.readouterr().out.splitlines()
+
     def test_dump_samples_finite_route_exit_2(self, tmp_path, capsys):
         # the finite route has no quadrature records to dump
         cfg = tmp_path / "dump.cfg"

@@ -50,10 +50,9 @@ def make_finite_blocks(branches, weights, quorum, n_blocks, per_block, seed,
                        p_occ=1.0):
     """Finite-route blocks through the pipeline's heralded-block sampler,
     drawn from the outcome law of the output ``branches`` and ``weights``."""
-    table = joint_outcome_table(branches, weights, quorum)
-    cum_table = np.cumsum(table).reshape(table.shape)
+    cdf = np.cumsum(joint_outcome_table(branches, weights, quorum))
     cfg = ExperimentConfig(samples_per_block=per_block, master_seed=seed)
-    draw = lambda n, rng: sample_finite(cum_table, n, rng)
+    draw = lambda n, rng: sample_finite(cdf, n, rng)
     return [_heralded_block(cfg, p_occ, b, draw) for b in range(n_blocks)]
 
 
@@ -87,10 +86,10 @@ class TestChunkedAccumulation:
             psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
             table = joint_outcome_table([psi / np.linalg.norm(psi)], [1.0],
                                         backend)
-            cols = sample_finite(np.cumsum(table).reshape(table.shape), n, rng)
+            cols = sample_finite(np.cumsum(table), n, rng)
         herald = np.ones(n, dtype=bool)
         herald[[0, n // 2, n - 1]] = False
-        return SampleBlock(0, herald, *(c[herald] for c in cols))
+        return SampleBlock(0, herald, tuple(c[herald] for c in cols))
 
     def _terms(self, kind, coef, backend):
         return (pure_terms(coef, *self.REF, backend) if kind == "pure"
@@ -115,7 +114,7 @@ class TestChunkedAccumulation:
         tables, _ = self._terms(kind, coef, backend)
         got = backend.block_sums(blk, tables)
         want = per_sample_sums(backend, blk, tables)
-        assert blk.set1.size == n_heralded and got.shape == want.shape
+        assert blk.columns[0].size == n_heralded and got.shape == want.shape
         if n_heralded == 0:
             assert np.all(got == 0)
         elif name == "homodyne" and n_heralded <= self.CHUNK:
@@ -132,7 +131,9 @@ class TestChunkedAccumulation:
         rng = np.random.default_rng(9)
         obs = rng.integers(0, len(q), (2, 500))
         out = rng.integers(0, q.dim, (2, 500))
-        blk = SampleBlock(0, np.ones(500, dtype=bool), *obs, *out)
+        shape = (len(q),) * 2 + (q.dim,) * 2
+        cells = np.ravel_multi_index((*obs, *out), shape)
+        blk = SampleBlock(0, np.ones(500, dtype=bool), (cells,))
         psi = twin_beam(1.0, 12, deficit_bound=1.0).psi
         coef, _ = mode2_combination(psi, 11, 11)
         tables, _ = self._terms(kind, coef, q)
@@ -206,9 +207,8 @@ class TestChunkedAccumulation:
         q = build_finite_quorum(6)
         psi = twin_beam(1.0, 6, deficit_bound=1.0).psi
         table = joint_outcome_table([psi / np.linalg.norm(psi)], [1.0], q)
-        cols = sample_finite(np.cumsum(table).reshape(table.shape), 17_000,
-                             substream(3, 0))
-        blk = SampleBlock(0, np.ones(17_000, dtype=bool), *cols)
+        cols = sample_finite(np.cumsum(table), 17_000, substream(3, 0))
+        blk = SampleBlock(0, np.ones(17_000, dtype=bool), cols)
         coef, _ = mode2_combination(psi, 5, 5)
         terms = choi_terms(coef, q)
         tracemalloc.start()
@@ -242,14 +242,15 @@ class TestBackendInterface:
                 return len(pairs)
 
             def block_sums(self, block, tables):
-                n = block.set1.size
+                n = block.columns[0].size
                 m = np.full(tables, (block.block_id + 1.0) * n + 0j)
                 m[0, 1] = n
                 return m
 
         stub = Stub()
         coef, deficit = mode2_combination(np.eye(2), 1, stub.max_index)
-        blocks = [SampleBlock(b, np.ones(4, dtype=bool), *np.zeros((4, 4)))
+        blocks = [SampleBlock(b, np.ones(4, dtype=bool),
+                              tuple(np.zeros((4, 4))))
                   for b in range(3)]
         terms = pure_terms(coef, 0, 1, stub)
         est = finalize_pure(accumulate_pure(blocks, terms, stub), terms[1],
@@ -399,6 +400,31 @@ class TestExactChain:
             assert abs(m[0, 1].real - want[0, 1].real) <= (
                 1e-12 * abs(want[0, 1].real))
 
+    @pytest.mark.parametrize("kind", ["pure", "choi"])
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_block_sums_are_exact_sums_of_cell_frequencies(self, d, kind,
+                                                           rng):
+        # the sampled and the exact reduction contract one cell table: a
+        # block's moments are n times the exact moments per sample under
+        # its empirical cell frequencies
+        from oracles import random_invertible_state, random_kraus_map
+
+        q = build_finite_quorum(d)
+        psi = random_invertible_state(rng, d)
+        branches, weights = output_branches(
+            KrausMap(tuple(random_kraus_map(rng, d))), psi)
+        table = joint_outcome_table(branches, weights, q)
+        n = 17_000
+        (cells,) = sample_finite(np.cumsum(table), n, substream(6, d))
+        coef, _ = mode2_combination(psi, d - 1, d - 1)
+        tables, _ = (pure_terms(coef, 0, 1, q) if kind == "pure"
+                     else choi_terms(coef, q))
+        got = q.block_sums(SampleBlock(0, np.ones(n, dtype=bool), (cells,)),
+                           tables)
+        freq = np.bincount(cells, minlength=table.size) / n
+        want = n * q.exact_sums(freq.reshape(table.shape), tables)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestSampledPure:
     def test_identity_reconstruction_with_errors(self):
@@ -494,9 +520,8 @@ class TestErrorBarCalibration:
         blocks = []
         for b in range(15):
             rng = substream(77, b)
-            phi1, phi2, x1, x2 = sample_quadratures(state, 0.9, 3000, rng)
-            blocks.append(SampleBlock(b, np.ones(3000, dtype=bool),
-                                      phi1, phi2, x1, x2))
+            cols = sample_quadratures(state, 0.9, 3000, rng)
+            blocks.append(SampleBlock(b, np.ones(3000, dtype=bool), cols))
         coef, deficit = mode2_combination(beam.psi, 5, 5)
         terms = pure_terms(coef, 0, 0, kernel)
         est = finalize_pure(accumulate_pure(blocks, terms, kernel), terms[1],

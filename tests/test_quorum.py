@@ -17,6 +17,7 @@ from optomo.quorum import (
     build_homodyne_kernel,
     load_homodyne_kernel,
 )
+from optomo.sampling import SampleBlock
 
 from oracles import (
     homodyne_dyads_by_pairs,
@@ -68,7 +69,9 @@ class TestFiniteQuorum:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_pair_sums_by_loops(self, rng):
-        # R[k, l] adds lambda_km1 / w_k x lambda_lm2 / w_l sample by sample
+        # the observable-pair sums R[k, l] add lambda_km1 / w_k x
+        # lambda_lm2 / w_l sample by sample; block_sums with identity pair
+        # tables is R itself
         q = build_finite_quorum(3)
         obs = rng.integers(0, len(q), (2, 300))
         out = rng.integers(0, q.dim, (2, 300))
@@ -76,7 +79,11 @@ class TestFiniteQuorum:
         for k, l, m1, m2 in zip(*obs, *out):
             want[k, l] += (q.eigenvalues[k, m1] / q.weights[k]
                            * q.eigenvalues[l, m2] / q.weights[l])
-        got = q.pair_sums(out[0], obs[0], out[1], obs[1])
+        shape = (len(q),) * 2 + (q.dim,) * 2
+        cells = np.ravel_multi_index((*obs, *out), shape)
+        eye = np.eye(len(q))
+        got = q.block_sums(SampleBlock(0, np.ones(300, dtype=bool), (cells,)),
+                           (eye, eye))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -151,10 +158,15 @@ class TestHomodyneKernel:
 
     def test_narrow_grid_trips_gate_naming_grid(self):
         # at dim_cut 16 and eta 0.9 a half-width of 6 passes the gate and one
-        # of 2.5 cuts the pattern functions off: the message names the grid
+        # of 2.5 cuts the pattern functions off: the message names the grid;
+        # at half-width 12 a spacing of 0.2 passes and one of 0.5 is too
+        # coarse (defect 0.63), and the message names the spacing
         build_homodyne_kernel(16, 0.9, GridSpec(6.0))
         with pytest.raises(IllConditionedKernelError, match="grid_half_width"):
             build_homodyne_kernel(16, 0.9, GridSpec(2.5))
+        build_homodyne_kernel(16, 0.9, GridSpec(12.0, 0.2))
+        with pytest.raises(IllConditionedKernelError, match="grid_spacing"):
+            build_homodyne_kernel(16, 0.9, GridSpec(12.0, 0.5))
 
     def test_cache_roundtrip(self, kernel, tmp_path):
         kernel.save(tmp_path / "k.npz")

@@ -488,8 +488,8 @@ class TestSampleFinite:
     def test_maximally_entangled_sigma_z_correlations(self):
         q = build_finite_quorum(2)
         table = joint_outcome_table([np.eye(2) / np.sqrt(2)], [1.0], q)
-        obs1, obs2, out1, out2 = sample_finite(
-            np.cumsum(table).reshape(table.shape), 20_000, substream(3, 0))
+        (cells,) = sample_finite(np.cumsum(table), 20_000, substream(3, 0))
+        obs1, obs2, out1, out2 = np.unravel_index(cells, table.shape)
         zz = (obs1 == 3) & (obs2 == 3)  # observable 3 is sigma_z
         assert zz.sum() > 500
         assert np.all(out1[zz] == out2[zz])
@@ -501,8 +501,8 @@ class TestSampleFinite:
         ground = np.zeros((2, 2), dtype=complex)
         ground[0, 0] = 1.0  # |00> with (0,0) = Fock-like ground pair
         table = joint_outcome_table([ground], [1.0], q)
-        obs1, obs2, out1, out2 = sample_finite(
-            np.cumsum(table).reshape(table.shape), 5_000, substream(3, 1))
+        (cells,) = sample_finite(np.cumsum(table), 5_000, substream(3, 1))
+        obs1, obs2, out1, out2 = np.unravel_index(cells, table.shape)
         zz = (obs1 == 3) & (obs2 == 3)
         # sigma_z eigenvalues sorted ascending: index 1 is the +1 outcome |0>
         assert np.all(out1[zz] == 1) and np.all(out2[zz] == 1)
@@ -522,13 +522,10 @@ class TestSampleFinite:
         # table order
         q = build_finite_quorum(3)
         table = joint_outcome_table(*eigen_branches(random_density(rng, 9)), q)
-        got = sample_finite(np.cumsum(table).reshape(table.shape), 10_000,
-                            substream(5, 2))
+        got = sample_finite(np.cumsum(table), 10_000, substream(5, 2))
         flat = self._unsorted_flat_draws(table, 10_000, substream(5, 2))
-        want = np.unravel_index(np.sort(flat), table.shape)
-        assert len(got) == 4
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        assert len(got) == 1
+        assert np.array_equal(got[0], np.sort(flat))
 
     def test_sorted_draws_keep_the_joint_counts(self, rng):
         # d = 6: a 46,656-entry table; sorting the uniforms reorders a
@@ -536,11 +533,11 @@ class TestSampleFinite:
         # out2) rows, all that its observable-pair sums depend on
         q = build_finite_quorum(6)
         table = joint_outcome_table(*eigen_branches(random_density(rng, 36)), q)
-        cum = np.cumsum(table).reshape(table.shape)
+        cdf = np.cumsum(table)
         for block_id in (0, 1, 7, 123):
-            got = np.stack(sample_finite(cum, 17_000, substream(8, block_id)))
-            flat = np.ravel_multi_index(tuple(got), table.shape)
+            (flat,) = sample_finite(cdf, 17_000, substream(8, block_id))
             assert np.all(np.diff(flat) >= 0)
+            got = np.stack(np.unravel_index(flat, table.shape))
             want = np.stack(np.unravel_index(self._unsorted_flat_draws(
                 table, 17_000, substream(8, block_id)), table.shape))
             rows, counts = np.unique(got, axis=1, return_counts=True)
@@ -604,10 +601,8 @@ class TestSampleDump:
         blk = SampleBlock(
             block_id=3,
             herald=np.array([True, False]),
-            set1=np.array([0.1]),
-            set2=np.array([1.0]),
-            out1=np.array([0.123456789123]),
-            out2=np.array([0.5]),
+            columns=(np.array([0.1]), np.array([1.0]),
+                     np.array([0.123456789123]), np.array([0.5])),
         )
         path = tmp_path / "dump.csv"
         write_sample_dump(path, [blk])
