@@ -14,18 +14,19 @@ zero-mean Gaussian of variance (1-eta)/(4 eta).
 
 A kernel build forms the Psi table of its grid once and hands it to
 ``smeared_pair_table`` for every offset, which convolves the pair products
-``CONVOLVE_ROWS`` rows per FFT call: batching rows saves per-call work,
-while the row cap bounds the FFT buffers of one call.
+with ``scipy.fft``: the filter is transformed once per offset, and the rows
+``CONVOLVE_ROWS`` at a time, so batching rows saves per-call work while the
+row cap bounds the FFT buffers of one call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from optomo.errors import UnphysicalDeconvolutionError
 
-CONVOLVE_ROWS = 8  # smeared rows per fftconvolve call: bounds the batch
+CONVOLVE_ROWS = 8  # smeared rows per FFT round trip: bounds the batch
 
 
 def noise_sigma2(eta: float) -> float:
@@ -94,8 +95,9 @@ def smeared_pair_table(
     ``psi`` is the ``quadrature_wavefunctions`` table (dim_cut, len(x)) of
     the grid x with spacing ``dx``, formed once by the caller for every
     offset.  Returns shape (dim_cut - delta, len(x)); row a holds the pair
-    (a, a + delta).  The products are convolved with the filter
-    ``CONVOLVE_ROWS`` rows per ``fftconvolve`` call, each row as if alone.
+    (a, a + delta).  Each row is convolved with the filter as if alone and
+    cropped to its own length ("same" mode), ``CONVOLVE_ROWS`` rows per
+    rfft/irfft round trip at the fast FFT size of the full convolution.
     These are the quadrature-distribution basis functions: a state rho
     smeared by efficiency noise has density
     p_eta(x | phi) = sum_ab rho_ab e^{i(a-b) phi} g_{min(a,b),|a-b|}(x).
@@ -106,7 +108,13 @@ def smeared_pair_table(
     kern = gaussian_filter_kernel(sigma, dx)
     rows = np.multiply(psi[: dim_cut - delta], psi[delta:])
     if kern.size > 1:
+        n, full = rows.shape[1], rows.shape[1] + kern.size - 1
+        size = scipy.fft.next_fast_len(full, True)
+        spec = scipy.fft.rfft(kern, size)
+        start = (full - n) // 2
         for lo in range(0, rows.shape[0], CONVOLVE_ROWS):
             chunk = rows[lo:lo + CONVOLVE_ROWS]
-            chunk[:] = fftconvolve(chunk, kern[None, :], mode="same", axes=1)
+            conv = scipy.fft.irfft(
+                scipy.fft.rfft(chunk, size, axis=1) * spec, size, axis=1)
+            chunk[:] = conv[:, start:start + n]
     return rows

@@ -182,6 +182,26 @@ def smeared_pairs_by_rows(dim_cut: int, delta: int, x, dx: float,
     return rows
 
 
+def smeared_pairs_by_chunks(psi: np.ndarray, delta: int, dx: float,
+                            sigma: float) -> np.ndarray:
+    """``smeared_pair_table`` as ``scipy.signal.fftconvolve`` computes it:
+    the products Psi_a Psi_{a+delta} of the table ``psi``, convolved with the
+    discrete Gaussian filter of ``sigma`` by one ``fftconvolve(chunk,
+    filter, mode="same", axes=1)`` call per ``CONVOLVE_ROWS`` rows (the
+    product alone when the filter has one tap)."""
+    from scipy.signal import fftconvolve
+
+    from optomo.fock import CONVOLVE_ROWS, gaussian_filter_kernel
+
+    kern = gaussian_filter_kernel(sigma, dx)
+    rows = psi[: psi.shape[0] - delta] * psi[delta:]
+    if kern.size > 1:
+        for lo in range(0, rows.shape[0], CONVOLVE_ROWS):
+            chunk = rows[lo:lo + CONVOLVE_ROWS]
+            chunk[:] = fftconvolve(chunk, kern[None, :], mode="same", axes=1)
+    return rows
+
+
 def fock_draw_by_batches(tables, eta: float, n: int, stream):
     """``sample_fock_general``'s samples, drawn batch by batch.
 

@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,12 @@ from optomo.errors import (
     IllConditionedKernelError,
     UnphysicalDeconvolutionError,
 )
-from optomo.fock import noise_sigma2, quadrature_wavefunctions
+from optomo.fock import (
+    gaussian_filter_kernel,
+    noise_sigma2,
+    quadrature_wavefunctions,
+    smeared_pair_table,
+)
 from optomo.maps import twin_beam
 from optomo.quorum import (
     GridSpec,
@@ -22,6 +30,7 @@ from optomo.sampling import SampleBlock
 from oracles import (
     homodyne_dyads_by_pairs,
     random_density,
+    smeared_pairs_by_chunks,
     smeared_pairs_by_rows,
     wavefunctions_by_rows,
 )
@@ -314,12 +323,66 @@ class TestFockBasisTables:
             assert np.array_equal(kernel.recovery[delta],
                                   oracle.recovery[delta])
 
+    @pytest.mark.parametrize("dim_cut,delta,eta,half_width,spacing", [
+        (6, 2, 0.55, 1.0, 0.01),   # 725 filter taps against 201 points
+        (20, 19, 0.9, 10.0, 0.02),  # a one-row table
+        (13, 0, 0.7, 10.0, 0.02),  # one full chunk and a part one
+        (20, 7, 0.7, 10.0, 0.02),  # the same 13 rows at an offset
+        (12, 3, 1.0, 10.0, 0.02),  # one tap: nothing is convolved
+    ])
+    def test_smearing_bitwise_as_fftconvolve(self, dim_cut, delta, eta,
+                                             half_width, spacing):
+        grid = GridSpec(half_width, spacing)
+        psi = quadrature_wavefunctions(dim_cut, grid.points)
+        sigma = np.sqrt(noise_sigma2(eta))
+        if eta == 0.55:
+            assert gaussian_filter_kernel(sigma, spacing).size == 725
+            assert psi.shape[1] == 201
+        got = smeared_pair_table(psi, delta, spacing, sigma)
+        assert got.shape == (dim_cut - delta, psi.shape[1])
+        assert np.array_equal(
+            got, smeared_pairs_by_chunks(psi, delta, spacing, sigma))
+
+    def test_smearing_one_point_grid(self):
+        # on a one-point grid fftconvolve drops the length-1 axis and
+        # multiplies by the filter's centre tap, while the FFT round trip
+        # leaves roundoff of about 1e-18: compared to 1e-15, not bitwise.
+        # No kernel build reaches this grid; its conditioning gate fires.
+        psi = quadrature_wavefunctions(10, np.array([0.3]))
+        sigma = np.sqrt(noise_sigma2(0.8))
+        for delta in (0, 4, 9):
+            np.testing.assert_allclose(
+                smeared_pair_table(psi, delta, 0.02, sigma),
+                smeared_pairs_by_chunks(psi, delta, 0.02, sigma),
+                rtol=0.0, atol=1e-15)
+
+    def test_package_never_imports_scipy_signal(self):
+        # scipy.signal costs about 40 MB of resident memory on import; the
+        # kernel build runs too, so that a lazy import in the smearing
+        # would show
+        script = (
+            "import sys\n"
+            "import optomo, optomo.cli\n"
+            "from optomo.quorum import GridSpec, build_homodyne_kernel\n"
+            "build_homodyne_kernel(8, 0.9, GridSpec(5.0), max_index=2)\n"
+            "print('scipy.signal' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_kernel_build_peak_allocation(self):
         # a kernel at the Fock-route Choi benchmark's size (dim_cut 48, eta
-        # 0.9, +-36, n_max 3).  Convolving one row at a time peaked at
-        # 12.04 MB of traced allocations (numpy 2.4, scipy 1.17); the bound
-        # is that plus 10%.  Convolving all rows of an offset in one call
-        # peaks at 17.4 MB.
+        # 0.9, +-36, n_max 3).  The bound is 12.04 MB plus 10%: the traced
+        # peak of convolving one row per scipy.signal.fftconvolve call
+        # (numpy 2.4, scipy 1.17).  Eight rows per scipy.fft rfft/irfft
+        # round trip peak at 10.72 MB; one round trip for all rows of an
+        # offset peaks at 14.68 MB.
         build_homodyne_kernel(8, 0.9, GridSpec(5.0), max_index=2)  # warm-up
         tracemalloc.start()
         try:
