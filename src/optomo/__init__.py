@@ -18,7 +18,6 @@ from optomo.bipartite import (
 from optomo.maps import (
     ChoiMatrix,
     KrausMap,
-    PureOperation,
     TwinBeamState,
     apply_kraus_bipartite,
     apply_pure,
@@ -45,7 +44,6 @@ __all__ = [
     "GridSpec",
     "HomodyneKernel",
     "KrausMap",
-    "PureOperation",
     "TwinBeamState",
     "apply_kraus_bipartite",
     "apply_pure",

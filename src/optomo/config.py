@@ -93,6 +93,11 @@ class ExperimentConfig:
                 raise ConfigError("reference indices must lie inside the window")
         if self.grid_spacing <= 0:
             raise ConfigError("grid_spacing must be positive")
+        if (self.out_prefix in ("", ".", "..")
+                or any(c in self.out_prefix for c in "/\\\0")):
+            raise ConfigError(
+                f"out_prefix = {self.out_prefix!r} must be one file-name "
+                "component: non-empty, not '.' or '..', no '/', '\\' or NUL")
         if self.dump_samples and finite:
             raise ConfigError(
                 "dump_samples writes quadrature records; route = finite has "

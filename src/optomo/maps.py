@@ -1,9 +1,10 @@
 """Quantum operations, Choi matrices, and the physical states of the experiment.
 
-A pure operation acts as rho -> A rho A^dag with a contraction A; a general
-operation is a Kraus map rho -> sum_n K_n rho K_n^dag with
-sum_n K_n^dag K_n <= I.  Acting with the map on the first half of an entangled
-pure state |psi>> produces, for the pure case,
+A general operation is a Kraus map rho -> sum_n K_n rho K_n^dag with
+sum_n K_n^dag K_n <= I; a pure operation rho -> A rho A^dag with a
+contraction A is the one-operator ``KrausMap((A,))``.  Acting with the map
+on the first half of an entangled pure state |psi>> produces, for the pure
+case,
 
     |phi>> = (A (x) I)|psi>> / ||A psi||_HS,      p = ||A psi||_HS^2,
 
@@ -31,26 +32,11 @@ from optomo.errors import (
     NotCompletelyPositiveError,
 )
 
-CONTRACTION_TOL = 1e-10
 KRAUS_BOUND_TOL = 1e-10
 CHOI_HERMITIAN_TOL = 1e-10
 CHOI_PSD_REL_TOL = 1e-8
 DISPLACEMENT_GUARD = 8
 DEFICIT_WARN_BOUND = 1e-3
-
-
-@dataclass(frozen=True)
-class PureOperation:
-    """Single-contraction operation rho -> A rho A^dag, ||A|| <= 1."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", a)
-        top = np.linalg.svd(a, compute_uv=False)[0]
-        if top > 1.0 + CONTRACTION_TOL:
-            raise ValueError(f"not a contraction: largest singular value {top:.6g}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +108,6 @@ class TwinBeamState:
     reduced state of either beam is thermal with mean photon number nbar.
     """
 
-    nbar: float
-    dim_cut: int
     psi: np.ndarray = field(repr=False)
     deficit: float
 
@@ -132,14 +116,16 @@ class TwinBeamState:
         return np.real(np.diag(self.psi))
 
 
-def apply_pure(op: PureOperation, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Map the entangler matrix through the operation: phi = A psi / ||A psi||,
-    the one-branch case of ``output_branches``.
+def apply_pure(a: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
+    """Map the entangler matrix through the pure operation with the
+    contraction ``a``: phi = A psi / ||A psi||, the one-branch case of
+    ``output_branches``.
 
     Returns (phi, p) with p = ||A psi||_HS^2 the occurrence probability.
-    Raises AnnihilatingOperationError when A psi = 0.
+    Raises ValueError when ||A|| > 1 (``KrausMap``'s bound check) and
+    AnnihilatingOperationError when A psi = 0.
     """
-    (phi,), (p,) = output_branches(KrausMap((op.matrix,)), psi)
+    (phi,), (p,) = output_branches(KrausMap((a,)), psi)
     return phi, p
 
 
@@ -250,10 +236,5 @@ def twin_beam(nbar: float, dim_cut: int, deficit_bound: float = DEFICIT_WARN_BOU
             f"{deficit_bound:.0e}; increase dim_cut",
             stacklevel=2,
         )
-    return TwinBeamState(
-        nbar=float(nbar),
-        dim_cut=dim_cut,
-        psi=np.diag(diag).astype(complex),
-        deficit=deficit,
-    )
+    return TwinBeamState(psi=np.diag(diag).astype(complex), deficit=deficit)
 

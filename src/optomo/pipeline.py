@@ -61,7 +61,6 @@ from optomo.sampling import (
     SampleBlock,
     displaced_twinbeam_gaussian,
     draw_heralds,
-    fock_grid,
     fock_tables,
     joint_outcome_table,
     sample_finite,
@@ -153,7 +152,6 @@ def build_operation(cfg: ExperimentConfig, dim_cut: int) -> KrausMap:
 class SimResult:
     estimate: MatrixEstimate
     kind: str
-    theory: np.ndarray | None
     paths: list
     wall_seconds: float
     dry_report: list = None
@@ -247,7 +245,7 @@ def run_simulate(
         if theory is not None:
             for n in range(window + 1):
                 lines.append(f"theory A_{n}{n} = {theory[n, n]:.9g}")
-        return SimResult(estimate=None, kind=kind, theory=theory, paths=[],
+        return SimResult(estimate=None, kind=kind, paths=[],
                          wall_seconds=time.perf_counter() - t0,
                          dry_report=lines)
 
@@ -267,7 +265,7 @@ def run_simulate(
             state = displaced_twinbeam_gaussian(z, cfg.nbar)
             draw = lambda n, rng: sample_quadratures(state, cfg.eta, n, rng)
         else:
-            tables = fock_tables(branches, weights, fock_grid(dim_cut))
+            tables = fock_tables(branches, weights)
             draw = lambda n, rng: sample_fock_general(tables, cfg.eta, n, rng)
     make_block = lambda b: _heralded_block(cfg, p_occ, b, draw)
 
@@ -292,7 +290,7 @@ def run_simulate(
         estimate = estimation.finalize_choi(acc, comb, total_deficit)
 
     paths = _write_outputs(cfg, estimate, kind, theory, out_dir, make_block)
-    return SimResult(estimate=estimate, kind=kind, theory=theory, paths=paths,
+    return SimResult(estimate=estimate, kind=kind, paths=paths,
                      wall_seconds=time.perf_counter() - t0)
 
 
@@ -352,7 +350,7 @@ def emit_plotdata(result_path, out_dir=".") -> list:
     result_path = pathlib.Path(result_path)
     try:
         doc = report.parse_result(result_path.read_text())
-    except (OSError, ValueError) as exc:  # unreadable, not text, malformed
+    except (OSError, ValueError, ConfigError) as exc:  # unreadable, malformed
         raise ConfigError(f"result document {result_path}: {exc}") from exc
     if doc.kind != "pure":
         raise ConfigError(

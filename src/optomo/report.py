@@ -88,8 +88,9 @@ def render_result(cfg: ExperimentConfig, estimate: MatrixEstimate,
 def parse_result(text: str) -> ResultDoc:
     """Parse a result document; raises ValueError on a malformed one: a bad
     header, an unknown estimate kind, a summary without i0, j0 and window
-    or with (i0, j0) outside the window, or matrix rows that do not give
-    every index of the window exactly once."""
+    or with (i0, j0) outside the window, matrix rows that do not give
+    every index of the window exactly once, or a value that is not finite
+    (a run writes none)."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("optomo-result"):
         raise ValueError("missing 'optomo-result v<N>' header")
@@ -127,6 +128,8 @@ def parse_result(text: str) -> ResultDoc:
     table = np.array(rows, dtype=float)
     if table.ndim != 2 or table.shape[1] != order + 3:
         raise ValueError(f"[matrix] needs rows of {order + 3} columns")
+    if not np.isfinite(table).all():
+        raise ValueError("[matrix] values must be finite")
     idx = table[:, :order].astype(int)
     flat = idx @ w1 ** np.arange(order - 1, -1, -1)  # row-major entry
     side = w1 ** (order // 2)

@@ -5,10 +5,10 @@ Three sampling paths share one RNG contract:
 * exact Gaussian sampling of joint quadratures for Gaussian scenarios
   (the displaced twin-beam experiment),
 * exact Fock-basis sampling of arbitrary pure bipartite outputs (and
-  mixtures of them for Kraus maps) on one grid per run (``fock_grid``),
-  from one per-run record of the output branches (``fock_tables``, which
-  holds each branch's mode-1 marginal summed block by block): x1 from the
-  phase-dependent marginal, x2 from the exact conditional given x1, both
+  mixtures of them for Kraus maps) from one per-run record of the output
+  branches (``fock_tables``, which holds the run's grid with its block
+  tables and each branch's mode-1 marginal summed block by block): x1 from
+  the phase-dependent marginal, x2 from the exact conditional given x1, both
   by one two-level search, first over the grid's blocks by their masses,
   then over the nodes of one block; each grid node's mass sits on the cell
   centred on it, so draws carry no half-cell shift; a block's draws are
@@ -189,8 +189,10 @@ def sample_quadratures(
 
 
 @dataclass(frozen=True)
-class FockGrid:
-    """Per-run grid tables of the Fock-route sampler, shared by every branch.
+class FockTables:
+    """Per-run record of the Fock-route sampler for the output that mixes the
+    pure ``branches`` (shape (n, d, d)) with probabilities ``weights``: the
+    sampling grid, its block tables and each branch's mode-1 marginal.
 
     ``x`` holds the G nodes of the sampling grid, cropped to the support of
     the wavefunctions.  The nodes are split into ``n_blocks`` contiguous
@@ -199,53 +201,9 @@ class FockGrid:
     block)), so block b is columns [b block, (b + 1) block).  ``mass`` holds
     the block mass matrices M_b = Psi_b Psi_b^T side by side, shape
     (d, n_blocks d): the mass of block b under the amplitude c over Fock
-    index m is c^dag M_b c.
-    """
-
-    x: np.ndarray
-    psi: np.ndarray
-    mass: np.ndarray
-    block: int
-    n_blocks: int
-
-
-def fock_grid(d: int, n_points: int = FOCK_GRID_POINTS) -> FockGrid:
-    """The sampling grid of dimension-``d`` outputs and its block tables.
-
-    The grid is ``n_points`` nodes over [-6 sigma_max, 6 sigma_max] with
-    sigma_max^2 = (2d + 1)/4, cropped to the nodes where the envelope
-    sum_a Psi_a(x)^2 exceeds 1e-40 of its peak.  Its G nodes are split into
-    nb = round(sqrt(G/d)) blocks of B = ceil(G/nb) nodes, which balances the
-    d^2 nb work of the block masses against the d B work inside one block;
-    nb is cut to at most G // ``FOCK_MIN_BLOCK``, so that at small d a
-    block's fixed cost is shared by at least that many nodes.
-    """
-    sigma_max = np.sqrt((2.0 * d + 1.0) / 4.0)
-    x = np.linspace(-6.0 * sigma_max, 6.0 * sigma_max, n_points)
-    psi = quadrature_wavefunctions(d, x)
-    envelope = np.sum(psi * psi, axis=0)
-    keep = np.flatnonzero(envelope > 1e-40 * envelope.max())
-    crop = slice(keep[0], keep[-1] + 1)
-    x = x[crop]
-    nb = min(round(np.sqrt(x.size / d)), x.size // FOCK_MIN_BLOCK)
-    block = -(-x.size // max(1, nb))  # ceil
-    n_blocks = -(-x.size // block)  # every block holds a node
-    padded = np.zeros((d, n_blocks * block))
-    padded[:, : x.size] = psi[:, crop]
-    mass = np.concatenate(
-        [pb @ pb.T for pb in np.split(padded, n_blocks, axis=1)], axis=1)
-    return FockGrid(x=x, psi=padded, mass=mass, block=block,
-                    n_blocks=n_blocks)
-
-
-@dataclass(frozen=True)
-class FockTables:
-    """Per-run tables of the Fock-route sampler for the output that mixes the
-    pure ``branches`` (shape (n, d, d)) with probabilities ``weights``.
-
-    ``grid`` is the run's shared ``FockGrid``.  ``marginal[n]`` is the mode-1
-    marginal of branch n in the node layout of ``grid.psi``, summed from the
-    first node of each block: column k of row delta of its complex form is
+    index m is c^dag M_b c.  ``marginal[n]`` is the mode-1 marginal of
+    branch n in the node layout of ``psi``, summed from the first node of
+    each block: column k of row delta of its complex form is
     H_delta(k) = w_delta sum_a rho1[a, a+delta] sum_j Psi_a Psi_{a+delta} at
     x_j, over the nodes j <= k of the block of node k (w_0 = 1, otherwise
     2), stored as rows [Re H; Im H], shape (n, 2d, n_blocks block).  For
@@ -253,23 +211,47 @@ class FockTables:
     e^{-i delta phi1}; at a block's last node it is that block's mass.
     """
 
-    grid: FockGrid
+    x: np.ndarray
+    psi: np.ndarray
+    mass: np.ndarray
+    block: int
+    n_blocks: int
     branches: np.ndarray
     weights: np.ndarray
     marginal: np.ndarray
 
 
-def fock_tables(branches, weights, grid: FockGrid) -> FockTables:
-    """Sampler tables of the output that mixes the normalised pure
+def fock_tables(branches, weights) -> FockTables:
+    """The sampler record of the output that mixes the normalised pure
     ``branches`` (d x d matrices) with ``weights``, built once per run.
 
-    ``grid`` is the run's ``fock_grid`` of dimension d.  Raises
+    The grid is ``FOCK_GRID_POINTS`` nodes over [-6 sigma_max, 6 sigma_max]
+    with sigma_max^2 = (2d + 1)/4, cropped to the nodes where the envelope
+    sum_a Psi_a(x)^2 exceeds 1e-40 of its peak.  Its G nodes are split into
+    nb = round(sqrt(G/d)) blocks of B = ceil(G/nb) nodes, which balances the
+    d^2 nb work of the block masses against the d B work inside one block;
+    nb is cut to at most G // ``FOCK_MIN_BLOCK``, so that at small d a
+    block's fixed cost is shared by at least that many nodes.  Raises
     TruncationError if the norm of a branch differs from 1 by more than
     ``TRUNCATION_BOUND``.
     """
     branches = np.array(branches, dtype=complex)
     n, d = branches.shape[:2]
-    psi = grid.psi
+    sigma_max = np.sqrt((2.0 * d + 1.0) / 4.0)
+    x = np.linspace(-6.0 * sigma_max, 6.0 * sigma_max, FOCK_GRID_POINTS)
+    full = quadrature_wavefunctions(d, x)
+    envelope = np.sum(full * full, axis=0)
+    keep = np.flatnonzero(envelope > 1e-40 * envelope.max())
+    crop = slice(keep[0], keep[-1] + 1)
+    x = x[crop]
+    nb = min(round(np.sqrt(x.size / d)), x.size // FOCK_MIN_BLOCK)
+    block = -(-x.size // max(1, nb))  # ceil
+    n_blocks = -(-x.size // block)  # every block holds a node
+    psi = np.zeros((d, n_blocks * block))
+    psi[:, : x.size] = full[:, crop]
+    del full  # kept alive, it slows the marginal products below ~1.5x
+    mass = np.concatenate(
+        [pb @ pb.T for pb in np.split(psi, n_blocks, axis=1)], axis=1)
     rho1 = np.empty((n, d, d), dtype=complex)  # reduced states of mode 1
     for phi, r in zip(branches, rho1):
         norm2 = float(np.sum(np.abs(phi) ** 2))
@@ -288,15 +270,16 @@ def fock_tables(branches, weights, grid: FockGrid) -> FockTables:
             psi[: d - delta] * psi[delta:])
         marginal[:, delta] = parts[:n]
         marginal[:, d + delta] = parts[n:]
-    np.cumsum(marginal.reshape(n, 2 * d, grid.n_blocks, grid.block), axis=3,
-              out=marginal.reshape(n, 2 * d, grid.n_blocks, grid.block))
-    return FockTables(grid=grid, branches=branches,
+    np.cumsum(marginal.reshape(n, 2 * d, n_blocks, block), axis=3,
+              out=marginal.reshape(n, 2 * d, n_blocks, block))
+    return FockTables(x=x, psi=psi, mass=mass, block=block,
+                      n_blocks=n_blocks, branches=branches,
                       weights=np.asarray(weights) / np.sum(weights),
                       marginal=marginal)
 
 
-def _grid_draw(grid: FockGrid, masses, running, u) -> np.ndarray:
-    """One draw per row by a two-level inverse CDF on ``grid``.
+def _grid_draw(tables: FockTables, masses, running, u) -> np.ndarray:
+    """One draw per row by a two-level inverse CDF on the grid of ``tables``.
 
     ``masses`` (s, n_blocks) holds every row's mass in each block, and
     ``running(b, sel)`` the running mass of the rows ``sel`` over the nodes
@@ -322,35 +305,36 @@ def _grid_draw(grid: FockGrid, masses, running, u) -> np.ndarray:
         (target - before) / np.maximum(masses[rows, blk], np.finfo(float).tiny),
         1.0)
     xs = np.empty(s)
-    dx = grid.x[1] - grid.x[0]
+    dx = tables.x[1] - tables.x[0]
     for b in np.unique(blk):
         sel = np.flatnonzero(blk == b)
-        start = b * grid.block
-        cdf = running(b, sel)[:, : grid.x.size - start]
+        start = b * tables.block
+        cdf = running(b, sel)[:, : tables.x.size - start]
         t = share[sel] * cdf[:, -1]
         node = np.argmax(cdf >= t[:, None], axis=1)
         at = np.arange(sel.size)
         c_lo = np.where(node > 0, cdf[at, node - 1], 0.0)
         frac = (t - c_lo) / np.maximum(cdf[at, node] - c_lo,
                                        np.finfo(float).tiny)
-        xs[sel] = grid.x[start + node] + (frac - 0.5) * dx
+        xs[sel] = tables.x[start + node] + (frac - 0.5) * dx
     return xs
 
 
-def _draw_x2(grid: FockGrid, c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One draw per row of the density |sum_m c[r, m] Psi_m(x)|^2 on ``grid``.
+def _draw_x2(tables: FockTables, c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One draw per row of the density |sum_m c[r, m] Psi_m(x)|^2 on the
+    grid of ``tables``.
 
     The block masses c^dag M_b c of every row come from one real GEMM; the
     running mass over one block's nodes from one GEMM per block.
     """
     s, d = c.shape
-    size = grid.block
+    size = tables.block
     ri = np.concatenate([c.real, c.imag])  # (2s, d)
-    quad = (ri @ grid.mass).reshape(2, s, grid.n_blocks, d)
+    quad = (ri @ tables.mass).reshape(2, s, tables.n_blocks, d)
     masses = np.einsum("tsbm,tsm->sb", quad, ri.reshape(2, s, d))
 
     def running(b, sel):
-        psi_b = grid.psi[:, b * size:(b + 1) * size]
+        psi_b = tables.psi[:, b * size:(b + 1) * size]
         cdf = c.real[sel] @ psi_b
         im = c.imag[sel] @ psi_b
         cdf *= cdf
@@ -358,7 +342,7 @@ def _draw_x2(grid: FockGrid, c: np.ndarray, u: np.ndarray) -> np.ndarray:
         cdf += im
         return np.cumsum(cdf, axis=1, out=cdf)
 
-    return _grid_draw(grid, masses, running, u)
+    return _grid_draw(tables, masses, running, u)
 
 
 def _fock_draw(tables: FockTables, branch_idx, p1, p2, u1, u2):
@@ -374,7 +358,7 @@ def _fock_draw(tables: FockTables, branch_idx, p1, p2, u1, u2):
     over one block trig1 times that block's columns.  x2 is drawn from the
     exact conditional given x1.  The phasors are the order-1 rows of rot_j.
     """
-    grid, size = tables.grid, tables.grid.block
+    size = tables.block
     d = tables.branches.shape[1]
     rot1 = phase_powers(_phasor(p1), np.empty((d, p1.size), dtype=complex))
     rot2 = phase_powers(_phasor(p2), np.empty((d, p2.size), dtype=complex))
@@ -385,7 +369,7 @@ def _fock_draw(tables: FockTables, branch_idx, p1, p2, u1, u2):
     for sel, marginal in zip(rows_of, tables.marginal):
         t = trig1[sel]
         xs1[sel] = _grid_draw(
-            grid, t @ marginal[:, size - 1::size],
+            tables, t @ marginal[:, size - 1::size],
             lambda b, at: t[at] @ marginal[:, b * size:(b + 1) * size],
             u1[sel])
     # conditional amplitude over mode-2 index m at the drawn x1
@@ -394,7 +378,7 @@ def _fock_draw(tables: FockTables, branch_idx, p1, p2, u1, u2):
     for sel, phi_out in zip(rows_of, tables.branches):
         c[sel] = amp[sel] @ phi_out
     c *= rot2.T
-    return rot1[1], rot2[1], xs1, _draw_x2(grid, c, u2)
+    return rot1[1], rot2[1], xs1, _draw_x2(tables, c, u2)
 
 
 def sample_fock_general(

@@ -214,7 +214,7 @@ def fock_draw_by_batches(tables, eta: float, n: int, stream):
     """
     from optomo.sampling import FOCK_BATCH, _draw_x2, _grid_draw
 
-    grid, size = tables.grid, tables.grid.block
+    size = tables.block
     n_branches = len(tables.weights)
     if n_branches == 1:
         branch_idx = np.zeros(n, dtype=int)
@@ -238,14 +238,14 @@ def fock_draw_by_batches(tables, eta: float, n: int, stream):
             rot2 = np.exp(1j * np.outer(p2, orders))
             trig1 = np.concatenate([rot1.real, rot1.imag], axis=1)
             xs1 = _grid_draw(
-                grid, trig1 @ marginal[:, size - 1::size],
+                tables, trig1 @ marginal[:, size - 1::size],
                 lambda b, s: trig1[s] @ marginal[:, b * size:(b + 1) * size],
                 u1)
             c = ((wavefunctions_by_rows(orders.size, xs1).T * rot1)
                  @ phi_out) * rot2
             e1[at], e2[at] = rot1[:, 1], rot2[:, 1]
             x1[at] = xs1 + sn * g1
-            x2[at] = _draw_x2(grid, c, u2) + sn * g2
+            x2[at] = _draw_x2(tables, c, u2) + sn * g2
     return e1, e2, x1, x2
 
 

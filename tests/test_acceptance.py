@@ -24,7 +24,6 @@ from optomo.estimation import (
 )
 from optomo.maps import (
     KrausMap,
-    PureOperation,
     apply_pure,
     kraus_to_choi,
     map_from_choi,
@@ -120,7 +119,7 @@ class TestCriterion3ExactUnbiasedness:
             quorum = build_finite_quorum(d)
             a = random_contraction(rng, d)
             psi = random_invertible_state(rng, d)
-            phi, p = apply_pure(PureOperation(a), psi)
+            phi, p = apply_pure(a, psi)
             est = exact_pure_estimate([phi], [p], psi, 0, 0, quorum)
             _, dist = phase_align(a, est)
             worst_pure = max(worst_pure, dist)
@@ -202,7 +201,7 @@ class TestCriterion7Heralding:
         psi = np.eye(d) / np.sqrt(d)
         proj = np.zeros((d, d), dtype=complex)
         proj[0, 0] = 1.0
-        phi, p = apply_pure(PureOperation(proj), psi)
+        phi, p = apply_pure(proj, psi)
         assert abs(p - 0.5) < 1e-12
         n_trials = 10**5
         blocks = make_finite_blocks([phi], [p], quorum, 50, n_trials // 50,

@@ -127,6 +127,23 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)]) == 2
         assert f"config error: {key} = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix", [
+        "../escaped", "a/b", "", ".", "..", "a\\b", "a\0b"])
+    def test_out_prefix_not_one_name_exit_2(self, tmp_path, capsys, prefix):
+        # a prefix that is not one file-name component would write outside
+        # --out-dir, fail on a missing directory, or hide the files
+        bad = tmp_path / "run" / "bad.cfg"
+        bad.parent.mkdir()
+        bad.write_text(TINY_CONFIG.replace("out_prefix = tiny",
+                                           f"out_prefix = {prefix}"))
+        out = tmp_path / "run" / "out"
+        assert main(["simulate", "--config", str(bad),
+                     "--out-dir", str(out)]) == 2
+        assert "config error: out_prefix = " in capsys.readouterr().err
+        written = [p for p in tmp_path.rglob("*")
+                   if p not in (bad, bad.parent, out) and out not in p.parents]
+        assert written == []
+
     @pytest.mark.parametrize("route, operation, nbar", [
         ("finite", "identity", "1.0"), ("fock", "displacement", "0.001"),
     ])
@@ -288,9 +305,25 @@ class TestEmitPlotdata:
         assert (f"config error: output directory {taken}"
                 in capsys.readouterr().err)
 
+    def test_out_prefix_escaping_out_dir_exit_2(self, tmp_path, capsys):
+        # the document's embedded config is validated like a config file
+        cfg = _kraus_config(tmp_path, np.eye(2, dtype=complex)[None],
+                            "finite")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+        doc = tmp_path / "k.result.txt"
+        doc.write_text(doc.read_text().replace("out_prefix = k\n",
+                                               "out_prefix = ../escaped\n"))
+        capsys.readouterr()
+        assert main(["emit-plotdata", "--from", str(doc),
+                     "--out-dir", str(tmp_path / "b" / "c")]) == 2
+        assert (f"config error: result document {doc}: out_prefix = "
+                in capsys.readouterr().err)
+        assert list(tmp_path.rglob("escaped*")) == []
+
     @pytest.mark.parametrize("fault", [
         "bad_version", "cut_after_matrix", "unknown_kind", "no_i0",
-        "cut_last_rows", "row_deleted"])
+        "cut_last_rows", "row_deleted", "nan_value"])
     def test_malformed_document_exit_2(self, tmp_path, capsys, fault):
         good = np.diag([1.0, 0.8, 0.0]).astype(complex)[None]
         cfg = _kraus_config(tmp_path, good, "finite")
@@ -309,6 +342,11 @@ class TestEmitPlotdata:
             text = text.replace("\ni0 = ", "\nx0 = ")
         elif fault == "cut_last_rows":
             text = "".join(text.splitlines(keepends=True)[:-2])
+        elif fault == "nan_value":
+            row = next(ln for ln in text.splitlines(keepends=True)
+                       if ln.startswith("1 0 "))
+            n, m, re, _, se = row.split()
+            text = text.replace(row, f"{n} {m} {re} nan {se}\n")
         else:
             row = next(ln for ln in text.splitlines(keepends=True)
                        if ln.startswith("1 0 "))

@@ -196,7 +196,8 @@ class TestResultDocument:
 
     @pytest.mark.parametrize("fault", ["unknown_kind", "no_i0",
                                        "i0_outside_window", "cut_last_rows",
-                                       "row_deleted", "row_repeated"])
+                                       "row_deleted", "row_repeated", "nan",
+                                       "inf"])
     def test_malformed_document_raises(self, fault):
         # a window-3 pure document: 16 rows, one per entry
         text = render_result(ExperimentConfig(), _fake_estimate(4), "pure")
@@ -212,11 +213,16 @@ class TestResultDocument:
             text = "".join(lines[:-9])
         elif fault == "row_deleted":
             text = text.replace(row_23, "")
+        elif fault in ("nan", "inf"):
+            # a run never writes one: fewer than two blocks with data exits 3
+            n, m, re, _, se = row_23.split()
+            text = text.replace(row_23, f"{n} {m} {re} {fault} {se}\n")
         else:
             text = text.replace(row_23, row_23 + row_23).replace(
                 next(ln for ln in lines if ln.startswith("3 3 ")), "")
         match = {"unknown_kind": "estimate_kind", "no_i0": "lacks i0",
-                 "i0_outside_window": "i0, j0 <= window"}
+                 "i0_outside_window": "i0, j0 <= window",
+                 "nan": "must be finite", "inf": "must be finite"}
         with pytest.raises(ValueError, match=match.get(fault, "exactly once")):
             parse_result(text)
 

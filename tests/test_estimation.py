@@ -25,7 +25,6 @@ from optomo.estimation import (
 )
 from optomo.maps import (
     KrausMap,
-    PureOperation,
     apply_pure,
     displacement_matrix,
     output_branches,
@@ -343,7 +342,7 @@ class TestExactChain:
         # unbiasedness at d = 2 with no sampling at all
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
-        phi, p = apply_pure(PureOperation(np.eye(2)), psi)
+        phi, p = apply_pure(np.eye(2), psi)
         est = exact_pure_estimate([phi], [p], psi, 0, 0, q)
         _, dist = phase_align(np.eye(2), est)
         assert dist < 1e-12
@@ -353,7 +352,7 @@ class TestExactChain:
         # hence kappa = sqrt(2)
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
-        phi, p = apply_pure(PureOperation(np.eye(2)), psi)
+        phi, p = apply_pure(np.eye(2), psi)
         tables, _ = pure_terms(np.eye(1), 0, 0, q)
         m = q.exact_sums(joint_outcome_table([phi], [p], q), tables)
         den = m[0, 0].real
@@ -367,7 +366,7 @@ class TestExactChain:
         a = random_contraction(rng, 2)
         psi = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         psi = psi / np.linalg.norm(psi)
-        phi, p = apply_pure(PureOperation(a), psi)
+        phi, p = apply_pure(a, psi)
         psi_inv = np.linalg.inv(psi)
         tables, comb = pure_terms(psi_inv, 0, 0, q)
         mean = q.exact_sums(joint_outcome_table([phi], [p], q), tables) @ comb
@@ -430,7 +429,7 @@ class TestSampledPure:
     def test_identity_reconstruction_with_errors(self):
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
-        phi, p = apply_pure(PureOperation(np.eye(2)), psi)
+        phi, p = apply_pure(np.eye(2), psi)
         blocks = make_finite_blocks([phi], [p], q, 25, 800, seed=11)
         coef, deficit = mode2_combination(psi, 1, 1)
         terms = pure_terms(coef, 0, 0, q)
@@ -444,7 +443,7 @@ class TestSampledPure:
     def test_block_merge_associativity(self):
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
-        phi, p = apply_pure(PureOperation(np.eye(2)), psi)
+        phi, p = apply_pure(np.eye(2), psi)
         blocks = make_finite_blocks([phi], [p], q, 8, 200, seed=13)
         coef, _ = mode2_combination(psi, 1, 1)
         terms = pure_terms(coef, 0, 0, q)
@@ -461,7 +460,7 @@ class TestSampledPure:
         # phi_01 = 0 for the identity on the maximally entangled pair
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
-        phi, p = apply_pure(PureOperation(np.eye(2)), psi)
+        phi, p = apply_pure(np.eye(2), psi)
         blocks = make_finite_blocks([phi], [p], q, 10, 300, seed=17)
         coef, deficit = mode2_combination(psi, 1, 1)
         with pytest.raises(ReferenceTooSmallError, match="choose different"):
@@ -474,7 +473,7 @@ class TestSampledPure:
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
         a = np.diag([1.0, 0.5]).astype(complex)
-        phi, p = apply_pure(PureOperation(a), psi)
+        phi, p = apply_pure(a, psi)
         blocks = make_finite_blocks([phi], [p], q, 30, 600, seed=19, p_occ=p)
         coef, deficit = mode2_combination(psi, 1, 1)
         terms = pure_terms(coef, 0, 0, q)
@@ -492,7 +491,7 @@ class TestErrorBarCalibration:
         q = build_finite_quorum(2)
         psi = np.eye(2) / np.sqrt(2)
         a = np.diag([1.0, 0.5]).astype(complex)
-        phi, p = apply_pure(PureOperation(a), psi)
+        phi, p = apply_pure(a, psi)
         truth = a * np.exp(-1j * np.angle(phi[0, 0]))  # chain phase reference
         coef, deficit = mode2_combination(psi, 1, 1)
         terms = pure_terms(coef, 0, 0, q)

@@ -6,7 +6,6 @@ from optomo.errors import AnnihilatingOperationError, NotCompletelyPositiveError
 from optomo.maps import (
     ChoiMatrix,
     KrausMap,
-    PureOperation,
     apply_kraus_bipartite,
     apply_pure,
     choi_to_kraus,
@@ -32,11 +31,12 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 class TestTypes:
     def test_contraction_accepted(self, rng):
-        PureOperation(random_contraction(rng, 3))
+        KrausMap((random_contraction(rng, 3),))
 
     def test_contraction_rejected(self):
-        with pytest.raises(ValueError, match="contraction"):
-            PureOperation(1.5 * np.eye(2))
+        # a pure operation is the one-operator map: ||A|| > 1 fails its bound
+        with pytest.raises(ValueError, match="exceeds identity"):
+            apply_pure(1.5 * np.eye(2), np.eye(2) / np.sqrt(2))
 
     def test_kraus_bound_rejected(self):
         with pytest.raises(ValueError, match="exceeds identity"):
@@ -60,13 +60,13 @@ class TestTypes:
 class TestApplyPure:
     def test_identity(self, rng):
         psi = random_invertible_state(rng, 3)
-        phi, p = apply_pure(PureOperation(np.eye(3)), psi)
+        phi, p = apply_pure(np.eye(3), psi)
         assert np.allclose(phi, psi) and abs(p - 1.0) < 1e-12
 
     def test_projector_on_maximally_entangled(self):
         proj = np.zeros((2, 2), dtype=complex)
         proj[0, 0] = 1.0
-        phi, p = apply_pure(PureOperation(proj), np.eye(2) / np.sqrt(2))
+        phi, p = apply_pure(proj, np.eye(2) / np.sqrt(2))
         assert abs(p - 0.5) < 1e-12
         assert np.allclose(phi, proj)
 
@@ -77,11 +77,11 @@ class TestApplyPure:
         # at the larger cutoff)
         beam16 = twin_beam(5.0, 16, deficit_bound=1.0)
         m16 = displacement_matrix(1.0, 16)
-        _, p16 = apply_pure(PureOperation(m16 / max(1.0, np.linalg.norm(m16, 2))),
+        _, p16 = apply_pure(m16 / max(1.0, np.linalg.norm(m16, 2)),
                             beam16.psi)
         beam48 = twin_beam(5.0, 48)
         m48 = displacement_matrix(1.0, 48)
-        _, p48 = apply_pure(PureOperation(m48 / max(1.0, np.linalg.norm(m48, 2))),
+        _, p48 = apply_pure(m48 / max(1.0, np.linalg.norm(m48, 2)),
                             beam48.psi)
         assert abs(p48 - 1.0) < 1e-3
         assert abs(p48 - 1.0) < abs(p16 - 1.0)
@@ -92,7 +92,7 @@ class TestApplyPure:
         psi = np.zeros((2, 2), dtype=complex)
         psi[1, 1] = 1.0
         with pytest.raises(AnnihilatingOperationError):
-            apply_pure(PureOperation(proj), psi)
+            apply_pure(proj, psi)
 
 
 def reconstruct_from_branch(a, psi):
@@ -160,7 +160,7 @@ class TestKrausBipartite:
         r = apply_kraus_bipartite(KrausMap((a,)), psi)
         v = vec(a @ psi)
         assert np.allclose(r, np.outer(v, v.conj()), atol=1e-12)
-        _, p = apply_pure(PureOperation(a), psi)
+        _, p = apply_pure(a, psi)
         assert abs(np.trace(r).real - p) < 1e-12
 
 

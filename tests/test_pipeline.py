@@ -238,6 +238,21 @@ class TestRunLevelPlan:
         assert "ReferenceTooSmall" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("route, builder, dim_cut", [
+        ("fock", "fock_tables", 12), ("finite", "joint_outcome_table", 3)])
+    def test_sampler_record_built_once_per_run(self, tmp_path, monkeypatch,
+                                               route, builder, dim_cut):
+        # six blocks on three workers share the one per-run sampler record
+        calls = self._count_calls(monkeypatch, pipeline, builder)
+        cfg = ExperimentConfig(
+            operation="kraus",
+            kraus_file=_two_kraus_file(tmp_path / "k.npy", dim_cut),
+            route=route, nbar=1.0, eta=0.9, dim_cut=dim_cut, n_max=2,
+            blocks=6, samples_per_block=200, master_seed=31,
+        )
+        run_simulate(cfg, threads=3, out_dir=tmp_path)
+        assert len(calls) == 1
+
     def test_entangler_inverted_once_per_run(self, tmp_path, monkeypatch):
         calls = self._count_calls(monkeypatch, estimation, "inverse")
         cfg = ExperimentConfig(

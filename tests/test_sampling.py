@@ -12,6 +12,7 @@ from oracles import (
     random_density,
 )
 
+from optomo import sampling
 from optomo.bipartite import vec
 from optomo.errors import TruncationError
 from optomo.quorum import build_finite_quorum
@@ -21,7 +22,6 @@ from optomo.sampling import (
     GaussianState,
     displaced_twinbeam_gaussian,
     draw_heralds,
-    fock_grid,
     fock_tables,
     joint_outcome_table,
     sample_finite,
@@ -192,7 +192,7 @@ class TestSampleFockGeneral:
         phi_out[0, 0] = 1.0
         rng = substream(2, 0)
         p1, p2, x1, x2 = sample_fock_general(
-            fock_tables([phi_out], [1.0], fock_grid(2)), 1.0, 10**5, rng)
+            fock_tables([phi_out], [1.0]), 1.0, 10**5, rng)
         st = displaced_twinbeam_gaussian(0.0, 0.0)
         rng2 = substream(2, 1)
         _, _, y1, y2 = sample_quadratures(st, 1.0, 10**5, rng2)
@@ -205,7 +205,7 @@ class TestSampleFockGeneral:
         # var = (1/4 + 3/4) / 2 = 1/2 per mode
         phi_out = np.eye(2, dtype=complex) / np.sqrt(2)
         _, _, x1, x2 = sample_fock_general(
-            fock_tables([phi_out], [1.0], fock_grid(2)), 1.0, 10**5,
+            fock_tables([phi_out], [1.0]), 1.0, 10**5,
             substream(2, 2))
         assert abs(np.var(x1) - 0.5) < 0.01
         assert abs(np.var(x2) - 0.5) < 0.01
@@ -215,7 +215,7 @@ class TestSampleFockGeneral:
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[1, 0] = 1.0
         _, _, x1, x2 = sample_fock_general(
-            fock_tables([phi_out], [1.0], fock_grid(2)), 1.0, 10**5,
+            fock_tables([phi_out], [1.0]), 1.0, 10**5,
             substream(2, 3))
         assert abs(np.var(x1) - 0.75) < 0.01
         assert abs(np.var(x2) - 0.25) < 0.01
@@ -224,24 +224,26 @@ class TestSampleFockGeneral:
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[0, 0] = 1.0
         _, _, x1, _ = sample_fock_general(
-            fock_tables([phi_out], [1.0], fock_grid(2)), 0.7, 10**5,
+            fock_tables([phi_out], [1.0]), 0.7, 10**5,
             substream(2, 4))
         assert abs(np.var(x1) - 1.0 / 2.8) < 0.01
 
     def test_truncation_deficit_rejected(self):
         bad = np.eye(2, dtype=complex)  # norm sqrt(2), deficit huge
         with pytest.raises(TruncationError):
-            sample_fock_general(fock_tables([bad], [1.0], fock_grid(2)), 1.0,
+            sample_fock_general(fock_tables([bad], [1.0]), 1.0,
                                 10, substream(2, 5))
 
-    def test_coarse_grid_vacuum_mean_unbiased(self):
+    def test_coarse_grid_vacuum_mean_unbiased(self, monkeypatch):
         # 256 nodes at d = 2 give cells of width 0.053: a sampler that puts
         # each cell's mass beside its node instead of around it shifts the
         # mean by half a cell, about 17 standard errors at this size
+        monkeypatch.setattr(sampling, "FOCK_GRID_POINTS", 256)
         phi_out = np.zeros((2, 2), dtype=complex)
         phi_out[0, 0] = 1.0
         n = 10**5
-        tables = fock_tables([phi_out], [1.0], fock_grid(2, n_points=256))
+        tables = fock_tables([phi_out], [1.0])
+        assert tables.x.size <= 256
         _, _, x1, x2 = sample_fock_general(tables, 1.0, n, substream(2, 6))
         tol = 4.0 * 0.5 / np.sqrt(n)
         assert abs(np.mean(x1)) < tol
@@ -268,7 +270,7 @@ class TestSampleFockGeneral:
         tol_corr = 4.0 * np.sqrt((v**2 + c12**2) / (2.0 * n))
         phi_out = np.diag(c).astype(complex)
         e1, e2, x1, x2 = sample_fock_general(
-            fock_tables([phi_out], [1.0], fock_grid(d)), 1.0, n,
+            fock_tables([phi_out], [1.0]), 1.0, n,
             substream(2, 7))
         cos12 = np.real(e1 * e2)  # cos(phi1 + phi2)
         assert abs(np.mean(x1**2) - var_fock) < tol_var
@@ -290,7 +292,7 @@ class TestSampleFockGeneral:
         branches, weights = output_branches(
             KrausMap(tuple(loss_kraus(tau, d, 24))), twin_beam(nbar, d).psi)
         fock = sample_fock_general(
-            fock_tables(branches, weights, fock_grid(d)), 1.0, n,
+            fock_tables(branches, weights), 1.0, n,
             substream(6, 0))
         # the same output as a GaussianState: mode-1 block tau V +
         # (1 - tau) / 4 I, cross block sqrt(tau) C, mode-2 block V
@@ -325,7 +327,7 @@ class TestSampleFockGeneral:
         branches = [np.eye(d, dtype=complex) / np.sqrt(d),
                     np.diag([1.0, 0.0, 0.0]).astype(complex)]
         weights = [0.7, 0.3]
-        tables = fock_tables(branches, weights, fock_grid(d))
+        tables = fock_tables(branches, weights)
         e1, e2, _, _ = sample_fock_general(tables, 0.9, n, substream(6, 1))
         rng = substream(6, 1)
         branch_idx = rng.choice(2, size=n, p=tables.weights)
@@ -360,7 +362,7 @@ class TestFockBlockDraw:
         for _ in range(3):
             phi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             branches.append(phi / np.linalg.norm(phi))
-        tables = fock_tables(branches, [0.6, 0.4, 0.0], fock_grid(d))
+        tables = fock_tables(branches, [0.6, 0.4, 0.0])
         got = sample_fock_general(tables, 0.9, n, substream(8, 2))
         expect = fock_draw_by_batches(tables, 0.9, n, substream(8, 2))
         branch_idx = substream(8, 2).choice(3, size=n, p=tables.weights)
@@ -372,8 +374,7 @@ class TestFockBlockDraw:
         assert np.max(np.abs(got[3] - expect[3])) <= 1e-12
 
     def test_no_samples(self):
-        tables = fock_tables([np.eye(3, dtype=complex) / np.sqrt(3)], [1.0],
-                             fock_grid(3))
+        tables = fock_tables([np.eye(3, dtype=complex) / np.sqrt(3)], [1.0])
         e1, e2, x1, x2 = sample_fock_general(tables, 0.9, 0, substream(8, 3))
         assert e1.shape == e2.shape == x1.shape == x2.shape == (0,)
         assert e1.dtype == complex and x1.dtype == float
@@ -392,14 +393,14 @@ class TestFockX1Draw:
         rng = np.random.default_rng(300 + d)
         phi_out = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         phi_out /= np.linalg.norm(phi_out)
-        grid = fock_grid(d)
+        tables = fock_tables([phi_out], [1.0])
         n = 1200
         p1 = rng.uniform(0.0, 2.0 * np.pi, n)
         p2 = rng.uniform(0.0, 2.0 * np.pi, n)
         v = rng.random(n)
         u2 = rng.random(n)
-        psi_grid = hermite_functions(d, grid.x)
-        starts = np.arange(grid.n_blocks) * grid.block
+        psi_grid = hermite_functions(d, tables.x)
+        starts = np.arange(tables.n_blocks) * tables.block
         u1 = v.copy()
         expect = np.empty(n)
         top_block = np.empty(n, dtype=int)
@@ -413,20 +414,19 @@ class TestFockX1Draw:
                 elif r % 3 == 2:
                     f = below[top_block[r]]
                     u1[r] = f + (1.0 - 1e-6 - f) * v[r]
-                expect[r] = cell_inverse(grid.x, cdf, u1[r])
-        tables = fock_tables([phi_out], [1.0], grid)
+                expect[r] = cell_inverse(tables.x, cdf, u1[r])
         _, _, xs1, _ = _fock_draw(tables, np.zeros(n, dtype=int), p1, p2,
                                   u1, u2)
         assert np.max(np.abs(xs1 - expect)) < 1e-9
-        dx = grid.x[1] - grid.x[0]
-        cell = np.floor((xs1 - grid.x[0]) / dx + 0.5).astype(int)
-        assert np.all(cell[1::3] < grid.block)
+        dx = tables.x[1] - tables.x[0]
+        cell = np.floor((xs1 - tables.x[0]) / dx + 0.5).astype(int)
+        assert np.all(cell[1::3] < tables.block)
         assert np.all(cell[2::3] >= starts[top_block[2::3]])
         if d == 48:
-            assert grid.n_blocks * grid.block > grid.x.size
-            assert np.all(top_block[2::3] == grid.n_blocks - 1)
-        assert np.all(xs1 >= grid.x[0] - dx / 2)
-        assert np.all(xs1 <= grid.x[-1] + dx / 2)
+            assert tables.n_blocks * tables.block > tables.x.size
+            assert np.all(top_block[2::3] == tables.n_blocks - 1)
+        assert np.all(xs1 >= tables.x[0] - dx / 2)
+        assert np.all(xs1 <= tables.x[-1] + dx / 2)
 
 
 class TestFockX2Draw:
@@ -445,17 +445,16 @@ class TestFockX2Draw:
         rng = np.random.default_rng(100 + d)
         phi_out = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         phi_out /= np.linalg.norm(phi_out)
-        grid = fock_grid(d)
+        tables = fock_tables([phi_out], [1.0])
         n = 10**4
         p1 = rng.uniform(0.0, 2.0 * np.pi, n)
         p2 = rng.uniform(0.0, 2.0 * np.pi, n)
         u1 = rng.random(n)
         v = rng.random(n)
-        tables = fock_tables([phi_out], [1.0], grid)
         one_branch = np.zeros(n, dtype=int)
         _, _, xs1, _ = _fock_draw(tables, one_branch, p1, p2, u1, v)  # no u2 in x1
-        psi_grid = hermite_functions(d, grid.x)
-        starts = np.arange(grid.n_blocks) * grid.block
+        psi_grid = hermite_functions(d, tables.x)
+        starts = np.arange(tables.n_blocks) * tables.block
         u2 = v.copy()
         expect = np.empty(n)
         top_block = np.empty(n, dtype=int)
@@ -470,18 +469,18 @@ class TestFockX2Draw:
                 elif r % 3 == 2:
                     f = below[top_block[r]]
                     u2[r] = f + (1.0 - 1e-6 - f) * v[r]
-                expect[r] = cell_inverse(grid.x, cdf, u2[r])
+                expect[r] = cell_inverse(tables.x, cdf, u2[r])
         *_, xs2 = _fock_draw(tables, one_branch, p1, p2, u1, u2)
         assert np.max(np.abs(xs2 - expect)) < 1e-9
-        dx = grid.x[1] - grid.x[0]
-        cell = np.floor((xs2 - grid.x[0]) / dx + 0.5).astype(int)
-        assert np.all(cell[1::3] < grid.block)
+        dx = tables.x[1] - tables.x[0]
+        cell = np.floor((xs2 - tables.x[0]) / dx + 0.5).astype(int)
+        assert np.all(cell[1::3] < tables.block)
         assert np.all(cell[2::3] >= starts[top_block[2::3]])
         if d == 48:
-            assert grid.n_blocks * grid.block > grid.x.size
-            assert np.mean(top_block[2::3] == grid.n_blocks - 1) > 0.5
-        assert np.all(xs2 >= grid.x[0] - dx / 2)
-        assert np.all(xs2 <= grid.x[-1] + dx / 2)
+            assert tables.n_blocks * tables.block > tables.x.size
+            assert np.mean(top_block[2::3] == tables.n_blocks - 1) > 0.5
+        assert np.all(xs2 >= tables.x[0] - dx / 2)
+        assert np.all(xs2 <= tables.x[-1] + dx / 2)
 
 
 class TestSampleFinite:
