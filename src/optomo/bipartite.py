@@ -14,7 +14,6 @@ their inputs; they are safe to call from any number of concurrent workers.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from optomo.errors import NonInvertibleEntanglerError
 
@@ -92,7 +91,7 @@ def inverse(m) -> np.ndarray:
             f"non-invertible entangler: reciprocal condition estimate {rc:.3e} "
             f"< {RCOND_MIN:.0e}"
         )
-    return scipy.linalg.inv(a)
+    return np.linalg.inv(a)
 
 
 def phase_align(m, n) -> tuple[complex, float]:

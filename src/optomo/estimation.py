@@ -56,6 +56,9 @@ from optomo.errors import ReferenceTooSmallError
 from optomo.sampling import joint_outcome_table
 
 REFERENCE_SIGMA_FACTOR = 2.0
+# magnitudes within this relative distance of the largest tie for the
+# reference, so roundoff does not decide between equal elements
+REFERENCE_TIE_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +169,17 @@ def select_reference(magnitudes: np.ndarray) -> tuple[int, int]:
     """Reference indices (i0, j0) maximising |phi|, row-major tie-break.
 
     ``magnitudes`` is the table of |phi_ij| over the window, which a run
-    takes from its exact output.  An all-zero table raises
-    ReferenceTooSmallError: every reference denominator would vanish.
+    takes from its exact output.  Entries within ``REFERENCE_TIE_RTOL`` of
+    the largest count as tied with it, and the first of them in row-major
+    order is taken.  An all-zero table raises ReferenceTooSmallError: every
+    reference denominator would vanish.
     """
     mags = np.abs(np.asarray(magnitudes))
     if not np.any(mags > 0):
         raise ReferenceTooSmallError(
             "the output is zero on the reconstruction window, so no reference "
             "element (i0, j0) has a nonzero denominator; raise n_max")
-    flat = int(np.argmax(mags))
+    flat = int(np.argmax(mags >= mags.max() * (1.0 - REFERENCE_TIE_RTOL)))
     return flat // mags.shape[1], flat % mags.shape[1]
 
 

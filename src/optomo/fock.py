@@ -14,7 +14,7 @@ zero-mean Gaussian of variance (1-eta)/(4 eta).
 
 A kernel build forms the Psi table of its grid once and hands it to
 ``smeared_pair_table`` for every offset, which convolves the pair products
-with ``scipy.fft``: the filter is transformed once per offset, and the rows
+with ``numpy.fft``: the filter is transformed once per offset, and the rows
 ``CONVOLVE_ROWS`` at a time, so batching rows saves per-call work while the
 row cap bounds the FFT buffers of one call.
 """
@@ -22,7 +22,6 @@ row cap bounds the FFT buffers of one call.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from optomo.errors import UnphysicalDeconvolutionError
 
@@ -87,6 +86,23 @@ def gaussian_filter_kernel(sigma: float, dx: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c >= n, the FFT size used for a
+    convolution of full length n."""
+    best = 1 << (n - 1).bit_length()  # smallest power of 2 >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def smeared_pair_table(
     psi: np.ndarray, delta: int, dx: float, sigma: float
 ) -> np.ndarray:
@@ -109,12 +125,16 @@ def smeared_pair_table(
     rows = np.multiply(psi[: dim_cut - delta], psi[delta:])
     if kern.size > 1:
         n, full = rows.shape[1], rows.shape[1] + kern.size - 1
-        size = scipy.fft.next_fast_len(full, True)
-        spec = scipy.fft.rfft(kern, size)
+        size = _fast_len(full)
+        spec = np.fft.rfft(kern, size)
         start = (full - n) // 2
+        # np.fft.rfft pads a short row to ``size`` more slowly than a copy
+        # into a zeroed buffer, whose tail stays zero from chunk to chunk
+        padded = np.zeros((min(CONVOLVE_ROWS, rows.shape[0]), size))
         for lo in range(0, rows.shape[0], CONVOLVE_ROWS):
             chunk = rows[lo:lo + CONVOLVE_ROWS]
-            conv = scipy.fft.irfft(
-                scipy.fft.rfft(chunk, size, axis=1) * spec, size, axis=1)
+            buf = padded[: chunk.shape[0]]
+            buf[:, :n] = chunk
+            conv = np.fft.irfft(np.fft.rfft(buf, axis=1) * spec, size, axis=1)
             chunk[:] = conv[:, start:start + n]
     return rows

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from optomo.bipartite import hs_norm, kron, partial_trace_2, unvec, vec
 from optomo.errors import (
@@ -208,14 +207,16 @@ def displacement_matrix(z: complex, dim_cut: int) -> np.ndarray:
 
     The generator is exponentiated at an enlarged cutoff (guard band of
     8 Fock levels) and cropped, so columns well below dim_cut are unit-norm
-    to ~1e-6.
+    to ~1e-6.  The generator G is anti-Hermitian, so iG = U diag(w) U^dag
+    is Hermitian and exp(G) = U diag(e^{-iw}) U^dag.
     """
     if dim_cut < 2:
         raise ValueError("dim_cut must be at least 2")
     n = dim_cut + DISPLACEMENT_GUARD
     adag = np.diag(np.sqrt(np.arange(1.0, n)), -1)
     gen = z * adag - np.conj(z) * adag.T
-    full = scipy.linalg.expm(gen)
+    w, u = np.linalg.eigh(1j * gen)
+    full = (u * np.exp(-1j * w)) @ u.conj().T
     return full[:dim_cut, :dim_cut]
 
 

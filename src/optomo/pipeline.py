@@ -25,12 +25,12 @@ byte-identical for any --threads value.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import pathlib
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from optomo import estimation, report, sampling
 from optomo.bipartite import inverse, phase_align
@@ -74,6 +74,15 @@ from optomo.sampling import (
 # theory targets
 
 
+def _laguerre(n: int, alpha: int, x: float) -> float:
+    """Generalized Laguerre polynomial L_n^{(alpha)}(x) by the three-term
+    recurrence (k + 1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}."""
+    prev, cur = 0.0, 1.0
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
 def displacement_theory(z: complex, n_max: int) -> np.ndarray:
     """Closed-form Fock matrix elements of D(z) on the window.
 
@@ -86,8 +95,8 @@ def displacement_theory(z: complex, n_max: int) -> np.ndarray:
     pref = np.exp(-a2 / 2.0)
     for m in range(w1):
         for n in range(m + 1):
-            scale = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-            lag = eval_genlaguerre(n, m - n, a2)
+            scale = np.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)))
+            lag = _laguerre(n, m - n, a2)
             out[m, n] = pref * (scale * z ** (m - n) * lag)
             out[n, m] = pref * (scale * (-np.conj(z)) ** (m - n) * lag)
     return out

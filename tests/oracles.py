@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately computed by a different route than the
-package code: recursions and explicit index sums instead of library special
-functions, matrix exponentials, or vectorised kernels.
+package code: recursions and explicit index sums instead of vectorised
+kernels, or the scipy routines (special functions, matrix exponentials,
+convolutions) that the package does without.
 """
 
 import numpy as np
@@ -36,6 +37,36 @@ def displacement_element(m: int, n: int, z: complex) -> complex:
         * np.exp(-a2 / 2.0)
         * laguerre(m, n - m, a2)
     )
+
+
+def displacement_by_scipy_special(z: complex, n_max: int) -> np.ndarray:
+    """<m|D(z)|n> for m, n <= n_max from the Laguerre closed form, evaluated
+    with ``scipy.special.eval_genlaguerre`` and ``gammaln``."""
+    from scipy.special import eval_genlaguerre, gammaln
+
+    a2 = abs(z) ** 2
+    out = np.empty((n_max + 1, n_max + 1), dtype=complex)
+    for m in range(n_max + 1):
+        for n in range(n_max + 1):
+            lo, hi = min(m, n), max(m, n)
+            amp = z if m >= n else -np.conj(z)
+            out[m, n] = (np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - a2 / 2.0)
+                         * amp ** (hi - lo) * eval_genlaguerre(lo, hi - lo, a2))
+    return out
+
+
+def displacement_by_expm(z: complex, dim_cut: int, guard: int) -> np.ndarray:
+    """exp(z a^dag - z* a) by ``scipy.linalg.expm`` at dim_cut + guard Fock
+    levels, cropped to dim_cut: the truncated generator written entry by
+    entry."""
+    from scipy.linalg import expm
+
+    n = dim_cut + guard
+    gen = np.zeros((n, n), dtype=complex)
+    for k in range(n - 1):
+        gen[k + 1, k] = z * np.sqrt(k + 1.0)
+        gen[k, k + 1] = -np.conj(z) * np.sqrt(k + 1.0)
+    return expm(gen)[:dim_cut, :dim_cut]
 
 
 def vec_by_loops(m: np.ndarray) -> np.ndarray:

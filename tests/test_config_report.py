@@ -307,6 +307,17 @@ class TestTheoryColumn:
             for n in range(7):
                 assert abs(th[m, n] - displacement_element(m, n, 1.0 + 0.2j)) < 1e-12
 
+    @pytest.mark.parametrize("z", [1.0, 1.0 + 0.2j, 0.5 - 0.7j, 2.0])
+    def test_displacement_theory_matches_scipy_special(self, z):
+        from optomo.pipeline import displacement_theory
+
+        from oracles import displacement_by_scipy_special
+
+        for n_max in range(13):
+            np.testing.assert_allclose(
+                displacement_theory(z, n_max),
+                displacement_by_scipy_special(z, n_max), rtol=1e-12, atol=0.0)
+
     def test_fig2_diagonal_values(self):
         # e^{-1/2} L_n(1) for the displacement z = 1
         from optomo.pipeline import displacement_theory

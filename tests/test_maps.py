@@ -4,6 +4,7 @@ import pytest
 from optomo.bipartite import hs_norm, inverse, phase_align, vec
 from optomo.errors import AnnihilatingOperationError, NotCompletelyPositiveError
 from optomo.maps import (
+    DISPLACEMENT_GUARD,
     ChoiMatrix,
     KrausMap,
     apply_kraus_bipartite,
@@ -19,6 +20,7 @@ from optomo.estimation import exact_choi_estimate
 from optomo.quorum import build_finite_quorum
 
 from oracles import (
+    displacement_by_expm,
     displacement_element,
     random_contraction,
     random_density,
@@ -270,6 +272,15 @@ class TestDisplacement:
         for m in range(8):
             for n in range(8):
                 assert abs(op[m, n] - displacement_element(m, n, 0.7 + 0.3j)) < 1e-6
+
+    @pytest.mark.parametrize("dim_cut", [8, 32, 48])
+    @pytest.mark.parametrize("z", [1.0, 1.0 + 0.5j, 2.0])
+    def test_matches_expm_of_truncated_generator(self, dim_cut, z):
+        # the same truncated generator, exponentiated by scipy's expm
+        np.testing.assert_allclose(
+            displacement_matrix(z, dim_cut),
+            displacement_by_expm(z, dim_cut, DISPLACEMENT_GUARD),
+            rtol=0.0, atol=1e-13)
 
     def test_unitarity_inner_block(self):
         # cropping loses column norm where D(z)|n> spreads past dim_cut, so

@@ -1,6 +1,10 @@
 """End-to-end checks of the Fock and finite routes through ``run_simulate``."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,18 @@ class TestGaussianRoute:
         a = (tmp_path / "a" / "inv.result.txt").read_bytes()
         b = (tmp_path / "b" / "inv.result.txt").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("nbar", [0.5, 1.0])
+    @pytest.mark.parametrize("dim_cut", [8, 12])
+    @pytest.mark.filterwarnings("ignore:twin-beam truncation deficit")
+    def test_auto_reference_tie_is_row_major(self, nbar, dim_cut):
+        # at z = 1, |D_00| = |D_10| = e^{-1/2}, so |phi_00| and |phi_10|
+        # tie and the reference is the first of them in row-major order,
+        # whatever roundoff the exponential leaves
+        cfg = ExperimentConfig(operation="displacement", z=1.0 + 0.0j,
+                               nbar=nbar, eta=0.9, n_max=3, dim_cut=dim_cut)
+        lines = run_simulate(cfg, dry_run=True).dry_report
+        assert "i0 = 0" in lines and "j0 = 0" in lines
 
     def test_sample_dump_phases_match_redrawn_stream(self, tmp_path):
         # the blocks carry phasors; the dump writes the phases back from
@@ -262,3 +278,35 @@ class TestRunLevelPlan:
         )
         run_simulate(cfg, out_dir=tmp_path)
         assert len(calls) == 1
+
+
+def test_package_never_imports_scipy(tmp_path):
+    # scipy is a test-only dependency: one run on each route, the plot data
+    # and every verification suite leave no scipy module loaded
+    script = """
+import sys
+import optomo, optomo.cli
+from optomo.config import ExperimentConfig
+from optomo.pipeline import VERIFY_SUITES, emit_plotdata, run_simulate, run_verify
+
+out = sys.argv[1]
+small = dict(nbar=1.0, eta=0.9, n_max=2, blocks=2, samples_per_block=200)
+run_simulate(ExperimentConfig(operation="displacement", dim_cut=16,
+                              out_prefix="gauss", **small), out_dir=out)
+run_simulate(ExperimentConfig(operation="identity", route="fock", dim_cut=12,
+                              out_prefix="fock", **small), out_dir=out)
+run_simulate(ExperimentConfig(operation="identity", route="finite",
+                              out_prefix="finite", **small), out_dir=out)
+emit_plotdata(out + "/gauss.result.txt", out_dir=out + "/plot")
+for suite in VERIFY_SUITES:
+    run_verify(suite)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
