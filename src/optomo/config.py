@@ -117,6 +117,13 @@ class ExperimentConfig:
                 f"dim_cut = {dim} must exceed the reconstruction window "
                 f"n_max = {self.n_max}"
             )
+        # |z| against sqrt(dim), not |z|^2 against dim: |z|^2 overflows
+        if self.operation == "displacement" and abs(self.z) >= np.sqrt(dim):
+            raise ConfigError(
+                f"z = {self.z} does not fit dim_cut = {dim}: the displaced "
+                f"vacuum's mean photon number |z|^2 must stay below dim_cut, "
+                f"so |z| < {np.sqrt(dim):.6g}"
+            )
         if self.nbar > 0 and not finite:
             # the finite route renormalises the truncated entangler, so the
             # deficit gate applies to the radiation-mode routes only

@@ -11,10 +11,11 @@ Three sampling paths share one RNG contract:
   the phase-dependent marginal, x2 from the exact conditional given x1, both
   by one two-level search, first over the grid's blocks by their masses,
   then over the nodes of one block; each grid node's mass sits on the cell
-  centred on it, so draws carry no half-cell shift; a block's draws are
-  made first, and the phase rotations (``fock.phase_powers`` of the
-  phasors), the wavefunctions at x1 and the x2 search then run once over
-  its samples, the x1 search and the conditional amplitude once per branch,
+  centred on it, so draws carry no half-cell shift; a block draws its
+  samples branch by branch, in batches of up to ``FOCK_BATCH`` samples of
+  one branch, and turns each batch into quadratures (the phase rotations,
+  ``fock.phase_powers`` of the phasors, the x1 search, the wavefunctions at
+  x1, the conditional amplitude and the x2 search) before drawing the next,
 * exact-distribution outcome sampling for finite-dimensional quorums, by
   inverse CDF on the joint outcome table of the same output branches the
   Fock route draws from (``joint_outcome_table``, a weighted sum of squared
@@ -52,8 +53,9 @@ from optomo.quorum import FiniteQuorum
 SYMPLECTIC_TOL = 1e-9
 FOCK_GRID_POINTS = 4096
 TRUNCATION_BOUND = 1e-6
+# samples of one branch per _fock_draw call: fixes the draw order and
+# bounds the call's tables
 FOCK_BATCH = 256
-FOCK_ROWS = 2048  # samples per _fock_draw call: bounds its tables
 FOCK_MIN_BLOCK = 128  # grid nodes per block at least, where the grid has them
 OUTCOME_CHUNK = 1 << 16  # complex amplitudes formed at once by the table
 
@@ -345,38 +347,29 @@ def _draw_x2(tables: FockTables, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _grid_draw(tables, masses, running, u)
 
 
-def _fock_draw(tables: FockTables, branch_idx, p1, p2, u1, u2):
+def _fock_draw(tables: FockTables, branch: int, p1, p2, u1, u2):
     """Phasors and noise-free quadratures (e^{i phi1}, e^{i phi2}, x1, x2)
-    for rows of phases and uniforms, row r drawn from branch branch_idx[r].
+    for rows of phases and uniforms, every row drawn from branch ``branch``.
 
-    The phase rotations rot_j = e^{i a phi_j}, a < d (d >= 2), the powers
-    (``phase_powers``) of the phasor of phi_j, the Psi_a(x1) recursion and
-    the x2 search run once over all rows; the x1 search and the conditional
-    amplitude run once per branch.  x1 is drawn from the branch's marginal
-    table with trig1 = [cos a phi1 | sin a phi1]: the block masses are trig1
-    times the table's columns at the blocks' last nodes, the running mass
-    over one block trig1 times that block's columns.  x2 is drawn from the
-    exact conditional given x1.  The phasors are the order-1 rows of rot_j.
+    The phase rotations rot_j = e^{i a phi_j}, a < d (d >= 2), are the
+    powers (``phase_powers``) of the phasor of phi_j.  x1 is drawn from the
+    branch's marginal table with trig1 = [cos a phi1 | sin a phi1]: the
+    block masses are trig1 times the table's columns at the blocks' last
+    nodes, the running mass over one block trig1 times that block's
+    columns.  x2 is drawn from the exact conditional given x1, whose
+    amplitude over mode-2 index m is sum_a Psi_a(x1) rot1[a] Phi[a, m]
+    rot2[m].  The phasors are the order-1 rows of rot_j.
     """
     size = tables.block
     d = tables.branches.shape[1]
+    marginal = tables.marginal[branch]
     rot1 = phase_powers(_phasor(p1), np.empty((d, p1.size), dtype=complex))
     rot2 = phase_powers(_phasor(p2), np.empty((d, p2.size), dtype=complex))
     trig1 = np.concatenate([rot1.real.T, rot1.imag.T], axis=1)  # (s, 2d)
-    rows_of = [np.flatnonzero(branch_idx == b)
-               for b in range(len(tables.branches))]
-    xs1 = np.empty(p1.size)
-    for sel, marginal in zip(rows_of, tables.marginal):
-        t = trig1[sel]
-        xs1[sel] = _grid_draw(
-            tables, t @ marginal[:, size - 1::size],
-            lambda b, at: t[at] @ marginal[:, b * size:(b + 1) * size],
-            u1[sel])
-    # conditional amplitude over mode-2 index m at the drawn x1
-    amp = (quadrature_wavefunctions(d, xs1) * rot1).T  # (s, d)
-    c = np.empty((p1.size, d), dtype=complex)
-    for sel, phi_out in zip(rows_of, tables.branches):
-        c[sel] = amp[sel] @ phi_out
+    xs1 = _grid_draw(
+        tables, trig1 @ marginal[:, size - 1::size],
+        lambda b, at: trig1[at] @ marginal[:, b * size:(b + 1) * size], u1)
+    c = (quadrature_wavefunctions(d, xs1) * rot1).T @ tables.branches[branch]
     c *= rot2.T
     return rot1[1], rot2[1], xs1, _draw_x2(tables, c, u2)
 
@@ -399,37 +392,32 @@ def sample_fock_general(
     (``stream.choice``, only when there is more than one branch); then,
     branch by branch in index order, per batch of up to ``FOCK_BATCH`` of
     that branch's samples: phi1, phi2, u1, u2, noise1, noise2.  A branch
-    with no sample draws nothing.  Every draw of the block is made first;
-    ``_fock_draw`` then turns up to ``FOCK_ROWS`` samples at a time, of any
-    branch, into quadratures.  The phasors are np.cos(phi) + 1j
-    np.sin(phi), the order-1 rotations.
+    with no sample draws nothing.  ``_fock_draw`` turns each batch into
+    quadratures, and its noise is added, before the next batch is drawn.
+    The phasors are np.cos(phi) + 1j np.sin(phi), the order-1 rotations.
     """
-    sig2 = noise_sigma2(eta)
+    sigma = np.sqrt(noise_sigma2(eta))
     n_branches = len(tables.weights)
     if n_branches == 1:
         branch_idx = np.zeros(n, dtype=int)
     else:
         branch_idx = stream.choice(n_branches, size=n, p=tables.weights)
-    p1, p2, u1, u2, g1, g2 = np.empty((6, n))
+    e1, e2 = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    x1, x2 = np.empty(n), np.empty(n)
     for branch in range(n_branches):
         sel = np.flatnonzero(branch_idx == branch)
         for lo in range(0, sel.size, FOCK_BATCH):
             at = sel[lo:lo + FOCK_BATCH]
-            p1[at] = stream.uniform(0.0, 2.0 * np.pi, at.size)
-            p2[at] = stream.uniform(0.0, 2.0 * np.pi, at.size)
-            u1[at] = stream.random(at.size)
-            u2[at] = stream.random(at.size)
-            g1[at] = stream.standard_normal(at.size)
-            g2[at] = stream.standard_normal(at.size)
-    e1, e2 = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-    x1, x2 = np.empty(n), np.empty(n)
-    for lo in range(0, n, FOCK_ROWS):
-        part = slice(lo, lo + FOCK_ROWS)
-        e1[part], e2[part], x1[part], x2[part] = _fock_draw(
-            tables, branch_idx[part], p1[part], p2[part], u1[part], u2[part])
-    if sig2 > 0.0:
-        x1 += np.sqrt(sig2) * g1
-        x2 += np.sqrt(sig2) * g2
+            p1 = stream.uniform(0.0, 2.0 * np.pi, at.size)
+            p2 = stream.uniform(0.0, 2.0 * np.pi, at.size)
+            u1 = stream.random(at.size)
+            u2 = stream.random(at.size)
+            g1 = stream.standard_normal(at.size)
+            g2 = stream.standard_normal(at.size)
+            e1[at], e2[at], xs1, xs2 = _fock_draw(tables, branch, p1, p2,
+                                                  u1, u2)
+            x1[at] = xs1 + sigma * g1
+            x2[at] = xs2 + sigma * g2
     return e1, e2, x1, x2
 
 

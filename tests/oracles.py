@@ -6,22 +6,25 @@ kernels, or the scipy routines (special functions, matrix exponentials,
 convolutions) that the package does without.
 """
 
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 
 
 def laguerre(n: int, alpha: int, x: float) -> float:
-    """Generalised Laguerre polynomial L_n^(alpha)(x) by three-term recursion."""
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
+    """Generalised Laguerre polynomial L_n^(alpha)(x) from its explicit sum
+    sum_k (-1)^k C(n + alpha, n - k) x^k / k!, k = 0..n, in exact rational
+    arithmetic on the float x, rounded once at the end."""
+    xq = Fraction(float(x))
+    total = sum(Fraction((-1) ** k * comb(n + alpha, n - k), factorial(k))
+                * xq**k for k in range(n + 1))
+    return float(total)
 
 
 def displacement_element(m: int, n: int, z: complex) -> complex:
-    """<m|D(z)|n> from the Laguerre closed form (recursion-based)."""
-    from math import factorial, sqrt
+    """<m|D(z)|n> from the Laguerre closed form (explicit-sum Laguerre)."""
+    from math import sqrt
 
     a2 = abs(z) ** 2
     if m >= n:

@@ -160,6 +160,20 @@ class TestSimulate:
                          "--out-dir", str(tmp_path)] + flags) == 2
             assert "config error: dim_cut = 1 " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("z", ["1e160", "1e10", "30"])
+    def test_displacement_beyond_cutoff_exit_2(self, tmp_path, capsys, z):
+        # |z| >= sqrt(dim_cut) at the default dim_cut = 48.  Unchecked,
+        # 1e160 overflows |z|^2, 1e10 is estimated from quadratures clamped
+        # to the grid's end, and 30 fails only after sampling every block
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"optomo-config v1\nz = {z}\n")
+        for flags in ([], ["--dry-run"]):
+            assert main(["simulate", "--config", str(bad),
+                         "--out-dir", str(tmp_path / "out")] + flags) == 2
+            err = capsys.readouterr().err
+            assert "config error: z = " in err and "dim_cut = 48" in err
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_key_exit_2(self, tmp_path, capsys):
         # a key given twice must not silently keep its last value
         bad = tmp_path / "bad.cfg"

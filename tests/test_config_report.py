@@ -126,6 +126,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dump_samples.*route = finite"):
             cfg.validate()
 
+    def test_displacement_must_fit_dim_cut(self):
+        # |z|^2 = 48 is the cutoff of the default dim_cut at nbar = 5; the
+        # bound applies to the displacement only, which alone reads z
+        ExperimentConfig(z=6.928).validate()
+        with pytest.raises(ConfigError, match="z = .*dim_cut = 48"):
+            ExperimentConfig(z=6.929j).validate()
+        ExperimentConfig(operation="identity", z=30.0).validate()
+
     def test_gaussian_route_rejects_kraus(self):
         with pytest.raises(ConfigError, match="gaussian"):
             ExperimentConfig(operation="kraus", kraus_file="k.npy",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import (
@@ -18,7 +20,6 @@ from optomo.errors import TruncationError
 from optomo.quorum import build_finite_quorum
 from optomo.sampling import (
     FOCK_BATCH,
-    FOCK_ROWS,
     GaussianState,
     displaced_twinbeam_gaussian,
     draw_heralds,
@@ -351,13 +352,13 @@ class TestFockBlockDraw:
     @pytest.mark.parametrize("d", [3, 4])
     def test_matches_batch_oracle(self, d):
         # three branches of a dimension-d output, the last with weight 0:
-        # the first holds more than one batch, the last no sample, and the
-        # block more than one call of rows.  d = 4 is the first dimension
-        # at which e^{3i phi} tells the recurrence from squaring.  The
-        # phasors are equal bit for bit; the quadratures move by the
-        # roundoff of the rotations' recurrence.
+        # the first spans several batches and ends with a partial one, the
+        # last has no sample.  d = 4 is the first dimension at which
+        # e^{3i phi} tells the recurrence from squaring.  The phasors are
+        # equal bit for bit; the quadratures move by the roundoff of the
+        # rotations' recurrence.
         rng = np.random.default_rng(17)
-        n = FOCK_ROWS + 300
+        n = 3 * FOCK_BATCH + 300
         branches = []
         for _ in range(3):
             phi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -366,7 +367,8 @@ class TestFockBlockDraw:
         got = sample_fock_general(tables, 0.9, n, substream(8, 2))
         expect = fock_draw_by_batches(tables, 0.9, n, substream(8, 2))
         branch_idx = substream(8, 2).choice(3, size=n, p=tables.weights)
-        assert np.count_nonzero(branch_idx == 0) > FOCK_BATCH
+        first = np.count_nonzero(branch_idx == 0)
+        assert first > 2 * FOCK_BATCH and first % FOCK_BATCH > 0
         assert np.count_nonzero(branch_idx == 2) == 0
         assert np.array_equal(got[0], expect[0])
         assert np.array_equal(got[1], expect[1])
@@ -378,6 +380,27 @@ class TestFockBlockDraw:
         e1, e2, x1, x2 = sample_fock_general(tables, 0.9, 0, substream(8, 3))
         assert e1.shape == e2.shape == x1.shape == x2.shape == (0,)
         assert e1.dtype == complex and x1.dtype == float
+
+    def test_block_peak_allocation(self):
+        # a 20,000-sample block of a two-branch d = 48 output.  Each batch
+        # of one branch is turned into quadratures before the next is
+        # drawn, so only one batch's tables are alive: the traced peak is
+        # 4.06 MB (numpy 2.4), against 26.3 MB when the whole block's
+        # draws were made first and turned 2048 samples at a time.
+        rng = np.random.default_rng(48)
+        branches = []
+        for _ in range(2):
+            phi = rng.normal(size=(48, 48)) + 1j * rng.normal(size=(48, 48))
+            branches.append(phi / np.linalg.norm(phi))
+        tables = fock_tables(branches, [0.7, 0.3])
+        sample_fock_general(tables, 0.9, 300, substream(1, 0))  # warm-up
+        tracemalloc.start()
+        try:
+            sample_fock_general(tables, 0.9, 20_000, substream(1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestFockX1Draw:
@@ -415,8 +438,7 @@ class TestFockX1Draw:
                     f = below[top_block[r]]
                     u1[r] = f + (1.0 - 1e-6 - f) * v[r]
                 expect[r] = cell_inverse(tables.x, cdf, u1[r])
-        _, _, xs1, _ = _fock_draw(tables, np.zeros(n, dtype=int), p1, p2,
-                                  u1, u2)
+        _, _, xs1, _ = _fock_draw(tables, 0, p1, p2, u1, u2)
         assert np.max(np.abs(xs1 - expect)) < 1e-9
         dx = tables.x[1] - tables.x[0]
         cell = np.floor((xs1 - tables.x[0]) / dx + 0.5).astype(int)
@@ -451,8 +473,7 @@ class TestFockX2Draw:
         p2 = rng.uniform(0.0, 2.0 * np.pi, n)
         u1 = rng.random(n)
         v = rng.random(n)
-        one_branch = np.zeros(n, dtype=int)
-        _, _, xs1, _ = _fock_draw(tables, one_branch, p1, p2, u1, v)  # no u2 in x1
+        _, _, xs1, _ = _fock_draw(tables, 0, p1, p2, u1, v)  # no u2 in x1
         psi_grid = hermite_functions(d, tables.x)
         starts = np.arange(tables.n_blocks) * tables.block
         u2 = v.copy()
@@ -470,7 +491,7 @@ class TestFockX2Draw:
                     f = below[top_block[r]]
                     u2[r] = f + (1.0 - 1e-6 - f) * v[r]
                 expect[r] = cell_inverse(tables.x, cdf, u2[r])
-        *_, xs2 = _fock_draw(tables, one_branch, p1, p2, u1, u2)
+        *_, xs2 = _fock_draw(tables, 0, p1, p2, u1, u2)
         assert np.max(np.abs(xs2 - expect)) < 1e-9
         dx = tables.x[1] - tables.x[0]
         cell = np.floor((xs2 - tables.x[0]) / dx + 0.5).astype(int)
