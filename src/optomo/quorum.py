@@ -233,11 +233,8 @@ class HomodyneKernel:
     unbiased kernel, and the source of exact bias audits.
     """
 
-    dim_cut: int
-    eta: float
     grid: GridSpec
     max_index: int
-    ridge: float
     x: np.ndarray = field(repr=False)
     tables: dict = field(repr=False)  # delta -> (rows, len(x))
     recovery: dict = field(repr=False)  # delta -> (dim_cut - delta, rows)
@@ -336,58 +333,21 @@ class HomodyneKernel:
             del e1, e2  # not alive while the next chunk's are formed
         return m
 
-    def cache_key(self) -> str:
-        raw = (
-            f"v{KERNEL_CACHE_VERSION}|D{self.dim_cut}|eta{self.eta!r}"
-            f"|hw{self.grid.half_width!r}|dx{self.grid.spacing!r}"
-            f"|idx{self.max_index}|ridge{self.ridge!r}"
-        )
-        return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
-    def save(self, path) -> None:
-        """Write the kernel to ``path`` through a temporary file in the same
-        directory, renamed onto ``path``: readers never see a partial file."""
-        path = pathlib.Path(path)
-        arrays = {f"table_{d}": t for d, t in self.tables.items()}
-        arrays.update({f"recovery_{d}": r for d, r in self.recovery.items()})
-        tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-        try:
-            with open(tmp, "xb") as fh:
-                np.savez(
-                    fh,
-                    version=KERNEL_CACHE_VERSION,
-                    dim_cut=self.dim_cut,
-                    eta=self.eta,
-                    half_width=self.grid.half_width,
-                    spacing=self.grid.spacing,
-                    max_index=self.max_index,
-                    ridge=self.ridge,
-                    **arrays,
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-
-def load_homodyne_kernel(path) -> HomodyneKernel:
-    """Load a cached kernel; raises on version mismatch."""
-    with np.load(path) as z:
-        if int(z["version"]) != KERNEL_CACHE_VERSION:
-            raise ValueError("kernel cache version mismatch")
-        grid = GridSpec(float(z["half_width"]), float(z["spacing"]))
-        return HomodyneKernel(
-            dim_cut=int(z["dim_cut"]),
-            eta=float(z["eta"]),
-            grid=grid,
-            max_index=int(z["max_index"]),
-            ridge=float(z["ridge"]),
-            x=grid.points,
-            tables={int(n.split("_")[1]): z[n] for n in z.files
-                    if n.startswith("table_")},
-            recovery={int(n.split("_")[1]): z[n] for n in z.files
-                      if n.startswith("recovery_")},
-        )
+def _save_kernel(path, key: str, kernel: HomodyneKernel) -> None:
+    """Write ``key`` and the kernel's tables to ``path`` through a temporary
+    file in the same directory, renamed onto ``path``: readers never see a
+    partial file."""
+    arrays = {f"table_{d}": t for d, t in kernel.tables.items()}
+    arrays.update({f"recovery_{d}": r for d, r in kernel.recovery.items()})
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, key=key, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def build_homodyne_kernel(
@@ -406,9 +366,12 @@ def build_homodyne_kernel(
     relative to the mean diagonal of the constraint Gram matrix.  Rows are
     stored for n <= max_index (default dim_cut // 2).
 
-    With ``cache_dir``, a cached kernel is returned only if its header gives
-    the requested ``cache_key``; a missing, corrupt or mismatched file is
-    rebuilt and replaced atomically by ``save``.
+    With ``cache_dir``, the kernel is cached in
+    ``kernel-<sha256(key)[:16]>.npz``, the key text naming the cache
+    version and every argument.  A file is used only if the ``key`` stored
+    in it equals the requested one; a missing, corrupt, foreign or stale
+    file is rebuilt and replaced atomically.  A cache that cannot be
+    written costs the save, not the run.
 
     Raises UnphysicalDeconvolutionError for eta <= 0.5 and
     IllConditionedKernelError (naming the diagonal) when the stored rows fail
@@ -425,19 +388,24 @@ def build_homodyne_kernel(
     if not 0 <= max_index < dim_cut:
         raise ValueError("max_index must satisfy 0 <= max_index < dim_cut")
 
-    probe = HomodyneKernel(
-        dim_cut=dim_cut, eta=eta, grid=grid, max_index=max_index, ridge=ridge,
-        x=grid.points, tables={}, recovery={},
-    )
+    key = (f"v{KERNEL_CACHE_VERSION}|D{dim_cut}|eta{eta!r}"
+           f"|hw{grid.half_width!r}|dx{grid.spacing!r}"
+           f"|idx{max_index}|ridge{ridge!r}")
     if cache_dir is not None:
-        cache_path = pathlib.Path(cache_dir) / f"kernel-{probe.cache_key()}.npz"
+        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+        cache_path = pathlib.Path(cache_dir) / f"kernel-{digest}.npz"
         try:
-            cached = load_homodyne_kernel(cache_path)
-            if cached.cache_key() == probe.cache_key():
-                return cached
+            with np.load(cache_path) as z:
+                if str(z["key"]) == key:
+                    deltas = range(max_index + 1)
+                    return HomodyneKernel(
+                        grid=grid, max_index=max_index, x=grid.points,
+                        tables={d: z[f"table_{d}"] for d in deltas},
+                        recovery={d: z[f"recovery_{d}"] for d in deltas})
         except Exception:
-            # a missing, truncated or foreign file rebuilds: the cache never
-            # fails a run, and save replaces the file atomically
+            # a missing, truncated, foreign or keyless file rebuilds: the
+            # cache never fails a run, and the save replaces the file
+            # atomically, so it is never deleted first
             pass
 
     x = grid.points
@@ -472,11 +440,14 @@ def build_homodyne_kernel(
         tables[delta] = np.ascontiguousarray(f.T)
         recovery[delta] = recov
 
-    kernel = HomodyneKernel(
-        dim_cut=dim_cut, eta=eta, grid=grid, max_index=max_index, ridge=ridge,
-        x=x, tables=tables, recovery=recovery,
-    )
+    kernel = HomodyneKernel(grid=grid, max_index=max_index, x=x,
+                             tables=tables, recovery=recovery)
     if cache_dir is not None:
-        pathlib.Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        kernel.save(pathlib.Path(cache_dir) / f"kernel-{kernel.cache_key()}.npz")
+        try:
+            cache_path.parent.mkdir(parents=True, exist_ok=True)
+            _save_kernel(cache_path, key, kernel)
+        except OSError:
+            # an unwritable cache (a file in its place, no permission, a
+            # full disk) leaves the run with the kernel it built
+            pass
     return kernel

@@ -130,9 +130,12 @@ def parse_result(text: str) -> ResultDoc:
         raise ValueError(f"[matrix] needs rows of {order + 3} columns")
     if not np.isfinite(table).all():
         raise ValueError("[matrix] values must be finite")
+    side = w1 ** (order // 2)
+    if len(table) != side * side:  # before the window sizes any array
+        raise ValueError(f"[matrix] has {len(table)} rows; window {w1 - 1} "
+                         f"needs its {side * side} indices exactly once")
     idx = table[:, :order].astype(int)
     flat = idx @ w1 ** np.arange(order - 1, -1, -1)  # row-major entry
-    side = w1 ** (order // 2)
     if not (np.all((idx >= 0) & (idx < w1))
             and np.array_equal(np.sort(flat), np.arange(side * side))):
         raise ValueError(f"[matrix] rows must give every index of window "

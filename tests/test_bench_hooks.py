@@ -1,10 +1,15 @@
-"""The benchmark's tracer hooks optomo functions by dotted name.
+"""The benchmark's tracer hooks optomo functions by dotted name, and its
+worker imports and calls them.
 
 A renamed or removed target would turn its per-layer metrics to null without
-failing the benchmark; this check makes such a rename fail the test suite.
-Only ``bench/tracer.py`` is read; nothing under ``bench/`` is changed.
+failing the benchmark, and a renamed function or keyword would fail every
+benchmark call; these checks make such a change fail the test suite.
+``bench/tracer.py`` is loaded and ``bench/worker.py`` only parsed; nothing
+under ``bench/`` is run as a script or changed.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 import sys
@@ -14,6 +19,7 @@ import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+WORKER = TRACER.with_name("worker.py")
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +41,60 @@ def test_map_blocks_takes_traced_parameters(tracer):
     assert found is not None
     params = inspect.signature(found[2]).parameters
     assert set(tracer.MAP_BLOCKS_PARAMS) <= set(params)
+
+
+@pytest.fixture(scope="module")
+def worker_names():
+    """The worker's syntax tree and each name its ``from optomo...``
+    imports bind, mapped to the object it resolves to."""
+    tree = ast.parse(WORKER.read_text())
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("optomo"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (node.module, alias.name)
+                names[alias.asname or alias.name] = getattr(module, alias.name)
+    return tree, names
+
+
+def test_worker_imports_resolve(worker_names):
+    _, names = worker_names
+    assert {"pipeline", "align_to_truth", "KrausMap", "kraus_to_choi",
+            "GridSpec", "build_homodyne_kernel"} <= set(names)
+
+
+def _callee(func, names):
+    """The optomo object a call's ``f`` or ``module.f`` names, or None."""
+    if isinstance(func, ast.Name):
+        return names.get(func.id)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        owner = names.get(func.value.id)
+        if inspect.ismodule(owner):
+            assert hasattr(owner, func.attr), (func.value.id, func.attr)
+            return getattr(owner, func.attr)
+    return None
+
+
+def test_worker_calls_bind_to_signatures(worker_names):
+    # every call of an imported optomo name, build_homodyne_kernel's
+    # max_index, ridge and cache_dir among them, binds to the signature
+    tree, names = worker_names
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = _callee(node.func, names)
+        if fn is None:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args)
+        assert all(k.arg is not None for k in node.keywords)
+        inspect.signature(fn).bind(*node.args,
+                                   **{k.arg: k.value for k in node.keywords})
+        bound.add((fn.__name__, *sorted(k.arg for k in node.keywords)))
+    assert ("build_homodyne_kernel", "cache_dir", "max_index",
+            "ridge") in bound
+    assert ("run_simulate", "dry_run", "out_dir", "threads") in bound
 
 
 def _traced_run(tracer, cfg, tmp_path):

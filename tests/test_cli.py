@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import optomo
 from optomo.cli import main
 from optomo.report import parse_result
 
@@ -214,6 +220,23 @@ class TestSimulate:
         assert (f"config error: output directory {taken}"
                 in capsys.readouterr().err)
 
+    def test_unwritable_kernel_cache_keeps_the_result(self, tiny_cfg,
+                                                      tmp_path):
+        # a regular file where the kernel cache directory goes costs the
+        # save, not the run: the same document as a cache miss and a hit
+        def result(out_dir):
+            assert main(["simulate", "--config", str(tiny_cfg),
+                         "--out-dir", str(out_dir)]) == 0
+            return (out_dir / "tiny.result.txt").read_bytes()
+
+        cold = result(tmp_path / "cached")
+        assert len(list((tmp_path / "cached" / "kernel-cache").iterdir())) == 1
+        warm = result(tmp_path / "cached")
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "taken" / "kernel-cache").write_text("")
+        assert result(tmp_path / "taken") == cold == warm
+        assert (tmp_path / "taken" / "kernel-cache").read_text() == ""
+
     def test_numerical_error_exit_3(self, tiny_cfg, tmp_path, capsys):
         # reference pinned on a structurally-zero element of an identity run
         cfg = tmp_path / "ref.cfg"
@@ -370,6 +393,41 @@ class TestEmitPlotdata:
         assert main(["emit-plotdata", "--from", str(doc),
                      "--out-dir", str(tmp_path / "b")]) == 2
         assert f"config error: result document {doc}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kraus, window", [(1, 1000000), (2, 300)])
+    def test_window_beyond_rows_exit_2(self, tmp_path, kraus, window):
+        # a document with its column comment and one row, whose window
+        # claims side^2 rows and a permutation check of 7.28 TiB
+        # (pure) or 61.2 GiB (Choi) of indices: the row count is checked
+        # first, in a process capped at 4 GiB of address space, so a check
+        # that sizes arrays by the window fails fast with exit 1
+        ks = np.stack([np.eye(2, dtype=complex),
+                       np.diag([1.0, -1.0]).astype(complex)])[:kraus]
+        cfg = _kraus_config(tmp_path, ks / np.sqrt(kraus), "finite")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+        doc = tmp_path / "k.result.txt"
+        head, rows = doc.read_text().split("[matrix]\n")
+        doc.write_text(head.replace("window = 1\n", f"window = {window}\n")
+                       + "[matrix]\n"
+                       + "".join(rows.splitlines(keepends=True)[:2]))
+        src = str(Path(optomo.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(
+                           os.pathsep)))
+        script = ("import resource, sys\n"
+                  "cap = 4 << 30\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                  "from optomo.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        run = subprocess.run(
+            [sys.executable, "-c", script, "emit-plotdata", "--from",
+             str(doc), "--out-dir", str(tmp_path / "b")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2, run.stderr
+        assert f"config error: result document {doc}" in run.stderr
+        assert f"[matrix] has 1 rows; window {window} needs" in run.stderr
 
 
 class TestKrausRoute:

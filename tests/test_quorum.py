@@ -1,4 +1,4 @@
-import os
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -21,7 +21,6 @@ from optomo.quorum import (
     GridSpec,
     build_finite_quorum,
     build_homodyne_kernel,
-    load_homodyne_kernel,
 )
 from optomo.sampling import SampleBlock
 
@@ -109,6 +108,15 @@ def kernel():
     return build_homodyne_kernel(16, 0.9, GridSpec(12.0), max_index=8)
 
 
+CACHE_ARGS = (12, 0.95, GridSpec(8.0))
+CACHE_KEY = "v1|D12|eta0.95|hw8.0|dx0.01|idx4|ridge1e-10"
+CACHE_NAME = "kernel-7f1812db88100818.npz"  # sha256(CACHE_KEY)[:16]
+
+
+def _no_build(*args):
+    raise AssertionError("kernel built although the cache holds it")
+
+
 class TestHomodyneKernel:
 
     def test_recovery_is_identity_on_window(self, kernel):
@@ -175,75 +183,130 @@ class TestHomodyneKernel:
         with pytest.raises(IllConditionedKernelError, match="grid_spacing"):
             build_homodyne_kernel(16, 0.9, GridSpec(12.0, 0.5))
 
-    def test_cache_roundtrip(self, kernel, tmp_path):
-        kernel.save(tmp_path / "k.npz")
-        loaded = load_homodyne_kernel(tmp_path / "k.npz")
-        assert loaded.dim_cut == kernel.dim_cut
-        assert loaded.eta == kernel.eta
-        for d in kernel.tables:
-            assert np.array_equal(loaded.tables[d], kernel.tables[d])
+    def test_cache_roundtrip(self, tmp_path, monkeypatch):
+        kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
+                                       cache_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [CACHE_NAME]
+        with np.load(tmp_path / CACHE_NAME) as z:
+            assert str(z["key"]) == CACHE_KEY
+        monkeypatch.setattr(quorum, "quadrature_wavefunctions", _no_build)
+        loaded = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
+                                       cache_dir=tmp_path)
+        assert (loaded.grid, loaded.max_index) == (kernel.grid, 4)
+        assert np.array_equal(loaded.x, kernel.x)
+        for field in ("tables", "recovery"):
+            got, want = getattr(loaded, field), getattr(kernel, field)
+            assert sorted(got) == sorted(want) == list(range(5))
+            for d in want:
+                assert np.array_equal(got[d], want[d])
 
-    def test_interrupted_save_leaves_no_file(self, kernel, tmp_path,
-                                             monkeypatch):
-        # a write that fails half-way must leave nothing a later run could
-        # load (or delete as corrupt) at the cache path
+    def test_interrupted_save_leaves_no_file(self, tmp_path, monkeypatch):
+        # a write interrupted half-way must leave nothing a later run could
+        # load (or delete as corrupt) at the cache path; an interruption
+        # that is not an OSError still ends the run
+        def interrupted_savez(file, **arrays):
+            file.write(b"PK\x03\x04 partial archive")
+            file.flush()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez", interrupted_savez)
+        with pytest.raises(KeyboardInterrupt):
+            build_homodyne_kernel(*CACHE_ARGS, max_index=4,
+                                  cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_returns_the_kernel(self, tmp_path, monkeypatch):
+        # a full disk fails the save half-way: no file, no temporary file,
+        # and the run goes on with the kernel it built
         def broken_savez(file, **arrays):
-            if isinstance(file, (str, bytes, os.PathLike)):
-                file = open(file, "wb")
             file.write(b"PK\x03\x04 partial archive")
             file.flush()
             raise OSError("No space left on device")
 
+        want = build_homodyne_kernel(*CACHE_ARGS, max_index=4)
         monkeypatch.setattr(np, "savez", broken_savez)
-        target = tmp_path / f"kernel-{kernel.cache_key()}.npz"
-        with pytest.raises(OSError, match="No space"):
-            kernel.save(target)
-        assert not target.exists()
+        kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
+                                       cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
+        for d in want.tables:
+            assert np.array_equal(kernel.tables[d], want.tables[d])
+            assert np.array_equal(kernel.recovery[d], want.recovery[d])
 
     def test_failed_load_rebuilds_without_deleting(self, tmp_path,
                                                    monkeypatch):
         # two runs that find the same stale file: the other run's recovery
         # may remove or replace it between this run's failed load and its own
-        args = (12, 0.95, GridSpec(8.0))
-        key = build_homodyne_kernel(*args, max_index=4).cache_key()
-        path = tmp_path / f"kernel-{key}.npz"
+        path = tmp_path / CACHE_NAME
         path.write_bytes(b"stale")
 
-        def load_after_other_run(p):
-            p.unlink()
-            raise ValueError("kernel cache version mismatch")
+        def load_after_other_run(file, *args, **kwargs):
+            pathlib.Path(file).unlink()
+            raise ValueError("stale kernel cache file")
 
-        monkeypatch.setattr(quorum, "load_homodyne_kernel", load_after_other_run)
-        kernel = build_homodyne_kernel(*args, max_index=4, cache_dir=tmp_path)
+        monkeypatch.setattr(np, "load", load_after_other_run)
+        kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
+                                       cache_dir=tmp_path)
+        monkeypatch.undo()
         assert path.exists()
-        assert np.array_equal(load_homodyne_kernel(path).tables[0],
-                              kernel.tables[0])
+        with np.load(path) as z:
+            assert np.array_equal(z["table_0"], kernel.tables[0])
 
     def test_cache_header_mismatch_rebuilds(self, tmp_path):
-        # a kernel whose header does not give the requested key is not used
+        # a file whose stored key is not the requested one is not used,
+        # even under the requested key's name
         grid = GridSpec(8.0)
-        wrong = build_homodyne_kernel(12, 0.9, grid, max_index=4)
-        want_key = build_homodyne_kernel(12, 0.8, grid, max_index=4).cache_key()
-        path = tmp_path / f"kernel-{want_key}.npz"
-        wrong.save(path)
+        other = tmp_path / "other"
+        build_homodyne_kernel(12, 0.9, grid, max_index=4, cache_dir=other)
+        (wrong,) = other.iterdir()
+        want = build_homodyne_kernel(12, 0.8, grid, max_index=4,
+                                     cache_dir=tmp_path / "want")
+        (path,) = (tmp_path / "want").iterdir()
+        wrong.replace(path)
         kernel = build_homodyne_kernel(12, 0.8, grid, max_index=4,
+                                       cache_dir=tmp_path / "want")
+        assert np.array_equal(kernel.tables[1], want.tables[1])
+        with np.load(path) as z:
+            assert str(z["key"]) == "v1|D12|eta0.8|hw8.0|dx0.01|idx4|ridge1e-10"
+            assert np.array_equal(z["table_1"], want.tables[1])
+
+    def test_keyless_file_rebuilds_and_is_replaced(self, tmp_path):
+        # a file in the earlier format, a version and six parameter scalars
+        # beside the arrays but no key, lies at the same path: it is rebuilt
+        # and replaced, and its arrays (zeroed here) are never used
+        want = build_homodyne_kernel(*CACHE_ARGS, max_index=4)
+        arrays = {f"table_{d}": np.zeros_like(t)
+                  for d, t in want.tables.items()}
+        arrays.update({f"recovery_{d}": np.zeros_like(r)
+                       for d, r in want.recovery.items()})
+        path = tmp_path / CACHE_NAME
+        np.savez(path, version=1, dim_cut=12, eta=0.95, half_width=8.0,
+                 spacing=0.01, max_index=4, ridge=1e-10, **arrays)
+        kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
                                        cache_dir=tmp_path)
-        assert kernel.eta == 0.8
-        assert load_homodyne_kernel(path).cache_key() == want_key
+        assert np.array_equal(kernel.tables[2], want.tables[2])
+        assert [p.name for p in tmp_path.iterdir()] == [CACHE_NAME]
+        with np.load(path) as z:
+            assert str(z["key"]) == CACHE_KEY
+            assert "version" not in z.files
+            for d in want.tables:
+                assert np.array_equal(z[f"table_{d}"], want.tables[d])
+                assert np.array_equal(z[f"recovery_{d}"], want.recovery[d])
 
     def test_cache_dir_reuse_and_regeneration(self, tmp_path):
-        k1 = build_homodyne_kernel(12, 0.95, GridSpec(8.0), max_index=4,
+        k1 = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
                                    cache_dir=tmp_path)
         files = list(tmp_path.glob("kernel-*.npz"))
         assert len(files) == 1
-        k2 = build_homodyne_kernel(12, 0.95, GridSpec(8.0), max_index=4,
+        k2 = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
                                    cache_dir=tmp_path)
         assert np.array_equal(k1.tables[0], k2.tables[0])
+        assert np.array_equal(k1.recovery[0], k2.recovery[0])
         files[0].write_bytes(b"corrupt")
-        k3 = build_homodyne_kernel(12, 0.95, GridSpec(8.0), max_index=4,
+        k3 = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
                                    cache_dir=tmp_path)
         assert np.allclose(k1.tables[0], k3.tables[0])
+        with np.load(files[0]) as z:
+            assert str(z["key"]) == CACHE_KEY
 
 
 def phase_averaged_recovery(kernel, n, m, mean_of_phi, var, nphi=256):
