@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import warnings
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from typing import get_type_hints
@@ -25,6 +26,7 @@ _OPERATIONS = ("displacement", "identity", "kraus")
 _ROUTES = ("auto", "gaussian", "fock", "finite")
 _COMMENT = re.compile(r"(^|\s)#.*$")
 FINITE_ROUTE_MAX_DIM = 12
+DEFICIT_WARN_BOUND = 1e-3
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ class ExperimentConfig:
             )
         if self.nbar > 0 and not finite:
             # the finite route renormalises the truncated entangler, so the
-            # deficit gate applies to the radiation-mode routes only
+            # deficit gate and warning apply to the radiation-mode routes only
             lam2 = self.nbar / (self.nbar + 1.0)
             deficit = lam2**dim
             if deficit > 1e-2:
@@ -136,6 +138,11 @@ class ExperimentConfig:
                     f"non-invertible, raise dim_cut to >= "
                     f"{int(np.ceil(np.log(1e-2) / np.log(lam2)))}"
                 )
+            if deficit > DEFICIT_WARN_BOUND:
+                # issued from here, so a config validated twice warns once
+                warnings.warn(
+                    f"twin-beam truncation deficit {deficit:.3e} above bound "
+                    f"{DEFICIT_WARN_BOUND:.0e}; increase dim_cut")
         if self.nbar == 0:
             raise ConfigError(
                 "nbar = 0 gives a rank-one (non-invertible) entangler; "

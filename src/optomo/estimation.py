@@ -15,8 +15,8 @@ records; FiniteQuorum, the dual frame on finite-quorum outcomes):
 ``max_index``, ``pair_table(pairs)`` and ``block_sums(block, tables)``,
 which reduces one ``SampleBlock`` of heralded samples to its dyad moment
 matrix M[p, q] = sum_s e1[s, p] e2[s, q] (e1, e2 the two modes' dyad
-estimates).  This module never looks at outcomes or settings, and the
-backends know nothing of the estimator.
+estimates).  This module never looks at outcomes or settings and imports
+no sampler or backend module, and the backends know nothing of the estimator.
 
 Pure and Choi entries are fixed linear combinations of dyad moments:
 ``pure_terms`` and ``choi_terms`` give each kind's ``(tables, comb)``, the
@@ -26,9 +26,9 @@ nothing of the estimate kind; the block means (M @ comb) / n and the pure
 denominator M[i0, j0].real / n are formed only in ``finalize_pure`` and
 ``finalize_choi`` (the means by ``block_stats(comb)``) and on the exact
 path, and ``finalize_choi`` puts Choi means in the (i, j), (l, k) layout
-once.  The exact path (``exact_*``) takes a finite quorum's ``exact_sums``,
-M per sample under the joint outcome law the finite route samples:
-``joint_outcome_table`` of the output branches K_n psi and their weights.
+once.  The exact path (``exact_*``) calls the backend's
+``exact_sums(branches, weights, tables)``: M per sample under the exact
+outcome law of the output branches K_n psi and their weights.
 
 Error bars follow the block structure of the data: per-block means, standard
 error = std across block means / sqrt(blocks), so fewer than two blocks
@@ -53,7 +53,6 @@ import numpy as np
 
 from optomo.bipartite import inverse
 from optomo.errors import ReferenceTooSmallError
-from optomo.sampling import joint_outcome_table
 
 REFERENCE_SIGMA_FACTOR = 2.0
 # magnitudes within this relative distance of the largest tie for the
@@ -380,8 +379,7 @@ def exact_pure_estimate(branches, weights, psi: np.ndarray, i0: int, j0: int,
     one-operator map (A,)."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
     tables, comb = pure_terms(coef, i0, j0, quorum)
-    m = quorum.exact_sums(joint_outcome_table(branches, weights, quorum),
-                          tables)
+    m = quorum.exact_sums(branches, weights, tables)
     return np.sqrt(sum(weights) / m[i0, j0].real) * (m @ comb)
 
 
@@ -392,7 +390,6 @@ def exact_choi_estimate(branches, weights, psi: np.ndarray,
     sum(weights), hermitised."""
     coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
     tables, comb = choi_terms(coef, quorum)
-    m = quorum.exact_sums(joint_outcome_table(branches, weights, quorum),
-                          tables)
+    m = quorum.exact_sums(branches, weights, tables)
     r_est = sum(weights) * _choi_layout(m @ comb)
     return (r_est + r_est.conj().T) / 2.0

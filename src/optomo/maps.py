@@ -14,13 +14,12 @@ the mixture of the branches K_n psi (``output_branches``); the Choi matrix
 is R(I) = (I (x) psi^{-1 T}) R(psi) (I (x) psi^{-1 *}), with the map
 recovered as E(rho) = Tr_2[(I (x) rho^T) R(I)].
 
-Construction and application functions are pure; values are immutable in
-practice and safe to share across workers.
+Construction and application functions are pure, with no policy and no
+warning; values are immutable in practice and safe to share across workers.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ KRAUS_BOUND_TOL = 1e-10
 CHOI_HERMITIAN_TOL = 1e-10
 CHOI_PSD_REL_TOL = 1e-8
 DISPLACEMENT_GUARD = 8
-DEFICIT_WARN_BOUND = 1e-3
 
 
 @dataclass(frozen=True)
@@ -220,22 +218,15 @@ def displacement_matrix(z: complex, dim_cut: int) -> np.ndarray:
     return full[:dim_cut, :dim_cut]
 
 
-def twin_beam(nbar: float, dim_cut: int, deficit_bound: float = DEFICIT_WARN_BOUND) -> TwinBeamState:
+def twin_beam(nbar: float, dim_cut: int) -> TwinBeamState:
     """Twin-beam entangler with mean thermal photon number nbar per beam.
 
     The truncation deficit 1 - sum_n psi_nn^2 = lambda^(2 dim_cut) is recorded
-    on the result; a deficit above ``deficit_bound`` triggers a warning.
+    on the result; ``ExperimentConfig.validate`` gates and warns on it.
     """
     if nbar < 0:
         raise ValueError("nbar must be nonnegative")
     lam2 = nbar / (nbar + 1.0)
     diag = np.sqrt(1.0 - lam2) * np.sqrt(lam2) ** np.arange(dim_cut)
-    deficit = float(lam2**dim_cut)
-    if deficit > deficit_bound:
-        warnings.warn(
-            f"twin-beam truncation deficit {deficit:.3e} above bound "
-            f"{deficit_bound:.0e}; increase dim_cut",
-            stacklevel=2,
-        )
-    return TwinBeamState(psi=np.diag(diag).astype(complex), deficit=deficit)
-
+    return TwinBeamState(psi=np.diag(diag).astype(complex),
+                         deficit=float(lam2**dim_cut))

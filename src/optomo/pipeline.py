@@ -126,7 +126,7 @@ def load_kraus_file(path: str) -> KrausMap:
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"need a (n, d, d) stack, got shape {arr.shape}")
         return KrausMap(tuple(arr.astype(complex)))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EOFError) as exc:  # EOFError: empty file
         raise ConfigError(f"kraus_file {path}: {exc}") from exc
 
 
@@ -219,13 +219,10 @@ def run_simulate(
     route = cfg.resolved_route()
     window = cfg.n_max
     dim_cut = cfg.resolved_dim_cut()
+    beam = twin_beam(cfg.nbar, dim_cut)
+    psi, deficit = beam.psi, beam.deficit
     if route == "finite":
-        beam = twin_beam(cfg.nbar, dim_cut, deficit_bound=1.0)
-        psi = beam.psi / np.linalg.norm(beam.psi)
-        deficit = 0.0
-    else:
-        beam = twin_beam(cfg.nbar, dim_cut)
-        psi, deficit = beam.psi, beam.deficit
+        psi, deficit = psi / np.linalg.norm(psi), 0.0
     op = build_operation(cfg, dim_cut)
     kind = "pure" if len(op.kraus) == 1 else "choi"
     if kind == "choi" and cfg.reference != "auto":
@@ -235,8 +232,9 @@ def run_simulate(
 
     branches, weights = output_branches(op, psi)  # pure: one branch
     # the sampled Gaussian state is untruncated, and in it the unitary
-    # displacement always occurs: p_occ = 1 draws no heralds
-    p_occ = 1.0 if route == "gaussian" else float(sum(weights))
+    # displacement always occurs: p_occ = 1 draws no heralds; min() drops
+    # the rounding excess over 1 that KrausMap's bound check lets pass
+    p_occ = 1.0 if route == "gaussian" else min(1.0, float(sum(weights)))
     i0 = j0 = 0
     if kind == "pure":
         i0, j0 = cfg.resolved_reference() or select_reference(

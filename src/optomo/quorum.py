@@ -38,10 +38,11 @@ e1.T @ e2 over chunks of ``DYAD_CHUNK`` samples; the chunk sums add up to
 the one-shot reduction of the block up to roundoff (about 1e-15 relative).
 A finite quorum's estimate of |a><b| from eigenvalue m of observable k is a
 per-observable dual coefficient (its pair table) times a per-outcome scalar
-lambda_km / w_k, ``scaled_eigenvalues``; so M is c1.T @ R @ c2, through the
-L x L sums R of ``cell_products``, the two modes' scalars at each joint
-outcome, over a block's cells; no per-sample dyad is evaluated.
-``exact_sums`` gives the same M per sample under the joint outcome law.
+lambda_km / w_k, ``scaled_eigenvalues``; so M is c1.T @ R @ c2, R[k, l] one
+weighted ``np.bincount`` of ``cell_products`` (the two modes' scalars at each
+joint outcome) over the cells of observables (k, l): a block's cells, or in
+``exact_sums(branches, weights, tables)`` every cell times its probability
+under the output's joint outcome law.  No per-sample dyad is evaluated.
 
 Kernel construction is a one-time single-threaded setup; the resulting
 objects and the pair tables built from them are immutable and shareable
@@ -61,6 +62,7 @@ import numpy as np
 from optomo.errors import IllConditionedKernelError
 from optomo.fock import (noise_sigma2, phase_powers, quadrature_wavefunctions,
                          smeared_pair_table)
+from optomo.sampling import joint_outcome_table
 
 KERNEL_CACHE_VERSION = 1
 BIORTHOGONALITY_TOL = 1e-8
@@ -131,25 +133,27 @@ class FiniteQuorum:
         lam = self.scaled_eigenvalues[settings, outcomes]  # (S,)
         return table[settings] * lam[:, None]
 
-    def exact_sums(self, table, tables) -> np.ndarray:
-        """Expectation per sample of ``block_sums`` under the joint outcome
-        law ``table`` (shape (L, L, d, d), as ``joint_outcome_table``): R
-        sums ``cell_products`` times the probability of each cell."""
+    def _pair_sums(self, cells, values, tables) -> np.ndarray:
+        """c1.T @ R @ c2, R[k, l] the sum of ``values`` over the ``cells``
+        (flat joint-outcome indices) of observables (k, l), one bincount."""
         c1, c2 = tables
         n = len(self)
-        r = (table.reshape(-1) * self.cell_products).reshape(n, n, -1)
-        return (c1.T @ r.sum(axis=2)) @ c2
+        r = np.bincount(cells // self.dim**2, minlength=n * n, weights=values)
+        return (c1.T @ r.reshape(n, n)) @ c2
+
+    def exact_sums(self, branches, weights, tables) -> np.ndarray:
+        """Expectation per sample of ``block_sums`` under the joint outcome
+        law of the output branches (``joint_outcome_table``): every cell,
+        its ``cell_products`` times its probability."""
+        table = joint_outcome_table(branches, weights, self).ravel()
+        return self._pair_sums(np.arange(table.size),
+                               table * self.cell_products, tables)
 
     def block_sums(self, block, tables) -> np.ndarray:
-        """The dyad moment matrix c1.T @ R @ c2 of a block's heralded cells,
-        R[k, l] the sum of ``cell_products`` over its cells of observables
-        (k, l): O(n + L^2 P), within roundoff of the per-sample sums."""
-        c1, c2 = tables
+        """The dyad moment matrix of a block's heralded cells, each its
+        ``cell_products``: O(n + L^2 P), within roundoff of per-sample sums."""
         (cells,) = block.columns
-        n = len(self)
-        r = np.bincount(cells // self.dim**2, minlength=n * n,
-                        weights=self.cell_products.take(cells))
-        return (c1.T @ r.reshape(n, n)) @ c2
+        return self._pair_sums(cells, self.cell_products.take(cells), tables)
 
 
 def _gell_mann_family(dim: int) -> list[np.ndarray]:

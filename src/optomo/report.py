@@ -87,10 +87,10 @@ def render_result(cfg: ExperimentConfig, estimate: MatrixEstimate,
 
 def parse_result(text: str) -> ResultDoc:
     """Parse a result document; raises ValueError on a malformed one: a bad
-    header, an unknown estimate kind, a summary without i0, j0 and window
-    or with (i0, j0) outside the window, matrix rows that do not give
-    every index of the window exactly once, or a value that is not finite
-    (a run writes none)."""
+    header, an unknown estimate kind, a summary without i0, j0 and window,
+    with a window other than the config's n_max or with (i0, j0) outside
+    the window, matrix rows that do not give every index of the window
+    exactly once, or a value that is not finite (a run writes none)."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("optomo-result"):
         raise ValueError("missing 'optomo-result v<N>' header")
@@ -134,6 +134,9 @@ def parse_result(text: str) -> ResultDoc:
     if len(table) != side * side:  # before the window sizes any array
         raise ValueError(f"[matrix] has {len(table)} rows; window {w1 - 1} "
                          f"needs its {side * side} indices exactly once")
+    if w1 - 1 != cfg.n_max:  # a run writes window = n_max
+        raise ValueError(f"[summary] window = {w1 - 1} differs from the "
+                         f"config's n_max = {cfg.n_max}")
     idx = table[:, :order].astype(int)
     flat = idx @ w1 ** np.arange(order - 1, -1, -1)  # row-major entry
     if not (np.all((idx >= 0) & (idx < w1))

@@ -48,7 +48,6 @@ import numpy as np
 
 from optomo.errors import TruncationError
 from optomo.fock import noise_sigma2, phase_powers, quadrature_wavefunctions
-from optomo.quorum import FiniteQuorum
 
 SYMPLECTIC_TOL = 1e-9
 FOCK_GRID_POINTS = 4096
@@ -421,16 +420,16 @@ def sample_fock_general(
     return e1, e2, x1, x2
 
 
-def joint_outcome_table(branches, weights, quorum: FiniteQuorum) -> np.ndarray:
+def joint_outcome_table(branches, weights, quorum) -> np.ndarray:
     """Exact joint outcome probabilities, shape (L, L, d, d).
 
     Entry (k, l, m1, m2) is the probability of choosing observables (k, l)
-    and obtaining their (m1, m2)-th eigenvalues on the output that mixes the
-    normalised pure ``branches`` (d x d matrices) with ``weights``: the Born
-    probabilities sum_n w_n |rows Phi_n rows^T|^2 over all L d x L d
-    eigenvector pairs, a sum of squared moduli.  Sums to 1.  The amplitudes
-    are formed ``OUTCOME_CHUNK`` entries at a time, from the whole
-    ``rows Phi_n`` and a chunk of its rows.
+    of the finite ``quorum`` and obtaining their (m1, m2)-th eigenvalues on
+    the output that mixes the normalised pure ``branches`` (d x d matrices)
+    with ``weights``: the Born probabilities sum_n w_n |rows Phi_n rows^T|^2
+    over all L d x L d eigenvector pairs, a sum of squared moduli; it sums
+    to 1.  The amplitudes are formed ``OUTCOME_CHUNK`` entries at a time,
+    from the whole ``rows Phi_n`` and a chunk of its rows.
     """
     L, d = len(quorum), quorum.dim
     # rows[k d + m] = <m_k|, the m-th eigenvector of observable k

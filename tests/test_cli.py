@@ -360,7 +360,8 @@ class TestEmitPlotdata:
 
     @pytest.mark.parametrize("fault", [
         "bad_version", "cut_after_matrix", "unknown_kind", "no_i0",
-        "cut_last_rows", "row_deleted", "nan_value"])
+        "cut_last_rows", "row_deleted", "nan_value", "window_above_n_max",
+        "window_below_n_max"])
     def test_malformed_document_exit_2(self, tmp_path, capsys, fault):
         good = np.diag([1.0, 0.8, 0.0]).astype(complex)[None]
         cfg = _kraus_config(tmp_path, good, "finite")
@@ -384,6 +385,16 @@ class TestEmitPlotdata:
                        if ln.startswith("1 0 "))
             n, m, re, _, se = row.split()
             text = text.replace(row, f"{n} {m} {re} nan {se}\n")
+        elif fault == "window_above_n_max":
+            # a whole window-9 matrix under the config's n_max = 1
+            head, sep, _ = text.partition(" re im stderr\n")
+            rows = [f"{i} {j} +1.0e+00 +0.0e+00 1.0e-02\n"
+                    for i in range(10) for j in range(10)]
+            text = (head.replace("window = 1\n", "window = 9\n") + sep
+                    + "".join(rows))
+        elif fault == "window_below_n_max":
+            # the window-1 document under a config whose n_max is 2
+            text = text.replace("n_max = 1\n", "n_max = 2\n")
         else:
             row = next(ln for ln in text.splitlines(keepends=True)
                        if ln.startswith("1 0 "))
@@ -578,7 +589,7 @@ class TestOperationErrors:
         assert not (tmp_path / "k.result.txt").exists()
 
     @pytest.mark.parametrize("fault", ["missing", "exceeds_identity",
-                                       "npz_archive", "zero_dim"])
+                                       "npz_archive", "zero_dim", "empty"])
     def test_bad_kraus_file_exit_2(self, tmp_path, capsys, fault):
         good = np.diag([1.0, 0.8, 0.0]).astype(complex)[None]
         cfg = _kraus_config(tmp_path, good, "finite")
@@ -592,6 +603,8 @@ class TestOperationErrors:
                 np.savez(f, k=good)
         elif fault == "zero_dim":
             np.save(kraus_path, np.zeros((2, 0, 0)))
+        elif fault == "empty":
+            kraus_path.write_bytes(b"")
         else:
             np.save(kraus_path, 1.5 * good)
         capsys.readouterr()
@@ -603,6 +616,26 @@ class TestOperationErrors:
         ):
             assert main(argv) == 2
             assert str(kraus_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route, n_kraus, dim", [
+        ("finite", 1, 4), ("finite", 2, 4), ("fock", 1, 16)])
+    def test_occurrence_rounding_above_one_runs(self, tmp_path, route,
+                                                n_kraus, dim):
+        # sum K^dag K = (1 + 5e-11) I passes KrausMap's bound check, so the
+        # weights may sum above 1 by that much: the run clamps p_occ to 1
+        ks = np.stack([np.eye(dim), np.diag([1.0, -1.0] * (dim // 2))])
+        ks = np.sqrt((1.0 + 5e-11) / n_kraus) * ks[:n_kraus]
+        cfg = _kraus_config(tmp_path, ks.astype(complex), route)
+        text = cfg.read_text().replace("samples_per_block = 200",
+                                       "samples_per_block = 5000")
+        if route == "fock":
+            text = text.replace("nbar = 1.0", "nbar = 0.05")
+        cfg.write_text(text)
+        argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]
+        assert main(argv + ["--dry-run"]) == 0
+        assert main(argv) == 0
+        doc = parse_result((tmp_path / "k.result.txt").read_text())
+        assert doc.kind == ("pure" if n_kraus == 1 else "choi")
 
     def test_non_finite_kraus_operator_exit_2(self, tmp_path, capsys):
         # a NaN operator has NaN weight, which output_branches would drop

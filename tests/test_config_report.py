@@ -168,7 +168,7 @@ def _fake_estimate(w=2):
 
 class TestResultDocument:
     def test_roundtrip(self):
-        cfg = ExperimentConfig(blocks=5, samples_per_block=10)
+        cfg = ExperimentConfig(n_max=1, blocks=5, samples_per_block=10)
         est = _fake_estimate()
         text = render_result(cfg, est, "pure")
         doc = parse_result(text)
@@ -195,7 +195,7 @@ class TestResultDocument:
         est = MatrixEstimate(values=vals, std_errors=np.full((4, 4), 0.1),
                              kappa=kap, i0=0, j0=0, n_blocks=3,
                              truncation_deficit=0.0, hermiticity_defect=0.05)
-        cfg = ExperimentConfig(blocks=3, samples_per_block=10)
+        cfg = ExperimentConfig(n_max=1, blocks=3, samples_per_block=10)
         doc = parse_result(render_result(cfg, est, "choi"))
         assert doc.kind == "choi"
         assert np.max(np.abs(doc.values - vals)) < 1e-8
@@ -205,10 +205,11 @@ class TestResultDocument:
     @pytest.mark.parametrize("fault", ["unknown_kind", "no_i0",
                                        "i0_outside_window", "cut_last_rows",
                                        "row_deleted", "row_repeated", "nan",
-                                       "inf"])
+                                       "inf", "window_9", "window_1"])
     def test_malformed_document_raises(self, fault):
         # a window-3 pure document: 16 rows, one per entry
-        text = render_result(ExperimentConfig(), _fake_estimate(4), "pure")
+        cfg = ExperimentConfig(n_max=3)
+        text = render_result(cfg, _fake_estimate(4), "pure")
         lines = text.splitlines(keepends=True)
         row_23 = next(ln for ln in lines if ln.startswith("2 3 "))
         if fault == "unknown_kind":
@@ -221,6 +222,10 @@ class TestResultDocument:
             text = "".join(lines[:-9])
         elif fault == "row_deleted":
             text = text.replace(row_23, "")
+        elif fault.startswith("window_"):
+            # a whole document of another window under the n_max = 3 config
+            w1 = int(fault[-1]) + 1
+            text = render_result(cfg, _fake_estimate(w1), "pure")
         elif fault in ("nan", "inf"):
             # a run never writes one: fewer than two blocks with data exits 3
             n, m, re, _, se = row_23.split()
@@ -230,7 +235,9 @@ class TestResultDocument:
                 next(ln for ln in lines if ln.startswith("3 3 ")), "")
         match = {"unknown_kind": "estimate_kind", "no_i0": "lacks i0",
                  "i0_outside_window": "i0, j0 <= window",
-                 "nan": "must be finite", "inf": "must be finite"}
+                 "nan": "must be finite", "inf": "must be finite",
+                 "window_9": "window = 9 differs from the config's n_max = 3",
+                 "window_1": "window = 1 differs from the config's n_max = 3"}
         with pytest.raises(ValueError, match=match.get(fault, "exactly once")):
             parse_result(text)
 

@@ -82,7 +82,7 @@ class TestChunkedAccumulation:
             state = displaced_twinbeam_gaussian(0.5 + 0.2j, 1.0)
             cols = sample_quadratures(state, 0.9, n, rng)
         else:
-            psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
+            psi = twin_beam(1.0, 4).psi
             table = joint_outcome_table([psi / np.linalg.norm(psi)], [1.0],
                                         backend)
             cols = sample_finite(np.cumsum(table), n, rng)
@@ -107,7 +107,7 @@ class TestChunkedAccumulation:
     @pytest.mark.parametrize("kind", ["pure", "choi"])
     def test_chunk_sums_match_one_shot(self, kernel, name, kind, n_heralded):
         backend = kernel if name == "homodyne" else build_finite_quorum(4)
-        psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
+        psi = twin_beam(1.0, 4).psi
         coef, _ = mode2_combination(psi, 2, 3)
         blk = self._block(name, backend, n_heralded, 5)
         tables, _ = self._terms(kind, coef, backend)
@@ -133,7 +133,7 @@ class TestChunkedAccumulation:
         shape = (len(q),) * 2 + (q.dim,) * 2
         cells = np.ravel_multi_index((*obs, *out), shape)
         blk = SampleBlock(0, np.ones(500, dtype=bool), (cells,))
-        psi = twin_beam(1.0, 12, deficit_bound=1.0).psi
+        psi = twin_beam(1.0, 12).psi
         coef, _ = mode2_combination(psi, 11, 11)
         tables, _ = self._terms(kind, coef, q)
         self._assert_close(q.block_sums(blk, tables),
@@ -147,7 +147,7 @@ class TestChunkedAccumulation:
         # comb and, on a pure estimate, M[i0, j0].real match those of the
         # one-shot per-sample moments
         backend = kernel if name == "homodyne" else build_finite_quorum(4)
-        psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
+        psi = twin_beam(1.0, 4).psi
         coef, _ = mode2_combination(psi, 2, 3)
         blocks = [replace(self._block(name, backend, n, seed), block_id=b)
                   for b, (n, seed) in enumerate([(700, 5), (1, 6), (0, 7)])]
@@ -172,7 +172,7 @@ class TestChunkedAccumulation:
         # reduction that forms (M_b @ comb) one block at a time: such rows
         # reduced through the identity combination
         backend = kernel if name == "homodyne" else build_finite_quorum(4)
-        psi = twin_beam(1.0, 4, deficit_bound=1.0).psi
+        psi = twin_beam(1.0, 4).psi
         coef, _ = mode2_combination(psi, 2, 3)
         blocks = [replace(self._block(name, backend, 300 + 50 * b, 20 + b),
                           block_id=b) for b in range(5)]
@@ -204,7 +204,7 @@ class TestChunkedAccumulation:
         # finite_choi benchmark block: the reduction holds a few
         # sample-length vectors and (L, L) sums, no (L d, L d) counts
         q = build_finite_quorum(6)
-        psi = twin_beam(1.0, 6, deficit_bound=1.0).psi
+        psi = twin_beam(1.0, 6).psi
         table = joint_outcome_table([psi / np.linalg.norm(psi)], [1.0], q)
         cols = sample_finite(np.cumsum(table), 17_000, substream(3, 0))
         blk = SampleBlock(0, np.ones(17_000, dtype=bool), cols)
@@ -273,7 +273,7 @@ class TestMode2Combination:
         assert deficit == 0.0
 
     def test_twin_beam_diagonal_coefficient(self):
-        beam = twin_beam(3.0, 16, deficit_bound=1.0)
+        beam = twin_beam(3.0, 16)
         coef, _ = mode2_combination(beam.psi, 5, 15)
         for j in range(6):
             assert abs(coef[j, j] - 2.0 * (4.0 / 3.0) ** (j / 2.0)) < 1e-10
@@ -354,7 +354,7 @@ class TestExactChain:
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(np.eye(2), psi)
         tables, _ = pure_terms(np.eye(1), 0, 0, q)
-        m = q.exact_sums(joint_outcome_table([phi], [p], q), tables)
+        m = q.exact_sums([phi], [p], tables)
         den = m[0, 0].real
         assert abs(den - 0.5) < 1e-12
         assert abs(np.sqrt(p / den) - np.sqrt(2.0)) < 1e-12
@@ -369,7 +369,7 @@ class TestExactChain:
         phi, p = apply_pure(a, psi)
         psi_inv = np.linalg.inv(psi)
         tables, comb = pure_terms(psi_inv, 0, 0, q)
-        mean = q.exact_sums(joint_outcome_table([phi], [p], q), tables) @ comb
+        mean = q.exact_sums([phi], [p], tables) @ comb
         expect = np.conj(phi[0, 0]) * (phi @ psi_inv)
         assert np.max(np.abs(mean - expect)) < 1e-12
 
@@ -389,7 +389,7 @@ class TestExactChain:
         coef, _ = mode2_combination(psi, d - 1, d - 1)
         tables, comb = (pure_terms(coef, 0, 1, q) if kind == "pure"
                         else choi_terms(coef, q))
-        m = q.exact_sums(joint_outcome_table(branches, weights, q), tables)
+        m = q.exact_sums(branches, weights, tables)
         want = exact_sums_by_outcomes(branches, weights, q, tables)
         # the sums of the estimators and the denominator to their own scales
         est, want_est = m @ comb, want @ comb
@@ -421,7 +421,8 @@ class TestExactChain:
         got = q.block_sums(SampleBlock(0, np.ones(n, dtype=bool), (cells,)),
                            tables)
         freq = np.bincount(cells, minlength=table.size) / n
-        want = n * q.exact_sums(freq.reshape(table.shape), tables)
+        want = n * q._pair_sums(np.arange(table.size),
+                                freq * q.cell_products, tables)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -511,7 +512,7 @@ class TestErrorBarCalibration:
     def test_variance_grows_with_column_index(self):
         # entangler-inverse amplification lambda^{-m}: average std error is
         # larger in the high columns (reported per entry, asserted on average)
-        beam = twin_beam(3.0, 24, deficit_bound=1.0)
+        beam = twin_beam(3.0, 24)
         kernel = build_homodyne_kernel(24, 0.9, GridSpec(24.0), max_index=5)
         from optomo.sampling import displaced_twinbeam_gaussian, sample_quadratures
 

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from optomo.bipartite import hs_norm, inverse, phase_align, vec
+from optomo.config import ExperimentConfig
 from optomo.errors import AnnihilatingOperationError, NotCompletelyPositiveError
 from optomo.maps import (
     DISPLACEMENT_GUARD,
@@ -17,6 +20,7 @@ from optomo.maps import (
     twin_beam,
 )
 from optomo.estimation import exact_choi_estimate
+from optomo.pipeline import run_simulate
 from optomo.quorum import build_finite_quorum
 
 from oracles import (
@@ -77,7 +81,7 @@ class TestApplyPure:
         # twin-beam truncation deficit alone is (5/6)^16 ~ 5e-2, so the 1e-3
         # bound is only reachable at the policy cutoff 48 (oracle: exact norm
         # at the larger cutoff)
-        beam16 = twin_beam(5.0, 16, deficit_bound=1.0)
+        beam16 = twin_beam(5.0, 16)
         m16 = displacement_matrix(1.0, 16)
         _, p16 = apply_pure(m16 / max(1.0, np.linalg.norm(m16, 2)),
                             beam16.psi)
@@ -119,7 +123,7 @@ class TestReconstructPure:
 
     def test_twin_beam_window(self):
         # reconstruction agrees inside the window; doubled cutoff as oracle
-        beam = twin_beam(3.0, 16, deficit_bound=1.0)
+        beam = twin_beam(3.0, 16)
         a_rec = reconstruct_from_branch(displacement_matrix(1.0, 16), beam.psi)
         beam2 = twin_beam(3.0, 32)
         a_rec2 = reconstruct_from_branch(displacement_matrix(1.0, 32), beam2.psi)
@@ -197,7 +201,7 @@ class TestChoi:
         assert abs(np.trace(choi) - 2.0) < 1e-10
 
     def test_normalize_matches_direct_on_twin_beam(self, rng):
-        beam = twin_beam(1.0, 6, deficit_bound=1.0)
+        beam = twin_beam(1.0, 6)
         psi = beam.psi / hs_norm(beam.psi)
         kmap = KrausMap(tuple(random_kraus_map(rng, 6)))
         choi = exact_choi_estimate(*output_branches(kmap, psi), psi,
@@ -310,7 +314,7 @@ class TestTwinBeam:
     @pytest.mark.parametrize("nbar", [0.5, 1.0, 3.0])
     def test_reduced_mean_photon(self, nbar):
         dim = int(16 * (nbar + 1))
-        beam = twin_beam(nbar, dim, deficit_bound=1.0)
+        beam = twin_beam(nbar, dim)
         probs = beam.diagonal**2
         mean_photon = float(np.sum(np.arange(dim) * probs))
         assert abs(mean_photon - nbar) < 1e-6
@@ -322,5 +326,14 @@ class TestTwinBeam:
         assert np.allclose(probs, (1 - lam2) * lam2 ** np.arange(48), atol=1e-12)
 
     def test_deficit_warning(self):
-        with pytest.warns(UserWarning, match="deficit"):
-            twin_beam(5.0, 8)
+        # the beam records its deficit and warns about nothing; a dry run of
+        # a radiation-route config with that deficit, in the band between
+        # the 1e-3 warning and the 1e-2 gate, warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beam = twin_beam(5.0, 30)
+        assert beam.deficit == (5.0 / 6.0) ** 30
+        cfg = ExperimentConfig(z=0.5 + 0.0j, nbar=5.0, dim_cut=30, n_max=3)
+        with pytest.warns(UserWarning, match=r"^twin-beam truncation deficit "
+                          r"4\.213e-03 above bound 1e-03; increase dim_cut$"):
+            run_simulate(cfg, dry_run=True)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -268,6 +269,16 @@ class TestRunLevelPlan:
         )
         run_simulate(cfg, threads=3, out_dir=tmp_path)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("route, nbar, dim_cut", [
+        ("finite", 1.0, 8),       # deficit 3.9e-3, renormalised away
+        ("gaussian", 5.0, 48)])   # deficit 1.6e-4, below the warning bound
+    def test_dry_run_without_deficit_warning(self, route, nbar, dim_cut):
+        cfg = ExperimentConfig(operation="identity", route=route, nbar=nbar,
+                               dim_cut=dim_cut, n_max=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_simulate(cfg, dry_run=True).dry_report
 
     def test_entangler_inverted_once_per_run(self, tmp_path, monkeypatch):
         calls = self._count_calls(monkeypatch, estimation, "inverse")

@@ -81,7 +81,7 @@ class TestDisplacedTwinBeam:
 
         nbar = 1.5
         st = displaced_twinbeam_gaussian(0.0, nbar)
-        beam = twin_beam(nbar, 64, deficit_bound=1.0)
+        beam = twin_beam(nbar, 64)
         probs = beam.diagonal**2
         fock_var = float(np.sum(probs * (2 * np.arange(64) + 1) / 4.0))
         assert abs(st.cov[0, 0] - fock_var) < 1e-8
