@@ -72,6 +72,10 @@ class ExperimentConfig:
             )
         if self.nbar < 0:
             raise ConfigError("nbar must be nonnegative")
+        if self.nbar / (self.nbar + 1.0) == 1.0:
+            raise ConfigError(
+                f"nbar = {self.nbar} is too large: lambda^2 = nbar/(nbar + 1) "
+                f"rounds to 1, which leaves the twin beam no amplitudes")
         if self.blocks < 2:
             raise ConfigError("need at least 2 blocks for block statistics")
         if self.samples_per_block < 1 or self.n_max < 0:
@@ -106,6 +110,11 @@ class ExperimentConfig:
                 "none to write"
             )
         dim = self.resolved_dim_cut()
+        if dim * dim > np.iinfo(np.intp).max:
+            auto = "" if self.dim_cut else f" (auto, from nbar = {self.nbar})"
+            raise ConfigError(
+                f"dim_cut = {dim}{auto} is too large: a dim_cut x dim_cut "
+                f"matrix has more entries than an array can index")
         if finite and dim > FINITE_ROUTE_MAX_DIM:
             raise ConfigError(
                 f"route = finite is limited to dim_cut <= "

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-ConfigError maps to CLI exit code 2, NumericalError and subclasses to exit
-code 3, VerificationFailure to exit code 4.
+ConfigError (a bad config, a truncation deficit above the config's gate, an
+output path that cannot be written) maps to CLI exit code 2, NumericalError
+and subclasses to exit code 3, VerificationFailure to exit code 4.
 """
 
 
@@ -45,10 +46,6 @@ class IllConditionedKernelError(NumericalError):
 
 class ReferenceTooSmallError(NumericalError):
     """Reference matrix element consistent with zero; pick another (i0, j0)."""
-
-
-class TruncationError(NumericalError):
-    """Fock-space truncation deficit above the configured bound."""
 
 
 class VerificationFailure(OptomoError):

@@ -108,10 +108,6 @@ class TwinBeamState:
     psi: np.ndarray = field(repr=False)
     deficit: float
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.psi))
-
 
 def apply_pure(a: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
     """Map the entangler matrix through the pure operation with the

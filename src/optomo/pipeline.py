@@ -25,6 +25,7 @@ byte-identical for any --threads value.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 import pathlib
 import time
@@ -301,14 +302,20 @@ def run_simulate(
                      wall_seconds=time.perf_counter() - t0)
 
 
-def _make_dir(out_dir) -> pathlib.Path:
-    """Create ``out_dir`` and its parents; a path that cannot be a directory
-    raises a ConfigError naming it."""
-    out_dir = pathlib.Path(out_dir)
+@contextlib.contextmanager
+def _writing(path, what="output file"):
+    """Yield ``path`` to write; an OSError while writing it (a file or a
+    directory in its place, a full disk) raises a ConfigError naming it."""
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        yield path
     except OSError as exc:
-        raise ConfigError(f"output directory {out_dir}: {exc}") from exc
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+
+
+def _make_dir(out_dir) -> pathlib.Path:
+    """Create ``out_dir`` and its parents."""
+    with _writing(pathlib.Path(out_dir), "output directory") as out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
@@ -317,17 +324,17 @@ def _write_outputs(cfg, estimate, kind, theory, out_dir, make_block):
     ``dump_samples``, the sample dump: the blocks are drawn again one at a
     time by ``make_block``, each on its own substream, so the dump holds the
     samples that were estimated from while only one block is in memory."""
-    result_path = out_dir / f"{cfg.out_prefix}.result.txt"
-    result_path.write_text(report.render_result(cfg, estimate, kind))
+    with _writing(out_dir / f"{cfg.out_prefix}.result.txt") as result_path:
+        result_path.write_text(report.render_result(cfg, estimate, kind))
     paths = [result_path]
     if kind == "pure":
         paths += _write_plotdata(out_dir, cfg.out_prefix, estimate.values,
                                  estimate.std_errors, theory,
                                  estimate.i0, estimate.j0)
     if cfg.dump_samples:
-        dump_path = out_dir / f"{cfg.out_prefix}.samples.csv"
-        sampling.write_sample_dump(dump_path,
-                                   map(make_block, range(cfg.blocks)))
+        with _writing(out_dir / f"{cfg.out_prefix}.samples.csv") as dump_path:
+            sampling.write_sample_dump(dump_path,
+                                       map(make_block, range(cfg.blocks)))
         paths.append(dump_path)
     return paths
 
@@ -341,10 +348,11 @@ def _write_plotdata(out_dir, prefix, values, std_errors, theory,
     if theory is None:
         theory = np.zeros_like(values)
     theory = theory * np.exp(-1j * np.angle(theory[i0, j0]))
-    diag = out_dir / f"{prefix}.diagonal.csv"
-    diag.write_text(report.render_plotdata_diagonal(values, std_errors, theory))
-    mat = out_dir / f"{prefix}.matrix.csv"
-    mat.write_text(report.render_plotdata_matrix(values, std_errors))
+    with _writing(out_dir / f"{prefix}.diagonal.csv") as diag:
+        diag.write_text(report.render_plotdata_diagonal(values, std_errors,
+                                                        theory))
+    with _writing(out_dir / f"{prefix}.matrix.csv") as mat:
+        mat.write_text(report.render_plotdata_matrix(values, std_errors))
     return [diag, mat]
 
 

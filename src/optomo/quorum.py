@@ -358,7 +358,7 @@ def build_homodyne_kernel(
     dim_cut: int,
     eta: float,
     grid: GridSpec,
-    max_index: int | None = None,
+    max_index: int,
     ridge: float = DEFAULT_RIDGE,
     cache_dir=None,
 ) -> HomodyneKernel:
@@ -368,7 +368,7 @@ def build_homodyne_kernel(
     integral g_{a,a+delta} f_{n,n+delta} = delta_an for all a < dim_cut, where
     g are the exact noise-smeared quadrature pair distributions.  The ridge is
     relative to the mean diagonal of the constraint Gram matrix.  Rows are
-    stored for n <= max_index (default dim_cut // 2).
+    stored for n <= max_index.
 
     With ``cache_dir``, the kernel is cached in
     ``kernel-<sha256(key)[:16]>.npz``, the key text naming the cache
@@ -387,8 +387,6 @@ def build_homodyne_kernel(
     calibration family and by exact bias audits on the ``recovery`` matrices.
     """
     sigma = float(np.sqrt(noise_sigma2(eta)))
-    if max_index is None:
-        max_index = dim_cut // 2
     if not 0 <= max_index < dim_cut:
         raise ValueError("max_index must satisfy 0 <= max_index < dim_cut")
 

@@ -46,12 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from optomo.errors import TruncationError
 from optomo.fock import noise_sigma2, phase_powers, quadrature_wavefunctions
 
 SYMPLECTIC_TOL = 1e-9
 FOCK_GRID_POINTS = 4096
-TRUNCATION_BOUND = 1e-6
 # samples of one branch per _fock_draw call: fixes the draw order and
 # bounds the call's tables
 FOCK_BATCH = 256
@@ -223,8 +221,10 @@ class FockTables:
 
 
 def fock_tables(branches, weights) -> FockTables:
-    """The sampler record of the output that mixes the normalised pure
-    ``branches`` (d x d matrices) with ``weights``, built once per run.
+    """The sampler record of the output that mixes the pure ``branches``
+    (d x d matrices) with ``weights``, built once per run.  A branch may
+    have any norm: x1 and x2 are drawn against each row's own total mass,
+    so a branch's scale does not change its draws.
 
     The grid is ``FOCK_GRID_POINTS`` nodes over [-6 sigma_max, 6 sigma_max]
     with sigma_max^2 = (2d + 1)/4, cropped to the nodes where the envelope
@@ -232,9 +232,7 @@ def fock_tables(branches, weights) -> FockTables:
     nb = round(sqrt(G/d)) blocks of B = ceil(G/nb) nodes, which balances the
     d^2 nb work of the block masses against the d B work inside one block;
     nb is cut to at most G // ``FOCK_MIN_BLOCK``, so that at small d a
-    block's fixed cost is shared by at least that many nodes.  Raises
-    TruncationError if the norm of a branch differs from 1 by more than
-    ``TRUNCATION_BOUND``.
+    block's fixed cost is shared by at least that many nodes.
     """
     branches = np.array(branches, dtype=complex)
     n, d = branches.shape[:2]
@@ -253,15 +251,7 @@ def fock_tables(branches, weights) -> FockTables:
     del full  # kept alive, it slows the marginal products below ~1.5x
     mass = np.concatenate(
         [pb @ pb.T for pb in np.split(psi, n_blocks, axis=1)], axis=1)
-    rho1 = np.empty((n, d, d), dtype=complex)  # reduced states of mode 1
-    for phi, r in zip(branches, rho1):
-        norm2 = float(np.sum(np.abs(phi) ** 2))
-        if abs(norm2 - 1.0) > TRUNCATION_BOUND:
-            raise TruncationError(
-                f"output-state truncation deficit {abs(norm2 - 1.0):.3e} "
-                f"above bound {TRUNCATION_BOUND:.0e}"
-            )
-        np.matmul(phi, phi.conj().T, out=r)
+    rho1 = branches @ branches.conj().transpose(0, 2, 1)  # mode-1 states
     marginal = np.empty((n, 2 * d, psi.shape[1]))
     for delta in range(d):
         w = 1.0 if delta == 0 else 2.0

@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines live.  Criteria 1 and 2 run the full-scale simulated experiments and
-dominate the runtime (a couple of minutes total).
+dominate the runtime (a couple of minutes total).  Criteria 3-6 are the four
+``optomo verify`` suites, run through ``run_verify`` and reported from their
+check lines.
 """
 
 import time
@@ -11,37 +13,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from optomo.bipartite import phase_align
 from optomo.config import load_preset
+from optomo.errors import VerificationFailure
 from optomo.estimation import (
     accumulate_pure,
     align_to_truth,
-    exact_choi_estimate,
-    exact_pure_estimate,
     finalize_pure,
     mode2_combination,
     pure_terms,
 )
-from optomo.maps import (
-    KrausMap,
-    apply_pure,
-    kraus_to_choi,
-    map_from_choi,
-    output_branches,
-)
+from optomo.maps import apply_pure
 from optomo.pipeline import (
-    calibration_worst_error,
+    VERIFY_SUITES,
     displacement_theory,
     run_simulate,
+    run_verify,
 )
 from optomo.quorum import build_finite_quorum
-from optomo.sampling import (
-    displaced_twinbeam_gaussian,
-    sample_quadratures,
-    substream,
-)
 
-from oracles import random_contraction, random_density, random_invertible_state, random_kraus_map
 from test_estimation import make_finite_blocks
 
 
@@ -109,89 +98,28 @@ class TestCriterion2Fig2Bottom:
         assert larger
 
 
-class TestCriterion3ExactUnbiasedness:
-    def test_exact_chain(self):
-        rng = np.random.default_rng(303)
-        t0 = time.perf_counter()
-        worst_pure = 0.0
-        worst_choi = 0.0
-        for d in (2, 3):
-            quorum = build_finite_quorum(d)
-            a = random_contraction(rng, d)
-            psi = random_invertible_state(rng, d)
-            phi, p = apply_pure(a, psi)
-            est = exact_pure_estimate([phi], [p], psi, 0, 0, quorum)
-            _, dist = phase_align(a, est)
-            worst_pure = max(worst_pure, dist)
-            kmap = KrausMap(tuple(random_kraus_map(rng, d)))
-            est_r = exact_choi_estimate(*output_branches(kmap, psi), psi,
-                                        quorum)
-            worst_choi = max(
-                worst_choi,
-                float(np.max(np.abs(est_r - kraus_to_choi(kmap).matrix))),
-            )
-        wall = time.perf_counter() - t0
-        ok = worst_pure < 1e-10 and worst_choi < 1e-10
-        report("3 (exact unbiasedness)", ok,
-               f"pure {worst_pure:.2e}, choi {worst_choi:.2e} <= 1e-10 "
-               f"in {wall:.1f} s")
-        assert worst_pure < 1e-10
-        assert worst_choi < 1e-10
+# the verify suite behind each of criteria 3-6; every suite must have one
+SUITE_CRITERIA = {
+    "unbiasedness": "3 (exact unbiasedness)",
+    "choi": "4 (choi roundtrip)",
+    "kernels": "5 (kernel calibration)",
+    "sampler-moments": "6 (sampler moments)",
+}
 
 
-class TestCriterion4ChoiRoundtrip:
-    def test_choi_action_d3(self):
-        rng = np.random.default_rng(404)
-        kmap = KrausMap(tuple(random_kraus_map(rng, 3)))
-        choi = kraus_to_choi(kmap)
-        worst = 0.0
-        for _ in range(20):
-            rho = random_density(rng, 3)
-            worst = max(worst, float(np.max(np.abs(
-                map_from_choi(choi, rho) - kmap.apply(rho)))))
-        ok = worst < 1e-12
-        report("4 (choi roundtrip)", ok, f"worst action distance {worst:.2e} <= 1e-12")
-        assert worst < 1e-12
-
-
-class TestCriterion5KernelCalibration:
-    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.7])
-    def test_calibration(self, eta):
-        worst = calibration_worst_error(eta)
-        ok = worst < 1e-3
-        report(f"5 (kernel calibration eta={eta})", ok,
-               f"worst recovery error {worst:.2e} <= 1e-3")
-        assert worst < 1e-3
-
-
-class TestCriterion6SamplerMoments:
-    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.7])
-    def test_vacuum_variance(self, eta):
-        n = 10**6
-        rng = substream(606, int(eta * 10))
-        state = displaced_twinbeam_gaussian(0.0, 0.0)
-        _, _, x1, _ = sample_quadratures(state, eta, n, rng)
-        target = 1.0 / (4.0 * eta)
-        tol = 4.0 * target * np.sqrt(2.0 / n)
-        dev = abs(float(np.var(x1)) - target)
-        ok = dev <= tol
-        report(f"6 (vacuum variance eta={eta})", ok,
-               f"|var - {target:.4f}| = {dev:.2e} <= 4 sigma = {tol:.2e}")
-        assert dev <= tol
-
-    def test_twin_beam_reduced_variance(self):
-        n = 10**6
-        nbar = 3.0
-        rng = substream(606, 99)
-        state = displaced_twinbeam_gaussian(0.0, nbar)
-        _, _, x1, _ = sample_quadratures(state, 1.0, n, rng)
-        target = (2 * nbar + 1) / 4.0
-        tol = 4.0 * target * np.sqrt(2.0 / n)
-        dev = abs(float(np.var(x1)) - target)
-        ok = dev <= tol
-        report("6 (twin-beam reduced variance)", ok,
-               f"|var - {target}| = {dev:.2e} <= 4 sigma = {tol:.2e}")
-        assert dev <= tol
+class TestCriteria3To6VerifySuites:
+    @pytest.mark.parametrize("suite", list(VERIFY_SUITES))
+    def test_suite(self, suite):
+        assert SUITE_CRITERIA.keys() == VERIFY_SUITES.keys()
+        try:
+            lines, ok = run_verify(suite), True
+        except VerificationFailure as exc:
+            lines, ok = str(exc).splitlines(), False
+        checks = [dict(field.split("=", 1) for field in line.split())
+                  for line in lines]
+        report(SUITE_CRITERIA[suite], ok, "; ".join(
+            f"{c['check']} {c['value']} <= {c['bound']}" for c in checks))
+        assert ok, "\n".join(lines)
 
 
 class TestCriterion7Heralding:

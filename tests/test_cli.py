@@ -133,6 +133,20 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)]) == 2
         assert f"config error: {key} = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("nbar", "1e17"), ("nbar", "1e300"),
+        ("dim_cut", "100000000000000000000"), ("nbar", "1e308"),
+    ])
+    def test_too_large_value_exit_2(self, tmp_path, capsys, key, value):
+        # unchecked, lambda^2 = nbar/(nbar + 1) rounds to 1 (1e17), the auto
+        # dim_cut overflows (1e308) or is an integer numpy cannot take (1e300,
+        # like the explicit dim_cut): OverflowError or TypeError, exit 1
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"optomo-config v1\n{key} = {value}\n")
+        assert main(["simulate", "--config", str(bad), "--dry-run",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert f"config error: {key} = " in capsys.readouterr().err
+
     @pytest.mark.parametrize("prefix", [
         "../escaped", "a/b", "", ".", "..", "a\\b", "a\0b"])
     def test_out_prefix_not_one_name_exit_2(self, tmp_path, capsys, prefix):
@@ -218,6 +232,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tiny_cfg),
                      "--out-dir", str(taken)]) == 2
         assert (f"config error: output directory {taken}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", [
+        "tiny.result.txt", "tiny.diagonal.csv", "tiny.samples.csv"])
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, name):
+        # a directory where an output file goes is a config error naming
+        # the file, not an IsADirectoryError after all the sampling
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG + "dump_samples = true\n")
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert (f"config error: output file {tmp_path / 'out' / name}: "
                 in capsys.readouterr().err)
 
     def test_unwritable_kernel_cache_keeps_the_result(self, tiny_cfg,
@@ -340,6 +367,18 @@ class TestEmitPlotdata:
         assert main(["emit-plotdata", "--from", str(tmp_path / "k.result.txt"),
                      "--out-dir", str(taken)]) == 2
         assert (f"config error: output directory {taken}"
+                in capsys.readouterr().err)
+
+    def test_unwritable_output_file_exit_2(self, tiny_cfg, tmp_path,
+                                           capsys):
+        assert main(["simulate", "--config", str(tiny_cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+        taken = tmp_path / "replot" / "tiny.matrix.csv"
+        taken.mkdir(parents=True)
+        assert main(["emit-plotdata", "--from",
+                     str(tmp_path / "tiny.result.txt"),
+                     "--out-dir", str(tmp_path / "replot")]) == 2
+        assert (f"config error: output file {taken}: "
                 in capsys.readouterr().err)
 
     def test_out_prefix_escaping_out_dir_exit_2(self, tmp_path, capsys):

@@ -306,23 +306,23 @@ class TestTwinBeam:
     def test_nbar3_parameters(self):
         beam = twin_beam(3.0, 32)
         lam2 = 3.0 / 4.0
-        assert abs(beam.diagonal[0] - np.sqrt(1 - lam2)) < 1e-12
-        assert abs(beam.diagonal[0] - 0.5) < 1e-12
-        ratios = beam.diagonal[1:] / beam.diagonal[:-1]
+        assert abs(np.diag(beam.psi).real[0] - np.sqrt(1 - lam2)) < 1e-12
+        assert abs(np.diag(beam.psi).real[0] - 0.5) < 1e-12
+        ratios = np.diag(beam.psi).real[1:] / np.diag(beam.psi).real[:-1]
         assert np.allclose(ratios, np.sqrt(lam2))
 
     @pytest.mark.parametrize("nbar", [0.5, 1.0, 3.0])
     def test_reduced_mean_photon(self, nbar):
         dim = int(16 * (nbar + 1))
         beam = twin_beam(nbar, dim)
-        probs = beam.diagonal**2
+        probs = np.diag(beam.psi).real**2
         mean_photon = float(np.sum(np.arange(dim) * probs))
         assert abs(mean_photon - nbar) < 1e-6
 
     def test_reduced_state_is_thermal(self):
         beam = twin_beam(2.0, 48)
         lam2 = 2.0 / 3.0
-        probs = beam.diagonal**2
+        probs = np.diag(beam.psi).real**2
         assert np.allclose(probs, (1 - lam2) * lam2 ** np.arange(48), atol=1e-12)
 
     def test_deficit_warning(self):

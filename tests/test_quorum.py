@@ -164,7 +164,7 @@ class TestHomodyneKernel:
 
     def test_eta_below_half_rejected(self):
         with pytest.raises(UnphysicalDeconvolutionError):
-            build_homodyne_kernel(16, 0.5, GridSpec(12.0))
+            build_homodyne_kernel(16, 0.5, GridSpec(12.0), max_index=8)
 
     def test_catastrophic_eta_trips_gate(self):
         with pytest.raises(IllConditionedKernelError) as err:
@@ -176,12 +176,12 @@ class TestHomodyneKernel:
         # of 2.5 cuts the pattern functions off: the message names the grid;
         # at half-width 12 a spacing of 0.2 passes and one of 0.5 is too
         # coarse (defect 0.63), and the message names the spacing
-        build_homodyne_kernel(16, 0.9, GridSpec(6.0))
+        build_homodyne_kernel(16, 0.9, GridSpec(6.0), max_index=8)
         with pytest.raises(IllConditionedKernelError, match="grid_half_width"):
-            build_homodyne_kernel(16, 0.9, GridSpec(2.5))
-        build_homodyne_kernel(16, 0.9, GridSpec(12.0, 0.2))
+            build_homodyne_kernel(16, 0.9, GridSpec(2.5), max_index=8)
+        build_homodyne_kernel(16, 0.9, GridSpec(12.0, 0.2), max_index=8)
         with pytest.raises(IllConditionedKernelError, match="grid_spacing"):
-            build_homodyne_kernel(16, 0.9, GridSpec(12.0, 0.5))
+            build_homodyne_kernel(16, 0.9, GridSpec(12.0, 0.5), max_index=8)
 
     def test_cache_roundtrip(self, tmp_path, monkeypatch):
         kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
@@ -462,7 +462,7 @@ class TestFig2BiasAudit:
         beam = twin_beam(nbar, dim_cut)
         dop = displacement_matrix(1.0, dim_cut)
         phi = dop @ beam.psi  # unnormalised output, A_ij = phi_ij / psi_jj
-        diag = beam.diagonal
+        diag = np.diag(beam.psi).real
         rec = kernel.recovery
         truth = displacement_theory(1.0, n_max)
         worst = 0.0

@@ -16,7 +16,6 @@ from oracles import (
 
 from optomo import sampling
 from optomo.bipartite import vec
-from optomo.errors import TruncationError
 from optomo.quorum import build_finite_quorum
 from optomo.sampling import (
     FOCK_BATCH,
@@ -82,7 +81,7 @@ class TestDisplacedTwinBeam:
         nbar = 1.5
         st = displaced_twinbeam_gaussian(0.0, nbar)
         beam = twin_beam(nbar, 64)
-        probs = beam.diagonal**2
+        probs = np.diag(beam.psi).real**2
         fock_var = float(np.sum(probs * (2 * np.arange(64) + 1) / 4.0))
         assert abs(st.cov[0, 0] - fock_var) < 1e-8
 
@@ -229,11 +228,22 @@ class TestSampleFockGeneral:
             substream(2, 4))
         assert abs(np.var(x1) - 1.0 / 2.8) < 0.01
 
-    def test_truncation_deficit_rejected(self):
-        bad = np.eye(2, dtype=complex)  # norm sqrt(2), deficit huge
-        with pytest.raises(TruncationError):
-            sample_fock_general(fock_tables([bad], [1.0]), 1.0,
-                                10, substream(2, 5))
+    def test_branch_scale_does_not_change_draws(self):
+        # x1 and x2 are drawn against each row's own total mass, so branches
+        # of any norm are sampled alike; a factor of 2 is exact in binary,
+        # so the columns are bitwise equal
+        from optomo.maps import KrausMap, output_branches, twin_beam
+
+        kmap = KrausMap(tuple(loss_kraus(0.7, 12, 1)))
+        branches, weights = output_branches(kmap, twin_beam(1.0, 12).psi)
+        assert len(branches) == 2
+        want = sample_fock_general(fock_tables(branches, weights), 0.9, 600,
+                                   substream(2, 5))
+        got = sample_fock_general(
+            fock_tables([2.0 * b for b in branches], weights), 0.9, 600,
+            substream(2, 5))
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)
 
     def test_coarse_grid_vacuum_mean_unbiased(self, monkeypatch):
         # 256 nodes at d = 2 give cells of width 0.053: a sampler that puts
@@ -258,7 +268,7 @@ class TestSampleFockGeneral:
         from optomo.maps import twin_beam
 
         nbar, d, n = 5.0, 48, 5 * 10**4
-        c = twin_beam(nbar, d).diagonal
+        c = np.diag(twin_beam(nbar, d).psi).real
         c = c / np.linalg.norm(c)
         k = np.arange(d)
         var_fock = float(np.sum(c**2 * (2 * k + 1)) / 4.0)
