@@ -3,10 +3,12 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines live.  Criteria 1 and 2 run the full-scale simulated experiments and
 dominate the runtime (a couple of minutes total).  Criteria 3-6 are the four
-``optomo verify`` suites, run through ``run_verify`` and reported from their
-check lines.
+``optomo verify`` suites, run once each through ``run_verify`` and reported
+from their check lines; criteria 5 and 6 also report each calibration and
+variance check line as a test of its own.
 """
 
+import functools
 import time
 from dataclasses import replace
 
@@ -107,19 +109,56 @@ SUITE_CRITERIA = {
 }
 
 
+@functools.cache
+def suite_result(suite):
+    """Check lines of one verify suite and whether it passed, run once."""
+    try:
+        return tuple(run_verify(suite)), True
+    except VerificationFailure as exc:
+        return tuple(str(exc).splitlines()), False
+
+
+def suite_checks(suite):
+    lines, _ = suite_result(suite)
+    return {c["check"]: c for c in (
+        dict(field.split("=", 1) for field in line.split()) for line in lines)}
+
+
+def assert_suite_check(suite, name, criterion):
+    """Report and assert the one check line `name` of a verify suite."""
+    check = suite_checks(suite)[name]
+    ok = check["status"] == "pass"
+    report(criterion, ok, f"{name} {check['value']} <= {check['bound']}")
+    assert ok, check
+
+
 class TestCriteria3To6VerifySuites:
     @pytest.mark.parametrize("suite", list(VERIFY_SUITES))
     def test_suite(self, suite):
         assert SUITE_CRITERIA.keys() == VERIFY_SUITES.keys()
-        try:
-            lines, ok = run_verify(suite), True
-        except VerificationFailure as exc:
-            lines, ok = str(exc).splitlines(), False
-        checks = [dict(field.split("=", 1) for field in line.split())
-                  for line in lines]
+        lines, ok = suite_result(suite)
         report(SUITE_CRITERIA[suite], ok, "; ".join(
-            f"{c['check']} {c['value']} <= {c['bound']}" for c in checks))
+            f"{c['check']} {c['value']} <= {c['bound']}"
+            for c in suite_checks(suite).values()))
         assert ok, "\n".join(lines)
+
+
+class TestCriterion5KernelCalibration:
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.7])
+    def test_calibration(self, eta):
+        assert_suite_check("kernels", f"kernel-calibration-eta{eta}",
+                           f"5 (kernel calibration eta={eta})")
+
+
+class TestCriterion6SamplerMoments:
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.7])
+    def test_vacuum_variance(self, eta):
+        assert_suite_check("sampler-moments", f"vacuum-variance-eta{eta}",
+                           f"6 (vacuum variance eta={eta})")
+
+    def test_twin_beam_reduced_variance(self):
+        assert_suite_check("sampler-moments", "twinbeam-reduced-variance",
+                           "6 (twin-beam reduced variance)")
 
 
 class TestCriterion7Heralding:
