@@ -12,14 +12,14 @@ accumulates each block's dyad moments, merges the blocks once and writes the
 result document plus plot-data files.  Every block is one ``SampleBlock``
 of heralded samples, dropped once accumulated; the optional sample dump
 draws the blocks again, one at a time.
-Values that depend only on the run (the homodyne kernel or finite quorum,
-the mode-2 estimator coefficients and the estimator terms built from them,
-and the sampler record of the output branches: ``fock_tables`` on the Fock
-route, the joint outcome table and its running sum on the finite one, each
-built from ``(branches, weights)`` in one call) are built once, after the
-dry-run return, and shared read-only by all workers.  Worker count only
-affects wall-clock: block substreams and the ordered reduction make outputs
-byte-identical for any --threads value.
+Values that depend only on the run are built once and shared read-only by
+all workers: the mode-2 estimator coefficients, the one inversion of the
+entangler, before the dry-run return; the homodyne kernel or finite quorum,
+the estimator terms and the sampler record of the output branches
+(``fock_tables`` on the Fock route, the joint outcome table and its running
+sum on the finite one, each built from ``(branches, weights)`` in one call)
+after it.  Worker count only affects wall-clock: block substreams and the
+ordered reduction make outputs byte-identical for any --threads value.
 """
 
 from __future__ import annotations
@@ -204,16 +204,18 @@ def run_simulate(
 
     Every route runs the same chain: the estimate kind, the output branches
     with their weights, the occurrence probability (1 on the Gaussian route,
-    which heralds every trial) and the reference are worked out once, before
-    the dry-run return; a reference element that is exactly zero in the
-    output (an explicit one, or any when the output is zero over the window)
-    raises ReferenceTooSmallError there, before anything is sampled.  The
-    routes differ only in the entangler (the finite route renormalises the
-    truncated twin beam, so it carries no truncation deficit), in the
-    measurement backend (homodyne kernel or finite quorum) and in how the
-    heralded samples of a block are drawn.  ``out_dir``, backends, sampler
-    tables, the mode-2 coefficients and the estimator terms are made once
-    per run, after the dry-run return: a dry run writes nothing.
+    which heralds every trial), the reference and the mode-2 coefficients
+    are worked out once, before the dry-run return; a reference element that
+    is exactly zero in the output (an explicit one, or any when the output
+    is zero over the window) raises ReferenceTooSmallError there, and an
+    entangler too ill-conditioned to invert NonInvertibleEntanglerError,
+    before anything is sampled or written.  The routes differ only in the
+    entangler (the finite route renormalises the truncated twin beam, so it
+    carries no truncation deficit), in the measurement backend (homodyne
+    kernel or finite quorum) and in how the heralded samples of a block are
+    drawn.  ``out_dir``, backends, sampler
+    tables and the estimator terms are made once per run, after the dry-run
+    return: a dry run writes nothing.
     """
     cfg.validate()
     t0 = time.perf_counter()
@@ -245,6 +247,12 @@ def run_simulate(
                 f"reference element ({i0},{j0}) is exactly zero in the output, "
                 f"so its denominator vanishes; choose different (i0, j0)")
 
+    # the one inversion of psi, before the dry-run return, so a dry run
+    # refuses a non-invertible entangler as the full run does; dyad indices
+    # run up to the window on a homodyne kernel, to dim_cut - 1 on a quorum
+    k_max = dim_cut - 1 if route == "finite" else window
+    coef, coef_deficit = estimation.mode2_combination(psi, window, k_max)
+
     if dry_run:
         lines = [f"config_hash = {config_hash(cfg)}", f"route = {route}",
                  f"dim_cut = {dim_cut}", f"estimate_kind = {kind}",
@@ -265,7 +273,7 @@ def run_simulate(
     else:
         grid = GridSpec(cfg.resolved_half_width(), cfg.grid_spacing)
         backend = build_homodyne_kernel(
-            dim_cut, cfg.eta, grid, max_index=window, ridge=cfg.ridge,
+            dim_cut, cfg.eta, grid, max_index=k_max, ridge=cfg.ridge,
             cache_dir=out_dir / "kernel-cache",
         )
         if route == "gaussian":
@@ -277,8 +285,6 @@ def run_simulate(
             draw = lambda n, rng: sample_fock_general(tables, cfg.eta, n, rng)
     make_block = lambda b: _heralded_block(cfg, p_occ, b, draw)
 
-    coef, coef_deficit = estimation.mode2_combination(
-        psi, window, min(backend.max_index, psi.shape[0] - 1))
     if kind == "pure":
         terms = estimation.pure_terms(coef, i0, j0, backend)
         accumulate = estimation.accumulate_pure

@@ -2,8 +2,9 @@
 
 Three sampling paths share one RNG contract:
 
-* exact Gaussian sampling of joint quadratures for Gaussian scenarios
-  (the displaced twin-beam experiment),
+* exact Gaussian sampling of joint quadratures for the phase-symmetric
+  two-mode states of the displaced twin-beam experiment (``GaussianState``:
+  the mode-1 mean, the two per-mode variances and the correlation c),
 * exact Fock-basis sampling of arbitrary pure bipartite outputs (and
   mixtures of them for Kraus maps) from one per-run record of the output
   branches (``fock_tables``, which holds the run's grid with its block
@@ -48,20 +49,12 @@ import numpy as np
 
 from optomo.fock import noise_sigma2, phase_powers, quadrature_wavefunctions
 
-SYMPLECTIC_TOL = 1e-9
 FOCK_GRID_POINTS = 4096
 # samples of one branch per _fock_draw call: fixes the draw order and
 # bounds the call's tables
 FOCK_BATCH = 256
 FOCK_MIN_BLOCK = 128  # grid nodes per block at least, where the grid has them
 OUTCOME_CHUNK = 1 << 16  # complex amplitudes formed at once by the table
-
-_OMEGA = np.array(
-    [[0.0, 1.0, 0.0, 0.0],
-     [-1.0, 0.0, 0.0, 0.0],
-     [0.0, 0.0, 0.0, 1.0],
-     [0.0, 0.0, -1.0, 0.0]]
-)
 
 
 def substream(master_seed: int, block_index: int) -> np.random.Generator:
@@ -71,46 +64,32 @@ def substream(master_seed: int, block_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Two-mode Gaussian state: mean and covariance over (X1, P1, X2, P2)."""
+    """Phase-symmetric two-mode Gaussian state, the form that displacement,
+    identity and loss keep on the twin beam.
 
-    mean: np.ndarray
-    cov: np.ndarray
+    ``mean`` is <X1> + i <P1>; mode 2 is centred.  Every quadrature of mode
+    j has variance ``vj``; X1 and X2 are correlated by +``c``, P1 and P2 by
+    -``c``, and X1 with P2 (P1 with X2) not at all.
+    """
 
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        if mean.shape != (4,) or cov.shape != (4, 4):
-            raise ValueError("need a length-4 mean and a 4x4 covariance")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("covariance must be symmetric")
-        nus = np.abs(np.linalg.eigvals(1j * _OMEGA @ cov))
-        if np.min(nus) < 0.25 - SYMPLECTIC_TOL:
-            raise ValueError(
-                f"covariance violates the uncertainty bound: min symplectic "
-                f"eigenvalue {np.min(nus):.6g} < 1/4"
-            )
+    mean: complex
+    v1: float
+    v2: float
+    c: float
 
 
 def displaced_twinbeam_gaussian(z: complex, nbar: float) -> GaussianState:
     """Twin-beam with mean thermal photon nbar, mode 1 displaced by D(z).
 
-    Marginal quadrature variance is (2 nbar + 1)/4 per mode; X1-X2 and P1-P2
-    carry the two-mode squeezing correlations +-sqrt(nbar(nbar+1))/2.
+    Marginal quadrature variance is v = (2 nbar + 1)/4 per mode; X1-X2 and
+    P1-P2 carry the two-mode squeezing correlations +-c, c =
+    sqrt(nbar(nbar+1))/2, so that v^2 - c^2 = 1/16, a pure state.
     """
     if nbar < 0:
         raise ValueError("nbar must be nonnegative")
     v = (2.0 * nbar + 1.0) / 4.0
     c = np.sqrt(nbar * (nbar + 1.0)) / 2.0
-    cov = np.array(
-        [[v, 0.0, c, 0.0],
-         [0.0, v, 0.0, -c],
-         [c, 0.0, v, 0.0],
-         [0.0, -c, 0.0, v]]
-    )
-    mean = np.array([np.real(z), np.imag(z), 0.0, 0.0])
-    return GaussianState(mean=mean, cov=cov)
+    return GaussianState(mean=complex(z), v1=v, v2=v, c=c)
 
 
 @dataclass(frozen=True)
@@ -150,10 +129,10 @@ def sample_quadratures(
     Draw order (fixed for reproducibility): phi1, phi2, two standard normals
     z1, z2 for the exact bivariate law, two standard normals g1, g2 for
     efficiency noise.  Each phase is returned as its phasor np.cos(phi) +
-    1j np.sin(phi), whose parts c and s give the means m1, m2 and the
-    covariance entries v11, v22, v12 of (X_phi1, X_phi2); then
-    x1 = m1 + sqrt(v11) z1 and
-    x2 = m2 + (v12 / sqrt(v11)) z1 + sqrt(max(v22 - v12^2 / v11, 0)) z2,
+    1j np.sin(phi), whose parts give the mean m1 = Re(mean e^{-i phi1}) of
+    X_phi1 and the covariance entries v11 = v1, v22 = v2 and v12 =
+    c cos(phi1 + phi2) of (X_phi1, X_phi2); then x1 = m1 + sqrt(v11) z1 and
+    x2 = (v12 / sqrt(v11)) z1 + sqrt(max(v22 - v12^2 / v11, 0)) z2,
     each plus sqrt((1-eta)/(4 eta)) g.  ``phases`` fixes both phases to
     the given values instead of drawing them (no phase is drawn then).
     """
@@ -167,17 +146,18 @@ def sample_quadratures(
         e1 = _phasor(np.full(n, float(phases[0])))
         e2 = _phasor(np.full(n, float(phases[1])))
     c1, s1, c2, s2 = e1.real, e1.imag, e2.real, e2.imag
-    v, mu = state.cov, state.mean
-    m1 = c1 * mu[0] + s1 * mu[1]
-    m2 = c2 * mu[2] + s2 * mu[3]
-    v11 = c1 * c1 * v[0, 0] + 2 * c1 * s1 * v[0, 1] + s1 * s1 * v[1, 1]
-    v22 = c2 * c2 * v[2, 2] + 2 * c2 * s2 * v[2, 3] + s2 * s2 * v[3, 3]
-    v12 = (c1 * c2 * v[0, 2] + c1 * s2 * v[0, 3]
-           + s1 * c2 * v[1, 2] + s1 * s2 * v[1, 3])
+    # the general quadratic forms of a 4x4 covariance, with its zero entries
+    # dropped (they add only +-0); v11 and v22 stay c^2 v + s^2 v rather
+    # than v, and v12 keeps its two products, so the draws keep the roundoff
+    # of those forms bit for bit
+    m1 = c1 * state.mean.real + s1 * state.mean.imag
+    v11 = c1 * c1 * state.v1 + s1 * s1 * state.v1
+    v22 = c2 * c2 * state.v2 + s2 * s2 * state.v2
+    v12 = c1 * c2 * state.c - s1 * s2 * state.c
     z1 = stream.standard_normal(n)
     z2 = stream.standard_normal(n)
     x1 = m1 + np.sqrt(v11) * z1
-    x2 = (m2 + (v12 / np.sqrt(v11)) * z1
+    x2 = ((v12 / np.sqrt(v11)) * z1
           + np.sqrt(np.maximum(v22 - v12**2 / v11, 0.0)) * z2)
     g1 = stream.standard_normal(n)
     g2 = stream.standard_normal(n)
@@ -458,10 +438,11 @@ def sample_finite(
 
 
 def draw_heralds(p: float, n: int, stream: np.random.Generator) -> np.ndarray:
-    """Bernoulli occurrence flags; empirical frequency estimates p."""
-    if not 0.0 <= p <= 1.0 + 1e-12:
+    """Bernoulli occurrence flags; empirical frequency estimates p, which
+    must lie in [0, 1].  At p = 1 every flag is set and nothing is drawn."""
+    if not 0.0 <= p <= 1.0:
         raise ValueError(f"occurrence probability {p} outside [0, 1]")
-    if p >= 1.0:
+    if p == 1.0:
         return np.ones(n, dtype=bool)
     return stream.random(n) < p
 

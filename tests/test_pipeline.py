@@ -238,6 +238,23 @@ class TestRunLevelPlan:
             run_simulate(cfg, out_dir=tmp_path)
         assert calls == []
 
+    @pytest.mark.parametrize("route", ["gaussian", "fock"])
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_non_invertible_entangler_exits_3_on_dry_run_too(
+            self, tmp_path, capsys, route, dry_run):
+        # nbar = 0.01 at the auto dim_cut 16 passes validate(), but psi has
+        # reciprocal condition ~1e-15: the dry run refuses it as the full
+        # run does, and neither builds a kernel or writes a file
+        path = tmp_path / "ill.cfg"
+        path.write_text(
+            f"optomo-config v1\noperation = identity\nroute = {route}\n"
+            "nbar = 0.01\nn_max = 2\nblocks = 3\nsamples_per_block = 100\n")
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(path), "--out-dir", str(out)]
+        assert main(argv + ["--dry-run"] * dry_run) == 3
+        assert "NonInvertibleEntangler" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_zero_explicit_reference_exits_3_before_sampling(
             self, tmp_path, monkeypatch, capsys, dry_run):

@@ -34,44 +34,26 @@ from optomo.sampling import (
 )
 
 
-class TestGaussianState:
-    def test_vacuum_ok(self):
-        GaussianState(mean=np.zeros(4), cov=np.eye(4) / 4.0)
-
-    def test_uncertainty_violation_rejected(self):
-        with pytest.raises(ValueError, match="uncertainty"):
-            GaussianState(mean=np.zeros(4), cov=np.eye(4) / 16.0)
-
-    def test_asymmetric_rejected(self):
-        cov = np.eye(4) / 4.0
-        cov[0, 1] = 0.1
-        with pytest.raises(ValueError, match="symmetric"):
-            GaussianState(mean=np.zeros(4), cov=cov)
-
-
 class TestDisplacedTwinBeam:
     def test_vacuum_case(self):
         st = displaced_twinbeam_gaussian(0.0, 0.0)
-        assert np.allclose(st.mean, 0.0)
-        assert np.allclose(st.cov, np.eye(4) / 4.0)
+        assert st == GaussianState(mean=0j, v1=0.25, v2=0.25, c=0.0)
 
     def test_displacement_mean(self):
         # <D(z)^dag a D(z)> = a + z: X picks up Re z, P picks up Im z
         st = displaced_twinbeam_gaussian(1.0 + 0.5j, 0.0)
-        assert np.allclose(st.mean, [1.0, 0.5, 0.0, 0.0])
+        assert st.mean == 1.0 + 0.5j
 
     def test_thermal_marginal_variance(self):
         st = displaced_twinbeam_gaussian(0.0, 3.0)
-        assert abs(st.cov[0, 0] - 7.0 / 4.0) < 1e-12
-        assert abs(st.cov[2, 2] - 7.0 / 4.0) < 1e-12
+        assert abs(st.v1 - 7.0 / 4.0) < 1e-12
+        assert abs(st.v2 - 7.0 / 4.0) < 1e-12
 
     def test_pure_state_symplectic_eigenvalues(self):
+        # both symplectic eigenvalues of the phase-symmetric covariance are
+        # sqrt(v1 v2 - c^2) when v1 = v2; a pure state has 1/4
         st = displaced_twinbeam_gaussian(0.0, 2.0)
-        omega = np.zeros((4, 4))
-        omega[0, 1] = omega[2, 3] = 1.0
-        omega[1, 0] = omega[3, 2] = -1.0
-        nus = np.abs(np.linalg.eigvals(1j * omega @ st.cov))
-        assert np.allclose(nus, 0.25, atol=1e-10)
+        assert abs(st.v1 * st.v2 - st.c**2 - 1.0 / 16.0) < 1e-12
 
     def test_fock_moment_cross_check(self):
         # thermal marginal of the two-mode squeezed vacuum, checked against a
@@ -83,7 +65,7 @@ class TestDisplacedTwinBeam:
         beam = twin_beam(nbar, 64)
         probs = np.diag(beam.psi).real**2
         fock_var = float(np.sum(probs * (2 * np.arange(64) + 1) / 4.0))
-        assert abs(st.cov[0, 0] - fock_var) < 1e-8
+        assert abs(st.v1 - fock_var) < 1e-8
 
 
 class TestSampleQuadratures:
@@ -143,18 +125,13 @@ class TestSampleQuadratures:
         pytest.param(0.7, True, id="generic-0.7")])
     def test_phasors_and_quadratures_from_redrawn_stream(self, eta, generic):
         # the phasors are np.cos / np.sin of the phases the substream draws
-        # first, bitwise; the quadratures equal the sampler's formulas
-        # evaluated out of place on the same draws, bitwise.  The twin beam
-        # has v[0, 3] = v[1, 2] = v[0, 1] = v[2, 3] = 0 and mu[2] = mu[3] =
-        # 0, so a formula that reads a wrong one of them passes on it; the
-        # generic state has every mean and covariance entry distinct.
+        # first, bitwise; the quadratures equal the general quadratic forms
+        # of a 4x4 covariance over (X1, P1, X2, P2), evaluated out of place
+        # on the same draws, bitwise.  The twin beam has v1 = v2, so a
+        # formula that reads the wrong variance passes on it; the generic
+        # state has Re mean, Im mean, v1, v2 and c all distinct.
         if generic:
-            rng = np.random.default_rng(11)
-            b = rng.normal(size=(4, 4))
-            st = GaussianState(mean=rng.normal(size=4),
-                               cov=np.eye(4) / 4 + b @ b.T)
-            entries = np.concatenate([st.mean, st.cov[np.triu_indices(4)]])
-            assert np.unique(entries).size == entries.size
+            st = GaussianState(mean=0.8 - 0.35j, v1=0.9, v2=1.3, c=0.4)
         else:
             st = displaced_twinbeam_gaussian(1.0 + 0.3j, 3.0)
         n = 5000
@@ -167,7 +144,11 @@ class TestSampleQuadratures:
         for got, want in ((e1.real, c1), (e1.imag, s1), (e2.real, c2),
                           (e2.imag, s2)):
             assert np.array_equal(got, want)
-        v, mu = st.cov, st.mean
+        v = np.array([[st.v1, 0.0, st.c, 0.0],
+                      [0.0, st.v1, 0.0, -st.c],
+                      [st.c, 0.0, st.v2, 0.0],
+                      [0.0, -st.c, 0.0, st.v2]])
+        mu = [st.mean.real, st.mean.imag, 0.0, 0.0]
         m1 = c1 * mu[0] + s1 * mu[1]
         m2 = c2 * mu[2] + s2 * mu[3]
         v11 = c1 * c1 * v[0, 0] + 2 * c1 * s1 * v[0, 1] + s1 * s1 * v[1, 1]
@@ -305,16 +286,14 @@ class TestSampleFockGeneral:
         fock = sample_fock_general(
             fock_tables(branches, weights), 1.0, n,
             substream(6, 0))
-        # the same output as a GaussianState: mode-1 block tau V +
-        # (1 - tau) / 4 I, cross block sqrt(tau) C, mode-2 block V
+        # the same output as a GaussianState: mode-1 variance tau v +
+        # (1 - tau) / 4, correlation sqrt(tau) c, mode-2 variance v
         v = (2.0 * nbar + 1.0) / 4.0
         c = np.sqrt(nbar * (nbar + 1.0)) / 2.0
-        cov = np.block([
-            [(tau * v + (1.0 - tau) / 4.0) * np.eye(2),
-             np.sqrt(tau) * np.diag([c, -c])],
-            [np.sqrt(tau) * np.diag([c, -c]), v * np.eye(2)]])
-        gauss = sample_quadratures(GaussianState(mean=np.zeros(4), cov=cov),
-                                   1.0, n, substream(6, 2))
+        gauss = sample_quadratures(
+            GaussianState(0j, tau * v + (1.0 - tau) / 4.0, v,
+                          np.sqrt(tau) * c),
+            1.0, n, substream(6, 2))
         v1, v2 = 2.0, 2.75
         c12 = np.sqrt(tau * nbar * (nbar + 1.0)) / 2.0
 
@@ -624,6 +603,12 @@ class TestHeralds:
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             draw_heralds(1.5, 10, substream(4, 3))
+
+    def test_probability_just_above_one_rejected(self):
+        # the occurrence probability reaches here clamped to [0, 1], so no
+        # rounding slack above 1 is accepted
+        with pytest.raises(ValueError, match="outside"):
+            draw_heralds(1.0 + 1e-13, 10, substream(4, 3))
 
 
 class TestSampleDump:
