@@ -12,34 +12,37 @@ estimate).
 The chain is written once against the block-reduction interface both
 measurement backends share (HomodyneKernel, pattern functions on quadrature
 records; FiniteQuorum, the dual frame on finite-quorum outcomes):
-``max_index``, ``pair_table(pairs)`` and ``block_sums(block, tables)``,
-which reduces one ``SampleBlock`` of heralded samples to its dyad moment
-matrix M[p, q] = sum_s e1[s, p] e2[s, q] (e1, e2 the two modes' dyad
-estimates).  This module never looks at outcomes or settings and imports
-no sampler or backend module, and the backends know nothing of the estimator.
+``pair_table(pairs)`` and ``block_sums(block, tables)``, which reduces one
+``SampleBlock`` of heralded samples to its dyad moment matrix
+M[p, q] = sum_s e1[s, p] e2[s, q] (e1, e2 the two modes' dyad estimates),
+and on the exact path a finite quorum's ``exact_sums``.  The window alone
+bounds the dyads |a><b| estimated: a, b <= n_max.  This module never looks
+at outcomes or settings and imports no sampler or backend module, and the
+backends know nothing of the estimator.
 
 Pure and Choi entries are fixed linear combinations of dyad moments:
 ``pure_terms`` and ``choi_terms`` give each kind's ``(tables, comb)``, the
-two pair tables (one table when the modes' pair lists are equal) and the
-mode-2 combination.  The block accumulator keeps each block's M and knows
-nothing of the estimate kind; the block means (M @ comb) / n and the pure
-denominator M[i0, j0].real / n are formed only in ``finalize_pure`` and
-``finalize_choi`` (the means by ``block_stats(comb)``) and on the exact
-path, and ``finalize_choi`` puts Choi means in the (i, j), (l, k) layout
-once.  The exact path (``exact_*``) calls the backend's
-``exact_sums(branches, weights, tables)``: M per sample under the exact
-outcome law of the output branches K_n psi and their weights.
+two pair tables (one table when the modes' pair lists are equal, as a Choi
+estimate's are) and the mode-2 combination.  The block accumulator keeps
+each block's M and knows nothing of the estimate kind; the block means
+(M @ comb) / n and the pure denominator M[i0, j0].real / n are formed only
+in ``finalize_pure`` and ``finalize_choi`` (the means by
+``block_stats(comb)``) and on the exact path, and ``finalize_choi`` puts
+Choi means in the (i, j), (l, k) layout once.  The exact path
+(``exact_*``) calls the backend's ``exact_sums(branches, weights,
+tables)``: M per sample under the exact outcome law of the output branches
+K_n psi and their weights.
 
 Error bars follow the block structure of the data: per-block means, standard
 error = std across block means / sqrt(blocks), so fewer than two blocks
 with heralded samples raise ReferenceTooSmallError.  kappa uncertainty is
 reported separately and not folded into the per-entry bars.
 
-Values that depend only on the run, the mode-2 coefficient matrix
-``mode2_combination`` (one inversion of psi) and the terms built from it,
-are computed once per run: the pair tables go to the per-block
-``accumulate_*`` calls, ``comb`` to the finalizer.  Accumulation is
-per-block with no shared state; each call gives a BlockAccumulator of
+Values that depend only on the run, the square mode-2 coefficient matrix
+``mode2_combination`` (one inversion of psi, cut to the window) and the
+terms built from it, are computed once per run: the pair tables go to the
+per-block ``accumulate_*`` calls, ``comb`` to the finalizer.  Accumulation
+is per-block with no shared state; each call gives a BlockAccumulator of
 per-block rows, the rows of all blocks are merged once per run, and the
 final reduction is taken in block-index order so results are independent
 of worker scheduling.
@@ -216,26 +219,16 @@ def align_to_truth(estimate: MatrixEstimate, truth: np.ndarray) -> np.ndarray:
 # estimation chains
 
 
-def mode2_combination(psi: np.ndarray, window: int, k_max: int):
-    """Coefficient matrix C[k, j] = (psi^{-1})_{kj} truncated at k_max rows.
+def mode2_combination(psi: np.ndarray, window: int) -> np.ndarray:
+    """Coefficient matrix C[k, j] = (psi^{-1})_{kj} for k, j <= window.
 
-    The mode-2 estimator of |j0><psi^{-1*}(j)| is sum_k C[k, j] times the dyad
-    estimator of |j0><k|; the dropped squared-norm fraction is returned as the
-    truncation deficit (zero for diagonal entanglers).  Depends on the run
-    only, so it is computed once per run.  ``k_max`` is the highest dyad index
-    the backend and the entangler both cover; below ``window`` raises
-    ValueError.
+    The mode-2 estimator of |j0><psi^{-1*}(j)| is sum_k C[k, j] times the
+    dyad estimator of |j0><k|.  Keeping only the rows k <= window is exact
+    when the window's columns of psi^{-1} vanish below it: on the diagonal
+    twin beam that every run uses, or with window = d - 1, as on the exact
+    path.  Depends on the run only, so it is computed once per run.
     """
-    if k_max < window:
-        raise ValueError(
-            f"backend supports dyad indices up to {k_max}, below window {window}"
-        )
-    psi_inv = inverse(np.asarray(psi, dtype=complex))
-    cols = psi_inv[:, : window + 1]
-    kept = cols[: k_max + 1]
-    total = np.sum(np.abs(cols) ** 2)
-    deficit = float(1.0 - np.sum(np.abs(kept) ** 2) / total) if total > 0 else 0.0
-    return kept, deficit
+    return inverse(np.asarray(psi, dtype=complex))[: window + 1, : window + 1]
 
 
 def _terms(backend, pairs1, pairs2, comb):
@@ -249,23 +242,23 @@ def _terms(backend, pairs1, pairs2, comb):
 
 def pure_terms(coef: np.ndarray, i0: int, j0: int, backend):
     """The terms of A_ij: mode-1 pairs |i0><i|, mode-2 pairs |j0><k|
-    combined by ``coef`` into |j0><psi^{-1*}(j)|.  The reference
+    combined by the square ``coef`` into |j0><psi^{-1*}(j)|.  The reference
     denominator is the moment at (i0, j0)."""
-    k1, w1 = coef.shape
+    w1 = coef.shape[0]
     return _terms(backend, [(i0, i) for i in range(w1)],
-                  [(j0, k) for k in range(k1)], coef)
+                  [(j0, k) for k in range(w1)], coef)
 
 
 def choi_terms(coef: np.ndarray, backend):
     """The terms of <<i,j|R(I)|l,k>>: mode-1 pairs |l><i|, mode-2 pairs
-    |a><b| combined into |psi^{-1*}(k)><psi^{-1*}(j)|; sums come out laid
-    out (l, i), (j, k), and there is no denominator."""
-    k1, w1 = coef.shape
-    pairs1 = [(l, i) for l in range(w1) for i in range(w1)]
-    pairs2 = [(a, b) for a in range(k1) for b in range(k1)]
+    |a><b| combined by the square ``coef`` into
+    |psi^{-1*}(k)><psi^{-1*}(j)|, one pair list for both modes; sums come
+    out laid out (l, i), (j, k), and there is no denominator."""
+    w1 = coef.shape[0]
+    pairs = [(a, b) for a in range(w1) for b in range(w1)]
     # est(j, k) = sum_ab conj(coef[a, k]) coef[b, j] dyad(a, b)
-    comb = np.einsum("ak,bj->abjk", coef.conj(), coef).reshape(k1 * k1, w1 * w1)
-    return _terms(backend, pairs1, pairs2, comb)
+    comb = np.einsum("ak,bj->abjk", coef.conj(), coef).reshape(w1 * w1, -1)
+    return _terms(backend, pairs, pairs, comb)
 
 
 def _choi_layout(m: np.ndarray) -> np.ndarray:
@@ -298,7 +291,7 @@ def finalize_pure(acc: BlockAccumulator, comb: np.ndarray, i0: int, j0: int,
     The entries are the block means (M @ comb) / n, ``comb`` the run's
     ``pure_terms`` combination, scaled by kappa = sqrt(p_hat / den): the
     herald frequency over the reference denominator, the mean of
-    M[i0, j0].real / n.  ``deficit`` is the run's total truncation deficit.
+    M[i0, j0].real / n.  ``deficit`` is the run's truncation deficit.
     Raises ReferenceTooSmallError when fewer than two blocks hold heralded
     samples, or when den is within twice its own standard error of zero.
     """
@@ -345,7 +338,7 @@ def finalize_choi(acc: BlockAccumulator, comb: np.ndarray,
     inversion to R(I).  ``comb`` is the run's ``choi_terms`` combination;
     the block means come out laid out (l, i), (j, k) and are put, with
     their errors, in the (i, j), (l, k) layout here, once.  ``deficit`` is
-    the run's total truncation deficit.
+    the run's truncation deficit.
     """
     p_hat, p_hat_stderr = acc.occurrence()
     mean, stderr, nb = acc.block_stats(comb)
@@ -377,7 +370,7 @@ def exact_pure_estimate(branches, weights, psi: np.ndarray, i0: int, j0: int,
     """The pure chain's ``pure_terms`` under the exact outcome law: the true
     A up to the global phase when the output is ``output_branches`` of the
     one-operator map (A,)."""
-    coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
+    coef = mode2_combination(psi, psi.shape[0] - 1)
     tables, comb = pure_terms(coef, i0, j0, quorum)
     m = quorum.exact_sums(branches, weights, tables)
     return np.sqrt(sum(weights) / m[i0, j0].real) * (m @ comb)
@@ -388,7 +381,7 @@ def exact_choi_estimate(branches, weights, psi: np.ndarray,
     """The Choi chain's ``choi_terms`` and ``_choi_layout`` under the exact
     outcome law of the output branches, times the occurrence probability
     sum(weights), hermitised."""
-    coef, _ = mode2_combination(psi, quorum.dim - 1, quorum.dim - 1)
+    coef = mode2_combination(psi, psi.shape[0] - 1)
     tables, comb = choi_terms(coef, quorum)
     m = quorum.exact_sums(branches, weights, tables)
     r_est = sum(weights) * _choi_layout(m @ comb)

@@ -122,6 +122,8 @@ def load_kraus_file(path: str) -> KrausMap:
         if not isinstance(arr, np.ndarray):  # an .npz archive
             arr.close()
             raise ValueError("need a .npy array file, got an .npz archive")
+        if arr.dtype.kind not in "biufc":
+            raise ValueError(f"need a numeric stack, got dtype {arr.dtype}")
         if arr.ndim == 2:
             arr = arr[None]
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -248,10 +250,8 @@ def run_simulate(
                 f"so its denominator vanishes; choose different (i0, j0)")
 
     # the one inversion of psi, before the dry-run return, so a dry run
-    # refuses a non-invertible entangler as the full run does; dyad indices
-    # run up to the window on a homodyne kernel, to dim_cut - 1 on a quorum
-    k_max = dim_cut - 1 if route == "finite" else window
-    coef, coef_deficit = estimation.mode2_combination(psi, window, k_max)
+    # refuses a non-invertible entangler as the full run does
+    coef = estimation.mode2_combination(psi, window)
 
     if dry_run:
         lines = [f"config_hash = {config_hash(cfg)}", f"route = {route}",
@@ -273,7 +273,7 @@ def run_simulate(
     else:
         grid = GridSpec(cfg.resolved_half_width(), cfg.grid_spacing)
         backend = build_homodyne_kernel(
-            dim_cut, cfg.eta, grid, max_index=k_max, ridge=cfg.ridge,
+            dim_cut, cfg.eta, grid, max_index=window, ridge=cfg.ridge,
             cache_dir=out_dir / "kernel-cache",
         )
         if route == "gaussian":
@@ -295,13 +295,12 @@ def run_simulate(
 
     acc = _map_blocks(make_block, accumulate_one, list(range(cfg.blocks)),
                       threads)
-    total_deficit = coef_deficit + deficit
     comb = terms[1]
     if kind == "pure":
         estimate = estimation.phase_fix(
-            estimation.finalize_pure(acc, comb, i0, j0, total_deficit))
+            estimation.finalize_pure(acc, comb, i0, j0, deficit))
     else:
-        estimate = estimation.finalize_choi(acc, comb, total_deficit)
+        estimate = estimation.finalize_choi(acc, comb, deficit)
 
     paths = _write_outputs(cfg, estimate, kind, theory, out_dir, make_block)
     return SimResult(estimate=estimate, kind=kind, paths=paths,

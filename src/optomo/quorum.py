@@ -105,11 +105,6 @@ class FiniteQuorum:
         return len(self.observables)
 
     @property
-    def max_index(self) -> int:
-        """Largest dyad index |a><b| the quorum estimates (as HomodyneKernel)."""
-        return self.dim - 1
-
-    @property
     def scaled_eigenvalues(self) -> np.ndarray:
         """lambda_km / w_k, shape (L, d): the factor of every dual-frame
         estimate from eigenvalue m of observable k."""

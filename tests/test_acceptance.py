@@ -173,10 +173,10 @@ class TestCriterion7Heralding:
         n_trials = 10**5
         blocks = make_finite_blocks([phi], [p], quorum, 50, n_trials // 50,
                                     seed=707, p_occ=p)
-        coef, deficit = mode2_combination(psi, 1, 1)
+        coef = mode2_combination(psi, 1)
         terms = pure_terms(coef, 0, 0, quorum)
         est = finalize_pure(accumulate_pure(blocks, terms, quorum), terms[1],
-                            0, 0, deficit)
+                            0, 0, 0.0)
         sigma_bin = np.sqrt(0.5 * 0.5 / n_trials)
         herald_dev = abs(est.kappa.p_hat - 0.5)
         herald_ok = herald_dev <= 4.0 * sigma_bin

@@ -628,7 +628,8 @@ class TestOperationErrors:
         assert not (tmp_path / "k.result.txt").exists()
 
     @pytest.mark.parametrize("fault", ["missing", "exceeds_identity",
-                                       "npz_archive", "zero_dim", "empty"])
+                                       "npz_archive", "zero_dim", "empty",
+                                       "structured", "datetime"])
     def test_bad_kraus_file_exit_2(self, tmp_path, capsys, fault):
         good = np.diag([1.0, 0.8, 0.0]).astype(complex)[None]
         cfg = _kraus_config(tmp_path, good, "finite")
@@ -644,6 +645,12 @@ class TestOperationErrors:
             np.save(kraus_path, np.zeros((2, 0, 0)))
         elif fault == "empty":
             kraus_path.write_bytes(b"")
+        elif fault == "structured":  # no numeric dtype to cast to complex
+            np.save(kraus_path, np.zeros((1, 3, 3), dtype=[("re", float),
+                                                           ("im", float)]))
+        elif fault == "datetime":  # casts to complex, but is no Kraus map
+            np.save(kraus_path, np.eye(3, dtype=np.int64)[None]
+                    .astype("datetime64[s]"))
         else:
             np.save(kraus_path, 1.5 * good)
         capsys.readouterr()

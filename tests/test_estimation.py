@@ -108,7 +108,7 @@ class TestChunkedAccumulation:
     def test_chunk_sums_match_one_shot(self, kernel, name, kind, n_heralded):
         backend = kernel if name == "homodyne" else build_finite_quorum(4)
         psi = twin_beam(1.0, 4).psi
-        coef, _ = mode2_combination(psi, 2, 3)
+        coef = mode2_combination(psi, 2)
         blk = self._block(name, backend, n_heralded, 5)
         tables, _ = self._terms(kind, coef, backend)
         got = backend.block_sums(blk, tables)
@@ -134,7 +134,7 @@ class TestChunkedAccumulation:
         cells = np.ravel_multi_index((*obs, *out), shape)
         blk = SampleBlock(0, np.ones(500, dtype=bool), (cells,))
         psi = twin_beam(1.0, 12).psi
-        coef, _ = mode2_combination(psi, 11, 11)
+        coef = mode2_combination(psi, 11)
         tables, _ = self._terms(kind, coef, q)
         self._assert_close(q.block_sums(blk, tables),
                            per_sample_sums(q, blk, tables), kind)
@@ -148,7 +148,7 @@ class TestChunkedAccumulation:
         # one-shot per-sample moments
         backend = kernel if name == "homodyne" else build_finite_quorum(4)
         psi = twin_beam(1.0, 4).psi
-        coef, _ = mode2_combination(psi, 2, 3)
+        coef = mode2_combination(psi, 2)
         blocks = [replace(self._block(name, backend, n, seed), block_id=b)
                   for b, (n, seed) in enumerate([(700, 5), (1, 6), (0, 7)])]
         terms = self._terms(kind, coef, backend)
@@ -173,7 +173,7 @@ class TestChunkedAccumulation:
         # reduced through the identity combination
         backend = kernel if name == "homodyne" else build_finite_quorum(4)
         psi = twin_beam(1.0, 4).psi
-        coef, _ = mode2_combination(psi, 2, 3)
+        coef = mode2_combination(psi, 2)
         blocks = [replace(self._block(name, backend, 300 + 50 * b, 20 + b),
                           block_id=b) for b in range(5)]
         # (0, 0): the largest twin-beam entry, as kappa needs
@@ -208,7 +208,7 @@ class TestChunkedAccumulation:
         table = joint_outcome_table([psi / np.linalg.norm(psi)], [1.0], q)
         cols = sample_finite(np.cumsum(table), 17_000, substream(3, 0))
         blk = SampleBlock(0, np.ones(17_000, dtype=bool), cols)
-        coef, _ = mode2_combination(psi, 5, 5)
+        coef = mode2_combination(psi, 5)
         terms = choi_terms(coef, q)
         tracemalloc.start()
         try:
@@ -229,14 +229,12 @@ class TestBackendInterface:
         assert homodyne == finite
 
     def test_chain_asks_only_pair_table_and_block_sums(self):
-        # a backend with max_index, pair_table and block_sums and nothing
-        # else: block b of n samples has dyad moments (b + 1) n at every
+        # a backend with pair_table and block_sums and nothing else:
+        # block b of n samples has dyad moments (b + 1) n at every
         # pair but the denominator's (0, 1), which is n; so kappa = 1 and,
         # with the identity mode-2 combination, the estimate is the grand
         # mean of the block moments per sample
         class Stub:
-            max_index = 1
-
             def pair_table(self, pairs):
                 return len(pairs)
 
@@ -247,13 +245,13 @@ class TestBackendInterface:
                 return m
 
         stub = Stub()
-        coef, deficit = mode2_combination(np.eye(2), 1, stub.max_index)
+        coef = mode2_combination(np.eye(2), 1)
         blocks = [SampleBlock(b, np.ones(4, dtype=bool),
                               tuple(np.zeros((4, 4))))
                   for b in range(3)]
         terms = pure_terms(coef, 0, 1, stub)
         est = finalize_pure(accumulate_pure(blocks, terms, stub), terms[1],
-                            0, 1, deficit)
+                            0, 1, 0.0)
         assert est.kappa.kappa == 1.0 and est.n_blocks == 3
         assert np.array_equal(est.values, [[2.0, 1.0], [2.0, 2.0]])
         np.testing.assert_allclose(
@@ -265,32 +263,28 @@ class TestMode2Combination:
     def test_maximally_entangled_single_term(self):
         d = 4
         psi = np.eye(d) / np.sqrt(d)
-        coef, deficit = mode2_combination(psi, d - 1, d - 1)
+        coef = mode2_combination(psi, d - 1)
         for j in range(d):
             expect = np.zeros(d)
             expect[j] = np.sqrt(d)
             assert np.allclose(coef[:, j], expect, atol=1e-12)
-        assert deficit == 0.0
 
     def test_twin_beam_diagonal_coefficient(self):
+        # the window's columns of the full inverse vanish below the window,
+        # so cutting the rows there drops nothing
         beam = twin_beam(3.0, 16)
-        coef, _ = mode2_combination(beam.psi, 5, 15)
+        coef = mode2_combination(beam.psi, 5)
+        full = mode2_combination(beam.psi, 15)
+        assert np.array_equal(coef, full[:6, :6])
         for j in range(6):
             assert abs(coef[j, j] - 2.0 * (4.0 / 3.0) ** (j / 2.0)) < 1e-10
-            off = np.delete(coef[:, j], j)
+            off = np.delete(full[:, j], j)
             assert np.max(np.abs(off)) < 1e-14
-
-    def test_truncation_deficit_reported(self, rng):
-        psi = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        psi = psi / np.linalg.norm(psi)
-        coef, deficit = mode2_combination(psi, 0, 2)
-        assert 0.0 < deficit < 1.0
-        assert coef[:, 0].size == 3
 
     def test_singular_entangler_propagates(self):
         psi = np.diag([1.0, 0.0])
         with pytest.raises(NonInvertibleEntanglerError):
-            mode2_combination(psi, 0, 1)
+            mode2_combination(psi, 0)
 
 
 class TestBlockAccumulator:
@@ -386,7 +380,7 @@ class TestExactChain:
         psi = random_invertible_state(rng, d)
         branches, weights = output_branches(
             KrausMap(tuple(random_kraus_map(rng, d))), psi)
-        coef, _ = mode2_combination(psi, d - 1, d - 1)
+        coef = mode2_combination(psi, d - 1)
         tables, comb = (pure_terms(coef, 0, 1, q) if kind == "pure"
                         else choi_terms(coef, q))
         m = q.exact_sums(branches, weights, tables)
@@ -415,7 +409,7 @@ class TestExactChain:
         table = joint_outcome_table(branches, weights, q)
         n = 17_000
         (cells,) = sample_finite(np.cumsum(table), n, substream(6, d))
-        coef, _ = mode2_combination(psi, d - 1, d - 1)
+        coef = mode2_combination(psi, d - 1)
         tables, _ = (pure_terms(coef, 0, 1, q) if kind == "pure"
                      else choi_terms(coef, q))
         got = q.block_sums(SampleBlock(0, np.ones(n, dtype=bool), (cells,)),
@@ -432,10 +426,10 @@ class TestSampledPure:
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(np.eye(2), psi)
         blocks = make_finite_blocks([phi], [p], q, 25, 800, seed=11)
-        coef, deficit = mode2_combination(psi, 1, 1)
+        coef = mode2_combination(psi, 1)
         terms = pure_terms(coef, 0, 0, q)
         est = finalize_pure(accumulate_pure(blocks, terms, q), terms[1], 0, 0,
-                            deficit)
+                            0.0)
         aligned = align_to_truth(est, np.eye(2))
         dev = np.abs(aligned - np.eye(2))
         assert np.all(dev <= 4 * est.std_errors)
@@ -446,7 +440,7 @@ class TestSampledPure:
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(np.eye(2), psi)
         blocks = make_finite_blocks([phi], [p], q, 8, 200, seed=13)
-        coef, _ = mode2_combination(psi, 1, 1)
+        coef = mode2_combination(psi, 1)
         terms = pure_terms(coef, 0, 0, q)
         one_pass = accumulate_pure(blocks, terms, q)
         first = accumulate_pure(blocks[:3], terms, q)
@@ -463,11 +457,11 @@ class TestSampledPure:
         psi = np.eye(2) / np.sqrt(2)
         phi, p = apply_pure(np.eye(2), psi)
         blocks = make_finite_blocks([phi], [p], q, 10, 300, seed=17)
-        coef, deficit = mode2_combination(psi, 1, 1)
+        coef = mode2_combination(psi, 1)
         with pytest.raises(ReferenceTooSmallError, match="choose different"):
             terms = pure_terms(coef, 0, 1, q)
             finalize_pure(accumulate_pure(blocks, terms, q), terms[1], 0, 1,
-                          deficit)
+                          0.0)
 
     def test_heralded_contraction(self):
         # A = diag(1, 0.5): p = (1 + 0.25)/2 = 0.625 on I/sqrt(2)
@@ -476,10 +470,10 @@ class TestSampledPure:
         a = np.diag([1.0, 0.5]).astype(complex)
         phi, p = apply_pure(a, psi)
         blocks = make_finite_blocks([phi], [p], q, 30, 600, seed=19, p_occ=p)
-        coef, deficit = mode2_combination(psi, 1, 1)
+        coef = mode2_combination(psi, 1)
         terms = pure_terms(coef, 0, 0, q)
         est = finalize_pure(accumulate_pure(blocks, terms, q), terms[1], 0, 0,
-                            deficit)
+                            0.0)
         assert abs(est.kappa.p_hat - 0.625) < 4 * est.kappa.p_hat_stderr
         aligned = align_to_truth(est, a)
         assert np.all(np.abs(aligned - a) <= 4 * est.std_errors)
@@ -494,7 +488,7 @@ class TestErrorBarCalibration:
         a = np.diag([1.0, 0.5]).astype(complex)
         phi, p = apply_pure(a, psi)
         truth = a * np.exp(-1j * np.angle(phi[0, 0]))  # chain phase reference
-        coef, deficit = mode2_combination(psi, 1, 1)
+        coef = mode2_combination(psi, 1)
         terms = pure_terms(coef, 0, 0, q)
         hits = 0
         total = 0
@@ -502,7 +496,7 @@ class TestErrorBarCalibration:
             blocks = make_finite_blocks([phi], [p], q, 20, 400,
                                         seed=1000 + run, p_occ=p)
             est = finalize_pure(accumulate_pure(blocks, terms, q), terms[1],
-                                0, 0, deficit)
+                                0, 0, 0.0)
             dev = np.abs(est.values - truth)
             hits += int(np.sum(dev <= est.std_errors))
             total += dev.size
@@ -522,10 +516,10 @@ class TestErrorBarCalibration:
             rng = substream(77, b)
             cols = sample_quadratures(state, 0.9, 3000, rng)
             blocks.append(SampleBlock(b, np.ones(3000, dtype=bool), cols))
-        coef, deficit = mode2_combination(beam.psi, 5, 5)
+        coef = mode2_combination(beam.psi, 5)
         terms = pure_terms(coef, 0, 0, kernel)
         est = finalize_pure(accumulate_pure(blocks, terms, kernel), terms[1],
-                            0, 0, deficit)
+                            0, 0, 0.0)
         assert est.std_errors[:, 4:].mean() > est.std_errors[:, :2].mean()
 
 
@@ -541,10 +535,10 @@ class TestChoiEstimation:
         )
         blocks = make_finite_blocks(*output_branches(KrausMap(ks), psi), q, 40,
                                     2500, seed=23)
-        coef, deficit = mode2_combination(psi, 1, 1)
+        coef = mode2_combination(psi, 1)
         terms = choi_terms(coef, q)
         est = finalize_choi(accumulate_choi(blocks, terms, q), terms[1],
-                            deficit)
+                            0.0)
         truth = depolarizing_choi(0.5)
         dev = np.abs(est.values - truth)
         assert np.all(dev <= 3.5 * est.std_errors + 1e-12)

@@ -1,18 +1,19 @@
 """Every golden document under tests/golden/ is regenerated and compared.
 
 A run's documents are regenerated at one and three threads.  Every value
-and error must lie within 1e-9 of its standard error of the golden's (plus
-one unit in the last printed digit, so that roundoff under another numpy
-or BLAS that flips it passes); an entry whose error is 0 must match
-exactly.  A changed draw moves a value by about its error and fails.  Byte
-equality is printed for each document and does not fail the test.
-Regenerate the goldens with ``python tests/goldens.py``.
+and error must lie within 1e-9 standard errors of the golden's, plus one
+unit in the last printed digit, so that roundoff under another numpy or
+BLAS that flips that digit passes; an entry whose error is 0 must match
+exactly, and an exact estimate within 1e-12.  A changed draw moves a
+value by about its error and fails.  Byte equality is printed for each
+document and does not fail the test.  Regenerate the goldens with
+``python tests/goldens.py``.
 """
 
 import pytest
 
-from goldens import EXACT, GOLDEN, RUNS, exact_document, mismatches, \
-    run_documents
+from goldens import (EXACT, GOLDEN, RUNS, exact_document, mismatches,
+                     run_documents)
 
 
 def _compare(docs):

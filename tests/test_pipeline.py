@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optomo import estimation, maps, pipeline, sampling
+from optomo import estimation, maps, pipeline, report, sampling
 from optomo.cli import main
 from optomo.config import ExperimentConfig, load_preset
 from optomo.errors import NonInvertibleEntanglerError
@@ -296,6 +296,20 @@ class TestRunLevelPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_simulate(cfg, dry_run=True).dry_report
+
+    @pytest.mark.parametrize("route", ["gaussian", "fock"])
+    def test_document_deficit_is_the_dry_runs(self, route, tmp_path):
+        # the twin beam at nbar = 0.05 and the auto dim_cut 16 misses
+        # 6.99e-22 of its norm, far below the roundoff of any sum near 1
+        cfg = ExperimentConfig(operation="identity", route=route, nbar=0.05,
+                               n_max=11, blocks=2, samples_per_block=500)
+        plan = dict(line.split(" = ")
+                    for line in run_simulate(cfg, dry_run=True).dry_report)
+        doc = report.parse_result(
+            run_simulate(cfg, out_dir=tmp_path).paths[0].read_text())
+        want = float(plan["truncation_deficit"])
+        assert want > 0.0
+        assert doc.summary["truncation_deficit"] == f"{want:.2e}"
 
     def test_entangler_inverted_once_per_run(self, tmp_path, monkeypatch):
         calls = self._count_calls(monkeypatch, estimation, "inverse")
