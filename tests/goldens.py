@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import tempfile
 from dataclasses import replace
 from decimal import Decimal
@@ -57,11 +56,13 @@ RUNS = {
 EXACT = ("exact_pure", "exact_choi")
 
 
-def damping(dim: int, gamma: float = 0.3) -> np.ndarray:
-    """Photon damping on a cropped Fock space: K0 = sum_n (1-gamma)^{n/2}
-    |n><n|, K1 = sum_n sqrt(1 - (1-gamma)^n) |n-1><n|."""
+def damping(dim: int) -> np.ndarray:
+    """Photon damping, gamma = 0.3, on a cropped Fock space: K0 = sum_n
+    0.7^{n/2} |n><n|, K1 = sum_n sqrt(1 - 0.7^n) |n-1><n|.  It mirrors the
+    benchmark's ``amplitude_damping(dim, 0.3, 1.0)`` on purpose, as the
+    tests do not import ``bench``."""
     n = np.arange(dim)
-    keep = (1.0 - gamma) ** n
+    keep = 0.7 ** n
     k1 = np.zeros((dim, dim))
     k1[n[:-1], n[1:]] = np.sqrt(1.0 - keep[1:])
     return np.stack([np.diag(np.sqrt(keep)), k1]).astype(complex)
@@ -178,10 +179,9 @@ def mismatches(file_name: str, golden: str, fresh: str) -> list:
     return bad
 
 
-def main(out_dir=GOLDEN) -> None:
-    """Write every golden into ``out_dir``, runs at one thread."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def main() -> None:
+    """Write every golden into ``tests/golden/``, runs at one thread."""
+    GOLDEN.mkdir(exist_ok=True)
     docs = {}
     for name in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
@@ -189,9 +189,9 @@ def main(out_dir=GOLDEN) -> None:
     for name in EXACT:
         docs.update(exact_document(name))
     for file_name, text in sorted(docs.items()):
-        (out_dir / file_name).write_text(text)
-        print(f"wrote {out_dir / file_name}")
+        (GOLDEN / file_name).write_text(text)
+        print(f"wrote {GOLDEN / file_name}")
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    main()
