@@ -10,13 +10,11 @@ the orthonormal wavefunctions
 and <x|n>_phi = e^{i n phi} Psi_n(x).  The phase factors e^{i k phi} of the
 Fock sampler and of the homodyne dyad estimates come from ``phase_powers``.
 Detector efficiency eta < 1 smears the quadrature distribution with a
-zero-mean Gaussian of variance (1-eta)/(4 eta).
-
-A kernel build forms the Psi table of its grid once and hands it to
-``smeared_pair_table`` for every offset, which convolves the pair products
-with ``numpy.fft``: the filter is transformed once per offset, and the rows
-``CONVOLVE_ROWS`` at a time, so batching rows saves per-call work while the
-row cap bounds the FFT buffers of one call.
+zero-mean Gaussian of variance (1-eta)/(4 eta).  Such a detector is the loss
+channel of transmissivity eta followed by the rescale x -> x / sqrt(eta), so
+the smeared pair densities have a closed form: loss weights applied to the
+pair products of the wavefunctions at sqrt(eta) x.  A kernel build forms
+that Psi table once and hands it to ``smeared_pair_table`` for every offset.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from optomo.errors import UnphysicalDeconvolutionError
 
-CONVOLVE_ROWS = 8  # smeared rows per FFT round trip: bounds the batch
+SMEAR_ROWS = 8  # rows per loss-weight product: bounds its temporary
 
 
 def noise_sigma2(eta: float) -> float:
@@ -76,65 +74,45 @@ def quadrature_wavefunctions(nmax: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def gaussian_filter_kernel(sigma: float, dx: float) -> np.ndarray:
-    """Discrete Gaussian density for grid convolution; sums to exactly 1."""
-    if sigma <= 0.0:
-        return np.array([1.0])
-    half = int(np.ceil(8.0 * sigma / dx))
-    t = np.arange(-half, half + 1) * dx
-    k = np.exp(-0.5 * (t / sigma) ** 2)
-    return k / k.sum()
+def _loss_weights(m: int, delta: int, eta: float) -> np.ndarray:
+    """Loss weights W, shape (m, m), lower triangular: the loss channel of
+    transmissivity eta takes |a><a+delta| to
+    sum_k W[a, a-k] |a-k><a+delta-k|, with
+    W[a, a-k] = sqrt(C(a, k) C(a+delta, k)) eta^(a + delta/2 - k) (1-eta)^k.
+
+    The binomials come from log-factorials; at eta = 1, W is the identity.
+    """
+    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m + delta)))))
+    a = np.arange(m)[:, None]
+    k = np.maximum(a - np.arange(m), 0)  # photons lost; 0 above the diagonal
+    log_binom = (lf[a] - lf[k] - lf[a - k]
+                 + lf[a + delta] - lf[k] - lf[a + delta - k])
+    return np.tril(np.exp(0.5 * log_binom) * eta ** (a - k + 0.5 * delta)
+                   * (1.0 - eta) ** k)
 
 
-def _fast_len(n: int) -> int:
-    """Smallest 5-smooth length 2^a 3^b 5^c >= n, the FFT size used for a
-    convolution of full length n."""
-    best = 1 << (n - 1).bit_length()  # smallest power of 2 >= n
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
+def smeared_pair_table(psi: np.ndarray, delta: int, eta: float) -> np.ndarray:
+    """Smeared pair densities g_ab(x) for b - a = delta, in closed form.
 
+    ``psi`` is the ``quadrature_wavefunctions`` table (dim_cut, len(x)) at
+    the points sqrt(eta) x of the grid x.  Returns shape
+    (dim_cut - delta, len(x)); row a holds
 
-def smeared_pair_table(
-    psi: np.ndarray, delta: int, dx: float, sigma: float
-) -> np.ndarray:
-    """Smeared products g_ab = (Psi_a Psi_b) * N(0, sigma^2) for b - a = delta.
+        g_{a,a+delta}(x) = sqrt(eta) sum_k W[a, a-k] Psi_{a-k} Psi_{a-k+delta}
 
-    ``psi`` is the ``quadrature_wavefunctions`` table (dim_cut, len(x)) of
-    the grid x with spacing ``dx``, formed once by the caller for every
-    offset.  Returns shape (dim_cut - delta, len(x)); row a holds the pair
-    (a, a + delta).  Each row is convolved with the filter as if alone and
-    cropped to its own length ("same" mode), ``CONVOLVE_ROWS`` rows per
-    rfft/irfft round trip at the fast FFT size of the full convolution.
+    at sqrt(eta) x, W the ``_loss_weights``, formed in place from the last
+    row up, ``SMEAR_ROWS`` rows per product, so no second table is held.
+    At eta = 1 the rows are the products Psi_a Psi_{a+delta} exactly.
     These are the quadrature-distribution basis functions: a state rho
-    smeared by efficiency noise has density
+    seen at efficiency eta has density
     p_eta(x | phi) = sum_ab rho_ab e^{i(a-b) phi} g_{min(a,b),|a-b|}(x).
     """
     dim_cut = psi.shape[0]
     if not 0 <= delta < dim_cut:
         raise ValueError(f"need 0 <= delta < dim_cut, got delta={delta}")
-    kern = gaussian_filter_kernel(sigma, dx)
     rows = np.multiply(psi[: dim_cut - delta], psi[delta:])
-    if kern.size > 1:
-        n, full = rows.shape[1], rows.shape[1] + kern.size - 1
-        size = _fast_len(full)
-        spec = np.fft.rfft(kern, size)
-        start = (full - n) // 2
-        # np.fft.rfft pads a short row to ``size`` more slowly than a copy
-        # into a zeroed buffer, whose tail stays zero from chunk to chunk
-        padded = np.zeros((min(CONVOLVE_ROWS, rows.shape[0]), size))
-        for lo in range(0, rows.shape[0], CONVOLVE_ROWS):
-            chunk = rows[lo:lo + CONVOLVE_ROWS]
-            buf = padded[: chunk.shape[0]]
-            buf[:, :n] = chunk
-            conv = np.fft.irfft(np.fft.rfft(buf, axis=1) * spec, size, axis=1)
-            chunk[:] = conv[:, start:start + n]
+    w = np.sqrt(eta) * _loss_weights(rows.shape[0], delta, eta)
+    for lo in reversed(range(0, rows.shape[0], SMEAR_ROWS)):
+        hi = lo + SMEAR_ROWS
+        rows[lo:hi] = w[lo:hi, :hi] @ rows[:hi]  # rows < lo unweighted
     return rows

@@ -64,7 +64,7 @@ from optomo.fock import (noise_sigma2, phase_powers, quadrature_wavefunctions,
                          smeared_pair_table)
 from optomo.sampling import joint_outcome_table
 
-KERNEL_CACHE_VERSION = 1
+KERNEL_CACHE_VERSION = 2
 BIORTHOGONALITY_TOL = 1e-8
 DEFAULT_RIDGE = 1e-10
 KERNEL_GATE_TOL = 5e-3
@@ -361,7 +361,8 @@ def build_homodyne_kernel(
 
     Per offset delta the tabulated kernels are the minimum-norm solutions of
     integral g_{a,a+delta} f_{n,n+delta} = delta_an for all a < dim_cut, where
-    g are the exact noise-smeared quadrature pair distributions.  The ridge is
+    g are the exact noise-smeared quadrature pair distributions
+    (``fock.smeared_pair_table``).  The ridge is
     relative to the mean diagonal of the constraint Gram matrix.  Rows are
     stored for n <= max_index.
 
@@ -373,15 +374,16 @@ def build_homodyne_kernel(
     written costs the save, not the run.
 
     Raises UnphysicalDeconvolutionError for eta <= 0.5 and
-    IllConditionedKernelError (naming the diagonal) when the stored rows fail
-    their unbiasedness constraints within the stored window at
+    IllConditionedKernelError (naming the diagonal) when some smeared density
+    g_aa, a < dim_cut, does not sum to 1 on the grid, or the stored rows fail
+    their unbiasedness constraints within the stored window, either at
     ``KERNEL_GATE_TOL``.
     The gate is a tripwire for catastrophic conditioning (defects of order
     one appear as eta approaches 1/2); residual small defects are weighted by
     the state's Fock occupations and are certified operationally by the
     calibration family and by exact bias audits on the ``recovery`` matrices.
     """
-    sigma = float(np.sqrt(noise_sigma2(eta)))
+    noise_sigma2(eta)  # raises UnphysicalDeconvolutionError for eta <= 1/2
     if not 0 <= max_index < dim_cut:
         raise ValueError("max_index must satisfy 0 <= max_index < dim_cut")
 
@@ -406,15 +408,24 @@ def build_homodyne_kernel(
             pass
 
     x = grid.points
-    dx = grid.spacing
-    psi = quadrature_wavefunctions(dim_cut, x)
+    psi = quadrature_wavefunctions(dim_cut, np.sqrt(eta) * x)
     tables = {}
     recovery = {}
+    remedy = ("reduce dim_cut, raise eta, widen grid_half_width "
+              "or refine grid_spacing")
     for delta in range(0, max_index + 1):
         # quadrature rows, scaled in place: (a_mat f)_p ~ integral g_p f
-        a_mat = smeared_pair_table(psi, delta, dx, sigma)
-        a_mat *= dx
+        a_mat = smeared_pair_table(psi, delta, eta)
+        a_mat *= grid.spacing
         m = a_mat.shape[0]
+        if delta == 0:
+            # every smeared density g_aa must lie on the grid: sum to 1
+            cover = np.max(np.abs(a_mat.sum(axis=1) - 1.0))
+            if cover > KERNEL_GATE_TOL:
+                raise IllConditionedKernelError(
+                    0, f"smeared densities g_aa, a < {dim_cut}, sum to 1 "
+                    f"only within {cover:.3e} > {KERNEL_GATE_TOL:.0e} on the "
+                    f"grid; {remedy}")
         keep = min(max_index + 1, m)
         gram = a_mat @ a_mat.T
         scale = float(np.mean(np.diag(gram)))
@@ -430,9 +441,7 @@ def build_homodyne_kernel(
             raise IllConditionedKernelError(
                 delta,
                 f"kernel unbiasedness defect {defect:.3e} > {KERNEL_GATE_TOL:.0e} "
-                f"within window on diagonal delta={delta}; "
-                "reduce dim_cut, raise eta, widen grid_half_width "
-                "or refine grid_spacing",
+                f"within window on diagonal delta={delta}; {remedy}",
             )
         tables[delta] = np.ascontiguousarray(f.T)
         recovery[delta] = recov

@@ -199,40 +199,19 @@ def wavefunctions_by_rows(nmax: int, x: np.ndarray) -> np.ndarray:
 
 def smeared_pairs_by_rows(dim_cut: int, delta: int, x, dx: float,
                           sigma: float) -> np.ndarray:
-    """Rows Psi_a Psi_{a+delta} of the grid x convolved with the discrete
-    Gaussian filter of ``sigma``, one ``fftconvolve`` call per row (the
-    product alone when the filter has one tap), shape (dim_cut - delta,
-    len(x))."""
+    """Rows Psi_a Psi_{a+delta} of the grid x convolved with a discrete
+    Gaussian filter of ``sigma`` > 0 (taps exp(-t^2 / (2 sigma^2)) at
+    t = j dx, |t| <= 8 sigma, normalised to sum 1), one ``fftconvolve`` call
+    per row, shape (dim_cut - delta, len(x))."""
     from scipy.signal import fftconvolve
-
-    from optomo.fock import gaussian_filter_kernel
 
     psi = wavefunctions_by_rows(dim_cut, x)
-    kern = gaussian_filter_kernel(sigma, dx)
+    half = int(np.ceil(8.0 * sigma / dx))
+    taps = np.exp(-0.5 * (np.arange(-half, half + 1) * dx / sigma) ** 2)
+    taps /= taps.sum()
     rows = np.empty((dim_cut - delta, len(x)))
     for a in range(dim_cut - delta):
-        prod = psi[a] * psi[a + delta]
-        rows[a] = fftconvolve(prod, kern, mode="same") if kern.size > 1 else prod
-    return rows
-
-
-def smeared_pairs_by_chunks(psi: np.ndarray, delta: int, dx: float,
-                            sigma: float) -> np.ndarray:
-    """``smeared_pair_table`` as ``scipy.signal.fftconvolve`` computes it:
-    the products Psi_a Psi_{a+delta} of the table ``psi``, convolved with the
-    discrete Gaussian filter of ``sigma`` by one ``fftconvolve(chunk,
-    filter, mode="same", axes=1)`` call per ``CONVOLVE_ROWS`` rows (the
-    product alone when the filter has one tap)."""
-    from scipy.signal import fftconvolve
-
-    from optomo.fock import CONVOLVE_ROWS, gaussian_filter_kernel
-
-    kern = gaussian_filter_kernel(sigma, dx)
-    rows = psi[: psi.shape[0] - delta] * psi[delta:]
-    if kern.size > 1:
-        for lo in range(0, rows.shape[0], CONVOLVE_ROWS):
-            chunk = rows[lo:lo + CONVOLVE_ROWS]
-            chunk[:] = fftconvolve(chunk, kern[None, :], mode="same", axes=1)
+        rows[a] = fftconvolve(psi[a] * psi[a + delta], taps, mode="same")
     return rows
 
 

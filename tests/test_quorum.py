@@ -10,8 +10,6 @@ from optomo.errors import (
     UnphysicalDeconvolutionError,
 )
 from optomo.fock import (
-    _fast_len,
-    gaussian_filter_kernel,
     noise_sigma2,
     quadrature_wavefunctions,
     smeared_pair_table,
@@ -27,7 +25,6 @@ from optomo.sampling import SampleBlock
 from oracles import (
     homodyne_dyads_by_pairs,
     random_density,
-    smeared_pairs_by_chunks,
     smeared_pairs_by_rows,
     wavefunctions_by_rows,
 )
@@ -109,8 +106,8 @@ def kernel():
 
 
 CACHE_ARGS = (12, 0.95, GridSpec(8.0))
-CACHE_KEY = "v1|D12|eta0.95|hw8.0|dx0.01|idx4|ridge1e-10"
-CACHE_NAME = "kernel-7f1812db88100818.npz"  # sha256(CACHE_KEY)[:16]
+CACHE_KEY = "v2|D12|eta0.95|hw8.0|dx0.01|idx4|ridge1e-10"
+CACHE_NAME = "kernel-b707693d2d9ac41e.npz"  # sha256(CACHE_KEY)[:16]
 
 
 def _no_build(*args):
@@ -173,15 +170,22 @@ class TestHomodyneKernel:
 
     def test_narrow_grid_trips_gate_naming_grid(self):
         # at dim_cut 16 and eta 0.9 a half-width of 6 passes the gate and one
-        # of 2.5 cuts the pattern functions off: the message names the grid;
+        # of 2.5 cuts the smeared densities off: the message names the grid;
         # at half-width 12 a spacing of 0.2 passes and one of 0.5 is too
-        # coarse (defect 0.63), and the message names the spacing
+        # coarse (the densities sum to 1 only within 4.3e-2), and the
+        # message names the spacing
         build_homodyne_kernel(16, 0.9, GridSpec(6.0), max_index=8)
         with pytest.raises(IllConditionedKernelError, match="grid_half_width"):
             build_homodyne_kernel(16, 0.9, GridSpec(2.5), max_index=8)
         build_homodyne_kernel(16, 0.9, GridSpec(12.0, 0.2), max_index=8)
         with pytest.raises(IllConditionedKernelError, match="grid_spacing"):
             build_homodyne_kernel(16, 0.9, GridSpec(12.0, 0.5), max_index=8)
+
+    def test_grid_cutting_a_density_trips_gate(self):
+        # the smeared density of |15> at eta 0.9 reaches past +-3, although
+        # the constraints within the window can still be met on that grid
+        with pytest.raises(IllConditionedKernelError, match="grid_half_width"):
+            build_homodyne_kernel(16, 0.9, GridSpec(3.0), max_index=8)
 
     def test_cache_roundtrip(self, tmp_path, monkeypatch):
         kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
@@ -266,7 +270,7 @@ class TestHomodyneKernel:
                                        cache_dir=tmp_path / "want")
         assert np.array_equal(kernel.tables[1], want.tables[1])
         with np.load(path) as z:
-            assert str(z["key"]) == "v1|D12|eta0.8|hw8.0|dx0.01|idx4|ridge1e-10"
+            assert str(z["key"]) == "v2|D12|eta0.8|hw8.0|dx0.01|idx4|ridge1e-10"
             assert np.array_equal(z["table_1"], want.tables[1])
 
     def test_keyless_file_rebuilds_and_is_replaced(self, tmp_path):
@@ -291,6 +295,25 @@ class TestHomodyneKernel:
             for d in want.tables:
                 assert np.array_equal(z[f"table_{d}"], want.tables[d])
                 assert np.array_equal(z[f"recovery_{d}"], want.recovery[d])
+
+    def test_first_version_file_rebuilds(self, tmp_path):
+        # a file of cache version 1 (rows smeared by FFT convolution) at the
+        # requested path, holding the v1 key text of the same arguments and
+        # tables that differ by roundoff, is rebuilt, not loaded
+        want = build_homodyne_kernel(*CACHE_ARGS, max_index=4)
+        arrays = {f"table_{d}": t * (1.0 + 1e-12)
+                  for d, t in want.tables.items()}
+        arrays.update({f"recovery_{d}": r for d, r in want.recovery.items()})
+        np.savez(tmp_path / CACHE_NAME,
+                 key=CACHE_KEY.replace("v2|", "v1|", 1), **arrays)
+        kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
+                                       cache_dir=tmp_path)
+        for d in want.tables:
+            assert np.array_equal(kernel.tables[d], want.tables[d])
+            assert np.array_equal(kernel.recovery[d], want.recovery[d])
+        with np.load(tmp_path / CACHE_NAME) as z:
+            assert str(z["key"]) == CACHE_KEY
+            assert np.array_equal(z["table_3"], want.tables[3])
 
     def test_cache_dir_reuse_and_regeneration(self, tmp_path):
         k1 = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
@@ -366,72 +389,51 @@ class TestFockBasisTables:
         assert np.array_equal(quadrature_wavefunctions(nmax, x),
                               wavefunctions_by_rows(nmax, x))
 
-    @pytest.mark.parametrize("eta", [0.7, 0.9, 1.0])
-    def test_kernel_bitwise_as_row_convolutions(self, eta, monkeypatch):
-        # 20 rows at delta = 0 make two full chunks of convolved rows and a
-        # part one; at eta = 1 the filter has one tap and nothing is
-        # convolved
-        grid = GridSpec(10.0)
-        kernel = build_homodyne_kernel(20, eta, grid, max_index=4)
-        monkeypatch.setattr(
-            quorum, "smeared_pair_table",
-            lambda psi, delta, dx, sigma: smeared_pairs_by_rows(
-                psi.shape[0], delta, grid.points, dx, sigma))
-        oracle = build_homodyne_kernel(20, eta, grid, max_index=4)
-        assert sorted(kernel.tables) == sorted(oracle.tables) == list(range(5))
-        for delta in oracle.tables:
-            assert np.array_equal(kernel.tables[delta], oracle.tables[delta])
-            assert np.array_equal(kernel.recovery[delta],
-                                  oracle.recovery[delta])
+    @pytest.mark.parametrize("eta", [0.55, 0.7, 0.9])
+    @pytest.mark.parametrize("delta", [0, 7, 31])
+    def test_smearing_as_fftconvolve(self, delta, eta):
+        # the closed form against the pair products convolved with the
+        # efficiency-noise Gaussian, on a grid that holds every smeared
+        # density of dim_cut 32; offset 31 is a one-row table
+        grid = GridSpec(12.0)
+        psi = quadrature_wavefunctions(32, np.sqrt(eta) * grid.points)
+        got = smeared_pair_table(psi, delta, eta)
+        want = smeared_pairs_by_rows(32, delta, grid.points, grid.spacing,
+                                     np.sqrt(noise_sigma2(eta)))
+        assert got.shape == want.shape == (32 - delta, grid.points.size)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-10 * np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("dim_cut,delta,eta,half_width,spacing", [
-        (6, 2, 0.55, 1.0, 0.01),   # 725 filter taps against 201 points
-        (20, 19, 0.9, 10.0, 0.02),  # a one-row table
-        (13, 0, 0.7, 10.0, 0.02),  # one full chunk and a part one
-        (20, 7, 0.7, 10.0, 0.02),  # the same 13 rows at an offset
-        (12, 3, 1.0, 10.0, 0.02),  # one tap: nothing is convolved
-    ])
-    def test_smearing_bitwise_as_fftconvolve(self, dim_cut, delta, eta,
-                                             half_width, spacing):
-        grid = GridSpec(half_width, spacing)
-        psi = quadrature_wavefunctions(dim_cut, grid.points)
-        sigma = np.sqrt(noise_sigma2(eta))
-        if eta == 0.55:
-            assert gaussian_filter_kernel(sigma, spacing).size == 725
-            assert psi.shape[1] == 201
-        got = smeared_pair_table(psi, delta, spacing, sigma)
-        assert got.shape == (dim_cut - delta, psi.shape[1])
-        assert np.array_equal(
-            got, smeared_pairs_by_chunks(psi, delta, spacing, sigma))
+    @pytest.mark.parametrize("eta", [0.55, 0.7, 0.9])
+    def test_smeared_vacuum_is_gaussian(self, eta):
+        # g_00 is the N(0, 1/4 + (1 - eta)/(4 eta)) = N(0, 1/(4 eta)) density
+        x = GridSpec(6.0).points
+        psi = quadrature_wavefunctions(12, np.sqrt(eta) * x)
+        want = np.sqrt(2.0 * eta / np.pi) * np.exp(-2.0 * eta * x * x)
+        np.testing.assert_allclose(smeared_pair_table(psi, 0, eta)[0], want,
+                                   rtol=1e-13, atol=0.0)
 
-    def test_fast_len_as_scipy_next_fast_len(self):
-        from scipy.fft import next_fast_len
+    @pytest.mark.parametrize("delta", [0, 3, 19])
+    def test_unit_efficiency_rows_are_products(self, delta):
+        # at eta = 1 the loss weights are the identity: nothing is smeared
+        psi = quadrature_wavefunctions(20, GridSpec(10.0, 0.02).points)
+        assert np.array_equal(smeared_pair_table(psi, delta, 1.0),
+                              psi[: 20 - delta] * psi[delta:])
 
-        sizes = range(1, 5001)
-        assert [_fast_len(n) for n in sizes] == [
-            next_fast_len(n, True) for n in sizes]
-
-    def test_smearing_one_point_grid(self):
-        # on a one-point grid fftconvolve drops the length-1 axis and
-        # multiplies by the filter's centre tap, while the FFT round trip
-        # leaves roundoff of about 1e-18: compared to 1e-15, not bitwise.
-        # No kernel build reaches this grid; its conditioning gate fires.
-        psi = quadrature_wavefunctions(10, np.array([0.3]))
-        sigma = np.sqrt(noise_sigma2(0.8))
-        for delta in (0, 4, 9):
-            np.testing.assert_allclose(
-                smeared_pair_table(psi, delta, 0.02, sigma),
-                smeared_pairs_by_chunks(psi, delta, 0.02, sigma),
-                rtol=0.0, atol=1e-15)
+    @pytest.mark.parametrize("eta", [0.55, 0.7, 0.9, 1.0])
+    def test_smeared_densities_sum_to_one(self, eta):
+        grid = GridSpec(12.0)
+        psi = quadrature_wavefunctions(32, np.sqrt(eta) * grid.points)
+        sums = smeared_pair_table(psi, 0, eta).sum(axis=1) * grid.spacing
+        np.testing.assert_allclose(sums, 1.0, rtol=0.0, atol=1e-12)
 
     def test_kernel_build_peak_allocation(self):
         # a kernel at the Fock-route Choi benchmark's size (dim_cut 48, eta
         # 0.9, +-36, n_max 3).  The bound is 12.04 MB plus 10%: the traced
         # peak of convolving one row per scipy.signal.fftconvolve call
-        # (numpy 2.4, scipy 1.17).  Eight rows per numpy.fft rfft/irfft
-        # round trip, padded in one zeroed buffer per offset, peak at
-        # 11.19 MB (numpy 2.4); one round trip for all rows of an offset
-        # peaks at 17.50 MB.
+        # (numpy 2.4, scipy 1.17).  The loss weights applied in place, eight
+        # rows per product, peak at 9.51 MB (numpy 2.4); one product of the
+        # whole table, which holds a second one, peaks at 11.64 MB.
         build_homodyne_kernel(8, 0.9, GridSpec(5.0), max_index=2)  # warm-up
         tracemalloc.start()
         try:
