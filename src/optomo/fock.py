@@ -15,6 +15,8 @@ channel of transmissivity eta followed by the rescale x -> x / sqrt(eta), so
 the smeared pair densities have a closed form: loss weights applied to the
 pair products of the wavefunctions at sqrt(eta) x.  A kernel build forms
 that Psi table once and hands it to ``smeared_pair_table`` for every offset.
+The kernel build and the Fock sampler keep only the nodes of their grids
+where the wavefunctions live, ``support``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import numpy as np
 from optomo.errors import UnphysicalDeconvolutionError
 
 SMEAR_ROWS = 8  # rows per loss-weight product: bounds its temporary
+# share of its peak below which the envelope sum_n Psi_n^2 counts as zero
+SUPPORT_FLOOR = 1e-40
 
 
 def noise_sigma2(eta: float) -> float:
@@ -72,6 +76,15 @@ def quadrature_wavefunctions(nmax: int, x: np.ndarray) -> np.ndarray:
             np.multiply(table[n - 1], np.sqrt(n / (n + 1.0)), out=tmp)
             row -= tmp
     return table
+
+
+def support(psi: np.ndarray) -> slice:
+    """The contiguous run of grid nodes (columns of a wavefunction table
+    ``psi``) from the first to the last where the envelope sum_n Psi_n^2
+    exceeds ``SUPPORT_FLOOR`` of its peak; empty where it underflows."""
+    envelope = np.sum(psi * psi, axis=0)
+    keep = np.flatnonzero(envelope > SUPPORT_FLOOR * envelope.max())
+    return slice(keep[0], keep[-1] + 1) if keep.size else slice(0, 0)
 
 
 def _loss_weights(m: int, delta: int, eta: float) -> np.ndarray:

@@ -60,11 +60,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from optomo.errors import IllConditionedKernelError
-from optomo.fock import (noise_sigma2, phase_powers, quadrature_wavefunctions,
-                         smeared_pair_table)
+from optomo.fock import (SUPPORT_FLOOR, noise_sigma2, phase_powers,
+                         quadrature_wavefunctions, smeared_pair_table, support)
 from optomo.sampling import joint_outcome_table
 
-KERNEL_CACHE_VERSION = 2
+KERNEL_CACHE_VERSION = 3
 BIORTHOGONALITY_TOL = 1e-8
 DEFAULT_RIDGE = 1e-10
 KERNEL_GATE_TOL = 5e-3
@@ -225,6 +225,9 @@ class GridSpec:
 class HomodyneKernel:
     """Tabulated pattern functions f_nm with analytic phase factors.
 
+    ``x`` is the run of ``grid.points`` where the smeared densities exceed
+    1e-40 of their peak (``fock.support``); a sample beyond it scores the
+    end node, where every kernel is about 1e-40 of its peak.
     ``tables[delta]`` holds rows f_{n, n+delta}(x) for n <= max_index;
     f_nm = f_mn, so only delta = |m - n| is stored.  ``recovery[delta]`` is
     the matrix C[a, n] = integral g_{a, a+delta} f_{n, n+delta} over the full
@@ -338,6 +341,7 @@ def _save_kernel(path, key: str, kernel: HomodyneKernel) -> None:
     file in the same directory, renamed onto ``path``: readers never see a
     partial file."""
     arrays = {f"table_{d}": t for d, t in kernel.tables.items()}
+    arrays["x"] = kernel.x
     arrays.update({f"recovery_{d}": r for d, r in kernel.recovery.items()})
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
@@ -364,17 +368,21 @@ def build_homodyne_kernel(
     g are the exact noise-smeared quadrature pair distributions
     (``fock.smeared_pair_table``).  The ridge is
     relative to the mean diagonal of the constraint Gram matrix.  Rows are
-    stored for n <= max_index.
+    stored for n <= max_index.  Only the wavefunction table at sqrt(eta) x
+    covers the whole grid; everything else is built on its ``fock.support``,
+    the kernel's ``x``.  A minimum-norm kernel is a combination of the
+    densities, so the nodes dropped add nothing above roundoff.
 
     With ``cache_dir``, the kernel is cached in
     ``kernel-<sha256(key)[:16]>.npz``, the key text naming the cache
     version and every argument.  A file is used only if the ``key`` stored
     in it equals the requested one; a missing, corrupt, foreign or stale
-    file is rebuilt and replaced atomically.  A cache that cannot be
-    written costs the save, not the run.
+    file is rebuilt and replaced atomically.  The file stores ``x`` beside
+    the tables.  A cache that cannot be written costs the save, not the run.
 
     Raises UnphysicalDeconvolutionError for eta <= 0.5 and
-    IllConditionedKernelError (naming the diagonal) when some smeared density
+    IllConditionedKernelError (naming the diagonal) when the densities live
+    on fewer than two grid nodes, when some smeared density
     g_aa, a < dim_cut, does not sum to 1 on the grid, or the stored rows fail
     their unbiasedness constraints within the stored window, either at
     ``KERNEL_GATE_TOL``.
@@ -398,7 +406,7 @@ def build_homodyne_kernel(
                 if str(z["key"]) == key:
                     deltas = range(max_index + 1)
                     return HomodyneKernel(
-                        grid=grid, max_index=max_index, x=grid.points,
+                        grid=grid, max_index=max_index, x=z["x"],
                         tables={d: z[f"table_{d}"] for d in deltas},
                         recovery={d: z[f"recovery_{d}"] for d in deltas})
         except Exception:
@@ -409,10 +417,18 @@ def build_homodyne_kernel(
 
     x = grid.points
     psi = quadrature_wavefunctions(dim_cut, np.sqrt(eta) * x)
+    crop = support(psi)
+    x, psi = x[crop], np.ascontiguousarray(psi[:, crop])
     tables = {}
     recovery = {}
     remedy = ("reduce dim_cut, raise eta, widen grid_half_width "
               "or refine grid_spacing")
+    if x.size < 2:
+        # dyad_estimates interpolates between two nodes
+        raise IllConditionedKernelError(
+            0, f"smeared densities g_aa, a < {dim_cut}, exceed "
+            f"{SUPPORT_FLOOR:.0e} of their peak on {x.size} grid nodes "
+            f"only; {remedy}")
     for delta in range(0, max_index + 1):
         # quadrature rows, scaled in place: (a_mat f)_p ~ integral g_p f
         a_mat = smeared_pair_table(psi, delta, eta)

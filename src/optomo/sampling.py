@@ -47,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from optomo.fock import noise_sigma2, phase_powers, quadrature_wavefunctions
+from optomo.fock import (noise_sigma2, phase_powers, quadrature_wavefunctions,
+                         support)
 
 FOCK_GRID_POINTS = 4096
 # samples of one branch per _fock_draw call: fixes the draw order and
@@ -207,21 +208,19 @@ def fock_tables(branches, weights) -> FockTables:
     so a branch's scale does not change its draws.
 
     The grid is ``FOCK_GRID_POINTS`` nodes over [-6 sigma_max, 6 sigma_max]
-    with sigma_max^2 = (2d + 1)/4, cropped to the nodes where the envelope
-    sum_a Psi_a(x)^2 exceeds 1e-40 of its peak.  Its G nodes are split into
-    nb = round(sqrt(G/d)) blocks of B = ceil(G/nb) nodes, which balances the
-    d^2 nb work of the block masses against the d B work inside one block;
-    nb is cut to at most G // ``FOCK_MIN_BLOCK``, so that at small d a
-    block's fixed cost is shared by at least that many nodes.
+    with sigma_max^2 = (2d + 1)/4, cropped to the ``fock.support`` of its
+    wavefunctions.  Its G nodes are split into nb = round(sqrt(G/d)) blocks
+    of B = ceil(G/nb) nodes, which balances the d^2 nb work of the block
+    masses against the d B work inside one block; nb is cut to at most
+    G // ``FOCK_MIN_BLOCK``, so that at small d a block's fixed cost is
+    shared by at least that many nodes.
     """
     branches = np.array(branches, dtype=complex)
     n, d = branches.shape[:2]
     sigma_max = np.sqrt((2.0 * d + 1.0) / 4.0)
     x = np.linspace(-6.0 * sigma_max, 6.0 * sigma_max, FOCK_GRID_POINTS)
     full = quadrature_wavefunctions(d, x)
-    envelope = np.sum(full * full, axis=0)
-    keep = np.flatnonzero(envelope > 1e-40 * envelope.max())
-    crop = slice(keep[0], keep[-1] + 1)
+    crop = support(full)
     x = x[crop]
     nb = min(round(np.sqrt(x.size / d)), x.size // FOCK_MIN_BLOCK)
     block = -(-x.size // max(1, nb))  # ceil

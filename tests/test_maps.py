@@ -20,7 +20,7 @@ from optomo.maps import (
     twin_beam,
 )
 from optomo.estimation import exact_choi_estimate
-from optomo.pipeline import run_simulate
+from optomo.pipeline import displacement_theory, run_simulate
 from optomo.quorum import build_finite_quorum
 
 from oracles import (
@@ -285,6 +285,23 @@ class TestDisplacement:
             displacement_matrix(z, dim_cut),
             displacement_by_expm(z, dim_cut, DISPLACEMENT_GUARD),
             rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("dim_cut", [8, 12, 16, 24, 32, 48])
+    def test_window_is_the_closed_form_wherever_validate_accepts(self,
+                                                                 dim_cut):
+        # every |z| < sqrt(dim_cut) is accepted, up to the edge: the guard
+        # band must keep the cropped operator exact on the default window,
+        # where D(z)|n> spreads furthest past dim_cut
+        for frac in (0.5, 0.9, 0.97, 0.9999):
+            for phase in (1.0, np.exp(0.7j)):
+                z = frac * np.sqrt(dim_cut) * phase
+                cfg = ExperimentConfig(z=z, nbar=0.5, dim_cut=dim_cut,
+                                       route="fock")
+                cfg.validate()
+                w = cfg.n_max + 1
+                np.testing.assert_allclose(
+                    displacement_matrix(z, dim_cut)[:w, :w],
+                    displacement_theory(z, cfg.n_max), rtol=0.0, atol=1e-12)
 
     def test_unitarity_inner_block(self):
         # cropping loses column norm where D(z)|n> spreads past dim_cut, so

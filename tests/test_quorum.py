@@ -10,6 +10,7 @@ from optomo.errors import (
     UnphysicalDeconvolutionError,
 )
 from optomo.fock import (
+    SUPPORT_FLOOR,
     noise_sigma2,
     quadrature_wavefunctions,
     smeared_pair_table,
@@ -105,9 +106,13 @@ def kernel():
     return build_homodyne_kernel(16, 0.9, GridSpec(12.0), max_index=8)
 
 
-CACHE_ARGS = (12, 0.95, GridSpec(8.0))
-CACHE_KEY = "v2|D12|eta0.95|hw8.0|dx0.01|idx4|ridge1e-10"
-CACHE_NAME = "kernel-b707693d2d9ac41e.npz"  # sha256(CACHE_KEY)[:16]
+# a grid wider than the densities, so the kernel's x is a cropped run
+CACHE_ARGS = (12, 0.95, GridSpec(12.0))
+CACHE_KEY = "v3|D12|eta0.95|hw12.0|dx0.01|idx4|ridge1e-10"
+CACHE_NAME = "kernel-e90cf6c0b03c6a8c.npz"  # sha256(CACHE_KEY)[:16]
+# (dim_cut, eta, half-width, max_index) of the kernels of the Fock-route
+# Choi benchmark and of the Fig.-2 top and bottom (scaled) presets
+CROPPED_KERNELS = [(48, 0.9, 36.0, 3), (48, 0.9, 36.0, 7), (32, 0.7, 24.0, 7)]
 
 
 def _no_build(*args):
@@ -187,16 +192,65 @@ class TestHomodyneKernel:
         with pytest.raises(IllConditionedKernelError, match="grid_half_width"):
             build_homodyne_kernel(16, 0.9, GridSpec(3.0), max_index=8)
 
+    @pytest.mark.parametrize("dim_cut,eta,half_width,max_index",
+                             CROPPED_KERNELS)
+    def test_kernel_grid_is_the_density_support(self, dim_cut, eta,
+                                                half_width, max_index):
+        # x is one contiguous run of the grid's nodes, bitwise; the nodes
+        # dropped on either side have an envelope sum_a Psi_a(sqrt(eta) x)^2
+        # below the floor, and the run's end nodes are above it
+        grid = GridSpec(half_width)
+        kernel = build_homodyne_kernel(dim_cut, eta, grid, max_index)
+        points = grid.points
+        lo = int(np.flatnonzero(points == kernel.x[0])[0])
+        hi = lo + kernel.x.size
+        assert 0 < lo and hi < points.size
+        assert np.array_equal(kernel.x, points[lo:hi])
+        psi = wavefunctions_by_rows(dim_cut, np.sqrt(eta) * points)
+        envelope = np.sum(psi**2, axis=0)
+        floor = SUPPORT_FLOOR * envelope.max()
+        dropped = np.concatenate([envelope[:lo], envelope[hi:]])
+        assert np.all(dropped <= floor)
+        assert envelope[lo] > floor and envelope[hi - 1] > floor
+        for t in kernel.tables.values():
+            assert t.shape[1] == kernel.x.size
+
+    def test_dyads_beyond_the_support_are_negligible(self):
+        # data far outside the densities (the grid reaches +-36) scores the
+        # end node's value, about 1e-40 of the kernel's peak
+        kernel = build_homodyne_kernel(48, 0.9, GridSpec(36.0), max_index=3)
+        assert kernel.x[-1] < 30.0
+        pairs = [(a, b) for a in range(4) for b in range(4)]
+        e = kernel.dyad_estimates(np.array([-30.0, 30.0]),
+                                  np.exp(1j * np.array([0.4, 2.3])),
+                                  kernel.pair_table(pairs))
+        peak = max(np.max(np.abs(t)) for t in kernel.tables.values())
+        assert np.max(np.abs(e)) <= 1e-30 * peak
+
+    @pytest.mark.parametrize("grid", [GridSpec(30.0, 30.0),
+                                      GridSpec(0.004), GridSpec(1e3, 5e3)],
+                             ids=["one-node-support", "one-node-grid",
+                                  "no-node-support"])
+    def test_support_below_two_nodes_trips_gate_naming_grid(self, grid):
+        # linear interpolation needs two nodes: a grid with fewer under the
+        # densities is a named kernel error, not an IndexError later
+        with pytest.raises(IllConditionedKernelError, match="grid_half_width"):
+            build_homodyne_kernel(8, 0.9, grid, max_index=2)
+
     def test_cache_roundtrip(self, tmp_path, monkeypatch):
-        kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
-                                       cache_dir=tmp_path)
+        # the file stores the cropped nodes: a loaded kernel equals a fresh
+        # build bitwise, its x included
+        kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4)
+        build_homodyne_kernel(*CACHE_ARGS, max_index=4, cache_dir=tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [CACHE_NAME]
         with np.load(tmp_path / CACHE_NAME) as z:
             assert str(z["key"]) == CACHE_KEY
+            assert np.array_equal(z["x"], kernel.x)
         monkeypatch.setattr(quorum, "quadrature_wavefunctions", _no_build)
         loaded = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
                                        cache_dir=tmp_path)
         assert (loaded.grid, loaded.max_index) == (kernel.grid, 4)
+        assert kernel.x.size < kernel.grid.points.size
         assert np.array_equal(loaded.x, kernel.x)
         for field in ("tables", "recovery"):
             got, want = getattr(loaded, field), getattr(kernel, field)
@@ -270,7 +324,7 @@ class TestHomodyneKernel:
                                        cache_dir=tmp_path / "want")
         assert np.array_equal(kernel.tables[1], want.tables[1])
         with np.load(path) as z:
-            assert str(z["key"]) == "v2|D12|eta0.8|hw8.0|dx0.01|idx4|ridge1e-10"
+            assert str(z["key"]) == "v3|D12|eta0.8|hw8.0|dx0.01|idx4|ridge1e-10"
             assert np.array_equal(z["table_1"], want.tables[1])
 
     def test_keyless_file_rebuilds_and_is_replaced(self, tmp_path):
@@ -283,7 +337,7 @@ class TestHomodyneKernel:
         arrays.update({f"recovery_{d}": np.zeros_like(r)
                        for d, r in want.recovery.items()})
         path = tmp_path / CACHE_NAME
-        np.savez(path, version=1, dim_cut=12, eta=0.95, half_width=8.0,
+        np.savez(path, version=1, dim_cut=12, eta=0.95, half_width=12.0,
                  spacing=0.01, max_index=4, ridge=1e-10, **arrays)
         kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
                                        cache_dir=tmp_path)
@@ -297,23 +351,31 @@ class TestHomodyneKernel:
                 assert np.array_equal(z[f"recovery_{d}"], want.recovery[d])
 
     def test_first_version_file_rebuilds(self, tmp_path):
-        # a file of cache version 1 (rows smeared by FFT convolution) at the
-        # requested path, holding the v1 key text of the same arguments and
-        # tables that differ by roundoff, is rebuilt, not loaded
+        # a file of cache version 1 (rows smeared by FFT convolution) or 2
+        # (closed-form rows on the whole grid) at the requested path, holding
+        # the key text of the same arguments, full-grid tables that differ by
+        # roundoff and no stored x, is rebuilt, not loaded
         want = build_homodyne_kernel(*CACHE_ARGS, max_index=4)
-        arrays = {f"table_{d}": t * (1.0 + 1e-12)
-                  for d, t in want.tables.items()}
+        crop = np.flatnonzero(np.isin(want.grid.points, want.x))
+        arrays = {}
+        for d, t in want.tables.items():
+            full = np.zeros((t.shape[0], want.grid.points.size))
+            full[:, crop] = t * (1.0 + 1e-12)
+            arrays[f"table_{d}"] = full
         arrays.update({f"recovery_{d}": r for d, r in want.recovery.items()})
-        np.savez(tmp_path / CACHE_NAME,
-                 key=CACHE_KEY.replace("v2|", "v1|", 1), **arrays)
-        kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
-                                       cache_dir=tmp_path)
-        for d in want.tables:
-            assert np.array_equal(kernel.tables[d], want.tables[d])
-            assert np.array_equal(kernel.recovery[d], want.recovery[d])
-        with np.load(tmp_path / CACHE_NAME) as z:
-            assert str(z["key"]) == CACHE_KEY
-            assert np.array_equal(z["table_3"], want.tables[3])
+        for version in ("v1|", "v2|"):
+            np.savez(tmp_path / CACHE_NAME,
+                     key=CACHE_KEY.replace("v3|", version, 1), **arrays)
+            kernel = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
+                                           cache_dir=tmp_path)
+            assert np.array_equal(kernel.x, want.x)
+            for d in want.tables:
+                assert np.array_equal(kernel.tables[d], want.tables[d])
+                assert np.array_equal(kernel.recovery[d], want.recovery[d])
+            with np.load(tmp_path / CACHE_NAME) as z:
+                assert str(z["key"]) == CACHE_KEY
+                assert np.array_equal(z["x"], want.x)
+                assert np.array_equal(z["table_3"], want.tables[3])
 
     def test_cache_dir_reuse_and_regeneration(self, tmp_path):
         k1 = build_homodyne_kernel(*CACHE_ARGS, max_index=4,
@@ -432,8 +494,11 @@ class TestFockBasisTables:
         # 0.9, +-36, n_max 3).  The bound is 12.04 MB plus 10%: the traced
         # peak of convolving one row per scipy.signal.fftconvolve call
         # (numpy 2.4, scipy 1.17).  The loss weights applied in place, eight
-        # rows per product, peak at 9.51 MB (numpy 2.4); one product of the
-        # whole table, which holds a second one, peaks at 11.64 MB.
+        # rows per product, peak at 9.51 MB on the whole grid (numpy 2.4)
+        # and at 5.65 MB on the densities' support, where the full-grid
+        # wavefunction table and its envelope are the largest arrays; one
+        # product of the whole table, which holds a second one, peaks at
+        # 11.64 MB.
         build_homodyne_kernel(8, 0.9, GridSpec(5.0), max_index=2)  # warm-up
         tracemalloc.start()
         try:
