@@ -4,7 +4,10 @@ Three sampling paths share one RNG contract:
 
 * exact Gaussian sampling of joint quadratures for the phase-symmetric
   two-mode states of the displaced twin-beam experiment (``GaussianState``:
-  the mode-1 mean, the two per-mode variances and the correlation c),
+  the mode-1 mean, the two per-mode variances and the correlation c): a
+  trial draws phi1, phi2, then two standard normals, which give the
+  detected (x1, x2) as one bivariate normal with the detector noise in its
+  variances,
 * exact Fock-basis sampling of arbitrary pure bipartite outputs (and
   mixtures of them for Kraus maps) from one per-run record of the output
   branches (``fock_tables``, which holds the run's grid with its block
@@ -25,7 +28,8 @@ Three sampling paths share one RNG contract:
 
 Quadrature units follow X_phi = (a^dag e^{i phi} + a e^{-i phi})/2 (vacuum
 variance 1/4); detector efficiency adds independent Gaussian noise of
-variance (1-eta)/(4 eta) per mode.
+variance (1-eta)/(4 eta) per mode: the Fock sampler draws it as two more
+normals, the Gaussian sampler adds it to the variances it draws from.
 
 A homodyne sampler returns four columns, settings then outcomes:
 (e^{i phi1}, e^{i phi2}, x1, x2); a setting is the unit phasor of its
@@ -127,15 +131,16 @@ def sample_quadratures(
     """Joint quadrature samples (e^{i phi1}, e^{i phi2}, x1, x2) at
     efficiency eta.
 
-    Draw order (fixed for reproducibility): phi1, phi2, two standard normals
-    z1, z2 for the exact bivariate law, two standard normals g1, g2 for
-    efficiency noise.  Each phase is returned as its phasor np.cos(phi) +
-    1j np.sin(phi), whose parts give the mean m1 = Re(mean e^{-i phi1}) of
-    X_phi1 and the covariance entries v11 = v1, v22 = v2 and v12 =
-    c cos(phi1 + phi2) of (X_phi1, X_phi2); then x1 = m1 + sqrt(v11) z1 and
-    x2 = (v12 / sqrt(v11)) z1 + sqrt(max(v22 - v12^2 / v11, 0)) z2,
-    each plus sqrt((1-eta)/(4 eta)) g.  ``phases`` fixes both phases to
-    the given values instead of drawing them (no phase is drawn then).
+    The detector is the loss channel eta followed by a 1/sqrt(eta)
+    rescale, so at fixed phases (x1, x2) is one bivariate normal whose
+    variances are w1 = v1 + sigma2 and w2 = v2 + sigma2, sigma2 =
+    (1-eta)/(4 eta), and whose covariance is v12 = c (c1 c2 - s1 s2),
+    with cj + i sj = e^{i phij}.  Draw order (fixed for reproducibility):
+    phi1, phi2, then two standard normals z1, z2.  Each phase is returned as
+    its phasor np.cos(phi) + 1j np.sin(phi); then x1 = c1 Re(mean) +
+    s1 Im(mean) + sqrt(w1) z1 and x2 = (v12 / sqrt(w1)) z1 +
+    sqrt(max(w2 - v12^2 / w1, 0)) z2.  ``phases`` fixes both phases to the
+    given values instead of drawing them (no phase is drawn then).
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -147,24 +152,14 @@ def sample_quadratures(
         e1 = _phasor(np.full(n, float(phases[0])))
         e2 = _phasor(np.full(n, float(phases[1])))
     c1, s1, c2, s2 = e1.real, e1.imag, e2.real, e2.imag
-    # the general quadratic forms of a 4x4 covariance, with its zero entries
-    # dropped (they add only +-0); v11 and v22 stay c^2 v + s^2 v rather
-    # than v, and v12 keeps its two products, so the draws keep the roundoff
-    # of those forms bit for bit
-    m1 = c1 * state.mean.real + s1 * state.mean.imag
-    v11 = c1 * c1 * state.v1 + s1 * s1 * state.v1
-    v22 = c2 * c2 * state.v2 + s2 * s2 * state.v2
-    v12 = c1 * c2 * state.c - s1 * s2 * state.c
+    w1 = state.v1 + sig2
+    w2 = state.v2 + sig2
+    v12 = state.c * (c1 * c2 - s1 * s2)
     z1 = stream.standard_normal(n)
     z2 = stream.standard_normal(n)
-    x1 = m1 + np.sqrt(v11) * z1
-    x2 = ((v12 / np.sqrt(v11)) * z1
-          + np.sqrt(np.maximum(v22 - v12**2 / v11, 0.0)) * z2)
-    g1 = stream.standard_normal(n)
-    g2 = stream.standard_normal(n)
-    if sig2 > 0.0:
-        x1 += np.sqrt(sig2) * g1
-        x2 += np.sqrt(sig2) * g2
+    x1 = c1 * state.mean.real + s1 * state.mean.imag + np.sqrt(w1) * z1
+    x2 = ((v12 / np.sqrt(w1)) * z1
+          + np.sqrt(np.maximum(w2 - v12**2 / w1, 0.0)) * z2)
     return e1, e2, x1, x2
 
 

@@ -22,6 +22,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
+from oracles import random_invertible_state, random_kraus_map
 
 from optomo.config import ExperimentConfig
 from optomo.estimation import exact_choi_estimate, exact_pure_estimate
@@ -89,12 +90,8 @@ def exact_document(name: str) -> dict:
     rng = np.random.default_rng(97)
     d = 3
     quorum = build_finite_quorum(d)
-    psi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    psi = psi / np.linalg.norm(psi)
-    ks = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-          for _ in range(2)]
-    top = np.linalg.eigvalsh(sum(k.conj().T @ k for k in ks))[-1]
-    ks = [k / np.sqrt(1.25 * top) for k in ks]
+    psi = random_invertible_state(rng, d)
+    ks = random_kraus_map(rng, d)
     if name == "exact_pure":
         est = exact_pure_estimate(*output_branches(KrausMap((ks[0],)), psi),
                                   psi, 0, 0, quorum)

@@ -125,11 +125,13 @@ class TestSampleQuadratures:
         pytest.param(0.7, True, id="generic-0.7")])
     def test_phasors_and_quadratures_from_redrawn_stream(self, eta, generic):
         # the phasors are np.cos / np.sin of the phases the substream draws
-        # first, bitwise; the quadratures equal the general quadratic forms
-        # of a 4x4 covariance over (X1, P1, X2, P2), evaluated out of place
-        # on the same draws, bitwise.  The twin beam has v1 = v2, so a
-        # formula that reads the wrong variance passes on it; the generic
-        # state has Re mean, Im mean, v1, v2 and c all distinct.
+        # first, bitwise; the quadratures are the closed forms of the
+        # phase-symmetric law on the two normals drawn next, bitwise, and
+        # lie within 1e-12 of the general quadratic forms of the 4x4
+        # covariance over (X1, P1, X2, P2) plus the detector variance
+        # (1 - eta)/(4 eta) on every quadrature.  The twin beam has v1 = v2,
+        # so a formula that reads the wrong variance passes on it; the
+        # generic state has Re mean, Im mean, v1, v2 and c all distinct.
         if generic:
             st = GaussianState(mean=0.8 - 0.35j, v1=0.9, v2=1.3, c=0.4)
         else:
@@ -139,15 +141,23 @@ class TestSampleQuadratures:
         rng = substream(9, 4)
         phi1 = rng.uniform(0.0, 2.0 * np.pi, n)
         phi2 = rng.uniform(0.0, 2.0 * np.pi, n)
-        z1, z2, g1, g2 = (rng.standard_normal(n) for _ in range(4))
+        z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
         c1, s1, c2, s2 = np.cos(phi1), np.sin(phi1), np.cos(phi2), np.sin(phi2)
         for got, want in ((e1.real, c1), (e1.imag, s1), (e2.real, c2),
                           (e2.imag, s2)):
             assert np.array_equal(got, want)
+        sn2 = (1.0 - eta) / (4.0 * eta)
+        w1, w2 = st.v1 + sn2, st.v2 + sn2
+        cov12 = st.c * (c1 * c2 - s1 * s2)
+        y1 = c1 * st.mean.real + s1 * st.mean.imag + np.sqrt(w1) * z1
+        y2 = ((cov12 / np.sqrt(w1)) * z1
+              + np.sqrt(np.maximum(w2 - cov12**2 / w1, 0.0)) * z2)
+        assert np.array_equal(x1, y1)
+        assert np.array_equal(x2, y2)
         v = np.array([[st.v1, 0.0, st.c, 0.0],
                       [0.0, st.v1, 0.0, -st.c],
                       [st.c, 0.0, st.v2, 0.0],
-                      [0.0, -st.c, 0.0, st.v2]])
+                      [0.0, -st.c, 0.0, st.v2]]) + sn2 * np.eye(4)
         mu = [st.mean.real, st.mean.imag, 0.0, 0.0]
         m1 = c1 * mu[0] + s1 * mu[1]
         m2 = c2 * mu[2] + s2 * mu[3]
@@ -155,15 +165,42 @@ class TestSampleQuadratures:
         v22 = c2 * c2 * v[2, 2] + 2 * c2 * s2 * v[2, 3] + s2 * s2 * v[3, 3]
         v12 = (c1 * c2 * v[0, 2] + c1 * s2 * v[0, 3]
                + s1 * c2 * v[1, 2] + s1 * s2 * v[1, 3])
-        y1 = m1 + np.sqrt(v11) * z1
-        y2 = (m2 + (v12 / np.sqrt(v11)) * z1
+        g1 = m1 + np.sqrt(v11) * z1
+        g2 = (m2 + (v12 / np.sqrt(v11)) * z1
               + np.sqrt(np.maximum(v22 - v12**2 / v11, 0.0)) * z2)
-        if eta < 1.0:
-            sn = np.sqrt((1.0 - eta) / (4.0 * eta))
-            y1 = y1 + sn * g1
-            y2 = y2 + sn * g2
-        assert np.array_equal(x1, y1)
-        assert np.array_equal(x2, y2)
+        assert np.max(np.abs(x1 - g1)) <= 1e-12
+        assert np.max(np.abs(x2 - g2)) <= 1e-12
+
+    def test_draws_two_uniforms_and_two_normals_per_trial(self):
+        # the stream moves by exactly the documented draws: two phases (none
+        # when fixed), then two standard normals per trial
+        st = GaussianState(mean=0.8 - 0.35j, v1=0.9, v2=1.3, c=0.4)
+        n = 777
+        for phases, n_uniform in ((None, 2), ((0.3, 1.1), 0)):
+            rng = substream(9, 4)
+            sample_quadratures(st, 0.7, n, rng, phases=phases)
+            ref = substream(9, 4)
+            for _ in range(n_uniform):
+                ref.uniform(0.0, 2.0 * np.pi, n)
+            ref.standard_normal(n)
+            ref.standard_normal(n)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_detected_moments_under_loss(self):
+        # at eta < 1 the detected variances are v + (1 - eta)/(4 eta) and
+        # the covariance at phi1 = phi2 = 0 is c; 4 sigma z-tests, each with
+        # its own standard error: w sqrt(2/n) for a variance and
+        # sqrt((w1 w2 + c^2)/n) for the covariance of a bivariate normal
+        n, eta = 10**6, 0.7
+        st = displaced_twinbeam_gaussian(0.0, 3.0)
+        _, _, x1, x2 = sample_quadratures(st, eta, n, substream(1, 7),
+                                          phases=(0.0, 0.0))
+        sn2 = (1.0 - eta) / (4.0 * eta)
+        w1, w2 = st.v1 + sn2, st.v2 + sn2
+        for x, w in ((x1, w1), (x2, w2)):
+            assert abs(np.var(x) - w) < 4.0 * w * np.sqrt(2.0 / n)
+        cov = np.mean((x1 - x1.mean()) * (x2 - x2.mean()))
+        assert abs(cov - st.c) < 4.0 * np.sqrt((w1 * w2 + st.c**2) / n)
 
 
 class TestSampleFockGeneral:
